@@ -1,0 +1,79 @@
+"""Byte-for-byte pins of the CLI's exact reports on two fixed inputs.
+
+`tests/golden/` holds, for each input, the code file and the exact stdout of
+`permid eval --converse` and `permid transform --gamma 1/3` on it:
+
+- `orbit`: the orbit-union code of `permid build --n 60 --q 2
+  --epsilon 1/25 --seed 3` (deterministic decoders, uniform encoders);
+- `perm_l2`: `helpers.random_perm_code` at seed 65 with n=3, q=2, M=3, l=2,
+  whose per-orbit counts are mostly partial, so the lifted decoders are
+  stochastic.
+
+Any change to these bytes is a change of behaviour. Regenerate them only for
+a deliberate one, with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from helpers import random_perm_code
+from permid.cli import main
+from permid.serialize import code_to_json, dumps
+
+GOLDEN = Path(__file__).parent / "golden"
+BUILD_ARGV = ["build", "--n", "60", "--q", "2", "--epsilon", "1/25", "--seed", "3"]
+COMMANDS = {
+    "eval": ["eval", "--converse"],
+    "transform": ["transform", "--gamma", "1/3"],
+}
+
+
+def perm_l2_code():
+    rand = random.Random(65)
+    return random_perm_code(rand, 3, 2, 3, l=2, max_support=4, max_decoder=40)
+
+
+def run(capsys, argv):
+    status = main(argv)
+    out = capsys.readouterr().out
+    assert status == 0
+    return out
+
+
+def test_inputs_reproduce(capsys):
+    assert run(capsys, BUILD_ARGV) == (GOLDEN / "orbit_code.json").read_text()
+    assert dumps(code_to_json(perm_l2_code())) == (GOLDEN / "perm_l2_code.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["orbit", "perm_l2"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_reports_match_golden_bytes(capsys, name, command):
+    code = str(GOLDEN / f"{name}_code.json")
+    argv = COMMANDS[command][:1] + ["--code", code] + COMMANDS[command][1:]
+    assert run(capsys, argv) == (GOLDEN / f"{name}_{command}.json").read_text()
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+
+    def capture(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        return buf.getvalue()
+
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "orbit_code.json").write_text(capture(BUILD_ARGV))
+    (GOLDEN / "perm_l2_code.json").write_text(dumps(code_to_json(perm_l2_code())))
+    for name in ("orbit", "perm_l2"):
+        code = str(GOLDEN / f"{name}_code.json")
+        for command, args in COMMANDS.items():
+            text = capture(args[:1] + ["--code", code] + args[1:])
+            (GOLDEN / f"{name}_{command}.json").write_text(text)
+
+
+if __name__ == "__main__":
+    _regenerate()
