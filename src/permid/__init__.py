@@ -56,7 +56,6 @@ from .approx import (
 from .feedback import (
     CollisionReport,
     FeedbackCode,
-    FeedbackMCReport,
     RetryResult,
     build_feedback_code,
     build_until_target,
@@ -91,7 +90,6 @@ from .transforms import (
     gamma_for_rate,
     gamma_for_rate_multishot,
     perm_to_noiseless,
-    perm_to_noiseless_multishot,
     soft_converse_pipeline,
     stoch_to_det_decoders,
     to_uniform_encoders,

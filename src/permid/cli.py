@@ -43,6 +43,7 @@ from .feedback import (
     target_test,
 )
 from .idcode import (
+    MATRIX_CAP,
     NoiselessIdCode,
     PermIdCode,
     build_multishot_achievable,
@@ -79,7 +80,10 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("PERMID_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValidationError(f"PERMID_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(args, doc: dict, report=None) -> None:
@@ -400,6 +404,18 @@ def _bounds_csv(doc: dict, fh) -> None:
         writer.writerow([row["M"], row.get("prop2_lower", "")])
 
 
+COMMANDS = {
+    "types": cmd_types,
+    "setsystem": cmd_setsystem,
+    "build": cmd_build,
+    "eval": cmd_eval,
+    "transform": cmd_transform,
+    "approx": cmd_approx,
+    "feedback": cmd_feedback,
+    "bounds": cmd_bounds,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permid",
@@ -410,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--matrix-cap",
         type=int,
-        default=4096,
+        default=MATRIX_CAP,
         help="omit matrices once the message count exceeds this",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -480,32 +496,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = None
-        if args.command == "types":
-            doc = cmd_types(args)
-        elif args.command == "setsystem":
-            doc = cmd_setsystem(args)
-        elif args.command == "build":
-            doc = cmd_build(args)
-        elif args.command == "eval":
-            doc, report = cmd_eval(args)
-        elif args.command == "transform":
-            doc = cmd_transform(args)
-        elif args.command == "approx":
-            doc = cmd_approx(args)
-        elif args.command == "feedback":
-            doc, report = cmd_feedback(args)
-        elif args.command == "bounds":
-            doc = cmd_bounds(args)
-            if args.format == "csv":
-                if args.output:
-                    with open(args.output, "w", newline="") as fh:
-                        _bounds_csv(doc, fh)
-                else:
-                    _bounds_csv(doc, sys.stdout)
-                return 0
-        else:
-            raise ValidationError(f"unknown command {args.command!r}")
+        # eval and feedback also return the report behind their document
+        result = COMMANDS[args.command](args)
+        doc, report = result if isinstance(result, tuple) else (result, None)
+        if args.command == "bounds" and args.format == "csv":
+            if args.output:
+                with open(args.output, "w", newline="") as fh:
+                    _bounds_csv(doc, fh)
+            else:
+                _bounds_csv(doc, sys.stdout)
+            return 0
         _emit(args, doc, report)
         return 0
     except BoundViolationError as exc:

@@ -12,7 +12,6 @@ simulation measures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,10 +35,10 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
+from .idcode import MATRIX_CAP, MCReport
 from .rng import Stream
 
 TABLE_BUDGET = 2**26
-MATRIX_CAP = 4096
 
 
 def max_typeclass(n: int, q: int) -> tuple[TypeVector, int]:
@@ -184,50 +183,27 @@ def eval_feedback_exact(code: FeedbackCode) -> CollisionReport:
         if keep:
             counts[j, j + 1 :] = agree
             counts[j + 1 :, j] = agree
-    if M == 1:
-        return CollisionReport(
-            M=M,
-            D=D,
-            N=code.N,
-            lambda1=Fraction(0),
-            lambda2=None,
-            max_count=0,
-            argmax_pair=None,
-            counts=counts,
-            target=Fraction(2, code.N),
-        )
     return CollisionReport(
         M=M,
         D=D,
         N=code.N,
         lambda1=Fraction(0),
-        lambda2=Fraction(max_count, D),
-        max_count=max_count,
+        lambda2=Fraction(max_count, D) if M > 1 else None,
+        max_count=max(max_count, 0),
         argmax_pair=argmax_pair,
         counts=counts,
         target=Fraction(2, code.N),
     )
 
 
-@dataclass(frozen=True)
-class FeedbackMCReport:
-    """Simulation estimates; lambda1_hat must come out exactly 0."""
-
-    M: int
-    trials: int
-    lambda1_hat: float
-    lambda2_hat: float
-    stderr: float
-    accept_hat: tuple[tuple[float, ...], ...] | None
-
-
-def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> FeedbackMCReport:
+def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCReport:
     """Simulate the two phases end to end.
 
     Each trial permutes the pilot blocks (drawing a uniform orbit element),
     lets the sender read them back, transmits the chosen orbit's
     representative, permutes it, and runs every decoder on the final output.
-    The sender's own decoder must accept in every trial.
+    The sender's own decoder must accept in every trial, so lambda1_hat
+    must come out exactly 0.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -253,22 +229,10 @@ def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> Feedbac
             for k in range(M):
                 if int(column[k]) == out_orbit:
                     row[k] += 1
-    accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
-    lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
-    if lambda1_hat != 0.0:
+    report = MCReport.from_hits(hits, trials)
+    if report.lambda1_hat != 0.0:
         raise BoundViolationError("a sender's own decoder rejected in simulation")
-    lambda2_hat = max(
-        (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
-        default=0.0,
-    )
-    return FeedbackMCReport(
-        M=M,
-        trials=trials,
-        lambda1_hat=lambda1_hat,
-        lambda2_hat=lambda2_hat,
-        stderr=math.sqrt(lambda2_hat * (1.0 - lambda2_hat) / trials),
-        accept_hat=accept_hat if M <= MATRIX_CAP else None,
-    )
+    return report
 
 
 def target_test(code: FeedbackCode) -> bool:

@@ -20,7 +20,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .combinatorics import (
     count_types,
@@ -32,7 +35,7 @@ from .combinatorics import (
     type_unrank,
     typeclass_size,
 )
-from .dist import Dist, tv_distance
+from .dist import Dist
 from .errors import (
     BoundViolationError,
     HypothesisError,
@@ -44,10 +47,10 @@ from .rng import Stream
 from .setsystem import IntersectionProfile, SetSystem, grow_family, verify_profile
 
 # Full matrices are kept only while M stays at or below this cap; above it the
-# evaluators stream the maxima and per-message misses.
+# evaluators stream the maxima and per-message misses, computing a block of
+# about BLOCK_ENTRIES acceptance entries at a time.
 MATRIX_CAP = 4096
-
-NoiselessDecoder = frozenset  # or a Mapping[int, Fraction] of accept probabilities
+BLOCK_ENTRIES = 2**20
 
 
 def _accept_prob(decoder, k: int) -> Fraction:
@@ -150,7 +153,7 @@ class PermIdCode:
             if not isinstance(enc, Dist):
                 raise ValidationError("encoders must be Dist instances")
             for x in enc.support():
-                self._check_input(x)
+                self.input_orbit(x)
         cleaned = []
         for counts in decoder_counts:
             dec: dict[int, int] = {}
@@ -173,27 +176,17 @@ class PermIdCode:
     def M(self) -> int:
         return len(self.encoders)
 
-    def _check_input(self, x) -> tuple[int, ...]:
-        """Validate a flat input tuple and return its l block-type indices."""
+    def input_orbit(self, x) -> int:
+        """Combined orbit index in [1..N^l] of a flat input tuple, validated."""
         if not (isinstance(x, tuple) and len(x) == self.n * self.l):
             raise ValidationError(
                 f"input must be a tuple of length n*l = {self.n * self.l}, got {x!r}"
             )
-        return tuple(
-            type_index(type_of(x[b * self.n : (b + 1) * self.n], self.q))
-            for b in range(self.l)
-        )
-
-    def input_orbit(self, x) -> int:
-        """Combined orbit index in [1..N^l] of a flat input tuple."""
-        return tuple_to_index(self._check_input(x), self.N)
+        return _block_orbit(x, self.n, self.q, self.N, self.l)
 
     def orbit_size(self, t: int) -> int:
         """Number of vectors in the orbit product with combined index t."""
-        size = 1
-        for j in index_to_tuple(t, self.N, self.l):
-            size *= typeclass_size(type_unrank(j, self.n, self.q))
-        return size
+        return _orbit_product_size(t, self.n, self.q, self.N, self.l)
 
     def accept_prob_for_orbit(self, i: int, t: int) -> Fraction:
         """P(decoder of message i accepts | output lands in orbit product t)."""
@@ -211,6 +204,12 @@ class PermIdCode:
         return Dist(mass, size=self.ground)
 
 
+def _block_orbit(x, n: int, q: int, N: int, l: int) -> int:
+    """Combined orbit index in [1..N^l] of a flat tuple of l blocks of length n."""
+    types = tuple(type_index(type_of(x[b * n : (b + 1) * n], q)) for b in range(l))
+    return tuple_to_index(types, N)
+
+
 def counts_from_vector_set(
     vectors, n: int, q: int, l: int = 1
 ) -> dict[int, int]:
@@ -223,24 +222,19 @@ def counts_from_vector_set(
         if x in seen:
             raise ValidationError(f"repeated decoder vector {x!r}")
         seen.add(x)
-        types = tuple(
-            type_index(type_of(x[b * n : (b + 1) * n], q)) for b in range(l)
-        )
-        t = tuple_to_index(types, N)
+        t = _block_orbit(x, n, q, N, l)
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def _orbit_product_size(t: int, n: int, q: int, N: int, l: int) -> int:
+    return math.prod(typeclass_size(type_unrank(j, n, q)) for j in index_to_tuple(t, N, l))
 
 
 def full_orbit_counts(type_sets, n: int, q: int, l: int = 1) -> dict[int, int]:
     """Decoder that accepts every vector of the listed orbit products."""
     N = count_types(n, q)
-    counts = {}
-    for t in type_sets:
-        size = 1
-        for j in index_to_tuple(t, N, l):
-            size *= typeclass_size(type_unrank(j, n, q))
-        counts[t] = size
-    return counts
+    return {t: _orbit_product_size(t, n, q, N, l) for t in type_sets}
 
 
 @dataclass(frozen=True)
@@ -266,120 +260,154 @@ class ErrorReport:
         return self.lambda1 + self.lambda2
 
 
-def _report_from_accept(accept_fn: Callable[[int, int], Fraction], M: int) -> ErrorReport:
-    missed = []
-    lambda2 = Fraction(0)
-    argmax_cross = None
+def _report(rows, M: int) -> ErrorReport:
+    """Error figures from the M acceptance rows (Fractions), taken in order."""
     keep_matrix = M <= MATRIX_CAP
-    rows = [] if keep_matrix else None
-    for i in range(1, M + 1):
-        row = []
-        for j in range(1, M + 1):
-            p = accept_fn(i, j)
-            if not 0 <= p <= 1:
-                raise BoundViolationError(f"acceptance probability {p} outside [0,1]")
-            if i != j and p > lambda2:
-                lambda2 = p
-                argmax_cross = (i, j)
-            if keep_matrix:
-                row.append(p)
-            elif i == j:
-                missed_own = 1 - p
+    kept, missed = [], []
+    lambda2, argmax_cross = Fraction(0), None
+    for i, row in enumerate(rows):
+        if min(row) < 0 or max(row) > 1:
+            p = next(p for p in row if not 0 <= p <= 1)
+            raise BoundViolationError(f"acceptance probability {p} outside [0,1]")
+        missed.append(1 - row[i])
+        cross = row[:i] + row[i + 1 :]
+        top = max(cross, default=0)
+        if top > lambda2:
+            j = cross.index(top)
+            lambda2, argmax_cross = top, (i + 1, j + 1 + (j >= i))
         if keep_matrix:
-            rows.append(tuple(row))
-            missed.append(1 - row[i - 1])
-        else:
-            missed.append(missed_own)
+            kept.append(tuple(row))
     lambda1 = max(missed)
-    argmax_miss = missed.index(lambda1) + 1
     return ErrorReport(
         M=M,
         lambda1=lambda1,
         lambda2=lambda2,
         missed=tuple(missed),
-        argmax_miss=argmax_miss,
+        argmax_miss=missed.index(lambda1) + 1,
         argmax_cross=argmax_cross,
-        accept=tuple(rows) if keep_matrix else None,
+        accept=tuple(kept) if keep_matrix else None,
     )
 
 
 def report_from_matrix(matrix: Sequence[Sequence[Fraction]]) -> ErrorReport:
     """Summarize a full acceptance matrix (row = sent, column = tested)."""
-    return _report_from_accept(lambda i, j: matrix[i - 1][j - 1], len(matrix))
+    return _report(matrix, len(matrix))
+
+
+def _encoder_rows(code, rows: range | None = None):
+    """The union of the encoders' supports (orbit indices for perm codes) as
+    sorted columns, and each encoder as an integer row over them with one
+    denominator per row: message i puts mass table[i, g] / dens[i] on cols[g]."""
+    encoders = code.encoders if rows is None else [code.encoders[i] for i in rows]
+    if isinstance(code, PermIdCode):
+        pushed = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in encoders]
+    elif isinstance(code, NoiselessIdCode):
+        pushed = [enc.items() for enc in encoders]
+    else:
+        raise ValidationError(f"unsupported code type {type(code).__name__}")
+    cols = sorted({k for pairs in pushed for k, _ in pairs})
+    where = {k: g for g, k in enumerate(cols)}
+    table = np.zeros((len(pushed), len(cols)), dtype=object)
+    dens = np.array([math.lcm(*(p.denominator for _, p in ps)) for ps in pushed], dtype=object)
+    for i, pairs in enumerate(pushed):
+        for k, p in pairs:
+            table[i, where[k]] += p.numerator * (dens[i] // p.denominator)
+    return cols, table, dens
+
+
+def _decoder_columns(code, cols):
+    """Each decoder as an integer column over `cols` with one denominator per
+    column: decoder j accepts cols[g] with probability table[g, j] / dens[j]."""
+    if isinstance(code, PermIdCode):
+        sizes = [code.orbit_size(t) for t in cols]
+        probs = [
+            [Fraction(d.get(t, 0), s) for t, s in zip(cols, sizes)] for d in code.decoder_counts
+        ]
+    else:
+        probs = [[_accept_prob(dec, k) for k in cols] for dec in code.decoders]
+    dens = [math.lcm(*(p.denominator for p in ps)) for ps in probs]
+    table = [[p.numerator * (d // p.denominator) for p in ps] for ps, d in zip(probs, dens)]
+    return np.array(table, dtype=object).T, np.array(dens, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class Acceptance:
+    """Exact acceptance matrix in integer form: P(decoder j+1 accepts |
+    message i+1) = num[i, j] / (row_den[i] * col_den[j]), with Python-integer
+    denominators. `backend` names the matmul that made `num`: "int64" when no
+    sum can overflow, else "object" (Python integers). Entries are boxed into
+    Fractions only on demand, by `fractions` and `report`."""
+
+    num: np.ndarray
+    row_den: np.ndarray
+    col_den: np.ndarray
+    backend: str
+
+    def fractions(self):
+        """The rows as tuples of Fractions, in order."""
+        cols = self.col_den.tolist()
+        for nums, r in zip(self.num.tolist(), self.row_den.tolist()):
+            yield tuple(Fraction(n, r * c) for n, c in zip(nums, cols))
+
+    def exact(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entrywise numerators and denominators as Python-integer arrays."""
+        return self.num.astype(object), np.outer(self.row_den, self.col_den)
+
+    def take(self, idx: Sequence[int]) -> "Acceptance":
+        """The sub-matrix of the messages at 0-based positions idx."""
+        sub = np.ix_(idx, idx)
+        return Acceptance(self.num[sub], self.row_den[idx], self.col_den[idx], self.backend)
+
+    @cached_property
+    def report(self) -> ErrorReport:
+        return _report(self.fractions(), len(self.col_den))
+
+
+def acceptance(code, rows: range | None = None) -> Acceptance:
+    """The exact acceptance kernel of a noiseless or permutation code: one
+    integer matmul of encoder rows by decoder columns over the union of the
+    encoder supports. `rows` restricts it to those (0-based) messages."""
+    cols, enc, row_den = _encoder_rows(code, rows)
+    dec, col_den = _decoder_columns(code, cols)
+    # no sum can overflow; the 1s keep a zero factor from hiding a large one
+    small = max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63
+    if small:
+        enc, dec = enc.astype(np.int64), dec.astype(np.int64)
+    return Acceptance(enc @ dec, row_den, col_den, "int64" if small else "object")
 
 
 def acceptance_matrix(code) -> list[list[Fraction]]:
     """Full M x M acceptance matrix of a noiseless or permutation code,
     exact and uncapped. Entry [i][j] is P(decoder j+1 accepts | message i+1).
     """
-    if isinstance(code, NoiselessIdCode):
-        def accept(i: int, j: int) -> Fraction:
-            dec = code.decoders[j - 1]
-            return sum(
-                (p * _accept_prob(dec, k) for k, p in code.encoders[i - 1].items()),
-                Fraction(0),
-            )
-    elif isinstance(code, PermIdCode):
-        pushed = [
-            [(code.input_orbit(x), p) for x, p in code.encoders[i].items()]
-            for i in range(code.M)
-        ]
-        sizes = {t: code.orbit_size(t) for pairs in pushed for t, _ in pairs}
+    return [list(row) for row in acceptance(code).fractions()]
 
-        def accept(i: int, j: int) -> Fraction:
-            dec = code.decoder_counts[j - 1]
-            return sum(
-                (p * Fraction(dec[t], sizes[t]) for t, p in pushed[i - 1] if t in dec),
-                Fraction(0),
-            )
-    else:
-        raise ValidationError(f"unsupported code type {type(code).__name__}")
-    return [[accept(i, j) for j in range(1, code.M + 1)] for i in range(1, code.M + 1)]
+
+def _exact_report(code) -> ErrorReport:
+    M = code.M
+    step = M if M <= MATRIX_CAP else max(1, BLOCK_ENTRIES // M)
+    blocks = (acceptance(code, range(lo, min(lo + step, M))) for lo in range(0, M, step))
+    return _report((row for block in blocks for row in block.fractions()), M)
 
 
 def eval_noiseless(code: NoiselessIdCode) -> ErrorReport:
-    """Exact acceptance matrix of a noiseless-channel code."""
-
-    def accept(i: int, j: int) -> Fraction:
-        dec = code.decoders[j - 1]
-        return sum(
-            (p * _accept_prob(dec, k) for k, p in code.encoders[i - 1].items()),
-            Fraction(0),
-        )
-
-    return _report_from_accept(accept, code.M)
+    """Exact error report of a noiseless-channel code."""
+    return _exact_report(code)
 
 
 def eval_perm_exact(code: PermIdCode) -> ErrorReport:
-    """Exact acceptance matrix of a permutation-channel code.
+    """Exact error report of a permutation-channel code.
 
     Sums over encoder supports only; the channel enters through per-orbit
     acceptance ratios, so orbits are never enumerated.
     """
-    # Cache each encoder as (orbit index, mass) pairs once, not per decoder.
-    pushed = []
-    for i in range(1, code.M + 1):
-        pairs = []
-        for x, p in code.encoders[i - 1].items():
-            pairs.append((code.input_orbit(x), p))
-        pushed.append(pairs)
-    sizes = {t: code.orbit_size(t) for pairs in pushed for t, _ in pairs}
-
-    def accept(i: int, j: int) -> Fraction:
-        dec = code.decoder_counts[j - 1]
-        total = Fraction(0)
-        for t, p in pushed[i - 1]:
-            c = dec.get(t, 0)
-            if c:
-                total += p * Fraction(c, sizes[t])
-        return total
-
-    return _report_from_accept(accept, code.M)
+    return _exact_report(code)
 
 
 @dataclass(frozen=True)
 class MCReport:
-    """Monte Carlo estimate of the acceptance matrix.
+    """Monte Carlo estimate of the acceptance matrix, for perm and feedback
+    codes alike.
 
     Every sampling step uses integer arithmetic on exact odds, so each cell
     estimator is unbiased for the true rational acceptance probability.
@@ -392,6 +420,20 @@ class MCReport:
     lambda2_hat: float
     stderr: float
     accept_hat: tuple[tuple[float, ...], ...] | None
+
+    @classmethod
+    def from_hits(cls, hits, trials: int) -> "MCReport":
+        """Estimates from M x M acceptance counts, `trials` per sent message."""
+        M = len(hits)
+        accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
+        lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
+        lambda2_hat = max(
+            (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
+            default=0.0,
+        )
+        se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
+        keep = M <= MATRIX_CAP
+        return cls(M, trials, lambda1_hat, lambda2_hat, se, accept_hat if keep else None)
 
 
 def _exact_sampler(dist: Dist, rand) -> Callable[[], object]:
@@ -443,23 +485,7 @@ def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:
             for j in range(M):
                 if u < code.decoder_counts[j].get(t, 0):
                     row[j] += 1
-    accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
-    lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
-    lambda2_hat = max(
-        (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
-        default=0.0,
-    )
-    def se(p: float) -> float:
-        return math.sqrt(p * (1.0 - p) / trials)
-
-    return MCReport(
-        M=M,
-        trials=trials,
-        lambda1_hat=lambda1_hat,
-        lambda2_hat=lambda2_hat,
-        stderr=max(se(lambda1_hat), se(lambda2_hat)),
-        accept_hat=accept_hat if M <= MATRIX_CAP else None,
-    )
+    return MCReport.from_hits(hits, trials)
 
 
 @dataclass(frozen=True)
@@ -489,14 +515,6 @@ class AchievableParams:
     @property
     def lambda2_budget(self) -> Fraction:
         return Fraction(self.cap, self.gamma)
-
-    @property
-    def s_float(self) -> float:
-        return float(self.a) + self.l * math.log2(self.N)
-
-    @property
-    def eps_prime_float(self) -> float:
-        return self.s_float / self.ground
 
 
 def _stable_cap(a: Fraction, N: int, l: int) -> int:
@@ -592,10 +610,7 @@ class AchievableBuild:
 
 def _orbit_representative(t: int, n: int, q: int, N: int, l: int) -> tuple[int, ...]:
     """Lexicographically smallest vector of the orbit product t, flattened."""
-    flat: tuple[int, ...] = ()
-    for j in index_to_tuple(t, N, l):
-        flat += type_representative(type_unrank(j, n, q))
-    return flat
+    return sum((type_representative(type_unrank(j, n, q)) for j in index_to_tuple(t, N, l)), ())
 
 
 def build_multishot_achievable(
@@ -657,21 +672,22 @@ def strong_converse_floor(code) -> Fraction:
 
     Identical output laws force the floor 1 (the decoder cannot separate the
     pair at all); disjoint supports give L1 distance 2 and a trivial floor.
+    Distances come from the kernel's integer encoder rows a/D as
+    sum |a_i D_j - a_j D_i| / (D_i D_j).
     """
     if code.M < 2:
         raise HypothesisError("the pairwise converse needs at least two messages")
-    if isinstance(code, NoiselessIdCode):
-        outs = list(code.encoders)
-    elif isinstance(code, PermIdCode):
-        outs = [code.output_dist(i) for i in range(1, code.M + 1)]
-    else:
-        raise ValidationError(f"unsupported code type {type(code).__name__}")
-    best = min(
-        tv_distance(outs[i], outs[j])
-        for i in range(code.M)
-        for j in range(i + 1, code.M)
-    )
-    floor = 1 - best
+    cols, rows, dens = _encoder_rows(code)
+    # Row sums are the D's, so this bound also keeps every D_i * D_j in int64.
+    if 2 * rows.max() * dens.max() * len(cols) < 2**63:
+        rows, dens = rows.astype(np.int64), dens.astype(np.int64)
+    best_num, best_den = 2, 1
+    for i in range(code.M - 1):
+        dist = np.abs(rows[i] * dens[i + 1 :, None] - rows[i + 1 :] * dens[i]).sum(axis=1)
+        for num, den in zip(dist.tolist(), (dens[i] * dens[i + 1 :]).tolist()):
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
+    floor = 1 - Fraction(best_num, best_den)
     return floor if floor > 0 else Fraction(0)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .dist import Dist
 from .errors import ValidationError
 from .exact import frac_str, parse_frac
-from .feedback import CollisionReport, FeedbackCode, FeedbackMCReport
+from .feedback import CollisionReport, FeedbackCode
 from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
@@ -46,10 +46,6 @@ def index_to_vector(index: int, q: int, m: int) -> tuple[int, ...]:
         rest, digit = divmod(rest, q)
         out.append(digit + 1)
     return tuple(reversed(out))
-
-
-def _frac_pair(value: Fraction) -> list:
-    return [frac_str(value), float(value)]
 
 
 def code_to_json(code, seed: int | None = None) -> dict:
@@ -127,7 +123,15 @@ def code_to_json(code, seed: int | None = None) -> dict:
 
 
 def code_from_json(doc: dict):
-    """Rebuild a code object from its JSON dict."""
+    """Rebuild a code object from its JSON dict; a malformed document raises
+    ValidationError."""
+    try:
+        return _code_from_json(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed code document: {exc!r}") from exc
+
+
+def _code_from_json(doc: dict):
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unknown schema {doc.get('schema')!r}")
     kind = doc.get("kind")
@@ -190,7 +194,7 @@ def report_to_json(report) -> dict:
         if report.accept is not None:
             doc["matrix"] = [[frac_str(p) for p in row] for row in report.accept]
         return doc
-    if isinstance(report, (MCReport, FeedbackMCReport)):
+    if isinstance(report, MCReport):
         doc = {
             "schema": SCHEMA,
             "kind": "mc-report",
@@ -250,7 +254,7 @@ def profile_to_json(profile: IntersectionProfile) -> dict:
         "gamma": profile.gamma,
         "delta": profile.delta,
         "epsilon": frac_str(profile.epsilon),
-        "ratio": _frac_pair(profile.ratio)[0] if profile.gamma else None,
+        "ratio": frac_str(profile.ratio) if profile.gamma else None,
         "ratio_decimal": float(profile.ratio) if profile.gamma else None,
     }
 
@@ -271,7 +275,7 @@ def matrix_csv(report, fh) -> None:
         for i, row in enumerate(report.accept, start=1):
             for j, p in enumerate(row, start=1):
                 writer.writerow([i, j, frac_str(p), float(p)])
-    elif isinstance(report, (MCReport, FeedbackMCReport)):
+    elif isinstance(report, MCReport):
         if report.accept_hat is None:
             raise ValidationError("report carries no matrix (M too large)")
         writer.writerow(["i", "j", "accept_hat"])

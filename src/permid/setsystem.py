@@ -169,22 +169,26 @@ def existence_hypothesis(
 ) -> ExistenceHypothesis:
     """Check epsilon < 1/6, lambda in (0, 1/2), and lambda*log(1/epsilon - 1) > 2.
 
-    The log base defaults to 2 and is exposed as a parameter.
+    The log base defaults to 2 and is exposed as a parameter; a float base
+    is taken at its exact binary value. All three checks are exact.
     """
     epsilon = Fraction(epsilon)
     lam = Fraction(lam)
+    base = Fraction(log_base)
     if not 0 < epsilon < 1:
         raise ValidationError("epsilon must be in (0,1)")
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    product = float(lam) * math.log(1.0 / float(epsilon) - 1.0, log_base)
+    if base <= 1:
+        raise ValidationError("log_base must exceed 1")
     return ExistenceHypothesis(
         epsilon=epsilon,
         lam=lam,
         log_base=log_base,
         epsilon_ok=epsilon < Fraction(1, 6),
         lambda_range_ok=Fraction(0) < lam < Fraction(1, 2),
-        product_ok=product > 2.0,
+        # lam * log_b(x) > 2  <=>  x^p > b^(2r) for x = 1/eps - 1, lam = p/r, b > 1
+        product_ok=(1 / epsilon - 1) ** lam.numerator > base ** (2 * lam.denominator),
     )
 
 

@@ -10,42 +10,49 @@ Five maps, designed to chain:
 5. keep a largest group of messages whose supports share one size.
 
 The composite turns any permutation-channel code into an equal-size support
-family whose intersection profile reproduces its cross error. Every map
-re-derives the exact acceptance matrices of its input and output and checks
-the advertised inequality entry by entry in rational (or algebraic-sign)
-arithmetic; a failed check raises BoundViolationError, since it would mean
-the construction is wrong, not the input.
+family whose intersection profile reproduces its cross error. Maps 2-5
+receive their input's exact acceptance matrix as `before` (in a chain, the
+previous map's `matrix`; computed by the integer kernel when omitted), so
+only the output's is derived. Each map checks the advertised inequality
+entry by entry on the integer numerators (deciding signs involving powers
+of N exactly); a failed check raises BoundViolationError, since it would
+mean the construction is wrong, not the input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .dist import Dist
 from .errors import BoundViolationError, HypothesisError, PermidError, ValidationError
-from .exact import compare_power, power_sign
-from .idcode import (
-    ErrorReport,
-    NoiselessIdCode,
-    PermIdCode,
-    acceptance_matrix,
-    report_from_matrix,
-)
+from .exact import compare_power, iroot, power_sign
+from .idcode import Acceptance, ErrorReport, NoiselessIdCode, PermIdCode, acceptance
 from .setsystem import IntersectionProfile, SetSystem, verify_profile
 
 
 @dataclass(frozen=True)
 class StepResult:
     """One transform application: the new code, exact reports on both sides,
-    and the names of the inequalities that were verified."""
+    the names of the inequalities that were verified, and the new code's
+    acceptance matrix for the next map of a chain."""
 
     name: str
     code: NoiselessIdCode
     before: ErrorReport
     after: ErrorReport
     checks: tuple[str, ...]
+    matrix: Acceptance | None = field(default=None, compare=False, repr=False, kw_only=True)
+
+
+def _require_none(failed: np.ndarray, message) -> None:
+    """Raise BoundViolationError(message(i, j)) at the first (row-major,
+    0-based) entry where the check `failed`."""
+    if failed.any():
+        raise BoundViolationError(message(*np.argwhere(failed)[0]))
 
 
 def gamma_for_rate(mu: Fraction, q: int) -> Fraction:
@@ -65,49 +72,41 @@ def gamma_for_rate_multishot(mu: Fraction, q: int, l: int) -> Fraction:
     return gamma_for_rate(mu, q) / l
 
 
-def perm_to_noiseless(code: PermIdCode) -> StepResult:
+def perm_to_noiseless(code: PermIdCode, l: int | None = None) -> StepResult:
     """Replace the permutation channel by a noiseless channel on orbit
     indices, preserving the acceptance matrix exactly.
 
     Encoders push forward to output-orbit distributions; decoders become
     stochastic accept tables P(accept | orbit) = count / orbit size. When all
     counts are 0 or full, the table is 0/1-valued and is emitted as a
-    deterministic decoder.
+    deterministic decoder. For l channel uses the ground set is the N^l
+    orbit products; `l`, when given, must match the code's.
     """
-    before_matrix = acceptance_matrix(code)
+    if l is not None and l != code.l:
+        raise ValidationError(f"code has l={code.l}, got l={l}")
+    before = acceptance(code)
     encoders = [code.output_dist(i) for i in range(1, code.M + 1)]
-    decoders = []
-    for counts in code.decoder_counts:
-        table = {t: Fraction(c, code.orbit_size(t)) for t, c in counts.items()}
-        if all(p == 1 for p in table.values()):
-            decoders.append(frozenset(table))
-        else:
-            decoders.append(table)
+    tables = [
+        {t: Fraction(c, code.orbit_size(t)) for t, c in counts.items()}
+        for counts in code.decoder_counts
+    ]
+    decoders = [frozenset(tb) if all(p == 1 for p in tb.values()) else tb for tb in tables]
     lifted = NoiselessIdCode(code.ground, encoders, decoders)
-    after_matrix = acceptance_matrix(lifted)
-    if before_matrix != after_matrix:
+    after = acceptance(lifted)
+    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    if not (n0 * d1 == n1 * d0).all():
         raise BoundViolationError("orbit lift changed the acceptance matrix")
     return StepResult(
         name="noiseless-lift",
         code=lifted,
-        before=report_from_matrix(before_matrix),
-        after=report_from_matrix(after_matrix),
+        before=before.report,
+        after=after.report,
         checks=("acceptance matrix equal entrywise",),
+        matrix=after,
     )
 
 
-def perm_to_noiseless_multishot(code: PermIdCode, l: int | None = None) -> StepResult:
-    """Orbit lift for an l-use code; the ground set is the N^l orbit products.
-
-    The lift is the same map as the single-use one (the code object already
-    carries l); the parameter is accepted for explicitness and must match.
-    """
-    if l is not None and l != code.l:
-        raise ValidationError(f"code has l={code.l}, got l={l}")
-    return perm_to_noiseless(code)
-
-
-def stoch_to_det_decoders(code: NoiselessIdCode) -> StepResult:
+def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = None) -> StepResult:
     """Threshold stochastic decoders at alpha = sqrt(lambda2).
 
     The new decoder keeps exactly the outcomes with accept probability above
@@ -117,45 +116,39 @@ def stoch_to_det_decoders(code: NoiselessIdCode) -> StepResult:
     lambda2 = 0 the rule degenerates to keeping the positive-probability
     outcomes, and the same comparisons go through.
     """
-    before_matrix = acceptance_matrix(code)
-    before = report_from_matrix(before_matrix)
-    lam2 = before.lambda2
+    before = acceptance(code) if before is None else before
+    lam2 = before.report.lambda2
     decoders = []
     for dec in code.decoders:
         table = dec if isinstance(dec, dict) else {k: Fraction(1) for k in dec}
         decoders.append(frozenset(k for k, p in table.items() if p * p > lam2))
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
-    after_matrix = acceptance_matrix(new_code)
-    M = code.M
-    for i in range(M):
-        for j in range(M):
-            old = before_matrix[i][j]
-            new = after_matrix[i][j]
-            if i == j:
-                gap = (1 - new) - (1 - old)
-                if gap > 0 and gap * gap > lam2:
-                    raise BoundViolationError(
-                        f"miss of message {i + 1} grew past sqrt(lambda2)"
-                    )
-            else:
-                if new * new * lam2 > old * old:
-                    raise BoundViolationError(
-                        f"cross {i + 1}->{j + 1} exceeds lambda/alpha"
-                    )
-                if new * new > old:
-                    raise BoundViolationError(
-                        f"cross {i + 1}->{j + 1} exceeds sqrt(lambda)"
-                    )
+    after = acceptance(new_code)
+    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    p, q = lam2.numerator, lam2.denominator
+    own = np.eye(code.M, dtype=bool)
+    # miss growth (old - new acceptance) = gap / (d0 * d1)
+    gap = n0 * d1 - n1 * d0
+    for failed, message in (
+        (own & (gap > 0) & (gap * gap * q > p * (d0 * d1) ** 2),
+         lambda i, j: f"miss of message {i + 1} grew past sqrt(lambda2)"),
+        (~own & (n1 * n1 * p * d0 * d0 > n0 * n0 * q * d1 * d1),
+         lambda i, j: f"cross {i + 1}->{j + 1} exceeds lambda/alpha"),
+        (~own & (n1 * n1 * d0 > n0 * d1 * d1),
+         lambda i, j: f"cross {i + 1}->{j + 1} exceeds sqrt(lambda)"),
+    ):
+        _require_none(failed, message)
     return StepResult(
         name="deterministic-decoders",
         code=new_code,
-        before=before,
-        after=report_from_matrix(after_matrix),
+        before=before.report,
+        after=after.report,
         checks=(
             "cross * alpha <= old cross (squared form)",
             "cross <= sqrt(old cross) (squared form)",
             "miss increase <= alpha (squared form)",
         ),
+        matrix=after,
     )
 
 
@@ -170,6 +163,40 @@ def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
     return None
 
 
+def _bracket(terms, N: int, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sum(c * N**e for c, e in terms) <= hi, bracketing each
+    power N**(p/r) by one integer r-th root at `bits` bits, as power_sign does."""
+    lo = hi = Fraction(0)
+    for c, e in terms:
+        e = Fraction(e)
+        root = iroot(N ** abs(e.numerator) << (bits * e.denominator), e.denominator)
+        p_lo, p_hi = Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
+        if e < 0:
+            p_lo, p_hi = 1 / p_hi, 1 / p_lo
+        lo, hi = lo + c * (p_lo if c > 0 else p_hi), hi + c * (p_hi if c > 0 else p_lo)
+    return lo, hi
+
+
+def _growth_violations(new, old, a_terms, b_terms, N: int) -> np.ndarray:
+    """Mask of the entries where new * A + old * B > 0, for nonnegative
+    (numerator, denominator) arrays new, old and A, B sums of c * N**e given
+    as (c, e) terms. One bracket each of A and B settles almost every entry;
+    power_sign decides the rest exactly."""
+    (nn, nd), (on, od) = new, old
+    x, y = nn * od, on * nd  # new and old over the common denominator nd * od
+
+    def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
+        return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
+
+    (a_lo, a_hi), (b_lo, b_hi) = _bracket(a_terms, N), _bracket(b_terms, N)
+    bad = scaled(a_lo, b_lo) > 0
+    for i, j in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
+        v, w = Fraction(nn[i, j], nd[i, j]), Fraction(on[i, j], od[i, j])
+        terms = [(v * c, e) for c, e in a_terms] + [(w * c, e) for c, e in b_terms]
+        bad[i, j] = power_sign(terms, N) > 0
+    return bad
+
+
 @dataclass(frozen=True)
 class UniformizeResult(StepResult):
     """Step-3 payload: the resolution gamma, the bin count kappa, each
@@ -182,7 +209,9 @@ class UniformizeResult(StepResult):
     factor_vacuous: bool
 
 
-def to_uniform_encoders(code: NoiselessIdCode, gamma: Fraction) -> UniformizeResult:
+def to_uniform_encoders(
+    code: NoiselessIdCode, gamma: Fraction, before: Acceptance | None = None
+) -> UniformizeResult:
     """Make every encoder uniform by keeping its heaviest mass bin.
 
     Masses are binned on the geometric grid N^(-gamma*b), b = 1..kappa with
@@ -191,8 +220,10 @@ def to_uniform_encoders(code: NoiselessIdCode, gamma: Fraction) -> UniformizeRes
     acceptance matrix, and each miss, grows by at most the factor
     (1+2*gamma)*N^gamma / (gamma*(1-N^(-gamma))); the construction actually
     achieves the sharper kappa*N^gamma / (1-N^(1-gamma*kappa)). Both bounds
-    are verified per entry by exact sign evaluation; the published one is
-    also flagged as vacuous when old-lambda2 times the factor reaches 1.
+    are verified per entry by exact sign evaluation: one certified bracket
+    of each power of N settles almost every entry, and `power_sign` decides
+    the rest. The published bound is also flagged as vacuous when
+    old-lambda2 times the factor reaches 1.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
@@ -206,8 +237,7 @@ def to_uniform_encoders(code: NoiselessIdCode, gamma: Fraction) -> UniformizeRes
     # 1/gamma is an integer.
     if not ((1 + gamma) / gamma <= kappa < (1 + 2 * gamma) / gamma):
         raise PermidError(f"kappa = {kappa} outside its bracket for gamma = {gamma}")
-    before_matrix = acceptance_matrix(code)
-    before = report_from_matrix(before_matrix)
+    before = acceptance(code) if before is None else before
     encoders = []
     chosen = []
     for enc in code.encoders:
@@ -221,54 +251,42 @@ def to_uniform_encoders(code: NoiselessIdCode, gamma: Fraction) -> UniformizeRes
                 "every encoder mass sits below the last bin floor; "
                 "impossible at total mass 1, so the encoder is malformed"
             )
-        weight = {b: sum((enc[k] for k in ks), Fraction(0)) for b, ks in bins.items()}
-        best = max(weight.values())
-        b_star = min(b for b, w in weight.items() if w == best)
+        weight = {b: sum((enc[k] for k in ks), Fraction(0)) for b, ks in sorted(bins.items())}
+        b_star = max(weight, key=weight.__getitem__)  # ties go to the smallest bin
         chosen.append(b_star)
         encoders.append(Dist.uniform(bins[b_star], size=code.N))
     new_code = NoiselessIdCode(code.N, encoders, code.decoders)
-    after_matrix = acceptance_matrix(new_code)
-    published = (
-        "published factor",
-        lambda new, old: power_sign(
-            [(new * gamma, 0), (-new * gamma, -gamma), (-old * (1 + 2 * gamma), gamma)],
-            N,
-        ),
-    )
-    internal = (
-        "internal factor",
-        lambda new, old: power_sign(
-            [(new, 0), (-new, 1 - gamma * kappa), (-old * kappa, gamma)], N
-        ),
-    )
-    M = code.M
-    for i in range(M):
-        for j in range(M):
-            old = before_matrix[i][j] if i != j else 1 - before_matrix[i][j]
-            new = after_matrix[i][j] if i != j else 1 - after_matrix[i][j]
-            for label, check in (published, internal):
-                if check(new, old) > 0:
-                    raise BoundViolationError(
-                        f"{label} bound fails at entry ({i + 1},{j + 1}): "
-                        f"new={new}, old={old}, gamma={gamma}"
-                    )
-    lam2 = before.lambda2
-    vacuous = (
-        power_sign(
-            [(lam2 * (1 + 2 * gamma), gamma), (-gamma, 0), (gamma, -gamma)], N
+    after = acceptance(new_code)
+    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    own = np.eye(code.M, dtype=bool)
+    # misses on the diagonal, cross acceptances elsewhere
+    old = (np.where(own, d0 - n0, n0), d0)
+    new = (np.where(own, d1 - n1, n1), d1)
+    # each bound reads new * A + old * B <= 0, A and B as (c, e) terms of c * N**e
+    bounds = {
+        "published factor": ([(gamma, 0), (-gamma, -gamma)], [(-1 - 2 * gamma, gamma)]),
+        "internal factor": ([(1, 0), (-1, 1 - gamma * kappa)], [(-kappa, gamma)]),
+    }
+    for label, (a_terms, b_terms) in bounds.items():
+        _require_none(
+            _growth_violations(new, old, a_terms, b_terms, N),
+            lambda i, j: f"{label} bound fails at entry ({i + 1},{j + 1}): "
+            f"new={Fraction(new[0][i, j], new[1][i, j])}, "
+            f"old={Fraction(old[0][i, j], old[1][i, j])}, gamma={gamma}",
         )
-        >= 0
-    )
+    lam2 = before.report.lambda2
+    vacuous = power_sign([(lam2 * (1 + 2 * gamma), gamma), (-gamma, 0), (gamma, -gamma)], N) >= 0
     return UniformizeResult(
         name="uniform-encoders",
         code=new_code,
-        before=before,
-        after=report_from_matrix(after_matrix),
+        before=before.report,
+        after=after.report,
         checks=(
             "entrywise growth within published factor",
             "entrywise growth within internal factor",
             "kappa bracket",
         ),
+        matrix=after,
         gamma=gamma,
         kappa=kappa,
         chosen_bins=tuple(chosen),
@@ -276,7 +294,7 @@ def to_uniform_encoders(code: NoiselessIdCode, gamma: Fraction) -> UniformizeRes
     )
 
 
-def decoder_equals_support(code: NoiselessIdCode) -> StepResult:
+def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = None) -> StepResult:
     """Condition each encoder on its own decoder and shrink the decoder to
     the surviving support, so every message is always detected.
 
@@ -289,45 +307,40 @@ def decoder_equals_support(code: NoiselessIdCode) -> StepResult:
             "support restriction expects deterministic decoders; "
             "threshold the code first"
         )
-    before_matrix = acceptance_matrix(code)
-    before = report_from_matrix(before_matrix)
-    dead = [i + 1 for i in range(code.M) if before.missed[i] == 1]
+    before = acceptance(code) if before is None else before
+    dead = [i + 1 for i in range(code.M) if before.report.missed[i] == 1]
     if dead:
         raise HypothesisError(
             f"messages {dead} never hit their decoder (miss probability 1); "
             "support restriction is inapplicable to them"
         )
-    encoders = []
-    decoders = []
-    for idx, enc in enumerate(code.encoders):
-        dec = code.decoders[idx]
+    encoders, decoders = [], []
+    for enc, dec in zip(code.encoders, code.decoders):
         kept = {k: p for k, p in enc.items() if k in dec}
         total = sum(kept.values(), Fraction(0))
         encoders.append(Dist({k: p / total for k, p in kept.items()}, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
-    after_matrix = acceptance_matrix(new_code)
-    after = report_from_matrix(after_matrix)
-    if after.lambda1 != 0:
+    after = acceptance(new_code)
+    if after.report.lambda1 != 0:
         raise BoundViolationError("support restriction left a positive miss")
-    M = code.M
-    for i in range(M):
-        for j in range(M):
-            if i == j:
-                continue
-            if after_matrix[i][j] * (1 - before.missed[i]) > before_matrix[i][j]:
-                raise BoundViolationError(
-                    f"cross {i + 1}->{j + 1} exceeds old/(1 - old miss)"
-                )
+    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    # 1 - old miss of sender i is its old own acceptance n0[i, i] / d0[i, i]
+    own_n, own_d = np.diagonal(n0)[:, None], np.diagonal(d0)[:, None]
+    _require_none(
+        ~np.eye(code.M, dtype=bool) & (n1 * own_n * d0 > n0 * d1 * own_d),
+        lambda i, j: f"cross {i + 1}->{j + 1} exceeds old/(1 - old miss)",
+    )
     return StepResult(
         name="decoder-equals-support",
         code=new_code,
-        before=before,
-        after=after,
+        before=before.report,
+        after=after.report,
         checks=(
             "all misses exactly 0",
             "cross * (1 - old miss) <= old cross",
         ),
+        matrix=after,
     )
 
 
@@ -339,40 +352,41 @@ class SelectResult(StepResult):
     support_size: int
 
 
-def equal_size_supports(code: NoiselessIdCode) -> SelectResult:
+def equal_size_supports(code: NoiselessIdCode, before: Acceptance | None = None) -> SelectResult:
     """Keep a largest group of messages with equal support size.
 
     Supports of distinct sizes can only form at most N groups, so the kept
     group has at least ceil(M/N) messages; ties go to the smallest size.
-    Both error figures can only shrink, since the kept code is a sub-family.
+    Both error figures can only shrink, since the kept code is a sub-family;
+    its acceptance matrix is sliced out of `before`, not recomputed.
     """
-    before_matrix = acceptance_matrix(code)
-    before = report_from_matrix(before_matrix)
+    before = acceptance(code) if before is None else before
     by_size: dict[int, list[int]] = {}
     for i, enc in enumerate(code.encoders, start=1):
         by_size.setdefault(len(enc.mass), []).append(i)
-    best = max(len(v) for v in by_size.values())
-    k_star = min(k for k, v in by_size.items() if len(v) == best)
+    k_star = max(sorted(by_size), key=lambda k: len(by_size[k]))  # ties to the smallest size
     kept = tuple(by_size[k_star])
     new_code = NoiselessIdCode(
         code.N,
         [code.encoders[i - 1] for i in kept],
         [code.decoders[i - 1] for i in kept],
     )
-    after = report_from_matrix(acceptance_matrix(new_code))
+    matrix = before.take([i - 1 for i in kept])
+    after, before_report = matrix.report, before.report
     if len(kept) * code.N < code.M:
         raise BoundViolationError("pigeonhole failed: kept group below M/N")
-    if after.lambda1 > before.lambda1 or after.lambda2 > before.lambda2:
+    if after.lambda1 > before_report.lambda1 or after.lambda2 > before_report.lambda2:
         raise BoundViolationError("sub-family increased an error figure")
     return SelectResult(
         name="equal-size-supports",
         code=new_code,
-        before=before,
+        before=before_report,
         after=after,
         checks=(
             "kept count >= ceil(M/N)",
             "lambda1 and lambda2 not increased",
         ),
+        matrix=matrix,
         kept=kept,
         support_size=k_star,
     )
@@ -401,16 +415,15 @@ def soft_converse_pipeline(code: PermIdCode, gamma: Fraction) -> PipelineReport:
     """Run the full chain on a permutation-channel code and distill the
     resulting equal-size support family with its intersection profile."""
     lift = perm_to_noiseless(code)
-    det = stoch_to_det_decoders(lift.code)
-    uni = to_uniform_encoders(det.code, gamma)
-    restricted = decoder_equals_support(uni.code)
-    selected = equal_size_supports(restricted.code)
+    det = stoch_to_det_decoders(lift.code, lift.matrix)
+    uni = to_uniform_encoders(det.code, gamma, det.matrix)
+    restricted = decoder_equals_support(uni.code, uni.matrix)
+    selected = equal_size_supports(restricted.code, restricted.matrix)
     final_code = selected.code
     final = selected.after
     supports = [frozenset(enc.support()) for enc in final_code.encoders]
     duplicates = len(set(supports)) < len(supports)
-    system = None
-    profile = None
+    system = profile = None
     if duplicates:
         if final.lambda2 != 1:
             raise BoundViolationError(

@@ -9,7 +9,7 @@ modest denominator.
 from fractions import Fraction
 from itertools import product
 
-from permid import Dist, NoiselessIdCode, PermIdCode
+from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
 from permid.combinatorics import count_types
 from permid.idcode import counts_from_vector_set
 
@@ -84,3 +84,64 @@ def all_vectors(n, q):
 def orbit_products(n, q, l):
     """Ground size of the lifted code for quick assertions."""
     return count_types(n, q) ** l
+
+
+def reference_acceptance_matrix(code):
+    """The acceptance matrix as direct Fraction sums over encoder supports.
+
+    This is the slow reference the integer kernel is checked against:
+    entry [i][j] = sum over outcomes k of P(encoder i+1 emits k) *
+    P(decoder j+1 accepts k), with outcomes pushed to orbit indices for
+    permutation-channel codes.
+    """
+    if isinstance(code, NoiselessIdCode):
+        rows = [list(enc.items()) for enc in code.encoders]
+
+        def accept(j, k):
+            return code.accept_prob(j, k)
+
+    else:
+        rows = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in code.encoders]
+
+        def accept(j, t):
+            return code.accept_prob_for_orbit(j, t)
+
+    return [
+        [sum((p * accept(j, k) for k, p in row), Fraction(0)) for j in range(1, code.M + 1)]
+        for row in rows
+    ]
+
+
+def reference_converse_floor(code):
+    """The pairwise converse floor from M^2/2 `tv_distance` calls on the
+    output distributions: max(0, 1 - min L1 distance)."""
+    if isinstance(code, NoiselessIdCode):
+        outs = list(code.encoders)
+    else:
+        outs = [code.output_dist(i) for i in range(1, code.M + 1)]
+    best = min(
+        tv_distance(outs[i], outs[j]) for i in range(code.M) for j in range(i + 1, code.M)
+    )
+    return max(1 - best, Fraction(0))
+
+
+def with_prime_masses(rand, code, P=2**89 - 1):
+    """The same code with every encoder mass re-drawn over the same support
+    as an integer over the prime P, so the kernel's integer rows pass 2^63.
+    A noiseless code's first decoder is widened to accept everything, so at
+    least one product term is nonzero."""
+
+    def masses(keys):
+        cuts = set()
+        while len(cuts) < len(keys) - 1:
+            cuts.add(rand.randrange(1, P))
+        cuts = sorted(cuts)
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [P])]
+        mass = {k: Fraction(w, P) for k, w in zip(sorted(keys), parts)}
+        return Dist(mass, size=code.encoders[0].size)
+
+    encoders = [masses(list(enc.support())) for enc in code.encoders]
+    if isinstance(code, NoiselessIdCode):
+        decoders = [frozenset(range(1, code.N + 1))] + list(code.decoders[1:])
+        return NoiselessIdCode(code.N, encoders, decoders)
+    return PermIdCode(code.n, code.q, encoders, code.decoder_counts, l=code.l)

@@ -46,7 +46,6 @@ from permid import (
     iter_types,
     johnson_bound_for_profile,
     perm_to_noiseless,
-    perm_to_noiseless_multishot,
     pigeonhole_collision_check,
     prop2_lower_bound,
     approx_distance,
@@ -136,7 +135,7 @@ def test_criterion_02_lift_error_exactness():
         l = 1 if i % 2 else 2
         n = rand.randint(2, 5) if l == 1 else rand.randint(2, 3)
         code = random_perm_code(rand, n, rand.randint(2, 3), rand.randint(2, 6), l=l)
-        step = perm_to_noiseless_multishot(code)
+        step = perm_to_noiseless(code)
         assert acceptance_matrix(code) == acceptance_matrix(step.code)
         assert step.before == step.after
     return "200 codes, matrices equal with zero tolerance"

@@ -550,6 +550,32 @@ def test_cli_error_exit_codes(capsys):
     assert status == 2
 
 
+def test_cli_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("PERMID_SEED", "abc")
+    status, out, err = run_cli(capsys, ["build", "--n", "7", "--q", "2", "--epsilon", "1/16"])
+    assert status == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["category"] == "invalid-input" and "PERMID_SEED" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": SCHEMA, "kind": "perm"},
+        {"schema": SCHEMA, "kind": "noiseless", "N": 3},
+        {"schema": SCHEMA, "kind": "perm", "n": 2, "q": 2, "l": 1, "encoders": 5,
+         "decoders": {"typecounts": []}},
+        [1, 2, 3],
+    ],
+)
+def test_cli_rejects_a_malformed_code_document(capsys, tmp_path, doc):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, ["eval", "--code", str(path)])
+    assert status == 2 and out == ""
+    assert json.loads(err)["category"] == "invalid-input"
+
+
 def test_cli_accepts_run_documents(capsys, tmp_path):
     # build and setsystem wrap their codes; eval/transform/bounds unwrap the
     # run document so its output file chains straight into the next command

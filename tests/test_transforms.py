@@ -32,7 +32,6 @@ from permid.transforms import (
     gamma_for_rate,
     gamma_for_rate_multishot,
     perm_to_noiseless,
-    perm_to_noiseless_multishot,
     soft_converse_pipeline,
     stoch_to_det_decoders,
     to_uniform_encoders,
@@ -91,8 +90,8 @@ def test_multishot_lift_checks_l():
     rand = random.Random(7)
     code = random_perm_code(rand, 2, 2, 2, l=2)
     with pytest.raises(ValidationError):
-        perm_to_noiseless_multishot(code, l=1)
-    step = perm_to_noiseless_multishot(code, l=2)
+        perm_to_noiseless(code, l=1)
+    step = perm_to_noiseless(code, l=2)
     assert step.after == eval_perm_exact(code)
 
 
