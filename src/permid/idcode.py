@@ -53,12 +53,6 @@ MATRIX_CAP = 4096
 BLOCK_ENTRIES = 2**20
 
 
-def _accept_prob(decoder, k: int) -> Fraction:
-    if isinstance(decoder, frozenset):
-        return Fraction(1) if k in decoder else Fraction(0)
-    return Fraction(decoder.get(k, 0))
-
-
 def _check_noiseless_decoder(decoder, N: int):
     if isinstance(decoder, frozenset):
         for k in decoder:
@@ -112,7 +106,8 @@ class NoiselessIdCode:
 
     def accept_prob(self, i: int, k: int) -> Fraction:
         """P(decoder of message i accepts outcome k); i is 1-based."""
-        return _accept_prob(self.decoders[i - 1], k)
+        dec = self.decoders[i - 1]
+        return Fraction(k in dec) if isinstance(dec, frozenset) else Fraction(dec.get(k, 0))
 
     def is_deterministic(self) -> bool:
         return all(isinstance(d, frozenset) for d in self.decoders)
@@ -318,13 +313,18 @@ def _encoder_rows(code, rows: range | None = None):
 def _decoder_columns(code, cols):
     """Each decoder as an integer column over `cols` with one denominator per
     column: decoder j accepts cols[g] with probability table[g, j] / dens[j]."""
+    # integer 0s and 1s (denominator 1) stand in for Fractions where they can
     if isinstance(code, PermIdCode):
         sizes = [code.orbit_size(t) for t in cols]
         probs = [
-            [Fraction(d.get(t, 0), s) for t, s in zip(cols, sizes)] for d in code.decoder_counts
+            [Fraction(d[t], s) if t in d else 0 for t, s in zip(cols, sizes)]
+            for d in code.decoder_counts
         ]
     else:
-        probs = [[_accept_prob(dec, k) for k in cols] for dec in code.decoders]
+        probs = [
+            [int(k in d) for k in cols] if isinstance(d, frozenset) else [d.get(k, 0) for k in cols]
+            for d in code.decoders
+        ]
     dens = [math.lcm(*(p.denominator for p in ps)) for ps in probs]
     table = [[p.numerator * (d // p.denominator) for p in ps] for ps, d in zip(probs, dens)]
     return np.array(table, dtype=object).T, np.array(dens, dtype=object)
