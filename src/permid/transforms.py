@@ -45,7 +45,7 @@ class StepResult:
     before: ErrorReport
     after: ErrorReport
     checks: tuple[str, ...]
-    matrix: Acceptance | None = field(default=None, compare=False, repr=False, kw_only=True)
+    matrix: Acceptance = field(compare=False, repr=False, kw_only=True)
 
 
 def _require_none(failed: np.ndarray, message) -> None:

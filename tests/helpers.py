@@ -11,7 +11,7 @@ from itertools import product
 
 from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
 from permid.combinatorics import count_types
-from permid.idcode import counts_from_vector_set
+from permid.idcode import ErrorReport, counts_from_vector_set
 
 
 def random_dist(rand, N, max_weight=9):
@@ -110,6 +110,29 @@ def reference_acceptance_matrix(code):
         [sum((p * accept(j, k) for k, p in row), Fraction(0)) for j in range(1, code.M + 1)]
         for row in rows
     ]
+
+
+def reference_report(matrix):
+    """Error figures of a full acceptance matrix by one row-major scan: the
+    first strictly larger cross entry wins the argmax, as the kernel's
+    report must reproduce."""
+    M = len(matrix)
+    lambda2, argmax_cross = Fraction(0), None
+    for i in range(M):
+        for j in range(M):
+            if i != j and matrix[i][j] > lambda2:
+                lambda2, argmax_cross = matrix[i][j], (i + 1, j + 1)
+    missed = tuple(1 - matrix[i][i] for i in range(M))
+    lambda1 = max(missed)
+    return ErrorReport(
+        M=M,
+        lambda1=lambda1,
+        lambda2=lambda2,
+        missed=missed,
+        argmax_miss=missed.index(lambda1) + 1,
+        argmax_cross=argmax_cross,
+        accept=tuple(tuple(row) for row in matrix),
+    )
 
 
 def reference_converse_floor(code):

@@ -21,11 +21,12 @@ from helpers import (
     random_perm_code,
     reference_acceptance_matrix,
     reference_converse_floor,
+    reference_report,
     with_prime_masses,
 )
 from permid import NoiselessIdCode, eval_noiseless, eval_perm_exact, strong_converse_floor
 from permid.exact import power_sign
-from permid.idcode import acceptance, acceptance_matrix, report_from_matrix
+from permid.idcode import acceptance, acceptance_matrix
 from permid.transforms import _bracket, _growth_violations
 
 
@@ -44,7 +45,7 @@ def check_against_reference(code, big):
     kernel = acceptance(code)
     assert acceptance_matrix(code) == reference
     evaluate = eval_noiseless if isinstance(code, NoiselessIdCode) else eval_perm_exact
-    assert evaluate(code) == report_from_matrix(reference) == kernel.report
+    assert evaluate(code) == reference_report(reference) == kernel.report
     if code.M >= 2:
         assert strong_converse_floor(code) == reference_converse_floor(code)
     if not big:
@@ -55,7 +56,7 @@ def check_against_reference(code, big):
     return kernel
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     kind=st.sampled_from(["noiseless", "perm"]),
