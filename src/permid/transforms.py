@@ -163,14 +163,14 @@ def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
     return None
 
 
-def _bracket(terms, N: int, bits: int = 64) -> tuple[Fraction, Fraction]:
+def _bracket(terms, N: int) -> tuple[Fraction, Fraction]:
     """Rationals lo <= sum(c * N**e for c, e in terms) <= hi, bracketing each
-    power N**(p/r) by one integer r-th root at `bits` bits, as power_sign does."""
+    power N**(p/r) by one integer r-th root to 64 bits, as power_sign does."""
     lo = hi = Fraction(0)
     for c, e in terms:
         e = Fraction(e)
-        root = iroot(N ** abs(e.numerator) << (bits * e.denominator), e.denominator)
-        p_lo, p_hi = Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
+        root = iroot(N ** abs(e.numerator) << (64 * e.denominator), e.denominator)
+        p_lo, p_hi = Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64)
         if e < 0:
             p_lo, p_hi = 1 / p_hi, 1 / p_lo
         lo, hi = lo + c * (p_lo if c > 0 else p_hi), hi + c * (p_hi if c > 0 else p_lo)
