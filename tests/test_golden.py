@@ -1,13 +1,19 @@
 """Byte-for-byte pins of the CLI's exact reports on two fixed inputs.
 
 `tests/golden/` holds, for each input, the code file and the exact stdout of
-`permid eval --converse` and `permid transform --gamma 1/3` on it:
+`permid eval --converse`, `permid transform --gamma 1/3` and
+`permid eval --mode mc --trials 2000 --seed 1` on it:
 
 - `orbit`: the orbit-union code of `permid build --n 60 --q 2
   --epsilon 1/25 --seed 3` (deterministic decoders, uniform encoders);
 - `perm_l2`: `helpers.random_perm_code` at seed 65 with n=3, q=2, M=3, l=2,
   whose per-orbit counts are mostly partial, so the lifted decoders are
-  stochastic.
+  stochastic and one orbit holds several distinct decoder counts.
+
+`feedback_mc.json` is the stdout of `permid feedback --n 6 --q 2 --l 2 --M 4
+--mode mc --trials 2000 --seed 1`. The Monte Carlo pins fix the samplers'
+draw order: a rewrite that changes which random numbers decide a trial
+changes these bytes.
 
 Any change to these bytes is a change of behaviour. Regenerate them only for
 a deliberate one, with `PYTHONPATH=src python tests/test_golden.py`.
@@ -27,7 +33,12 @@ BUILD_ARGV = ["build", "--n", "60", "--q", "2", "--epsilon", "1/25", "--seed", "
 COMMANDS = {
     "eval": ["eval", "--converse"],
     "transform": ["transform", "--gamma", "1/3"],
+    "mc": ["eval", "--mode", "mc", "--trials", "2000", "--seed", "1"],
 }
+FEEDBACK_MC_ARGV = [
+    "feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4",
+    "--mode", "mc", "--trials", "2000", "--seed", "1",
+]
 
 
 def perm_l2_code():
@@ -55,6 +66,10 @@ def test_reports_match_golden_bytes(capsys, name, command):
     assert run(capsys, argv) == (GOLDEN / f"{name}_{command}.json").read_text()
 
 
+def test_feedback_mc_matches_golden_bytes(capsys):
+    assert run(capsys, FEEDBACK_MC_ARGV) == (GOLDEN / "feedback_mc.json").read_text()
+
+
 def _regenerate() -> None:
     import contextlib
     import io
@@ -73,6 +88,7 @@ def _regenerate() -> None:
         for command, args in COMMANDS.items():
             text = capture(args[:1] + ["--code", code] + args[1:])
             (GOLDEN / f"{name}_{command}.json").write_text(text)
+    (GOLDEN / "feedback_mc.json").write_text(capture(FEEDBACK_MC_ARGV))
 
 
 if __name__ == "__main__":
