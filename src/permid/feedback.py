@@ -26,7 +26,6 @@ from .combinatorics import (
     type_representative,
     type_unrank,
     typeclass_size,
-    vector_rank,
     vector_unrank,
 )
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .idcode import MATRIX_CAP, MCReport
+from .idcode import BLOCK_ENTRIES, MATRIX_CAP, MCReport
 from .rng import Stream
 
 TABLE_BUDGET = 2**26
@@ -199,40 +198,52 @@ def eval_feedback_exact(code: FeedbackCode) -> CollisionReport:
 def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCReport:
     """Simulate the two phases end to end.
 
-    Each trial permutes the pilot blocks (drawing a uniform orbit element),
-    lets the sender read them back, transmits the chosen orbit's
-    representative, permutes it, and runs every decoder on the final output.
-    The sender's own decoder must accept in every trial, so lambda1_hat
-    must come out exactly 0.
+    Each trial permutes the pilot blocks: the output of a pilot block is a
+    uniform element of the pilot orbit, which the sender reads back as its
+    rank, so one randrange(|pilot orbit|) per block stands for it. The
+    sender then transmits the chosen orbit's representative, the channel
+    permutes it (a uniform vector of that orbit, by one randrange), and
+    every decoder runs on the final output. The output must stay in the
+    sent orbit, and the sender's own decoder must accept in every trial, so
+    lambda1_hat must come out exactly 0.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    M = code.M
-    hits = [[0] * M for _ in range(M)]
-    for i in range(1, M + 1):
-        rand = stream.child(f"mc/msg{i}").rand
-        row = hits[i - 1]
-        for _ in range(trials):
-            ranks = []
-            for _b in range(code.l - 1):
-                y = vector_unrank(code.pstar, rand.randrange(code.orbit))
-                ranks.append(vector_rank(y, code.q))
-            flat = code.flat_index(ranks)
-            sent_orbit = int(code.maps[i - 1, flat])
-            x_last = type_representative(type_unrank(sent_orbit, code.n, code.q))
-            t_last = type_of(x_last, code.q)
-            y_last = vector_unrank(t_last, rand.randrange(typeclass_size(t_last)))
-            out_orbit = type_index(type_of(y_last, code.q))
-            if out_orbit != sent_orbit:
-                raise BoundViolationError("channel output left the input orbit")
-            column = code.maps[:, flat]
-            for k in range(M):
-                if int(column[k]) == out_orbit:
-                    row[k] += 1
-    report = MCReport.from_hits(hits, trials)
+    report = MCReport.from_hits(lambda rows: _feedback_mc_hits(code, rows, trials, stream), code.M, trials)
     if report.lambda1_hat != 0.0:
         raise BoundViolationError("a sender's own decoder rejected in simulation")
     return report
+
+
+def _feedback_mc_hits(code: FeedbackCode, rows: range, trials: int, stream: Stream) -> np.ndarray:
+    """Acceptance counts of the sent messages in `rows` (0-based) against
+    all decoders, simulated as eval_feedback_mc describes."""
+    orbits: dict[int, tuple[TypeVector, int]] = {}
+    chunk = max(1, BLOCK_ENTRIES // code.M)
+    hits = np.zeros((len(rows), code.M), dtype=np.int64)
+    for r, i in enumerate(rows):
+        randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
+        own = code.maps[i]
+        flats = []
+        for _ in range(trials):
+            flat = 0
+            for _b in range(code.l - 1):
+                flat = flat * code.orbit + randrange(code.orbit)
+            sent = int(own[flat])
+            if sent not in orbits:
+                t = type_unrank(sent, code.n, code.q)
+                orbits[sent] = (t, typeclass_size(t))
+            t, size = orbits[sent]
+            if type_index(type_of(vector_unrank(t, randrange(size)), code.q)) != sent:
+                raise BoundViolationError("channel output left the input orbit")
+            flats.append(flat)
+        # decoder k accepts when its table sends this trial's ranks to the
+        # orbit the output landed in, which is the sent one
+        flats = np.array(flats)
+        for lo in range(0, trials, chunk):
+            part = flats[lo : lo + chunk]
+            hits[r] += (code.maps[:, part] == own[part]).sum(axis=1)
+    return hits
 
 
 def target_test(code: FeedbackCode) -> bool:

@@ -120,6 +120,10 @@ class PermIdCode:
     blocks concatenated). Decoders are acceptance counts per orbit product,
     keyed by the combined orbit index in [1..N^l] (N = number of length-n
     orbits); the value at key t is |decoder region within orbit product t|.
+
+    The constructor keeps the orbit index of every encoder vector it
+    validates, and orbit sizes are memoised, so evaluators that look them up
+    repeatedly do no further type computations.
     """
 
     def __init__(
@@ -137,6 +141,9 @@ class PermIdCode:
         self.l = l
         self.N = count_types(n, q)
         self.ground = self.N**l
+        # id(x) -> (x, orbit index); holding x keeps its id from being reused
+        self._orbits: dict[int, tuple[tuple, int]] = {}
+        self._sizes: dict[int, int] = {}
         encoders = tuple(encoders)
         if not encoders:
             raise ValidationError("need at least one message")
@@ -148,7 +155,7 @@ class PermIdCode:
             if not isinstance(enc, Dist):
                 raise ValidationError("encoders must be Dist instances")
             for x in enc.support():
-                self.input_orbit(x)
+                self._orbits[id(x)] = (x, self.input_orbit(x))
         cleaned = []
         for counts in decoder_counts:
             dec: dict[int, int] = {}
@@ -172,7 +179,13 @@ class PermIdCode:
         return len(self.encoders)
 
     def input_orbit(self, x) -> int:
-        """Combined orbit index in [1..N^l] of a flat input tuple, validated."""
+        """Combined orbit index in [1..N^l] of a flat input tuple, validated.
+
+        The very tuples held by the encoders were validated on construction
+        and are looked up; any other object is checked afresh."""
+        hit = self._orbits.get(id(x))
+        if hit is not None and hit[0] is x:
+            return hit[1]
         if not (isinstance(x, tuple) and len(x) == self.n * self.l):
             raise ValidationError(
                 f"input must be a tuple of length n*l = {self.n * self.l}, got {x!r}"
@@ -181,7 +194,10 @@ class PermIdCode:
 
     def orbit_size(self, t: int) -> int:
         """Number of vectors in the orbit product with combined index t."""
-        return _orbit_product_size(t, self.n, self.q, self.N, self.l)
+        size = self._sizes.get(t) if isinstance(t, int) else None
+        if size is None:
+            size = self._sizes[t] = _orbit_product_size(t, self.n, self.q, self.N, self.l)
+        return size
 
     def accept_prob_for_orbit(self, i: int, t: int) -> Fraction:
         """P(decoder of message i accepts | output lands in orbit product t)."""
@@ -383,11 +399,16 @@ def acceptance_matrix(code) -> list[list[Fraction]]:
     return [list(row) for row in acceptance(code).fractions()]
 
 
-def _exact_report(code) -> ErrorReport:
-    M = code.M
+def _row_blocks(M: int):
+    """The 0-based messages as consecutive ranges: all at once within
+    MATRIX_CAP, else about BLOCK_ENTRIES matrix entries per block."""
     step = M if M <= MATRIX_CAP else max(1, BLOCK_ENTRIES // M)
-    blocks = (acceptance(code, range(lo, min(lo + step, M))) for lo in range(0, M, step))
-    return _report((row for block in blocks for row in block.fractions()), M)
+    return (range(lo, min(lo + step, M)) for lo in range(0, M, step))
+
+
+def _exact_report(code) -> ErrorReport:
+    blocks = (acceptance(code, rows) for rows in _row_blocks(code.M))
+    return _report((row for block in blocks for row in block.fractions()), code.M)
 
 
 def eval_noiseless(code: NoiselessIdCode) -> ErrorReport:
@@ -422,22 +443,36 @@ class MCReport:
     accept_hat: tuple[tuple[float, ...], ...] | None
 
     @classmethod
-    def from_hits(cls, hits, trials: int) -> "MCReport":
-        """Estimates from M x M acceptance counts, `trials` per sent message."""
-        M = len(hits)
-        accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
-        lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
-        lambda2_hat = max(
-            (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
-            default=0.0,
-        )
-        se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
+    def from_hits(cls, hits_of: Callable[[range], np.ndarray], M: int, trials: int) -> "MCReport":
+        """Estimates from acceptance counts, `trials` per sent message.
+
+        `hits_of(rows)` gives the integer counts of the sent messages in
+        `rows` (0-based) against all M decoders, one row each, as a fresh
+        array that is overwritten here; it is called once per block of rows,
+        in order. Above MATRIX_CAP only the extremes are kept, so no more
+        than one block of counts is held at a time.
+        """
         keep = M <= MATRIX_CAP
-        return cls(M, trials, lambda1_hat, lambda2_hat, se, accept_hat if keep else None)
+        accept_hat, least_own, most_cross = [], trials, 0
+        for rows in _row_blocks(M):
+            hits = np.asarray(hits_of(rows), dtype=np.int64)
+            if keep:
+                accept_hat.extend(tuple(h / trials for h in row) for row in hits.tolist())
+            own = (np.arange(len(rows)), np.array(rows))
+            least_own = min(least_own, int(hits[own].min()))
+            hits[own] = -1
+            most_cross = max(most_cross, int(hits.max()))
+        # h -> h / trials and p -> 1.0 - p are monotone in floating point too,
+        # so these are the extremes of the entrywise estimates bit for bit
+        lambda1_hat = 1.0 - least_own / trials
+        lambda2_hat = most_cross / trials
+        se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
+        return cls(M, trials, lambda1_hat, lambda2_hat, se, tuple(accept_hat) if keep else None)
 
 
-def _exact_sampler(dist: Dist, rand) -> Callable[[], object]:
-    """Sampler with the exact law of `dist`, via one randrange per draw."""
+def _exact_sampler(dist: Dist) -> tuple[list, list[int], int]:
+    """The exact law of `dist` as (keys, cuts, denom): with r drawn by one
+    randrange(denom), keys[bisect_right(cuts, r)] has that law."""
     items = sorted(dist.items(), key=lambda kv: repr(kv[0]))
     denom = math.lcm(*(p.denominator for _, p in items))
     cuts = []
@@ -447,45 +482,69 @@ def _exact_sampler(dist: Dist, rand) -> Callable[[], object]:
         cuts.append(acc)
     if acc != denom:
         raise PermidError("sampler weights must total the common denominator")
-    keys = [k for k, _ in items]
-
-    def draw():
-        return keys[bisect_right(cuts, rand.randrange(denom))]
-
-    return draw
+    return [k for k, _ in items], cuts, denom
 
 
 def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:
     """Estimate the acceptance matrix by simulating the channel.
 
-    For each sent message, each trial draws an input from the encoder and a
-    uniform position inside its output orbit; decoder j accepts when the
-    position falls below its per-orbit count. Output vectors themselves are
-    never materialized.
+    For each sent message i, its own stream `mc/msg{i}` drives the trials.
+    Each trial draws an input from the encoder (one randrange) and then a
+    uniform position u inside its output orbit (a second randrange); decoder
+    j accepts when u falls below its count c_j at that orbit. Those are all
+    the draws, in that order, so a seed reproduces its report. Output
+    vectors are never materialized.
+
+    The decoders are not run trial by trial. At each orbit g the distinct
+    nonzero counts form a sorted threshold list, and R[g, j] is the 1-based
+    position of c_j in it (0 when c_j = 0). A trial records only g and
+    b = (number of thresholds <= u); then u < c_j exactly when b < R[g, j],
+    since u and the counts are compared as Python integers however large
+    they are. A message's hit counts are a weighted sum of (b < R[g, :])
+    over its distinct (g, b) pairs.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    return MCReport.from_hits(lambda rows: _perm_mc_hits(code, rows, trials, stream), code.M, trials)
+
+
+def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) -> np.ndarray:
+    """Acceptance counts of the sent messages in `rows` (0-based) against
+    all decoders, simulated as eval_perm_mc describes."""
     M = code.M
-    hits = [[0] * M for _ in range(M)]
-    for i in range(1, M + 1):
-        sub = stream.child(f"mc/msg{i}")
-        rand = sub.rand
-        draw = _exact_sampler(code.encoders[i - 1], rand)
-        orbit_cache: dict[object, tuple[int, int]] = {}
+    cols = sorted({code.input_orbit(x) for i in rows for x in code.encoders[i].support()})
+    where = {t: g for g, t in enumerate(cols)}
+    found = [[] for _ in cols]
+    for j, counts in enumerate(code.decoder_counts):
+        for t, c in counts.items():
+            if t in where:
+                found[where[t]].append((j, c))
+    thresholds = [sorted({c for _, c in pairs}) for pairs in found]
+    rank = np.zeros((len(cols), M), dtype=np.int64)
+    for g, (pairs, thr) in enumerate(zip(found, thresholds)):
+        position = {c: k for k, c in enumerate(thr, 1)}
+        rank[g, [j for j, _ in pairs]] = [position[c] for _, c in pairs]
+    # a trial's (g, b) is recorded as the one integer g * width + b
+    width = 1 + max(map(len, thresholds))
+    chunk = max(1, BLOCK_ENTRIES // M)
+    hits = np.zeros((len(rows), M), dtype=np.int64)
+    for r, i in enumerate(rows):
+        randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
+        keys, cuts, denom = _exact_sampler(code.encoders[i])
+        landing = []
+        for x in keys:
+            g = where[code.input_orbit(x)]
+            landing.append((g * width, code.orbit_size(cols[g]), thresholds[g]))
+        record = []
         for _ in range(trials):
-            x = draw()
-            cached = orbit_cache.get(x)
-            if cached is None:
-                t = code.input_orbit(x)
-                cached = (t, code.orbit_size(t))
-                orbit_cache[x] = cached
-            t, size = cached
-            u = rand.randrange(size)
-            row = hits[i - 1]
-            for j in range(M):
-                if u < code.decoder_counts[j].get(t, 0):
-                    row[j] += 1
-    return MCReport.from_hits(hits, trials)
+            base, size, thr = landing[bisect_right(cuts, randrange(denom))]
+            record.append(base + bisect_right(thr, randrange(size)))
+        pairs, weight = np.unique(record, return_counts=True)
+        g, b = np.divmod(pairs, width)
+        for lo in range(0, len(pairs), chunk):
+            part = slice(lo, lo + chunk)
+            hits[r] += weight[part] @ (b[part, None] < rank[g[part]])
+    return hits
 
 
 @dataclass(frozen=True)

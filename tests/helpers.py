@@ -6,12 +6,24 @@ from small integer weights, so every probability is an exact Fraction with a
 modest denominator.
 """
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
 from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
-from permid.combinatorics import count_types
-from permid.idcode import ErrorReport, counts_from_vector_set
+from permid.combinatorics import (
+    count_types,
+    type_index,
+    type_of,
+    type_representative,
+    type_unrank,
+    typeclass_size,
+    vector_rank,
+    vector_unrank,
+)
+from permid.errors import BoundViolationError
+from permid.idcode import MATRIX_CAP, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
 
 
 def random_dist(rand, N, max_weight=9):
@@ -168,3 +180,66 @@ def with_prime_masses(rand, code, P=2**89 - 1):
         decoders = [frozenset(range(1, code.N + 1))] + list(code.decoders[1:])
         return NoiselessIdCode(code.N, encoders, decoders)
     return PermIdCode(code.n, code.q, encoders, code.decoder_counts, l=code.l)
+
+
+def _reference_mc_report(hits, trials):
+    """MCReport from a full M x M hit table, entry by entry."""
+    M = len(hits)
+    accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
+    lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
+    lambda2_hat = max(
+        (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
+        default=0.0,
+    )
+    se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
+    keep = M <= MATRIX_CAP
+    return MCReport(M, trials, lambda1_hat, lambda2_hat, se, accept_hat if keep else None)
+
+
+def reference_perm_mc(code, trials, stream):
+    """Perm-channel Monte Carlo as a per-trial loop over all M decoders.
+
+    This is the slow reference `eval_perm_mc` is checked against: the same
+    draws in the same order (an encoder input, then a uniform position u in
+    its output orbit), with decoder j accepting when u < its count there.
+    """
+    M = code.M
+    hits = [[0] * M for _ in range(M)]
+    for i in range(1, M + 1):
+        rand = stream.child(f"mc/msg{i}").rand
+        keys, cuts, denom = _exact_sampler(code.encoders[i - 1])
+        for _ in range(trials):
+            x = keys[bisect_right(cuts, rand.randrange(denom))]
+            t = code.input_orbit(x)
+            u = rand.randrange(code.orbit_size(t))
+            for j in range(M):
+                if u < code.decoder_counts[j].get(t, 0):
+                    hits[i - 1][j] += 1
+    return _reference_mc_report(hits, trials)
+
+
+def reference_feedback_mc(code, trials, stream):
+    """Feedback Monte Carlo with every vector materialized: pilot outputs
+    unranked and ranked back, the chosen orbit's representative sent, and
+    each decoder's table read per trial. `eval_feedback_mc` must match it."""
+    M = code.M
+    hits = [[0] * M for _ in range(M)]
+    for i in range(1, M + 1):
+        rand = stream.child(f"mc/msg{i}").rand
+        for _ in range(trials):
+            ranks = []
+            for _b in range(code.l - 1):
+                y = vector_unrank(code.pstar, rand.randrange(code.orbit))
+                ranks.append(vector_rank(y, code.q))
+            flat = code.flat_index(ranks)
+            sent_orbit = int(code.maps[i - 1, flat])
+            x_last = type_representative(type_unrank(sent_orbit, code.n, code.q))
+            t_last = type_of(x_last, code.q)
+            y_last = vector_unrank(t_last, rand.randrange(typeclass_size(t_last)))
+            out_orbit = type_index(type_of(y_last, code.q))
+            if out_orbit != sent_orbit:
+                raise BoundViolationError("channel output left the input orbit")
+            for k in range(M):
+                if int(code.maps[k, flat]) == out_orbit:
+                    hits[i - 1][k] += 1
+    return _reference_mc_report(hits, trials)

@@ -117,6 +117,22 @@ def test_orbit_bookkeeping():
     assert out.size == code.ground and out[t] == 1
 
 
+def test_orbit_caches_still_validate():
+    # the encoder's own tuple is looked up; equal-looking inputs of the
+    # wrong kind are still refused, and sizes are memoised only for ints
+    x = (1, 1, 2, 2)
+    code = PermIdCode(4, 2, [u(x)], [{}])
+    t = code.input_orbit(x)
+    assert code.input_orbit(tuple(x)) == code.input_orbit((1, 1, 2, 2)) == t
+    for bad in ([1, 1, 2, 2], (1.0, 1, 2, 2), (1, 1, 2), (1, 1, 2, 3)):
+        with pytest.raises(ValidationError):
+            code.input_orbit(bad)
+    assert code.orbit_size(t) == code.orbit_size(t) == 6
+    for bad in (float(t), 0, code.ground + 1):
+        with pytest.raises(ValidationError):
+            code.orbit_size(bad)
+
+
 # ------------------------------------------------------------------- noiseless
 
 
