@@ -191,12 +191,13 @@ def vector_unrank(t: TypeVector, rank: int) -> tuple[int, ...]:
     size = typeclass_size(t)
     if not (isinstance(rank, int) and 0 <= rank < size):
         raise ValidationError(f"rank {rank!r} out of range [0..{size - 1}]")
+    n, q = t.n, t.q
     counts = list(t.counts)
-    remaining = t.n
+    remaining = n
     current = size
     out = []
-    for _ in range(t.n):
-        for s in range(1, t.q + 1):
+    for _ in range(n):
+        for s in range(1, q + 1):
             if counts[s - 1] == 0:
                 continue
             here = current * counts[s - 1] // remaining
@@ -212,8 +213,11 @@ def vector_unrank(t: TypeVector, rank: int) -> tuple[int, ...]:
 
 def type_representative(t: TypeVector) -> tuple[int, ...]:
     """Canonical representative of a typeclass: its lexicographically
-    smallest vector (symbols in nondecreasing order)."""
-    return vector_unrank(t, 0)
+    smallest vector: each symbol s repeated counts[s-1] times, in order."""
+    out: list[int] = []
+    for s, c in enumerate(t.counts, start=1):
+        out += [s] * c
+    return tuple(out)
 
 
 def tuple_to_index(js: Sequence[int], N: int) -> int:

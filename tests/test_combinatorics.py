@@ -101,6 +101,13 @@ def test_vector_rank_is_lex_position_within_class():
             assert type_representative(t) == members[0]
 
 
+def test_type_representative_is_rank_zero():
+    for n in range(1, 9):
+        for q in range(2, 5):
+            for t in iter_types(n, q):
+                assert type_representative(t) == vector_unrank(t, 0)
+
+
 def test_vector_unrank_rejects_bad_rank():
     t = TypeVector((2, 1))
     with pytest.raises(ValidationError):
