@@ -209,7 +209,9 @@ def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCRepor
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    report = MCReport.from_hits(lambda rows: _feedback_mc_hits(code, rows, trials, stream), code.M, trials)
+    report = MCReport.from_hits(
+        lambda rows: _feedback_mc_hits(code, rows, trials, stream), code.M, trials
+    )
     if report.lambda1_hat != 0.0:
         raise BoundViolationError("a sender's own decoder rejected in simulation")
     return report

@@ -505,7 +505,9 @@ def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    return MCReport.from_hits(lambda rows: _perm_mc_hits(code, rows, trials, stream), code.M, trials)
+    return MCReport.from_hits(
+        lambda rows: _perm_mc_hits(code, rows, trials, stream), code.M, trials
+    )
 
 
 def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) -> np.ndarray:
@@ -520,7 +522,8 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
             if t in where:
                 found[where[t]].append((j, c))
     thresholds = [sorted({c for _, c in pairs}) for pairs in found]
-    rank = np.zeros((len(cols), M), dtype=np.int64)
+    # positions run up to M at most, so the narrowest unsigned type holds them
+    rank = np.zeros((len(cols), M), dtype=np.min_scalar_type(M))
     for g, (pairs, thr) in enumerate(zip(found, thresholds)):
         position = {c: k for k, c in enumerate(thr, 1)}
         rank[g, [j for j, _ in pairs]] = [position[c] for _, c in pairs]
