@@ -22,6 +22,10 @@ from permid.feedback import build_feedback_code, eval_feedback_mc
 from permid.idcode import eval_perm_mc, full_orbit_counts
 
 
+def u(*xs):
+    return Dist.uniform(list(xs))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -37,15 +41,13 @@ def test_perm_mc_equals_reference(seed, l, M, trials, full):
     if full:
         # counts equal to the orbit size: such a decoder accepts every trial there
         orbits = sorted({t for d in code.decoder_counts for t in d})
-        decoders = [full_orbit_counts(rand.sample(orbits, rand.randint(1, len(orbits))), n, q, l)
-                    for _ in range(M)]
+        decoders = [
+            full_orbit_counts(rand.sample(orbits, rand.randint(1, len(orbits))), n, q, l)
+            for _ in range(M)
+        ]
         code = PermIdCode(n, q, code.encoders, decoders, l=l)
     stream = Stream(seed, "mc")
     assert eval_perm_mc(code, trials, stream) == reference_perm_mc(code, trials, stream)
-
-
-def u(*xs):
-    return Dist.uniform(list(xs))
 
 
 def test_perm_mc_decoders_sharing_a_count():
@@ -83,7 +85,13 @@ def test_perm_mc_counts_past_int64():
 
 @pytest.mark.parametrize(
     "n, q, l, M, trials",
-    [(6, 2, 2, 4, 300), (3, 2, 3, 3, 200), (4, 3, 2, 2, 200), (3, 2, 2, 1, 1), (5, 2, 2, 5, 1)],
+    [
+        (6, 2, 2, 4, 300),
+        (3, 2, 3, 3, 200),
+        (4, 3, 2, 2, 200),
+        (3, 2, 2, 1, 1),
+        (5, 2, 2, 5, 1),
+    ],
 )
 def test_feedback_mc_equals_reference(n, q, l, M, trials):
     code = build_feedback_code(n, q, l, M, Stream(n * 100 + M))
@@ -97,7 +105,8 @@ def test_mc_streams_blocks_above_the_cap(monkeypatch):
     full = (eval_perm_mc(perm, 400, Stream(1)), eval_feedback_mc(fb, 400, Stream(1)))
     assert all(report.accept_hat is not None for report in full)
     monkeypatch.setattr(idcode, "MATRIX_CAP", 2)
-    # about two matrix rows per block, and one trial per decoder chunk
+    # two matrix rows per block, two (g, b) pairs per perm chunk and one
+    # trial per feedback compare
     monkeypatch.setattr(idcode, "BLOCK_ENTRIES", 11)
     monkeypatch.setattr(feedback, "BLOCK_ENTRIES", 5)
     capped = (eval_perm_mc(perm, 400, Stream(1)), eval_feedback_mc(fb, 400, Stream(1)))
