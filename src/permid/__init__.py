@@ -65,7 +65,7 @@ from .feedback import (
     max_typeclass,
     target_test,
 )
-from .rng import Stream, as_stream
+from .rng import Stream
 from .setsystem import (
     GreedyResult,
     IntersectionProfile,

@@ -36,11 +36,11 @@ from .errors import (
 )
 from .exact import frac_str, parse_frac
 from .feedback import (
+    _target_report,
     build_feedback_code,
     build_until_target,
     eval_feedback_exact,
     eval_feedback_mc,
-    target_test,
 )
 from .idcode import (
     MATRIX_CAP,
@@ -128,8 +128,8 @@ _NESTED_CODE_KEY = {"build": "code", "setsystem-run": "system"}
 
 
 def _unwrap_code(doc):
-    if isinstance(doc, dict):
-        key = _NESTED_CODE_KEY.get(doc.get("kind"))
+    if isinstance(doc, dict) and isinstance(doc.get("kind"), str):
+        key = _NESTED_CODE_KEY.get(doc["kind"])
         if key is not None and key in doc:
             return doc[key]
     return doc
@@ -355,10 +355,10 @@ def cmd_feedback(args):
     if args.mode == "mc":
         report = eval_feedback_mc(code, args.trials, Stream(seed, "feedback-mc"))
         return report_to_json(report), report
-    report = eval_feedback_exact(code)
+    report = _target_report(code) if args.target_test else eval_feedback_exact(code)
     doc = _strip_matrix(report_to_json(report), report, args.matrix_cap)
     if args.target_test:
-        doc["target_test"] = target_test(code)
+        doc["target_test"] = report.passed
     return doc, report
 
 

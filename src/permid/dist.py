@@ -64,10 +64,6 @@ class Dist:
     def items(self):
         return self.mass.items()
 
-    def is_uniform(self) -> bool:
-        values = set(self.mass.values())
-        return len(values) == 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented

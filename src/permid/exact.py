@@ -150,16 +150,6 @@ def compare_power(x: Rational, base: int, expo: Rational) -> int:
     return sign(lhs - rhs)
 
 
-def compare_log2(n: int, c: Rational) -> int:
-    """Exact sign of log2(n) - c for a positive integer n and rational c."""
-    if n < 1:
-        raise ValidationError("compare_log2 needs n >= 1")
-    c = Fraction(c)
-    lhs = Fraction(n) ** c.denominator
-    rhs = Fraction(2) ** c.numerator
-    return sign(lhs - rhs)
-
-
 def floor_plus_log2(a: Rational, n: int, mult: int = 1) -> int:
     """Exact floor of a + mult*log2(n) for rational a and integers n, mult."""
     if n < 1 or mult < 1:
@@ -167,9 +157,9 @@ def floor_plus_log2(a: Rational, n: int, mult: int = 1) -> int:
     a = Fraction(a)
     k = math.floor(float(a) + mult * math.log2(n))
     # a + mult*log2(n) >= k  iff  log2(n) >= (k - a)/mult
-    while compare_log2(n, (Fraction(k) - a) / mult) < 0:
+    while compare_power(n, 2, (Fraction(k) - a) / mult) < 0:
         k -= 1
-    while compare_log2(n, (Fraction(k + 1) - a) / mult) >= 0:
+    while compare_power(n, 2, (Fraction(k + 1) - a) / mult) >= 0:
         k += 1
     return k
 
@@ -181,10 +171,8 @@ def ceil_pow2_over(c: Rational, n: int) -> int:
     c = Fraction(c)
 
     def at_least(k: int) -> bool:
-        # k >= 2**c / n  iff  (k*n)**denom >= 2**numer
-        if k < 1:
-            return False
-        return Fraction(k * n) ** c.denominator >= Fraction(2) ** c.numerator
+        # k >= 2**c / n  iff  k*n >= 2**c
+        return compare_power(k * n, 2, c) >= 0
 
     if c < 0:
         return 1

@@ -20,7 +20,6 @@ import numpy as np
 from .combinatorics import (
     TypeVector,
     count_types,
-    iter_types,
     type_index,
     type_of,
     type_representative,
@@ -43,15 +42,15 @@ TABLE_BUDGET = 2**26
 def max_typeclass(n: int, q: int) -> tuple[TypeVector, int]:
     """The orbit with the most vectors (ties to the smallest type index).
 
-    For n >= q-1 the winner's size is also checked against the two-sided
-    bound q^n / (2n)^(q-1) <= size <= q^n, exactly.
+    The multinomial n!/prod(c_s!) is largest at balanced counts; the n mod q
+    extra symbols go to the first symbols, which is the canonical-first of
+    the tied types. For n >= q-1 the size is also checked against the
+    two-sided bound q^n / (2n)^(q-1) <= size <= q^n, exactly.
     """
-    best: TypeVector | None = None
-    best_size = -1
-    for t in iter_types(n, q):
-        size = typeclass_size(t)
-        if size > best_size:
-            best, best_size = t, size
+    count_types(n, q)  # validates n and q
+    base, extra = divmod(n, q)
+    best = TypeVector(tuple(base + (s < extra) for s in range(q)))
+    best_size = typeclass_size(best)
     if n >= q - 1:
         if best_size > q**n or q**n > best_size * (2 * n) ** (q - 1):
             raise BoundViolationError(
@@ -248,16 +247,16 @@ def _feedback_mc_hits(code: FeedbackCode, rows: range, trials: int, stream: Stre
     return hits
 
 
-def target_test(code: FeedbackCode) -> bool:
-    """True iff the exact lambda2 meets the 2/N target; M >= 2 required."""
+def _target_report(code: FeedbackCode) -> CollisionReport:
+    """The exact report of a code put to the 2/N target; M >= 2 required."""
     if code.M < 2:
         raise HypothesisError("the target test needs at least two messages")
-    threshold = 2 * code.D  # lambda2 <= 2/N  <=>  N * max_count <= 2 * D
-    for j in range(code.M - 1):
-        agree = (code.maps[j + 1 :] == code.maps[j]).sum(axis=1)
-        if int(agree.max()) * code.N > threshold:
-            return False
-    return True
+    return eval_feedback_exact(code)
+
+
+def target_test(code: FeedbackCode) -> bool:
+    """True iff the exact lambda2 meets the 2/N target; M >= 2 required."""
+    return _target_report(code).passed
 
 
 @dataclass(frozen=True)
@@ -284,22 +283,12 @@ def build_until_target(
     """
     if budget_draws < 1:
         raise ValidationError("need at least one draw")
-    code = None
     for attempt in range(1, budget_draws + 1):
         code = build_feedback_code(n, q, l, M, stream.child(f"draw{attempt}"))
-        if target_test(code):
-            return RetryResult(
-                code=code,
-                report=eval_feedback_exact(code),
-                draws=attempt,
-                success=True,
-            )
-    return RetryResult(
-        code=code,
-        report=eval_feedback_exact(code),
-        draws=budget_draws,
-        success=False,
-    )
+        report = _target_report(code)
+        if report.passed:
+            break
+    return RetryResult(code=code, report=report, draws=attempt, success=report.passed)
 
 
 def feedback_counting_converse(n: int, q: int, l: int, M: int) -> bool:

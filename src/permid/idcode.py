@@ -42,7 +42,7 @@ from .errors import (
     PermidError,
     ValidationError,
 )
-from .exact import compare_log2, floor_plus_log2, ceil_pow2_over
+from .exact import compare_power, floor_plus_log2, ceil_pow2_over
 from .rng import Stream
 from .setsystem import IntersectionProfile, SetSystem, grow_family, verify_profile
 
@@ -600,7 +600,8 @@ def _eps_prime_small(n: int, q: int, epsilon: Fraction, l: int) -> bool:
     """Exact test of eps' = s/N^l < 1/6 at this block length."""
     N = count_types(n, q)
     a = epsilon * n ** (l * (q - 1)) + 1
-    return compare_log2(N, (N**l - 6 * a) / (6 * l)) < 0
+    # eps' < 1/6  <=>  6*(a + l*log2 N) < N^l  <=>  log2 N < (N^l - 6a)/(6l)
+    return compare_power(N, 2, (N**l - 6 * a) / (6 * l)) < 0
 
 
 def min_feasible_n(q: int, epsilon: Fraction, l: int = 1, n_max: int = 4096) -> int | None:
@@ -631,8 +632,7 @@ def achievable_params(n: int, q: int, epsilon: Fraction, l: int = 1) -> Achievab
     N = count_types(n, q)
     ground = N**l
     a = epsilon * n ** (l * (q - 1)) + 1
-    # eps' < 1/6  <=>  6*(a + l*log2 N) < N^l  <=>  log2 N < (N^l - 6a)/(6l)
-    if compare_log2(N, (ground - 6 * a) / (6 * l)) >= 0:
+    if not _eps_prime_small(n, q, epsilon, l):
         least = min_feasible_n(q, epsilon, l)
         hint = f"the smallest workable n is {least}" if least else "no n up to 4096 works"
         raise HypothesisError(

@@ -50,10 +50,3 @@ class Stream:
 
     def __repr__(self) -> str:
         return f"Stream(root={self.root}, label={self.label!r})"
-
-
-def as_stream(seed_or_stream: int | Stream, label: str = "root") -> Stream:
-    """Accept either a raw root seed or an existing stream."""
-    if isinstance(seed_or_stream, Stream):
-        return seed_or_stream
-    return Stream(seed_or_stream, label)

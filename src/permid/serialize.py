@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
+from .combinatorics import index_to_tuple, tuple_to_index
 from .dist import Dist
 from .errors import ValidationError
 from .exact import frac_str, parse_frac
@@ -24,28 +24,6 @@ from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
 SCHEMA = "permid/1"
-
-
-def vector_to_index(x: Sequence[int], q: int) -> int:
-    """1-based lexicographic rank of a q-ary tuple (symbols 1..q)."""
-    idx = 0
-    for sym in x:
-        if not 1 <= sym <= q:
-            raise ValidationError(f"symbol {sym} outside [1..{q}]")
-        idx = idx * q + (sym - 1)
-    return idx + 1
-
-
-def index_to_vector(index: int, q: int, m: int) -> tuple[int, ...]:
-    """Inverse of vector_to_index for tuples of length m."""
-    if not 1 <= index <= q**m:
-        raise ValidationError(f"index {index} outside [1..{q**m}]")
-    rest = index - 1
-    out = []
-    for _ in range(m):
-        rest, digit = divmod(rest, q)
-        out.append(digit + 1)
-    return tuple(reversed(out))
 
 
 def code_to_json(code, seed: int | None = None) -> dict:
@@ -86,7 +64,7 @@ def code_to_json(code, seed: int | None = None) -> dict:
             "N": code.N,
             "M": code.M,
             "encoders": [
-                sorted([vector_to_index(x, code.q), frac_str(p)] for x, p in enc.items())
+                sorted([tuple_to_index(x, code.q), frac_str(p)] for x, p in enc.items())
                 for enc in code.encoders
             ],
             "decoders": {
@@ -127,7 +105,7 @@ def code_from_json(doc: dict):
     ValidationError."""
     try:
         return _code_from_json(doc)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed code document: {exc!r}") from exc
 
 
@@ -138,12 +116,12 @@ def _code_from_json(doc: dict):
     if kind == "noiseless":
         N = doc["N"]
         encoders = [
-            Dist({int(k): parse_frac(p) for k, p in pairs}, size=N)
+            Dist({k: parse_frac(p) for k, p in pairs}, size=N)
             for pairs in doc["encoders"]
         ]
         decs = doc["decoders"]
         if "deterministic" in decs:
-            decoders = [frozenset(int(k) for k in d) for d in decs["deterministic"]]
+            decoders = [frozenset(d) for d in decs["deterministic"]]
         elif "stochastic" in decs:
             decoders = [
                 {k: parse_frac(p) for k, p in enumerate(row, start=1) if parse_frac(p)}
@@ -155,20 +133,16 @@ def _code_from_json(doc: dict):
     if kind == "perm":
         n, q, l = doc["n"], doc["q"], doc["l"]
         encoders = [
-            Dist(
-                {index_to_vector(int(i), q, n * l): parse_frac(p) for i, p in pairs}
-            )
+            Dist({index_to_tuple(i, q, n * l): parse_frac(p) for i, p in pairs})
             for pairs in doc["encoders"]
         ]
         counts = [
-            {t: int(c) for t, c in enumerate(row, start=1) if int(c)}
+            {t: c for t, c in enumerate(row, start=1) if c != 0}
             for row in doc["decoders"]["typecounts"]
         ]
         return PermIdCode(n, q, encoders, counts, l=l)
     if kind == "feedback":
-        return FeedbackCode(
-            doc["n"], doc["q"], doc["l"], np.array(doc["maps"], dtype=np.int64)
-        )
+        return FeedbackCode(doc["n"], doc["q"], doc["l"], np.array(doc["maps"]))
     if kind == "setsystem":
         return SetSystem(doc["N"], tuple(frozenset(s) for s in doc["sets"]))
     raise ValidationError(f"unknown code kind {kind!r}")

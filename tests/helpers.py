@@ -14,6 +14,7 @@ from itertools import product
 from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
 from permid.combinatorics import (
     count_types,
+    iter_types,
     type_index,
     type_of,
     type_representative,
@@ -91,6 +92,17 @@ def random_perm_code(rand, n, q, M, l=1, max_support=4, max_decoder=12):
 
 def all_vectors(n, q):
     return list(product(range(1, q + 1), repeat=n))
+
+
+def reference_max_typeclass(n, q):
+    """Largest orbit by scanning every type, ties to the first in canonical
+    order; `feedback.max_typeclass` must match it."""
+    best, best_size = None, -1
+    for t in iter_types(n, q):
+        size = typeclass_size(t)
+        if size > best_size:
+            best, best_size = t, size
+    return best, best_size
 
 
 def orbit_products(n, q, l):

@@ -10,7 +10,6 @@ import pytest
 from permid.errors import ValidationError
 from permid.exact import (
     ceil_pow2_over,
-    compare_log2,
     compare_power,
     floor_plus_log2,
     frac_str,
@@ -116,11 +115,12 @@ def test_compare_power():
 
 
 def test_compare_log2():
-    assert compare_log2(8, 3) == 0
-    assert compare_log2(8, Fraction(29, 10)) == 1
-    assert compare_log2(8, Fraction(31, 10)) == -1
+    # log2(n) - c has the sign of n - 2**c
+    assert compare_power(8, 2, 3) == 0
+    assert compare_power(8, 2, Fraction(29, 10)) == 1
+    assert compare_power(8, 2, Fraction(31, 10)) == -1
     # negative threshold: n >= 1 always beats 2^(-1)
-    assert compare_log2(2, -1) == 1
+    assert compare_power(2, 2, -1) == 1
     rand = random.Random(5)
     for _ in range(200):
         n = rand.randint(1, 10**6)
@@ -128,7 +128,7 @@ def test_compare_log2():
         want = math.log2(n) - float(c)
         if abs(want) < 1e-9:
             continue
-        assert compare_log2(n, c) == (1 if want > 0 else -1)
+        assert compare_power(n, 2, c) == (1 if want > 0 else -1)
 
 
 def test_floor_plus_log2():

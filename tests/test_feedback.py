@@ -1,11 +1,15 @@
 """Two-phase feedback scheme: pilot orbits, lookup tables, collision rates."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import permid.cli
+import permid.feedback
+from helpers import reference_max_typeclass
 from permid import (
     FeedbackCode,
     Stream,
@@ -45,6 +49,13 @@ def test_max_typeclass_two_sided_bound_integer_replay():
         _, size = max_typeclass(n, q)
         assert size <= q**n
         assert q**n <= size * (2 * n) ** (q - 1)
+
+
+def test_max_typeclass_matches_the_scan():
+    # includes n < q-1, where some symbols cannot appear at all
+    for q in range(2, 7):
+        for n in range(1, 16):
+            assert max_typeclass(n, q) == reference_max_typeclass(n, q)
 
 
 def test_max_typeclass_tie_goes_to_first_type():
@@ -265,6 +276,47 @@ def test_build_until_target_success():
     again = build_until_target(6, 2, 2, 2, Stream(4), budget_draws=10)
     assert again.draws == result.draws
     assert np.array_equal(again.code.maps, result.code.maps)
+
+
+def test_one_collision_pass_per_draw(monkeypatch):
+    calls = []
+    real = permid.feedback.eval_feedback_exact
+
+    def counted(code):
+        calls.append(code)
+        return real(code)
+
+    # the CLI imports the evaluator by name, so patch both bindings
+    monkeypatch.setattr(permid.feedback, "eval_feedback_exact", counted)
+    monkeypatch.setattr(permid.cli, "eval_feedback_exact", counted)
+
+    result = build_until_target(2, 2, 2, 10, Stream(1), budget_draws=4)
+    assert (result.draws, len(calls)) == (4, 4)
+    assert calls[-1] is result.code
+
+    calls.clear()
+    result = build_until_target(6, 2, 2, 2, Stream(4), budget_draws=10)
+    assert result.success and len(calls) == result.draws
+
+    calls.clear()
+    status = permid.cli.main(
+        ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4",
+         "--seed", "9", "--target-test"]
+    )
+    assert status == 0 and len(calls) == 1
+
+
+def test_target_test_needs_two_messages_everywhere(capsys):
+    with pytest.raises(HypothesisError):
+        build_until_target(6, 2, 2, 1, Stream(1), budget_draws=3)
+    for extra in (["--target-test"], ["--retry", "3"]):
+        status = permid.cli.main(
+            ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "1", "--seed", "1"]
+            + extra
+        )
+        err = json.loads(capsys.readouterr().err)
+        assert status == 2 and err["error"] == "HypothesisError"
+        assert "at least two messages" in err["message"]
 
 
 def test_build_until_target_exhaustion():

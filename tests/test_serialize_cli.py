@@ -23,6 +23,7 @@ from permid import (
     eval_perm_mc,
 )
 from permid.cli import main
+from permid.combinatorics import index_to_tuple, tuple_to_index
 from permid.errors import ValidationError
 from permid.exact import frac_str, parse_frac
 from permid.idcode import ErrorReport
@@ -32,28 +33,27 @@ from permid.serialize import (
     code_to_json,
     dumps,
     error_report_from_json,
-    index_to_vector,
     matrix_csv,
     profile_to_json,
     report_to_json,
-    vector_to_index,
 )
 from permid.setsystem import verify_profile
 
 
 def test_vector_index_examples_and_roundtrip():
-    assert vector_to_index((1, 1), 2) == 1
-    assert vector_to_index((1, 2), 2) == 2
-    assert vector_to_index((2, 1), 2) == 3
-    assert vector_to_index((2, 2), 2) == 4
+    # code files store each input vector as its rank in the q-ary cube
+    assert tuple_to_index((1, 1), 2) == 1
+    assert tuple_to_index((1, 2), 2) == 2
+    assert tuple_to_index((2, 1), 2) == 3
+    assert tuple_to_index((2, 2), 2) == 4
     for idx in range(1, 28):
-        assert vector_to_index(index_to_vector(idx, 3, 3), 3) == idx
+        assert tuple_to_index(index_to_tuple(idx, 3, 3), 3) == idx
     with pytest.raises(ValidationError):
-        vector_to_index((0, 1), 2)
+        tuple_to_index((0, 1), 2)
     with pytest.raises(ValidationError):
-        index_to_vector(28, 3, 3)
+        index_to_tuple(28, 3, 3)
     with pytest.raises(ValidationError):
-        index_to_vector(0, 3, 3)
+        index_to_tuple(0, 3, 3)
 
 
 def test_noiseless_roundtrip_reevaluates_identically():
@@ -558,6 +558,22 @@ def test_cli_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
     assert doc["category"] == "invalid-input" and "PERMID_SEED" in doc["message"]
 
 
+def _with(doc, path, value):
+    """A deep copy of a code document with the field at `path` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    field = doc
+    for key in head:
+        field = field[key]
+    field[last] = value
+    return doc
+
+
+_PERM = code_to_json(random_perm_code(random.Random(3), 2, 2, 2, l=2))
+_NOISELESS = code_to_json(random_noiseless_code(random.Random(3), 3, 2))
+_FEEDBACK = code_to_json(build_feedback_code(2, 2, 2, 2, Stream(1)))
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -566,6 +582,15 @@ def test_cli_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
         {"schema": SCHEMA, "kind": "perm", "n": 2, "q": 2, "l": 1, "encoders": 5,
          "decoders": {"typecounts": []}},
         [1, 2, 3],
+        # fields of the wrong type are refused, never coerced or truncated
+        _with(_PERM, ["encoders", 0, 0, 0], "abc"),
+        _with(_PERM, ["encoders", 0, 0], [1]),
+        _with(_PERM, ["decoders", "typecounts", 0, 0], "x"),
+        _with(_PERM, ["decoders", "typecounts", 0, 0], 1.5),
+        _with(_NOISELESS, ["encoders", 0, 0, 0], "z"),
+        _with(_FEEDBACK, ["maps", 0], [1]),
+        _with(_FEEDBACK, ["maps", 0, 0], 10**30),
+        _with(_FEEDBACK, ["maps", 0, 0], 1.5),
     ],
 )
 def test_cli_rejects_a_malformed_code_document(capsys, tmp_path, doc):
