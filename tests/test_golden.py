@@ -11,7 +11,13 @@
   stochastic and one orbit holds several distinct decoder counts.
 
 `feedback_mc.json` is the stdout of `permid feedback --n 6 --q 2 --l 2 --M 4
---mode mc --trials 2000 --seed 1`. The Monte Carlo pins fix the samplers'
+--mode mc --trials 2000 --seed 1`.
+
+`setsystem_sparse.json` and `setsystem_dense.json` are the stdout of `permid
+setsystem --m-target 400 --max-attempts 400000 --seed 1` at N=200, epsilon
+1/10, lambda 1/4 and at N=120, epsilon 3/5, lambda 3/4; `bounds_dense.json` is
+`permid bounds --N 120 --alpha 1/2 --system setsystem_dense.json`. They fix
+the greedy family's draws and the exact intersection profile. The Monte Carlo pins fix the samplers'
 draw order: a rewrite that changes which random numbers decide a trial
 changes these bytes.
 
@@ -38,6 +44,16 @@ COMMANDS = {
 FEEDBACK_MC_ARGV = [
     "feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4",
     "--mode", "mc", "--trials", "2000", "--seed", "1",
+]
+SETSYSTEM_ARGV = {
+    name: [
+        "setsystem", "--N", N, "--epsilon", eps, "--lambda", lam,
+        "--m-target", "400", "--max-attempts", "400000", "--seed", "1",
+    ]
+    for name, N, eps, lam in [("sparse", "200", "1/10", "1/4"), ("dense", "120", "3/5", "3/4")]
+}
+BOUNDS_ARGV = [
+    "bounds", "--N", "120", "--alpha", "1/2", "--system", str(GOLDEN / "setsystem_dense.json"),
 ]
 
 
@@ -70,6 +86,15 @@ def test_feedback_mc_matches_golden_bytes(capsys):
     assert run(capsys, FEEDBACK_MC_ARGV) == (GOLDEN / "feedback_mc.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(SETSYSTEM_ARGV))
+def test_setsystem_matches_golden_bytes(capsys, name):
+    assert run(capsys, SETSYSTEM_ARGV[name]) == (GOLDEN / f"setsystem_{name}.json").read_text()
+
+
+def test_bounds_on_a_system_matches_golden_bytes(capsys):
+    assert run(capsys, BOUNDS_ARGV) == (GOLDEN / "bounds_dense.json").read_text()
+
+
 def _regenerate() -> None:
     import contextlib
     import io
@@ -89,6 +114,9 @@ def _regenerate() -> None:
             text = capture(args[:1] + ["--code", code] + args[1:])
             (GOLDEN / f"{name}_{command}.json").write_text(text)
     (GOLDEN / "feedback_mc.json").write_text(capture(FEEDBACK_MC_ARGV))
+    for name, argv in SETSYSTEM_ARGV.items():
+        (GOLDEN / f"setsystem_{name}.json").write_text(capture(argv))
+    (GOLDEN / "bounds_dense.json").write_text(capture(BOUNDS_ARGV))
 
 
 if __name__ == "__main__":
