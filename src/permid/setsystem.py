@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, starmap
+from operator import and_
 
 from .errors import (
     BoundViolationError,
@@ -19,6 +21,25 @@ from .exact import ceil_pow2_over
 from .rng import Stream
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass, but a JSON `true` is no ground-set element
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _mask(elements, rank: dict) -> int:
+    """Bitmask of a set: one bit per element, at the position `rank` holds
+    for it (the next free position on first sight, recorded in `rank`).
+
+    Masks built with one `rank` meet in as many bits as their sets meet in
+    elements, since relabelling is injective; first-sight positions keep a
+    mask as wide as the distinct elements seen, however large N is.
+    """
+    mask = 0
+    for e in elements:
+        mask |= 1 << rank.setdefault(e, len(rank))
+    return mask
+
+
 @dataclass(frozen=True)
 class SetSystem:
     """M distinct subsets of [1..N]."""
@@ -27,7 +48,7 @@ class SetSystem:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (_is_int(self.N) and self.N >= 1):
             raise ValidationError("ground-set size N must be a positive integer")
         seen = set()
         for s in self.sets:
@@ -35,7 +56,7 @@ class SetSystem:
                 raise ValidationError("sets must be frozensets")
             if not s:
                 raise ValidationError("empty member set")
-            if not all(isinstance(e, int) and 1 <= e <= self.N for e in s):
+            if not all(_is_int(e) and 1 <= e <= self.N for e in s):
                 raise ValidationError(f"set {sorted(s)} leaves the ground set [1..{self.N}]")
             if s in seen:
                 raise ValidationError(f"duplicate set {sorted(s)}")
@@ -73,7 +94,7 @@ class IntersectionProfile:
 
 
 def verify_profile(system: SetSystem) -> IntersectionProfile:
-    """Exact Gamma and Delta by full pairwise scan.
+    """Exact Gamma and Delta by full pairwise scan of the sets' bitmasks.
 
     Delta of a single-set family is 0 (max over an empty pair set).
     """
@@ -81,13 +102,9 @@ def verify_profile(system: SetSystem) -> IntersectionProfile:
     if len(sizes) != 1:
         raise ValidationError(f"not constant-weight: sizes {sorted(sizes)}")
     gamma = sizes.pop()
-    delta = 0
-    sets = system.sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            inter = len(sets[i] & sets[j])
-            if inter > delta:
-                delta = inter
+    rank: dict[int, int] = {}
+    masks = [_mask(s, rank) for s in system.sets]
+    delta = max(map(int.bit_count, starmap(and_, combinations(masks, 2))), default=0)
     return IntersectionProfile(N=system.N, M=system.M, gamma=gamma, delta=delta)
 
 
@@ -230,6 +247,8 @@ def grow_family(
         raise ValidationError("intersection cap must be >= 0")
     if target < 1:
         raise ValidationError("target count must be >= 1")
+    if max_attempts < 0:
+        raise ValidationError("attempt budget must be >= 0")
     if target > math.comb(N, gamma):
         raise ValidationError(
             f"target {target} exceeds the {math.comb(N, gamma)} distinct "
@@ -237,14 +256,21 @@ def grow_family(
         )
     rand = stream.rand
     ground = range(1, N + 1)
+    # Two gamma-sets are equal iff they meet in gamma elements, so this one
+    # bound rejects duplicates as well, even when cap >= gamma.
+    limit = min(cap, gamma - 1)
+    rank: dict[int, int] = {}
     kept: list[frozenset[int]] = []
+    masks: list[int] = []
     attempts = 0
     while len(kept) < target and attempts < max_attempts:
         attempts += 1
-        candidate = frozenset(rand.sample(ground, gamma))
-        if any(len(candidate & s) > cap or candidate == s for s in kept):
+        draw = rand.sample(ground, gamma)
+        mask = _mask(draw, rank)
+        if any((mask & m).bit_count() > limit for m in masks):
             continue
-        kept.append(candidate)
+        kept.append(frozenset(draw))
+        masks.append(mask)
     return kept, attempts
 
 

@@ -255,3 +255,32 @@ def reference_feedback_mc(code, trials, stream):
                 if int(code.maps[k, flat]) == out_orbit:
                     hits[i - 1][k] += 1
     return _reference_mc_report(hits, trials)
+
+
+def reference_grow_family(N, gamma, cap, target, stream, max_attempts):
+    """The greedy set family on frozensets: the same draws as
+    `grow_family`, each candidate intersected with every kept set. Returns
+    (kept sets, attempts used)."""
+    rand = stream.rand
+    ground = range(1, N + 1)
+    kept = []
+    attempts = 0
+    while len(kept) < target and attempts < max_attempts:
+        attempts += 1
+        candidate = frozenset(rand.sample(ground, gamma))
+        if any(len(candidate & s) > cap or candidate == s for s in kept):
+            continue
+        kept.append(candidate)
+    return kept, attempts
+
+
+def reference_profile(system):
+    """(Gamma, Delta) of a constant-weight system by intersecting every pair
+    of frozensets; `verify_profile` must match it."""
+    (gamma,) = {len(s) for s in system.sets}
+    sets = system.sets
+    delta = 0
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            delta = max(delta, len(sets[i] & sets[j]))
+    return gamma, delta

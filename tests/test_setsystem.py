@@ -7,7 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_grow_family, reference_profile
 from permid import Stream
 from permid.errors import HypothesisError, ValidationError
 from permid.setsystem import (
@@ -247,6 +250,10 @@ def test_grow_family_validations():
         grow_family(4, 2, 0, 0, s, 10)
     with pytest.raises(ValidationError):
         grow_family(4, 2, 0, 7, s, 10)
+    with pytest.raises(ValidationError):
+        grow_family(4, 2, 0, 1, s, -5)
+    # a zero budget is allowed and draws nothing
+    assert grow_family(4, 2, 0, 1, s, 0) == ([], 0)
 
 
 def test_grow_family_respects_cap_and_is_seeded():
@@ -256,6 +263,72 @@ def test_grow_family_respects_cap_and_is_seeded():
     assert len(kept1) == 6
     for a, b in combinations(kept1, 2):
         assert len(a & b) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.sampled_from([1, 2, 5, 9, 31, 63, 64, 65, 90, 130]),
+    gamma_frac=st.fractions(0, 1),
+    cap_shift=st.integers(-3, 2),
+    fill=st.sampled_from(["small", "near", "full"]),
+    budget=st.sampled_from([0, 1, 7, 400]),
+)
+def test_grow_family_matches_the_frozenset_oracle(seed, N, gamma_frac, cap_shift, fill, budget):
+    # cap_shift >= 0 puts cap at or above gamma, where only the duplicate
+    # test rejects; "near" and "full" ask for about all C(N, gamma) subsets.
+    gamma = max(1, math.floor(gamma_frac * N))
+    cap = max(0, gamma + cap_shift if cap_shift >= 0 else gamma // 2 + cap_shift)
+    total = math.comb(N, gamma)
+    target = {"small": min(3, total), "near": max(1, total - 1), "full": total}[fill]
+    target = min(target, 200)
+    got = grow_family(N, gamma, cap, target, Stream(seed, "grow"), budget)
+    want = reference_grow_family(N, gamma, cap, target, Stream(seed, "grow"), budget)
+    assert got == want
+    for M in (0, 1, 2, len(got[0])):
+        if M and M <= len(got[0]):
+            system = SetSystem(N, tuple(got[0][:M]))
+            p = verify_profile(system)
+            assert (p.gamma, p.delta) == reference_profile(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.sampled_from([2, 3, 7, 40, 63, 64, 65, 100, 150]),
+    M=st.integers(0, 12),
+    data=st.data(),
+)
+def test_verify_profile_and_complement_match_the_oracle(seed, N, M, data):
+    rand = random.Random(seed)
+    gamma = data.draw(st.integers(1, N))
+    M = min(M, math.comb(N, gamma))
+    chosen = set()
+    while len(chosen) < M:
+        chosen.add(frozenset(rand.sample(range(1, N + 1), gamma)))
+    system = SetSystem(N, tuple(chosen))
+    if M == 0:
+        # an empty family has no set size to report
+        with pytest.raises(ValidationError):
+            verify_profile(system)
+        return
+    p = verify_profile(system)
+    assert (p.gamma, p.delta) == reference_profile(system)
+    if N < 2 * gamma < 2 * N:
+        c = complement_system(system)
+        q = verify_profile(c)
+        assert (q.gamma, q.delta) == reference_profile(c)
+        assert q.gamma == N - gamma
+        if M >= 2:
+            assert q.delta == N - 2 * gamma + p.delta
+
+
+def test_profile_does_not_scale_with_the_ground_set():
+    # masks are as wide as the elements that occur, not as N
+    big = 10**12
+    system = SetSystem(big, pairs((1, big), (big - 1, big), (2, 3)))
+    p = verify_profile(system)
+    assert (p.gamma, p.delta) == (2, 1) == reference_profile(system)
 
 
 def test_greedy_disjoint_pair_packing():
