@@ -364,6 +364,9 @@ def cmd_feedback(args):
 
 def cmd_bounds(args) -> dict:
     alpha = parse_frac(args.alpha)
+    # checked before the sweep divides by alpha, also when no row reaches a bound
+    if not 0 < alpha < 1:
+        raise ValidationError("alpha must be in (0,1)")
     rows = []
     for M in range(args.M_min, args.M_max + 1):
         row = {"M": M}

@@ -525,6 +525,32 @@ def test_cli_bounds_sweep_and_system(capsys, tmp_path):
     assert "lemma6_note" in doc
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--alpha", "0"], ["--alpha", "0", "--M-min", "1", "--M-max", "0"],
+     ["--alpha", "1"], ["--alpha=-1/2", "--M-min", "1", "--M-max", "0"]],
+)
+def test_cli_bounds_refuses_alpha_outside_the_unit_interval(capsys, extra):
+    status, out, err = run_cli(capsys, ["bounds", "--N", "10"] + extra)
+    assert status == 2 and out == ""
+    assert json.loads(err)["category"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": True, "sets": [[1]]}, {"N": 5, "sets": [[1, 2], [True, 3]]}],
+)
+def test_cli_bounds_refuses_bools_in_a_set_system(capsys, tmp_path, doc):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"schema": SCHEMA, "kind": "setsystem", **doc}))
+    status, out, err = run_cli(
+        capsys,
+        ["bounds", "--N", "5", "--alpha", "1/2", "--M-max", "20", "--system", str(path)],
+    )
+    assert status == 2 and out == ""
+    assert json.loads(err)["category"] == "invalid-input"
+
+
 def test_cli_error_exit_codes(capsys):
     status, _, err = run_cli(capsys, ["types", "--n", "0", "--q", "2"])
     assert status == 2
