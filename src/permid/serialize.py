@@ -144,7 +144,11 @@ def _code_from_json(doc: dict):
     if kind == "feedback":
         return FeedbackCode(doc["n"], doc["q"], doc["l"], np.array(doc["maps"]))
     if kind == "setsystem":
-        return SetSystem(doc["N"], tuple(frozenset(s) for s in doc["sets"]))
+        sets = tuple(frozenset(s) for s in doc["sets"])
+        # a repeat (1 twice, or 1 beside true or 1.0) would silently shrink the set
+        if any(len(f) != len(s) for f, s in zip(sets, doc["sets"])):
+            raise ValidationError("a member set lists an element twice")
+        return SetSystem(doc["N"], sets)
     raise ValidationError(f"unknown code kind {kind!r}")
 
 

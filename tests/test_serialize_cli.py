@@ -538,9 +538,11 @@ def test_cli_bounds_refuses_alpha_outside_the_unit_interval(capsys, extra):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"N": True, "sets": [[1]]}, {"N": 5, "sets": [[1, 2], [True, 3]]}],
+    [{"N": True, "sets": [[1]]}, {"N": 5, "sets": [[1, 2], [True, 3]]},
+     {"N": 5, "sets": [[1, True], [2]]}, {"N": 5, "sets": [[1, 1.0], [2]]},
+     {"N": 5, "sets": [[3, 3], [2]]}],
 )
-def test_cli_bounds_refuses_bools_in_a_set_system(capsys, tmp_path, doc):
+def test_cli_bounds_refuses_bools_and_repeats_in_a_set_system(capsys, tmp_path, doc):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"schema": SCHEMA, "kind": "setsystem", **doc}))
     status, out, err = run_cli(
