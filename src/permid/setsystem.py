@@ -21,11 +21,6 @@ from .exact import ceil_pow2_over
 from .rng import Stream
 
 
-def _is_int(x) -> bool:
-    # bool is an int subclass, but a JSON `true` is no ground-set element
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _mask(elements, rank: dict) -> int:
     """Bitmask of a set: one bit per element, at the position `rank` holds
     for it (the next free position on first sight, recorded in `rank`).
@@ -48,7 +43,8 @@ class SetSystem:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not (_is_int(self.N) and self.N >= 1):
+        # `type(x) is int` refuses bools, which isinstance(x, int) lets through
+        if not (type(self.N) is int and self.N >= 1):
             raise ValidationError("ground-set size N must be a positive integer")
         seen = set()
         for s in self.sets:
@@ -56,7 +52,7 @@ class SetSystem:
                 raise ValidationError("sets must be frozensets")
             if not s:
                 raise ValidationError("empty member set")
-            if not all(_is_int(e) and 1 <= e <= self.N for e in s):
+            if not all(type(e) is int and 1 <= e <= self.N for e in s):
                 raise ValidationError(f"set {sorted(s)} leaves the ground set [1..{self.N}]")
             if s in seen:
                 raise ValidationError(f"duplicate set {sorted(s)}")
