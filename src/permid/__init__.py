@@ -35,7 +35,6 @@ from .idcode import (
     acceptance_matrix,
     achievable_params,
     build_multishot_achievable,
-    build_oneshot_achievable,
     check_strong_converse,
     counts_from_vector_set,
     eval_noiseless,
@@ -88,7 +87,6 @@ from .transforms import (
     decoder_equals_support,
     equal_size_supports,
     gamma_for_rate,
-    gamma_for_rate_multishot,
     perm_to_noiseless,
     soft_converse_pipeline,
     stoch_to_det_decoders,

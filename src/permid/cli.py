@@ -5,16 +5,19 @@ construction, achievable-code building, exact and sampled evaluation, the
 transformation pipeline, resolution maps, the feedback scheme, and bound
 sweeps. Every stochastic subcommand takes a 64-bit root seed (flag --seed,
 env PERMID_SEED as fallback, 0 otherwise) and is bit-reproducible. Rational
-parameters are parsed exactly from "p/q" strings. Bound or invariant
-violations exit nonzero with a machine-readable JSON error on stderr.
+parameters are parsed exactly from "p/q" strings. Every failure, a usage
+error or a conflicting flag included, exits nonzero with a machine-readable
+JSON error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .approx import approx_distance, build_approx, pigeonhole_collision_check
@@ -36,6 +39,7 @@ from .errors import (
 )
 from .exact import frac_str, parse_frac
 from .feedback import (
+    FeedbackCode,
     _target_report,
     build_feedback_code,
     build_until_target,
@@ -44,13 +48,12 @@ from .feedback import (
 )
 from .idcode import (
     MATRIX_CAP,
-    NoiselessIdCode,
     PermIdCode,
     build_multishot_achievable,
+    check_strong_converse,
     eval_noiseless,
     eval_perm_exact,
     eval_perm_mc,
-    strong_converse_floor,
 )
 from .rng import Stream
 from .serialize import (
@@ -69,11 +72,7 @@ from .setsystem import (
     prop2_lower_bound,
     verify_profile,
 )
-from .transforms import (
-    gamma_for_rate,
-    gamma_for_rate_multishot,
-    soft_converse_pipeline,
-)
+from .transforms import gamma_for_rate, soft_converse_pipeline
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -87,28 +86,36 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _emit(args, doc: dict, report=None) -> None:
-    if args.format == "csv":
-        if report is None:
-            raise ValidationError("this subcommand has no CSV rendering")
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                matrix_csv(report, fh)
-        else:
-            matrix_csv(report, sys.stdout)
-        return
-    text = dumps(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _strip_matrix(doc: dict, report, cap: int) -> dict:
-    if report is not None and report.M > cap:
+    """Write a command's document as JSON, or its table as CSV, to stdout or
+    to --output. Past --matrix-cap messages the JSON leaves out the matrix."""
+    if args.format == "csv" and report is None and doc["kind"] != "bounds":
+        raise ValidationError("this subcommand has no CSV rendering")
+    if report is not None and report.M > args.matrix_cap:
         doc.pop("matrix", None)
         doc.pop("counts", None)
-    return doc
+    if args.output is not None:
+        try:
+            out = open(args.output, "w", newline="")
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write output file {args.output!r}: {exc.strerror}"
+            ) from exc
+    else:
+        out = nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "json":
+            fh.write(dumps(doc))
+        elif report is None:
+            _bounds_csv(doc, fh)
+        else:
+            matrix_csv(report, fh)
+
+
+def _bounds_csv(doc: dict, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["M", "prop2_lower"])
+    for row in doc["sweep"]:
+        writer.writerow([row["M"], row.get("prop2_lower", "")])
 
 
 def _read_json(path: str, what: str):
@@ -135,8 +142,15 @@ def _unwrap_code(doc):
     return doc
 
 
-def _load_code(path: str):
-    return code_from_json(_unwrap_code(_read_json(path, "code")))
+def _load_code(path: str, *kinds: str):
+    """The code in the document at `path`, which must be of one of `kinds`."""
+    doc = _unwrap_code(_read_json(path, "code"))
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in kinds:
+        raise ValidationError(
+            f"{path!r} holds a {kind!r} document; expected {' or '.join(kinds)}"
+        )
+    return code_from_json(doc)
 
 
 def cmd_types(args) -> dict:
@@ -222,45 +236,36 @@ def cmd_build(args) -> dict:
 
 
 def cmd_eval(args):
-    code = _load_code(args.code)
-    if args.mode == "mc":
-        stream = Stream(_resolve_seed(args.seed), "eval")
-        if isinstance(code, PermIdCode):
-            report = eval_perm_mc(code, args.trials, stream)
-        elif hasattr(code, "maps"):
-            report = eval_feedback_mc(code, args.trials, stream)
-        else:
-            raise ValidationError("Monte Carlo mode applies to perm or feedback codes")
+    mc = args.mode == "mc"
+    kinds = ("perm", "feedback") if mc else ("perm", "noiseless", "feedback")
+    code = _load_code(args.code, *kinds)
+    feedback = isinstance(code, FeedbackCode)
+    if args.converse and (mc or feedback):
+        raise ValidationError(
+            "--converse replays the pairwise floor on an exact perm or noiseless "
+            "report; it takes neither --mode mc nor a feedback code"
+        )
+    if mc:
+        evaluate = eval_feedback_mc if feedback else eval_perm_mc
+        report = evaluate(code, args.trials, Stream(_resolve_seed(args.seed), "eval"))
+    elif feedback:
+        report = eval_feedback_exact(code)
+    elif isinstance(code, PermIdCode):
+        report = eval_perm_exact(code)
     else:
-        if isinstance(code, PermIdCode):
-            report = eval_perm_exact(code)
-        elif isinstance(code, NoiselessIdCode):
-            report = eval_noiseless(code)
-        elif hasattr(code, "maps"):
-            report = eval_feedback_exact(code)
-        else:
-            raise ValidationError(f"cannot evaluate {type(code).__name__}")
-    doc = _strip_matrix(report_to_json(report), report, args.matrix_cap)
-    if args.converse and isinstance(code, (PermIdCode, NoiselessIdCode)) and args.mode == "exact":
-        doc["bounds"] = {"pairwise_floor": frac_str(strong_converse_floor(code))}
+        report = eval_noiseless(code)
+    doc = report_to_json(report)
+    if args.converse:
+        doc["bounds"] = {"pairwise_floor": frac_str(check_strong_converse(code, report))}
     return doc, report
 
 
 def cmd_transform(args) -> dict:
-    code = _load_code(args.code)
-    if not isinstance(code, PermIdCode):
-        raise ValidationError("the pipeline starts from a permutation-channel code")
+    code = _load_code(args.code, "perm")
     if args.gamma is not None:
         gamma = parse_frac(args.gamma)
-    elif args.mu is not None:
-        mu = parse_frac(args.mu)
-        gamma = (
-            gamma_for_rate(mu, code.q)
-            if code.l == 1
-            else gamma_for_rate_multishot(mu, code.q, code.l)
-        )
     else:
-        raise ValidationError("pass --gamma directly or --mu for the preset choice")
+        gamma = gamma_for_rate(parse_frac(args.mu), code.q, code.l)
     result = soft_converse_pipeline(code, gamma)
     steps = []
     for step in result.steps:
@@ -303,10 +308,8 @@ def cmd_transform(args) -> dict:
 
 
 def cmd_approx(args):
-    if args.code:
-        code = _load_code(args.code)
-        if not isinstance(code, NoiselessIdCode):
-            raise ValidationError("the collision check reads a noiseless code")
+    if args.code is not None:
+        code = _load_code(args.code, "noiseless")
         report = pigeonhole_collision_check(code, args.K)
         return {
             "schema": SCHEMA,
@@ -320,8 +323,6 @@ def cmd_approx(args):
             "lambda_sum": frac_str(report.lambda_sum),
             "distances": [frac_str(d) for d in report.distances],
         }
-    if not args.target:
-        raise ValidationError("pass --target (probabilities file) or --code")
     probs = _read_json(args.target, "target distribution")
     target = Dist(
         {y: parse_frac(p) for y, p in enumerate(probs, start=1)}, size=len(probs)
@@ -341,22 +342,22 @@ def cmd_approx(args):
 
 
 def cmd_feedback(args):
+    if args.mode == "mc" and (args.retry is not None or args.target_test):
+        raise ValidationError("--mode mc does not combine with --retry or --target-test")
     seed = _resolve_seed(args.seed)
-    if args.retry:
-        result = build_until_target(
-            args.n, args.q, args.l, args.M, Stream(seed, "feedback"), args.retry
-        )
-        code, report = result.code, result.report
-        doc = _strip_matrix(report_to_json(report), report, args.matrix_cap)
+    stream = Stream(seed, "feedback")
+    if args.retry is not None:
+        result = build_until_target(args.n, args.q, args.l, args.M, stream, args.retry)
+        doc = report_to_json(result.report)
         doc["draws"] = result.draws
         doc["success"] = result.success
-        return doc, report
-    code = build_feedback_code(args.n, args.q, args.l, args.M, Stream(seed, "feedback"))
+        return doc, result.report
+    code = build_feedback_code(args.n, args.q, args.l, args.M, stream)
     if args.mode == "mc":
         report = eval_feedback_mc(code, args.trials, Stream(seed, "feedback-mc"))
         return report_to_json(report), report
     report = _target_report(code) if args.target_test else eval_feedback_exact(code)
-    doc = _strip_matrix(report_to_json(report), report, args.matrix_cap)
+    doc = report_to_json(report)
     if args.target_test:
         doc["target_test"] = report.passed
     return doc, report
@@ -367,6 +368,8 @@ def cmd_bounds(args) -> dict:
     # checked before the sweep divides by alpha, also when no row reaches a bound
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0,1)")
+    if (args.d is None) != (args.w is None):
+        raise ValidationError("--d and --w go together")
     rows = []
     for M in range(args.M_min, args.M_max + 1):
         row = {"M": M}
@@ -380,14 +383,14 @@ def cmd_bounds(args) -> dict:
         "alpha": frac_str(alpha),
         "sweep": rows,
     }
-    if args.d is not None and args.w is not None:
+    if args.d is not None:
         try:
             doc["johnson"] = johnson_bound_M(args.N, args.d, args.w)
         except HypothesisError as exc:
             doc["johnson"] = None
             doc["johnson_note"] = str(exc)
-    if args.system:
-        system = code_from_json(_unwrap_code(_read_json(args.system, "system")))
+    if args.system is not None:
+        system = _load_code(args.system, "setsystem")
         profile = verify_profile(system)
         doc["profile"] = profile_to_json(profile)
         try:
@@ -396,15 +399,6 @@ def cmd_bounds(args) -> dict:
             doc["lemma6_holds"] = None
             doc["lemma6_note"] = str(exc)
     return doc
-
-
-def _bounds_csv(doc: dict, fh) -> None:
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(["M", "prop2_lower"])
-    for row in doc["sweep"]:
-        writer.writerow([row["M"], row.get("prop2_lower", "")])
 
 
 COMMANDS = {
@@ -419,8 +413,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so it leaves `main` as a
+    JSON error like every other failure."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permid",
         description="Exact identification codes for q-ary uniform permutation channels.",
     )
@@ -464,13 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="run the five-step pipeline")
     p.add_argument("--code", required=True)
-    p.add_argument("--gamma", help='bin resolution, e.g. "1/2"')
-    p.add_argument("--mu", help="rate margin for the preset gamma")
+    choice = p.add_mutually_exclusive_group(required=True)
+    choice.add_argument("--gamma", help='bin resolution, e.g. "1/2"')
+    choice.add_argument("--mu", help="rate margin for the preset gamma")
 
     p = sub.add_parser("approx", help="resolution maps and the collision check")
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--target", help="JSON file with a probability list")
-    p.add_argument("--code", help="noiseless code file for the pigeonhole check")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--target", help="JSON file with a probability list")
+    source.add_argument("--code", help="noiseless code file for the pigeonhole check")
 
     p = sub.add_parser("feedback", help="two-phase feedback scheme")
     p.add_argument("--n", type=int, required=True)
@@ -480,8 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--target-test", action="store_true", dest="target_test")
-    p.add_argument("--retry", type=int, help="redraw budget for the target test")
+    exact = p.add_mutually_exclusive_group()
+    exact.add_argument("--target-test", action="store_true", dest="target_test")
+    exact.add_argument("--retry", type=int, help="redraw budget for the target test")
 
     p = sub.add_parser("bounds", help="lower-bound sweeps")
     p.add_argument("--N", type=int, required=True)
@@ -496,19 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # eval and feedback also return the report behind their document
         result = COMMANDS[args.command](args)
         doc, report = result if isinstance(result, tuple) else (result, None)
-        if args.command == "bounds" and args.format == "csv":
-            if args.output:
-                with open(args.output, "w", newline="") as fh:
-                    _bounds_csv(doc, fh)
-            else:
-                _bounds_csv(doc, sys.stdout)
-            return 0
         _emit(args, doc, report)
         return 0
     except BoundViolationError as exc:

@@ -107,14 +107,6 @@ class FeedbackCode:
         return flat
 
 
-def _table_dtype(N: int):
-    if N <= np.iinfo(np.uint8).max:
-        return np.uint8
-    if N <= np.iinfo(np.uint16).max:
-        return np.uint16
-    return np.uint32
-
-
 def build_feedback_code(
     n: int, q: int, l: int, M: int, stream: Stream, budget: int = TABLE_BUDGET
 ) -> FeedbackCode:
@@ -134,7 +126,7 @@ def build_feedback_code(
         raise BudgetError(
             f"table of {M} x {D} entries exceeds the budget of {budget}"
         )
-    maps = stream.numpy.integers(1, N + 1, size=(M, D), dtype=_table_dtype(N))
+    maps = stream.numpy.integers(1, N + 1, size=(M, D), dtype=np.min_scalar_type(N))
     return FeedbackCode(n, q, l, maps)
 
 

@@ -38,6 +38,7 @@ from .combinatorics import (
 from .dist import Dist
 from .errors import (
     BoundViolationError,
+    BudgetError,
     HypothesisError,
     PermidError,
     ValidationError,
@@ -298,11 +299,6 @@ def _report(rows, M: int) -> ErrorReport:
         argmax_cross=argmax_cross,
         accept=tuple(kept) if keep_matrix else None,
     )
-
-
-def report_from_matrix(matrix: Sequence[Sequence[Fraction]]) -> ErrorReport:
-    """Summarize a full acceptance matrix (row = sent, column = tested)."""
-    return _report(matrix, len(matrix))
 
 
 def _encoder_rows(code, rows: range | None = None):
@@ -697,7 +693,7 @@ def build_multishot_achievable(
         params.ground, params.gamma, params.cap, params.target, stream, max_attempts
     )
     if len(kept) < params.target:
-        raise PermidError(
+        raise BudgetError(
             f"greedy stalled at {len(kept)}/{params.target} sets "
             f"after {attempts} attempts; raise max_attempts"
         )
@@ -712,19 +708,6 @@ def build_multishot_achievable(
     code = PermIdCode(n, q, encoders, counts, l=l)
     return AchievableBuild(
         code=code, params=params, system=system, profile=profile, attempts=attempts
-    )
-
-
-def build_oneshot_achievable(
-    n: int,
-    q: int,
-    epsilon: Fraction,
-    stream: Stream,
-    max_attempts: int = 500_000,
-) -> AchievableBuild:
-    """Single channel use case of the orbit-union construction."""
-    return build_multishot_achievable(
-        n, q, 1, epsilon, stream, max_attempts=max_attempts
     )
 
 

@@ -55,24 +55,20 @@ def _require_none(failed: np.ndarray, message) -> None:
         raise BoundViolationError(message(*np.argwhere(failed)[0]))
 
 
-def gamma_for_rate(mu: Fraction, q: int) -> Fraction:
-    """Default bin-resolution choice for one channel use: mu/(4(q-1))."""
+def gamma_for_rate(mu: Fraction, q: int, l: int = 1) -> Fraction:
+    """Default bin-resolution choice, the same margin spread over l channel
+    uses: mu/(4l(q-1))."""
     mu = Fraction(mu)
     if mu <= 0:
         raise ValidationError("mu must be positive")
     if q < 2:
         raise ValidationError("q must be >= 2")
-    return mu / (4 * (q - 1))
-
-
-def gamma_for_rate_multishot(mu: Fraction, q: int, l: int) -> Fraction:
-    """Multishot variant spreading the same margin over l uses: mu/(4l(q-1))."""
     if l < 1:
         raise ValidationError("l must be >= 1")
-    return gamma_for_rate(mu, q) / l
+    return mu / (4 * l * (q - 1))
 
 
-def perm_to_noiseless(code: PermIdCode, l: int | None = None) -> StepResult:
+def perm_to_noiseless(code: PermIdCode) -> StepResult:
     """Replace the permutation channel by a noiseless channel on orbit
     indices, preserving the acceptance matrix exactly.
 
@@ -80,10 +76,8 @@ def perm_to_noiseless(code: PermIdCode, l: int | None = None) -> StepResult:
     stochastic accept tables P(accept | orbit) = count / orbit size. When all
     counts are 0 or full, the table is 0/1-valued and is emitted as a
     deterministic decoder. For l channel uses the ground set is the N^l
-    orbit products; `l`, when given, must match the code's.
+    orbit products.
     """
-    if l is not None and l != code.l:
-        raise ValidationError(f"code has l={code.l}, got l={l}")
     before = acceptance(code)
     encoders = [code.output_dist(i) for i in range(1, code.M + 1)]
     tables = [

@@ -30,7 +30,7 @@ from permid import (
     acceptance_matrix,
     build_approx,
     build_feedback_code,
-    build_oneshot_achievable,
+    build_multishot_achievable,
     count_resolution_types,
     decoder_equals_support,
     equal_size_supports,
@@ -206,7 +206,7 @@ def test_criterion_03_transform_inequalities():
 def test_criterion_04_oneshot_construction():
     eps = Fraction(1, 100)
     for n in [40, 60, 80]:
-        built = build_oneshot_achievable(n, 2, eps, Stream(n))
+        built = build_multishot_achievable(n, 2, 1, eps, Stream(n))
         report = eval_perm_exact(built.code)
         assert report.lambda1 == 0
         assert report.lambda2 <= built.params.lambda2_budget

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_noiseless_code, random_perm_code
+from helpers import random_noiseless_code, random_perm_code, reference_report
 from permid import (
     Dist,
     NoiselessIdCode,
@@ -27,7 +27,6 @@ from permid.idcode import (
     acceptance_matrix,
     achievable_params,
     build_multishot_achievable,
-    build_oneshot_achievable,
     check_strong_converse,
     counts_from_vector_set,
     eval_noiseless,
@@ -35,7 +34,6 @@ from permid.idcode import (
     eval_perm_mc,
     full_orbit_counts,
     min_feasible_n,
-    report_from_matrix,
     strong_converse_floor,
 )
 
@@ -211,7 +209,7 @@ def test_perm_matrix_agrees_with_report(subtests=None):
         code = random_perm_code(rand, rand.randint(2, 4), rand.randint(2, 3),
                                 rand.randint(1, 5), l=l)
         rep = eval_perm_exact(code)
-        via_matrix = report_from_matrix(acceptance_matrix(code))
+        via_matrix = reference_report(acceptance_matrix(code))
         assert rep == via_matrix
 
 
@@ -220,7 +218,7 @@ def test_noiseless_matrix_agrees_with_report():
     for _ in range(30):
         code = random_noiseless_code(rand, rand.randint(2, 6), rand.randint(1, 5),
                                      decoder_kind="mixed")
-        assert eval_noiseless(code) == report_from_matrix(acceptance_matrix(code))
+        assert eval_noiseless(code) == reference_report(acceptance_matrix(code))
 
 
 # ---------------------------------------------------------------- monte carlo
@@ -330,7 +328,7 @@ def test_min_feasible_n_values():
 
 
 def test_build_oneshot_code():
-    build = build_oneshot_achievable(40, 2, Fraction(1, 100), Stream(7, "one"))
+    build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(7, "one"))
     rep = eval_perm_exact(build.code)
     assert rep.lambda1 == 0
     assert rep.lambda2 <= build.params.lambda2_budget
@@ -339,13 +337,13 @@ def test_build_oneshot_code():
 
 
 def test_build_oneshot_is_seeded():
-    a = build_oneshot_achievable(60, 2, Fraction(1, 100), Stream(3, "det"))
-    b = build_oneshot_achievable(60, 2, Fraction(1, 100), Stream(3, "det"))
+    a = build_multishot_achievable(60, 2, 1, Fraction(1, 100), Stream(3, "det"))
+    b = build_multishot_achievable(60, 2, 1, Fraction(1, 100), Stream(3, "det"))
     assert a.code.decoder_counts == b.code.decoder_counts
     assert [dict(e.items()) for e in a.code.encoders] == [
         dict(e.items()) for e in b.code.encoders
     ]
-    c = build_oneshot_achievable(60, 2, Fraction(1, 100), Stream(4, "det"))
+    c = build_multishot_achievable(60, 2, 1, Fraction(1, 100), Stream(4, "det"))
     assert a.code.decoder_counts != c.code.decoder_counts
 
 
@@ -357,13 +355,6 @@ def test_build_multishot_small():
     assert rep.lambda2 <= build.params.lambda2_budget
     assert build.code.M == build.params.target == 9
     assert build.code.l == 2
-
-
-def test_build_multishot_l1_matches_oneshot():
-    ms = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(8, "same"))
-    one = build_oneshot_achievable(40, 2, Fraction(1, 100), Stream(8, "same"))
-    assert ms.code.decoder_counts == one.code.decoder_counts
-    assert ms.params == one.params
 
 
 def test_build_multishot_full_scale():

@@ -13,24 +13,22 @@ from itertools import product
 import mpmath
 import pytest
 
-from helpers import random_dist, random_noiseless_code, random_perm_code
+from helpers import random_dist, random_noiseless_code, random_perm_code, reference_report
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
 from permid.errors import HypothesisError, ValidationError
 from permid.idcode import (
     acceptance_matrix,
-    build_oneshot_achievable,
+    build_multishot_achievable,
     counts_from_vector_set,
     eval_perm_exact,
     full_orbit_counts,
-    report_from_matrix,
 )
 from permid.setsystem import lemma6_check, prop2_lower_bound
 from permid.transforms import (
     decoder_equals_support,
     equal_size_supports,
     gamma_for_rate,
-    gamma_for_rate_multishot,
     perm_to_noiseless,
     soft_converse_pipeline,
     stoch_to_det_decoders,
@@ -44,13 +42,13 @@ from permid.transforms import (
 def test_gamma_presets():
     assert gamma_for_rate(Fraction(1), 2) == Fraction(1, 4)
     assert gamma_for_rate(Fraction(1, 2), 3) == Fraction(1, 16)
-    assert gamma_for_rate_multishot(Fraction(1), 2, 2) == Fraction(1, 8)
+    assert gamma_for_rate(Fraction(1), 2, 2) == Fraction(1, 8)
     with pytest.raises(ValidationError):
         gamma_for_rate(Fraction(0), 2)
     with pytest.raises(ValidationError):
         gamma_for_rate(Fraction(1), 1)
     with pytest.raises(ValidationError):
-        gamma_for_rate_multishot(Fraction(1), 2, 0)
+        gamma_for_rate(Fraction(1), 2, 0)
 
 
 # ----------------------------------------------------------------- orbit lift
@@ -80,7 +78,7 @@ def test_lift_full_orbit_decoders_become_deterministic():
 
 
 def test_lift_keeps_construction_miss_free():
-    build = build_oneshot_achievable(40, 2, Fraction(1, 100), Stream(11, "lift"))
+    build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(11, "lift"))
     step = perm_to_noiseless(build.code)
     assert step.after.lambda1 == 0
     assert step.code.is_deterministic()
@@ -89,9 +87,7 @@ def test_lift_keeps_construction_miss_free():
 def test_multishot_lift_checks_l():
     rand = random.Random(7)
     code = random_perm_code(rand, 2, 2, 2, l=2)
-    with pytest.raises(ValidationError):
-        perm_to_noiseless(code, l=1)
-    step = perm_to_noiseless(code, l=2)
+    step = perm_to_noiseless(code)
     assert step.after == eval_perm_exact(code)
 
 
@@ -164,7 +160,7 @@ def test_threshold_rule_on_single_point():
         [Dist.point(1, size=3), Dist.point(2, size=3)],
         [{1: Fraction(9, 10), 3: Fraction(2, 5)}, {2: Fraction(3, 5), 1: Fraction(1, 4)}],
     )
-    before = report_from_matrix(acceptance_matrix(code))
+    before = reference_report(acceptance_matrix(code))
     assert before.lambda2 == Fraction(1, 4)
     step = stoch_to_det_decoders(code)
     assert step.code.decoders[0] == frozenset({1})
@@ -177,7 +173,7 @@ def test_threshold_degenerate_lambda2_zero():
         [Dist.uniform([1, 2], size=4), Dist.point(4, size=4)],
         [{1: Fraction(1, 3), 2: Fraction(1, 2)}, {4: Fraction(2, 3)}],
     )
-    assert report_from_matrix(acceptance_matrix(code)).lambda2 == 0
+    assert reference_report(acceptance_matrix(code)).lambda2 == 0
     step = stoch_to_det_decoders(code)
     assert step.code.decoders[0] == frozenset({1, 2})
     assert step.code.decoders[1] == frozenset({4})
@@ -192,7 +188,7 @@ def test_threshold_inequalities_random_sweep():
             rand, rand.randint(2, 7), rand.randint(2, 5), decoder_kind="stoch"
         )
         old = acceptance_matrix(code)
-        lam2 = report_from_matrix(old).lambda2
+        lam2 = reference_report(old).lambda2
         step = stoch_to_det_decoders(code)
         new = acceptance_matrix(step.code)
         for i in range(code.M):
@@ -382,7 +378,7 @@ def test_support_restriction_inequalities_random_sweep():
             decoders.append(frozenset({anchor} | rest))
         code = NoiselessIdCode(N, encoders, decoders)
         old = acceptance_matrix(code)
-        before = report_from_matrix(old)
+        before = reference_report(old)
         step = decoder_equals_support(code)
         new = acceptance_matrix(step.code)
         for i in range(M):
@@ -430,7 +426,7 @@ def test_select_pigeonhole_random_sweep():
         code = random_noiseless_code(
             rand, rand.randint(2, 6), rand.randint(1, 6), decoder_kind="mixed"
         )
-        before = report_from_matrix(acceptance_matrix(code))
+        before = reference_report(acceptance_matrix(code))
         step = equal_size_supports(code)
         assert step.code.M >= math.ceil(code.M / code.N)
         assert step.after.lambda1 <= before.lambda1
@@ -511,7 +507,7 @@ def test_pipeline_duplicate_supports_path():
 
 
 def test_pipeline_on_achievable_code():
-    build = build_oneshot_achievable(40, 2, Fraction(1, 100), Stream(17, "pipe"))
+    build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(17, "pipe"))
     report = soft_converse_pipeline(build.code, gamma_for_rate(Fraction(1), 2))
     assert report.final.lambda1 == 0
     if not report.duplicate_supports:
