@@ -567,6 +567,14 @@ def test_cli_error_exit_codes(capsys):
     assert status == 4
     assert json.loads(err)["category"] == "budget"
 
+    # a greedy build that runs out of attempts has spent its budget
+    status, _, err = run_cli(
+        capsys,
+        ["build", "--n", "7", "--q", "2", "--l", "2", "--epsilon", "1/16", "--max-attempts", "0"],
+    )
+    assert status == 4
+    assert json.loads(err)["category"] == "budget"
+
     status, _, err = run_cli(
         capsys,
         ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "1",
@@ -684,3 +692,76 @@ def test_cli_code_file_errors(capsys, tmp_path):
     status, _, err = run_cli(capsys, ["eval", "--code", str(bad)])
     assert status == 2
     assert "not valid JSON" in json.loads(err)["message"]
+
+
+def _write_docs(tmp_path) -> dict:
+    """Small documents of each kind the commands read, keyed by kind."""
+    docs = {"perm": _PERM, "noiseless": _NOISELESS, "feedback": _FEEDBACK,
+            "target": ["3/4", "1/4"]}
+    paths = {}
+    for kind, doc in docs.items():
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["perm", "noiseless"])
+def test_cli_bounds_refuses_a_code_that_is_not_a_set_system(capsys, tmp_path, kind):
+    path = _write_docs(tmp_path)[kind]
+    status, out, err = run_cli(
+        capsys, ["bounds", "--N", "40", "--alpha", "1/2", "--M-max", "3", "--system", str(path)]
+    )
+    assert status == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["category"] == "invalid-input" and "setsystem" in doc["message"]
+
+
+_FEEDBACK_ARGS = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (_FEEDBACK_ARGS + ["--retry", "0"], ["need at least one draw"]),
+        (_FEEDBACK_ARGS + ["--retry", "2", "--mode", "mc"], ["--mode mc", "--retry"]),
+        (_FEEDBACK_ARGS + ["--target-test", "--mode", "mc"], ["--mode mc", "--target-test"]),
+        (_FEEDBACK_ARGS + ["--retry", "2", "--target-test"], ["--retry", "--target-test"]),
+        (["transform", "--code", "{perm}", "--gamma", "1/3", "--mu", "1"], ["--gamma", "--mu"]),
+        (["eval", "--code", "{perm}", "--converse", "--mode", "mc"], ["--converse", "--mode mc"]),
+        (["eval", "--code", "{feedback}", "--converse"], ["--converse", "feedback"]),
+        (["approx", "--K", "2", "--target", "{target}", "--code", "{noiseless}"],
+         ["--target", "--code"]),
+        (["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "20", "--d", "4"],
+         ["--d", "--w"]),
+    ],
+    ids=["retry-0", "retry-mc", "target-test-mc", "retry-target-test", "gamma-mu",
+         "converse-mc", "converse-feedback", "target-code", "d-without-w"],
+)
+def test_cli_refuses_flags_it_would_drop(capsys, tmp_path, argv, named):
+    paths = _write_docs(tmp_path)
+    status, out, err = run_cli(capsys, [a.format(**paths) for a in argv])
+    assert status == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "error" and doc["category"] == "invalid-input"
+    assert all(word in doc["message"] for word in named), doc["message"]
+
+
+def test_cli_eval_converse_replays_the_floor(capsys, tmp_path, monkeypatch):
+    path = _write_docs(tmp_path)["perm"]
+    status, out, _ = run_cli(capsys, ["eval", "--code", str(path), "--converse"])
+    assert status == 0 and "pairwise_floor" in json.loads(out)["bounds"]
+    # a floor above lambda1 + lambda2 <= 2 must be caught, not just printed
+    monkeypatch.setattr("permid.idcode.strong_converse_floor", lambda code: Fraction(3))
+    status, out, err = run_cli(capsys, ["eval", "--code", str(path), "--converse"])
+    assert status == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["kind"] == "error" and doc["category"] == "bound-violation"
+
+
+def test_cli_reports_usage_and_output_errors_in_json(capsys, tmp_path):
+    for argv in (["eval"], ["eval", "--code", "x.json", "--trials", "abc"], [],
+                 ["-o", str(tmp_path / "missing" / "x.json"), "types", "--n", "2", "--q", "2"]):
+        status, out, err = run_cli(capsys, argv)
+        assert status == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "error" and doc["category"] == "invalid-input"
