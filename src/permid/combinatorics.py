@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, ValidationError
@@ -89,11 +92,11 @@ def type_index(t: TypeVector) -> int:
         raise ValidationError("type_index needs n >= 1 and q >= 2")
     rank = 0
     remaining = n
-    for pos in range(q - 1):
-        parts_after = q - pos - 1
-        for c in range(remaining, t.counts[pos], -1):
-            rank += math.comb(remaining - c + parts_after - 1, parts_after - 1)
-        remaining -= t.counts[pos]
+    for k, c in zip(range(q - 1, 0, -1), t.counts):
+        # the types before t here are those with a larger count at this
+        # position: C(remaining - c - 1 + k, k) of them, by the hockey stick
+        rank += math.comb(remaining - c - 1 + k, k)
+        remaining -= c
     return rank + 1
 
 
@@ -105,17 +108,19 @@ def type_unrank(index: int, n: int, q: int) -> TypeVector:
     rank = index - 1
     counts = []
     remaining = n
-    for pos in range(q - 1):
-        parts_after = q - pos - 1
-        c = remaining
-        while True:
-            block = math.comb(remaining - c + parts_after - 1, parts_after - 1)
-            if rank < block:
-                break
-            rank -= block
-            c -= 1
-        counts.append(c)
-        remaining -= c
+    for k in range(q - 1, 0, -1):
+        # the count here is the largest c that C(remaining - c + k, k), the
+        # number of completions with a count of at least c, still exceeds
+        lo, hi = 0, remaining
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if math.comb(remaining - mid + k, k) > rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        rank -= math.comb(remaining - lo - 1 + k, k)
+        counts.append(lo)
+        remaining -= lo
     counts.append(remaining)
     return TypeVector(tuple(counts))
 
@@ -146,12 +151,30 @@ def check_N_bounds(n: int, q: int) -> NBounds:
     return NBounds(N=N, lower_ok=lower_ok, upper_ok=upper_ok, coarse_ok=coarse_ok)
 
 
+@lru_cache(maxsize=1 << 16)
 def typeclass_size(t: TypeVector) -> int:
-    """Number of vectors with histogram t: the multinomial n!/(prod counts!)."""
+    """Number of vectors with histogram t: the multinomial n!/(prod counts!).
+
+    Memoised per type: samplers range-check a rank against it per draw."""
     size = math.factorial(t.n)
     for c in t.counts:
         size //= math.factorial(c)
     return size
+
+
+def _ints(xs: Sequence) -> bool:
+    """True when every entry of xs is an int (bools included): isinstance
+    mapped over xs in C."""
+    return all(map(int.__instancecheck__, xs))
+
+
+def _refuse_first(xs: Sequence, top: int, message: str) -> None:
+    """Raise the ValidationError `message` names for the first entry of xs
+    that is not an int in 1..top."""
+    for s in xs:
+        if not (isinstance(s, int) and 1 <= s <= top):
+            raise ValidationError(message.format(s=s, top=top))
+    raise ValidationError(f"entries of {xs!r} are not plain ints in [1..{top}]")
 
 
 def type_of(x: Sequence[int], q: int) -> TypeVector:
@@ -160,12 +183,13 @@ def type_of(x: Sequence[int], q: int) -> TypeVector:
         raise ValidationError("alphabet size q must be >= 2")
     if len(x) < 1:
         raise ValidationError("vector must be nonempty")
-    counts = [0] * q
-    for s in x:
-        if not (isinstance(s, int) and 1 <= s <= q):
-            raise ValidationError(f"symbol {s!r} outside alphabet [1..{q}]")
-        counts[s - 1] += 1
-    return TypeVector(tuple(counts))
+    if not isinstance(x, (tuple, list)):
+        x = tuple(x)
+    counts = tuple(map(x.count, range(1, q + 1)))
+    # count() matches by equality, so 1.0 counts as 1 unless the types are checked
+    if sum(counts) != len(x) or not _ints(x):
+        _refuse_first(x, q, "symbol {s!r} outside alphabet [1..{top}]")
+    return TypeVector(counts)
 
 
 def vector_rank(x: Sequence[int], q: int) -> int:
@@ -220,18 +244,62 @@ def type_representative(t: TypeVector) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Bases whose digits int() and format() convert in one C call, with format's
+# type letter. Symbol s is the digit s - 1. _TO_DIGIT[N] maps symbol bytes to
+# digit characters and every other byte to "!", which int() refuses;
+# _FROM_DIGIT maps digit characters back to symbol bytes.
+_RADIX_LETTER = {2: "b", 8: "o", 16: "x"}
+_TO_DIGIT = {
+    N: bytes.maketrans(bytes(range(256)), b"!" + b"0123456789abcdef"[:N] + b"!" * (255 - N))
+    for N in _RADIX_LETTER
+}
+_FROM_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
+
+
+def _merge_digits(digits: Sequence[int], base: int) -> int:
+    """sum(d * base**(L-1-i)) over the L digits, merging neighbours pairwise
+    so each of the log2(L) rounds is one C-level map."""
+    values = list(digits)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.insert(0, 0)
+        values = list(map(add, map(mul, values[0::2], repeat(base)), values[1::2]))
+        base *= base
+    return values[0]
+
+
+def _split_digits(value: int, base: int, length: int) -> list[int]:
+    """The `length` base-`base` digits of value, most significant first;
+    the inverse of _merge_digits, splitting in halves round by round."""
+    rounds = (length - 1).bit_length()
+    powers = [base]
+    for _ in range(rounds - 1):
+        powers.append(powers[-1] * powers[-1])
+    values = [value]
+    for power in reversed(powers[:rounds]):
+        values = list(chain.from_iterable(map(divmod, values, repeat(power))))
+    return values[len(values) - length :]
+
+
 def tuple_to_index(js: Sequence[int], N: int) -> int:
     """Mixed-radix bijection [N]^l -> [N^l]; both sides 1-based."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     if len(js) < 1:
         raise ValidationError("tuple must be nonempty")
-    value = 0
-    for j in js:
-        if not (isinstance(j, int) and 1 <= j <= N):
-            raise ValidationError(f"tuple entry {j!r} outside [1..{N}]")
-        value = value * N + (j - 1)
-    return value + 1
+    if _ints(js):
+        table = _TO_DIGIT.get(N)
+        if table is not None:
+            try:
+                return int(bytes(js).translate(table), N) + 1
+            except ValueError:  # an entry with no digit, or past a byte
+                pass
+        elif 1 <= min(js) and max(js) <= N:
+            if N == 1:
+                return 1
+            # the entries are the digits plus one: take off 11...1 in base N
+            return _merge_digits(js, N) - (N ** len(js) - 1) // (N - 1) + 1
+    _refuse_first(js, N, "tuple entry {s!r} outside [1..{top}]")
 
 
 def index_to_tuple(index: int, N: int, l: int) -> tuple[int, ...]:
@@ -241,9 +309,9 @@ def index_to_tuple(index: int, N: int, l: int) -> tuple[int, ...]:
     total = N**l
     if not (isinstance(index, int) and 1 <= index <= total):
         raise ValidationError(f"index {index!r} out of range [1..{total}]")
-    value = index - 1
-    out = []
-    for _ in range(l):
-        value, digit = divmod(value, N)
-        out.append(digit + 1)
-    return tuple(reversed(out))
+    letter = _RADIX_LETTER.get(N)
+    if letter is not None:
+        return tuple(format(index - 1, f"0{l}{letter}").encode().translate(_FROM_DIGIT))
+    if N == 1:
+        return (1,) * l
+    return tuple(map((1).__add__, _split_digits(index - 1, N, l)))

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -466,10 +467,34 @@ class MCReport:
         return cls(M, trials, lambda1_hat, lambda2_hat, se, tuple(accept_hat) if keep else None)
 
 
-def _exact_sampler(dist: Dist) -> tuple[list, list[int], int]:
+def _repr_order(q: int) -> bytes | None:
+    """A bytes.translate table under which the bytes of a tuple of plain
+    ints in 1..q sort as the tuple's repr does; None when q > 255.
+
+    Equal-length reprs differ first inside the first differing pair of
+    symbols, where the shorter decimal string, if a prefix of the other, is
+    followed by "," or ")" and so sorts first, as a string prefix does. So
+    the order is that of the symbols' decimal strings, read left to right,
+    and the table sends each symbol to the rank of its string: the identity
+    order for q <= 9, while for q >= 10 "10" < "2"."""
+    if q > 255:
+        return None
+    rank = {s: r for r, s in enumerate(sorted(range(1, q + 1), key=str))}
+    return bytes(rank.get(b, 0) for b in range(256))
+
+
+def _exact_sampler(dist: Dist, order: bytes | None = None) -> tuple[list, list[int], int]:
     """The exact law of `dist` as (keys, cuts, denom): with r drawn by one
-    randrange(denom), keys[bisect_right(cuts, r)] has that law."""
-    items = sorted(dist.items(), key=lambda kv: repr(kv[0]))
+    randrange(denom), keys[bisect_right(cuts, r)] has that law.
+
+    Keys are taken in the order of their reprs. With `order` from
+    _repr_order(q) and every key a tuple of plain ints in 1..q, the cheaper
+    translated bytes give that order."""
+    items = list(dist.items())
+    if order is not None and set(map(type, chain.from_iterable(dist.support()))) == {int}:
+        items.sort(key=lambda kv: bytes(kv[0]).translate(order))
+    else:
+        items.sort(key=lambda kv: repr(kv[0]))
     denom = math.lcm(*(p.denominator for _, p in items))
     cuts = []
     acc = 0
@@ -526,10 +551,11 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
     # a trial's (g, b) is recorded as the one integer g * width + b
     width = 1 + max(map(len, thresholds))
     chunk = max(1, BLOCK_ENTRIES // M)
+    order = _repr_order(code.q)
     hits = np.zeros((len(rows), M), dtype=np.int64)
     for r, i in enumerate(rows):
         randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
-        keys, cuts, denom = _exact_sampler(code.encoders[i])
+        keys, cuts, denom = _exact_sampler(code.encoders[i], order)
         landing = []
         for x in keys:
             g = where[code.input_orbit(x)]

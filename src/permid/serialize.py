@@ -239,8 +239,40 @@ def profile_to_json(profile: IntersectionProfile) -> dict:
 
 def dumps(doc: dict) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one trailing
-    newline; byte-identical for equal documents."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    newline; byte-identical for equal documents.
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True). An
+    indent makes json fall back to its pure-Python encoder, so the frame is
+    indented here and each array or object of scalars is left to the C
+    encoder, its item separator carrying the newline and indent."""
+    return _indented(doc, "") + "\n"
+
+
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _indented(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value that starts
+    at indentation `pad`."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _SCALAR_TYPES:
+            body = json.dumps(value, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join([_indented(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        if set(map(type, value.values())) <= _SCALAR_TYPES:
+            body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
+        else:
+            body = sep.join(
+                [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())]
+            )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    # scalars, empty containers, other keys: the stdlib, re-indented (an
+    # encoded string never holds a raw newline)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def matrix_csv(report, fh) -> None:

@@ -13,6 +13,7 @@ from itertools import product
 
 from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
 from permid.combinatorics import (
+    TypeVector,
     count_types,
     iter_types,
     type_index,
@@ -23,7 +24,7 @@ from permid.combinatorics import (
     vector_rank,
     vector_unrank,
 )
-from permid.errors import BoundViolationError
+from permid.errors import BoundViolationError, ValidationError
 from permid.idcode import MATRIX_CAP, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
 
 
@@ -92,6 +93,93 @@ def random_perm_code(rand, n, q, M, l=1, max_support=4, max_decoder=12):
 
 def all_vectors(n, q):
     return list(product(range(1, q + 1), repeat=n))
+
+
+def reference_type_index(t):
+    """1-based rank of a type by summing each position's skipped blocks one
+    count at a time; `type_index` must match it."""
+    n = t.n
+    q = t.q
+    if n < 1 or q < 2:
+        raise ValidationError("type_index needs n >= 1 and q >= 2")
+    rank = 0
+    remaining = n
+    for pos in range(q - 1):
+        parts_after = q - pos - 1
+        for c in range(remaining, t.counts[pos], -1):
+            rank += math.comb(remaining - c + parts_after - 1, parts_after - 1)
+        remaining -= t.counts[pos]
+    return rank + 1
+
+
+def reference_type_unrank(index, n, q):
+    """Inverse of reference_type_index, stepping each count down from the
+    top one block at a time; `type_unrank` must match it."""
+    total = count_types(n, q)
+    if not (isinstance(index, int) and 1 <= index <= total):
+        raise ValidationError(f"type index {index!r} out of range [1..{total}]")
+    rank = index - 1
+    counts = []
+    remaining = n
+    for pos in range(q - 1):
+        parts_after = q - pos - 1
+        c = remaining
+        while True:
+            block = math.comb(remaining - c + parts_after - 1, parts_after - 1)
+            if rank < block:
+                break
+            rank -= block
+            c -= 1
+        counts.append(c)
+        remaining -= c
+    counts.append(remaining)
+    return TypeVector(tuple(counts))
+
+
+def reference_type_of(x, q):
+    """Histogram of a q-ary vector, one symbol at a time; `type_of` must
+    match it, errors included."""
+    if q < 2:
+        raise ValidationError("alphabet size q must be >= 2")
+    if len(x) < 1:
+        raise ValidationError("vector must be nonempty")
+    counts = [0] * q
+    for s in x:
+        if not (isinstance(s, int) and 1 <= s <= q):
+            raise ValidationError(f"symbol {s!r} outside alphabet [1..{q}]")
+        counts[s - 1] += 1
+    return TypeVector(tuple(counts))
+
+
+def reference_tuple_to_index(js, N):
+    """Mixed-radix rank by Horner's rule, one entry at a time;
+    `tuple_to_index` must match it, errors included."""
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    if len(js) < 1:
+        raise ValidationError("tuple must be nonempty")
+    value = 0
+    for j in js:
+        if not (isinstance(j, int) and 1 <= j <= N):
+            raise ValidationError(f"tuple entry {j!r} outside [1..{N}]")
+        value = value * N + (j - 1)
+    return value + 1
+
+
+def reference_index_to_tuple(index, N, l):
+    """Inverse of reference_tuple_to_index, one divmod per entry;
+    `index_to_tuple` must match it, errors included."""
+    if N < 1 or l < 1:
+        raise ValidationError("need N >= 1 and l >= 1")
+    total = N**l
+    if not (isinstance(index, int) and 1 <= index <= total):
+        raise ValidationError(f"index {index!r} out of range [1..{total}]")
+    value = index - 1
+    out = []
+    for _ in range(l):
+        value, digit = divmod(value, N)
+        out.append(digit + 1)
+    return tuple(reversed(out))
 
 
 def reference_max_typeclass(n, q):
