@@ -373,7 +373,8 @@ def cmd_bounds(args) -> dict:
     rows = []
     for M in range(args.M_min, args.M_max + 1):
         row = {"M": M}
-        if M > 1 + Fraction(args.N) / alpha:
+        # the bound is defined for 1 + N/alpha < M <= 2^N; other rows leave it out
+        if M > 1 + Fraction(args.N) / alpha and (M - 1).bit_length() <= args.N:
             row["prop2_lower"] = prop2_lower_bound(args.N, M, alpha)
         rows.append(row)
     doc = {

@@ -525,6 +525,15 @@ def test_cli_bounds_sweep_and_system(capsys, tmp_path):
     assert "lemma6_note" in doc
 
 
+def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
+    # log2(M)/N > 1 from M = 17 on, where the inverse entropy is undefined
+    status, out, _ = run_cli(capsys, ["bounds", "--N", "4", "--alpha", "1/2"])
+    assert status == 0
+    gated = {row["M"]: "prop2_lower" in row for row in json.loads(out)["sweep"]}
+    assert [M for M, present in gated.items() if present] == list(range(10, 17))
+    assert set(gated) == set(range(2, 65))
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--alpha", "0"], ["--alpha", "0", "--M-min", "1", "--M-max", "0"],
