@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -467,34 +466,33 @@ class MCReport:
         return cls(M, trials, lambda1_hat, lambda2_hat, se, tuple(accept_hat) if keep else None)
 
 
-def _repr_order(q: int) -> bytes | None:
-    """A bytes.translate table under which the bytes of a tuple of plain
-    ints in 1..q sort as the tuple's repr does; None when q > 255.
+def _repr_order_key(vectors: Sequence[tuple], q: int) -> Callable[[tuple], object]:
+    """A sort key that orders the given q-ary input vectors as their reprs
+    do, without building the reprs.
 
     Equal-length reprs differ first inside the first differing pair of
     symbols, where the shorter decimal string, if a prefix of the other, is
     followed by "," or ")" and so sorts first, as a string prefix does. So
-    the order is that of the symbols' decimal strings, read left to right,
-    and the table sends each symbol to the rank of its string: the identity
-    order for q <= 9, while for q >= 10 "10" < "2"."""
-    if q > 255:
-        return None
+    the order is that of the symbols' decimal strings, read left to right:
+    the key translates each symbol byte to the rank of its string, the
+    identity order for q <= 9, while for q >= 10 "10" < "2". Each distinct
+    vector's key is made once. With q > 255, or a symbol that is a bool or
+    another int subclass, the key is repr itself."""
+    if q > 255 or any(set(map(type, x)) != {int} for x in vectors):
+        return repr
     rank = {s: r for r, s in enumerate(sorted(range(1, q + 1), key=str))}
-    return bytes(rank.get(b, 0) for b in range(256))
+    table = bytes(rank.get(b, 0) for b in range(256))
+    keys = {id(x): bytes(x).translate(table) for x in vectors}
+    return lambda x: keys[id(x)]
 
 
-def _exact_sampler(dist: Dist, order: bytes | None = None) -> tuple[list, list[int], int]:
+def _exact_sampler(dist: Dist, key: Callable = repr) -> tuple[list, list[int], int]:
     """The exact law of `dist` as (keys, cuts, denom): with r drawn by one
     randrange(denom), keys[bisect_right(cuts, r)] has that law.
 
-    Keys are taken in the order of their reprs. With `order` from
-    _repr_order(q) and every key a tuple of plain ints in 1..q, the cheaper
-    translated bytes give that order."""
-    items = list(dist.items())
-    if order is not None and set(map(type, chain.from_iterable(dist.support()))) == {int}:
-        items.sort(key=lambda kv: bytes(kv[0]).translate(order))
-    else:
-        items.sort(key=lambda kv: repr(kv[0]))
+    Keys are taken in repr order; `key` may stand in for repr when it sorts
+    them the same way."""
+    items = sorted(dist.items(), key=lambda kv: key(kv[0]))
     denom = math.lcm(*(p.denominator for _, p in items))
     cuts = []
     acc = 0
@@ -551,11 +549,13 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
     # a trial's (g, b) is recorded as the one integer g * width + b
     width = 1 + max(map(len, thresholds))
     chunk = max(1, BLOCK_ENTRIES // M)
-    order = _repr_order(code.q)
+    # encoders share vector objects, so distinct ones are found by id
+    vectors = {id(x): x for i in rows for x in code.encoders[i].support()}
+    key = _repr_order_key(list(vectors.values()), code.q)
     hits = np.zeros((len(rows), M), dtype=np.int64)
     for r, i in enumerate(rows):
         randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
-        keys, cuts, denom = _exact_sampler(code.encoders[i], order)
+        keys, cuts, denom = _exact_sampler(code.encoders[i], key)
         landing = []
         for x in keys:
             g = where[code.input_orbit(x)]
@@ -725,12 +725,17 @@ def build_multishot_achievable(
         )
     system = SetSystem(params.ground, tuple(kept))
     profile = verify_profile(system)
+    # an orbit lies in many sets: its representative (one shared tuple, which
+    # the code validates once) and its size are worked out once
+    orbits = sorted(set().union(*kept))
+    reps = {t: _orbit_representative(t, n, q, params.N, l) for t in orbits}
+    sizes = full_orbit_counts(orbits, n, q, l)
     encoders = []
     counts = []
     for U in kept:
-        reps = [_orbit_representative(t, n, q, params.N, l) for t in sorted(U)]
-        encoders.append(Dist.uniform(reps))
-        counts.append(full_orbit_counts(sorted(U), n, q, l))
+        members = sorted(U)
+        encoders.append(Dist.uniform([reps[t] for t in members]))
+        counts.append({t: sizes[t] for t in members})
     code = PermIdCode(n, q, encoders, counts, l=l)
     return AchievableBuild(
         code=code, params=params, system=system, profile=profile, attempts=attempts

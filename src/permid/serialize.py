@@ -132,9 +132,18 @@ def _code_from_json(doc: dict):
         return NoiselessIdCode(N, encoders, decoders)
     if kind == "perm":
         n, q, l = doc["n"], doc["q"], doc["l"]
+        vectors: dict[int, tuple] = {}
+
+        def vector(i):
+            # equal indices share one tuple, which PermIdCode validates once
+            if type(i) is not int:
+                return index_to_tuple(i, q, n * l)
+            if i not in vectors:
+                vectors[i] = index_to_tuple(i, q, n * l)
+            return vectors[i]
+
         encoders = [
-            Dist({index_to_tuple(i, q, n * l): parse_frac(p) for i, p in pairs})
-            for pairs in doc["encoders"]
+            Dist({vector(i): parse_frac(p) for i, p in pairs}) for pairs in doc["encoders"]
         ]
         counts = [
             {t: c for t, c in enumerate(row, start=1) if c != 0}

@@ -35,7 +35,7 @@ from permid.combinatorics import (
     type_unrank,
 )
 from permid.errors import ValidationError
-from permid.idcode import _exact_sampler, _repr_order
+from permid.idcode import _exact_sampler, _repr_order_key
 from permid.serialize import dumps
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,22 +147,25 @@ def test_perm_code_refuses_malformed_encoder_vectors():
 @pytest.mark.parametrize("q", [2, 9, 10, 11, 16, 100, 255, 256])
 def test_sampler_key_orders_supports_as_repr_does(q):
     rand = random.Random(q)
-    order = _repr_order(q)
     for _ in range(40):
         n = rand.randint(1, 4)
         support = {tuple(rand.randint(1, q) for _ in range(n)) for _ in range(rand.randint(1, 12))}
         dist = Dist.uniform(support)
-        assert _exact_sampler(dist, order) == _exact_sampler(dist)
-    # a bool in the support sorts by its repr, "True"
-    dist = Dist.uniform([(True, 2), (2, 2), (1, 3)])
-    assert _exact_sampler(dist, order) == _exact_sampler(dist)
-    assert _exact_sampler(dist, order)[0][-1] == (True, 2)
+        key = _repr_order_key(list(support), q)
+        assert (key is repr) == (q > 255)
+        assert _exact_sampler(dist, key) == _exact_sampler(dist)
+    # a bool sorts by its repr, "True", so the key falls back to repr
+    support = [(True, 2), (2, 2), (1, 3)]
+    key = _repr_order_key(support, q)
+    assert key is repr
+    assert _exact_sampler(Dist.uniform(support), key)[0][-1] == (True, 2)
 
 
 def test_sampler_key_keeps_the_q11_golden_order():
     code = random_perm_code(random.Random(1), 2, 11, 4, max_support=4, max_decoder=12)
-    order = _repr_order(11)
-    keys = [_exact_sampler(enc, order)[0] for enc in code.encoders]
+    vectors = [x for enc in code.encoders for x in enc.support()]
+    key = _repr_order_key(vectors, 11)
+    keys = [sorted(enc.support(), key=key) for enc in code.encoders]
     assert keys == [sorted(enc.support(), key=repr) for enc in code.encoders]
     # the repr order is not the tuple order here, so the golden pins it
     assert any(k != sorted(k) for k in keys)
