@@ -93,8 +93,8 @@ def type_index(t: TypeVector) -> int:
     rank = 0
     remaining = n
     for k, c in zip(range(q - 1, 0, -1), t.counts):
-        # the types before t here are those with a larger count at this
-        # position: C(remaining - c - 1 + k, k) of them, by the hockey stick
+        # of the types that agree with t so far, those with a larger count
+        # here come first: C(remaining - c - 1 + k, k), by the hockey stick
         rank += math.comb(remaining - c - 1 + k, k)
         remaining -= c
     return rank + 1
@@ -109,8 +109,8 @@ def type_unrank(index: int, n: int, q: int) -> TypeVector:
     counts = []
     remaining = n
     for k in range(q - 1, 0, -1):
-        # the count here is the largest c that C(remaining - c + k, k), the
-        # number of completions with a count of at least c, still exceeds
+        # the count here is the largest c for which C(remaining - c + k, k),
+        # the number of completions with at least c here, exceeds the rank
         lo, hi = 0, remaining
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -312,6 +312,4 @@ def index_to_tuple(index: int, N: int, l: int) -> tuple[int, ...]:
     letter = _RADIX_LETTER.get(N)
     if letter is not None:
         return tuple(format(index - 1, f"0{l}{letter}").encode().translate(_FROM_DIGIT))
-    if N == 1:
-        return (1,) * l
     return tuple(map((1).__add__, _split_digits(index - 1, N, l)))

@@ -1,9 +1,12 @@
-"""Random code generators shared across the test modules.
+"""Random code generators and reference implementations shared across the
+test modules.
 
-Everything here is driven by a plain `random.Random` so the sweeps are
+The generators are driven by a plain `random.Random` so the sweeps are
 reproducible from the literal seeds written in the tests. Masses are built
 from small integer weights, so every probability is an exact Fraction with a
-modest denominator.
+modest denominator. The `reference_*` functions are the slow, direct
+versions of library algorithms (the codec loops, Fraction sums, per-trial
+samplers), kept as oracles for differential tests.
 """
 
 import math
