@@ -55,6 +55,12 @@ def code_to_json(code, seed: int | None = None) -> dict:
                 ]
             }
     elif isinstance(code, PermIdCode):
+        # encoders share vector objects: rank each distinct one once
+        ranks: dict[int, int] = {}
+        for enc in code.encoders:
+            for x in enc.support():
+                if id(x) not in ranks:
+                    ranks[id(x)] = tuple_to_index(x, code.q)
         doc = {
             "schema": SCHEMA,
             "kind": "perm",
@@ -64,7 +70,7 @@ def code_to_json(code, seed: int | None = None) -> dict:
             "N": code.N,
             "M": code.M,
             "encoders": [
-                sorted([tuple_to_index(x, code.q), frac_str(p)] for x, p in enc.items())
+                sorted([ranks[id(x)], frac_str(p)] for x, p in enc.items())
                 for enc in code.encoders
             ],
             "decoders": {
