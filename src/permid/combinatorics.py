@@ -185,9 +185,10 @@ def type_of(x: Sequence[int], q: int) -> TypeVector:
         raise ValidationError("vector must be nonempty")
     if not isinstance(x, (tuple, list)):
         x = tuple(x)
-    counts = tuple(map(x.count, range(1, q + 1)))
-    # count() matches by equality, so 1.0 counts as 1 unless the types are checked
-    if sum(counts) != len(x) or not _ints(x):
+    # count() matches by equality (1.0 == 1), so only ints are counted; the
+    # counts fall short of len(x) when a symbol is not an int in 1..q
+    counts = tuple(map(x.count, range(1, q + 1))) if _ints(x) else ()
+    if sum(counts) != len(x):
         _refuse_first(x, q, "symbol {s!r} outside alphabet [1..{top}]")
     return TypeVector(counts)
 

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,7 +112,8 @@ def test_mixed_radix_edges_match_the_oracle(N, L):
 
 @pytest.mark.parametrize("q", [2, 3, 8, 10, 16, 40])
 def test_codec_refuses_what_the_oracle_refuses(q):
-    bads = [1.0, 0, q + 1, "1", -1, False, 2.0, 256, None]
+    # an array compares elementwise, so it must be refused before any count
+    bads = [1.0, 0, q + 1, "1", -1, False, 2.0, 256, None, np.int64(1), np.array([1, 2])]
     for bad in bads:
         for pos in (0, 3, 7):
             x = [2] * 8

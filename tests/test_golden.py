@@ -1,8 +1,9 @@
-"""Byte-for-byte pins of the CLI's exact reports on two fixed inputs.
+"""Byte-for-byte pins of the CLI's exact reports on three fixed inputs.
 
 `tests/golden/` holds, for each input, the code file and the exact stdout of
 `permid eval --converse`, `permid transform --gamma 1/3` and
-`permid eval --mode mc --trials 2000 --seed 1` on it:
+`permid eval --mode mc --trials 2000 --seed 1` on it (no transform for
+`q11`):
 
 - `orbit`: the orbit-union code of `permid build --n 60 --q 2
   --epsilon 1/25 --seed 3` (deterministic decoders, uniform encoders);
@@ -14,7 +15,7 @@
 for `eval --converse` and the Monte Carlo run only (its decoders break the
 transform's hypotheses). With two-digit symbols the `repr` order of its
 input vectors differs from their tuple order, and the sampler's draws
-follow the former: (10, 3) comes before (2, 5).
+follow the former: by repr, (10, 3) sorts before (2, 5).
 
 `feedback_mc.json` is the stdout of `permid feedback --n 6 --q 2 --l 2 --M 4
 --mode mc --trials 2000 --seed 1`.
