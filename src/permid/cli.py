@@ -368,6 +368,9 @@ def cmd_bounds(args) -> dict:
     # checked before the sweep divides by alpha, also when no row reaches a bound
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0,1)")
+    # checked here too: the sweep below only asks for the bound at M <= 2^N
+    if args.N < 1:
+        raise ValidationError("N must be positive")
     if (args.d is None) != (args.w is None):
         raise ValidationError("--d and --w go together")
     rows = []

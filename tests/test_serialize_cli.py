@@ -532,6 +532,10 @@ def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
     gated = {row["M"]: "prop2_lower" in row for row in json.loads(out)["sweep"]}
     assert [M for M, present in gated.items() if present] == list(range(10, 17))
     assert set(gated) == set(range(2, 65))
+    for N in ("0", "-3"):
+        status, out, err = run_cli(capsys, ["bounds", "--N", N, "--alpha", "1/2"])
+        assert status == 2 and out == ""
+        assert json.loads(err)["category"] == "invalid-input"
 
 
 @pytest.mark.parametrize(
