@@ -122,9 +122,13 @@ def test_orbit_caches_still_validate():
     code = PermIdCode(4, 2, [u(x)], [{}])
     t = code.input_orbit(x)
     assert code.input_orbit(tuple(x)) == code.input_orbit((1, 1, 2, 2)) == t
-    for bad in ([1, 1, 2, 2], (1.0, 1, 2, 2), (1, 1, 2), (1, 1, 2, 3)):
+    for bad in ([1, 1, 2, 2], (1.0, 1, 2, 2), (1, 1, 2), (1, 1, 2, 3), (1, "2", 2, 2)):
         with pytest.raises(ValidationError):
             code.input_orbit(bad)
+        # the constructor checks each encoder vector the same way
+        if isinstance(bad, tuple):
+            with pytest.raises(ValidationError):
+                PermIdCode(4, 2, [u(bad)], [{}])
     assert code.orbit_size(t) == code.orbit_size(t) == 6
     for bad in (float(t), 0, code.ground + 1):
         with pytest.raises(ValidationError):
