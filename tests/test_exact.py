@@ -106,6 +106,35 @@ def test_power_sign_agrees_with_floats_when_clear():
         assert power_sign(terms, base) == (1 if value > 0 else -1)
 
 
+def _sqrt_convergents(N):
+    """The continued-fraction convergents a/b of sqrt(N), N not a square."""
+    a0 = math.isqrt(N)
+    m, d, a = 0, 1, a0
+    (p0, p1), (q0, q1) = (1, a0), (0, 1)
+    while True:
+        yield p1, q1
+        m = d * a - m
+        d = (N - m * m) // d
+        a = (a0 + m) // d
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 151])
+def test_power_sign_within_two_to_minus_forty_of_zero(N):
+    """a - b*sqrt(N) for convergents a/b with b > 2^41 lies within 1/b < 2^-41
+    of zero, so the first brackets straddle zero and the precision doubles."""
+    checked = 0
+    for a, b in _sqrt_convergents(N):
+        if b > 1 << 90:
+            break
+        if b > 1 << 41:
+            expected = sign(a * a - b * b * N)
+            assert power_sign([(a, 0), (-b, Fraction(1, 2))], N) == expected
+            assert power_sign([(-a, 0), (b, Fraction(1, 2))], N) == -expected
+            checked += 1
+    assert checked >= 2
+
+
 def test_compare_power():
     # 3/2 vs 2^(1/2): 1.5 > 1.4142...
     assert compare_power(Fraction(3, 2), 2, Fraction(1, 2)) == 1
