@@ -5,9 +5,10 @@ The transform bounds contain factors like N^gamma with gamma rational, which
 are irrational for most (N, gamma). Comparisons against them are still
 decidable exactly: reduce everything to a rational combination of the r-th
 roots of a non-perfect-power integer, then bracket those roots with integer
-root extractions at increasing precision. `power_sign` implements that
-decision; the remaining helpers cover the rational-vs-log2 comparisons used
-by the achievability constructions.
+root extractions at increasing precision. `bracket` encloses such a sum
+between two rationals, and `power_sign` narrows it to an exact decision;
+the remaining helpers cover the rational-vs-log2 comparisons used by the
+achievability constructions.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ def power_sign(terms: list[tuple[Rational, Rational]], base: int) -> int:
     if base < 1:
         raise ValidationError("power_sign needs a positive integer base")
     live = [(Fraction(c), Fraction(e)) for c, e in terms if c != 0]
-    if not live:
-        return 0
     if base == 1:
         return sign(sum(c for c, _ in live))
 
@@ -98,38 +97,21 @@ def power_sign(terms: list[tuple[Rational, Rational]], base: int) -> int:
     # Each term is c * m**(n_k / r) with integer n_k; shift so all n_k >= 0
     # (multiplying through by a positive power preserves the sign).
     exps = [e_base * int(e * r) for _, e in live]
-    shift = -min(min(exps), 0)
+    shift = -min([0, *exps])
     coefs = [Fraction(0)] * r
     for (c, _), n in zip(live, exps):
         n += shift
         d, j = divmod(n, r)
         coefs[j] += c * m**d
-    nonzero = [j for j, c in enumerate(coefs) if c != 0]
-    if not nonzero:
+    reduced = [(c, Fraction(j, r)) for j, c in enumerate(coefs) if c != 0]
+    if not reduced:
         return 0
-    if nonzero == [0]:
-        return sign(coefs[0])
     # m is not a perfect power, so x**r - m is irreducible and the powers
     # m**(j/r) are linearly independent over the rationals: the value is not
     # zero, and interval refinement must terminate.
     prec = 32
     while True:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << prec
-        for j in nonzero:
-            c = coefs[j]
-            if j == 0:
-                lo += c
-                hi += c
-                continue
-            root_lo = iroot(m**j << (prec * r), r)
-            if c > 0:
-                lo += c * root_lo / scale
-                hi += c * (root_lo + 1) / scale
-            else:
-                lo += c * (root_lo + 1) / scale
-                hi += c * root_lo / scale
+        lo, hi = bracket(reduced, m, prec)
         if lo > 0:
             return 1
         if hi < 0:
@@ -137,6 +119,25 @@ def power_sign(terms: list[tuple[Rational, Rational]], base: int) -> int:
         prec *= 2
         if prec > 1 << 16:
             raise PermidError("power_sign failed to separate from zero")
+
+
+def bracket(terms, base: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sum(c * base**e for c, e in terms) <= hi, for rational
+    c and e (negative e allowed) and a positive integer base. Each power with
+    a fractional exponent is bracketed by one integer root, to `bits` bits;
+    integer powers are exact."""
+    lo = hi = Fraction(0)
+    scale = 1 << bits
+    for c, e in terms:  # e may be an int or a Fraction
+        if e.denominator == 1:
+            p_lo = p_hi = Fraction(base) ** e.numerator
+        else:
+            root = iroot(base ** abs(e.numerator) << (bits * e.denominator), e.denominator)
+            p_lo, p_hi = Fraction(root, scale), Fraction(root + 1, scale)
+            if e < 0:
+                p_lo, p_hi = 1 / p_hi, 1 / p_lo
+        lo, hi = lo + c * (p_lo if c > 0 else p_hi), hi + c * (p_hi if c > 0 else p_lo)
+    return lo, hi
 
 
 def compare_power(x: Rational, base: int, expo: Rational) -> int:

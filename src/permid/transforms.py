@@ -29,7 +29,7 @@ import numpy as np
 
 from .dist import Dist
 from .errors import BoundViolationError, HypothesisError, PermidError, ValidationError
-from .exact import compare_power, iroot, power_sign
+from .exact import bracket, compare_power, power_sign
 from .idcode import Acceptance, ErrorReport, NoiselessIdCode, PermIdCode, acceptance
 from .setsystem import IntersectionProfile, SetSystem, verify_profile
 
@@ -157,20 +157,6 @@ def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
     return None
 
 
-def _bracket(terms, N: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= sum(c * N**e for c, e in terms) <= hi, bracketing each
-    power N**(p/r) by one integer r-th root to 64 bits, as power_sign does."""
-    lo = hi = Fraction(0)
-    for c, e in terms:
-        e = Fraction(e)
-        root = iroot(N ** abs(e.numerator) << (64 * e.denominator), e.denominator)
-        p_lo, p_hi = Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64)
-        if e < 0:
-            p_lo, p_hi = 1 / p_hi, 1 / p_lo
-        lo, hi = lo + c * (p_lo if c > 0 else p_hi), hi + c * (p_hi if c > 0 else p_lo)
-    return lo, hi
-
-
 def _growth_violations(new, old, a_terms, b_terms, N: int) -> np.ndarray:
     """Mask of the entries where new * A + old * B > 0, for nonnegative
     (numerator, denominator) arrays new, old and A, B sums of c * N**e given
@@ -182,7 +168,7 @@ def _growth_violations(new, old, a_terms, b_terms, N: int) -> np.ndarray:
     def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
         return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
 
-    (a_lo, a_hi), (b_lo, b_hi) = _bracket(a_terms, N), _bracket(b_terms, N)
+    (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
     bad = scaled(a_lo, b_lo) > 0
     for i, j in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
         v, w = Fraction(nn[i, j], nd[i, j]), Fraction(on[i, j], od[i, j])

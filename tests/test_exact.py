@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import permid.exact as exact
 from permid.errors import ValidationError
 from permid.exact import (
+    bracket,
     ceil_pow2_over,
     compare_power,
     floor_plus_log2,
@@ -120,9 +122,16 @@ def _sqrt_convergents(N):
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 151])
-def test_power_sign_within_two_to_minus_forty_of_zero(N):
+def test_power_sign_within_two_to_minus_forty_of_zero(N, monkeypatch):
     """a - b*sqrt(N) for convergents a/b with b > 2^41 lies within 1/b < 2^-41
     of zero, so the first brackets straddle zero and the precision doubles."""
+    widths = []
+
+    def recording(terms, base, bits):
+        widths.append(bits)
+        return bracket(terms, base, bits)
+
+    monkeypatch.setattr(exact, "bracket", recording)
     checked = 0
     for a, b in _sqrt_convergents(N):
         if b > 1 << 90:
@@ -133,6 +142,35 @@ def test_power_sign_within_two_to_minus_forty_of_zero(N):
             assert power_sign([(-a, 0), (b, Fraction(1, 2))], N) == -expected
             checked += 1
     assert checked >= 2
+    assert max(widths) >= 128  # doubled at least twice from 32 bits
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128])
+@pytest.mark.parametrize(
+    "N, e",
+    [(2, Fraction(1, 2)), (3, Fraction(2, 3)), (151, Fraction(-1, 3)), (7, Fraction(-5, 4)),
+     (8, Fraction(7, 2)), (10, Fraction(-1, 7))],
+)
+def test_bracket_contains_the_power(N, e, bits):
+    lo, hi = bracket([(1, e)], N, bits)
+    # lo <= N^e <= hi, decided exactly
+    assert compare_power(lo, N, e) <= 0 <= compare_power(hi, N, e)
+    if e > 0:
+        assert hi - lo == Fraction(1, 1 << bits)
+    else:
+        assert 0 < hi - lo <= Fraction(1, 1 << bits) * hi**2
+    if bits > 32:  # more bits nest inside fewer
+        coarse_lo, coarse_hi = bracket([(1, e)], N, bits // 2)
+        assert coarse_lo <= lo <= hi <= coarse_hi
+    # a negative coefficient swaps the ends; rational terms add exactly
+    assert bracket([(-3, e), (Fraction(1, 2), 0)], N, bits) == (
+        Fraction(1, 2) - 3 * hi, Fraction(1, 2) - 3 * lo
+    )
+
+
+@pytest.mark.parametrize("e", [0, 2, -3])
+def test_bracket_is_exact_on_integer_powers(e):
+    assert bracket([(Fraction(2, 3), e)], 5, 32) == (Fraction(2, 3) * Fraction(5) ** e,) * 2
 
 
 def test_compare_power():

@@ -25,9 +25,9 @@ from helpers import (
     with_prime_masses,
 )
 from permid import NoiselessIdCode, eval_noiseless, eval_perm_exact, strong_converse_floor
-from permid.exact import power_sign
+from permid.exact import bracket, power_sign
 from permid.idcode import acceptance, acceptance_matrix
-from permid.transforms import _bracket, _growth_violations
+from permid.transforms import _growth_violations
 
 
 def make_code(seed, kind, M, l=1, decoders="stoch", big=False):
@@ -104,7 +104,7 @@ def test_take_is_the_sub_code_matrix():
 @pytest.mark.parametrize("N, e", [(2, Fraction(1, 3)), (151, Fraction(-1, 3)), (4, Fraction(1, 2)),
                                   (7, Fraction(-5, 4)), (9, Fraction(0))])
 def test_power_bracket_contains_the_power(N, e):
-    lo, hi = _bracket([(1, e)], N)
+    lo, hi = bracket([(1, e)], N, 64)
     assert lo <= hi
     # lo <= N^e <= hi  <=>  lo^r <= N^p <= hi^r for e = p/r
     assert lo**e.denominator <= Fraction(N) ** e.numerator <= hi**e.denominator
@@ -124,8 +124,8 @@ def test_bracketed_growth_check_agrees_with_power_sign(N, gamma):
     def terms(new, old):
         return [(new * c, e) for c, e in a_terms] + [(old * c, e) for c, e in b_terms]
 
-    a_lo, a_hi = _bracket(a_terms, N)
-    b_lo, b_hi = _bracket(b_terms, N)
+    a_lo, a_hi = bracket(a_terms, N, 64)
+    b_lo, b_hi = bracket(b_terms, N, 64)
     mid = -(b_lo + b_hi) / (a_lo + a_hi)
     rand = random.Random(N)
     news, olds = [], []
