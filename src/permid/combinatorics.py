@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetError, ValidationError
@@ -257,31 +255,6 @@ _TO_DIGIT = {
 _FROM_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
 
 
-def _merge_digits(digits: Sequence[int], base: int) -> int:
-    """sum(d * base**(L-1-i)) over the L digits, merging neighbours pairwise
-    so each of the log2(L) rounds is one C-level map."""
-    values = list(digits)
-    while len(values) > 1:
-        if len(values) % 2:
-            values.insert(0, 0)
-        values = list(map(add, map(mul, values[0::2], repeat(base)), values[1::2]))
-        base *= base
-    return values[0]
-
-
-def _split_digits(value: int, base: int, length: int) -> list[int]:
-    """The `length` base-`base` digits of value, most significant first;
-    the inverse of _merge_digits, splitting in halves round by round."""
-    rounds = (length - 1).bit_length()
-    powers = [base]
-    for _ in range(rounds - 1):
-        powers.append(powers[-1] * powers[-1])
-    values = [value]
-    for power in reversed(powers[:rounds]):
-        values = list(chain.from_iterable(map(divmod, values, repeat(power))))
-    return values[len(values) - length :]
-
-
 def tuple_to_index(js: Sequence[int], N: int) -> int:
     """Mixed-radix bijection [N]^l -> [N^l]; both sides 1-based."""
     if N < 1:
@@ -296,10 +269,10 @@ def tuple_to_index(js: Sequence[int], N: int) -> int:
             except ValueError:  # an entry with no digit, or past a byte
                 pass
         elif 1 <= min(js) and max(js) <= N:
-            if N == 1:
-                return 1
-            # the entries are the digits plus one: take off 11...1 in base N
-            return _merge_digits(js, N) - (N ** len(js) - 1) // (N - 1) + 1
+            index = 0
+            for j in js:  # Horner's rule on the digits j - 1
+                index = index * N + j - 1
+            return index + 1
     _refuse_first(js, N, "tuple entry {s!r} outside [1..{top}]")
 
 
@@ -313,4 +286,8 @@ def index_to_tuple(index: int, N: int, l: int) -> tuple[int, ...]:
     letter = _RADIX_LETTER.get(N)
     if letter is not None:
         return tuple(format(index - 1, f"0{l}{letter}").encode().translate(_FROM_DIGIT))
-    return tuple(map((1).__add__, _split_digits(index - 1, N, l)))
+    rest, out = index - 1, [0] * l
+    for k in reversed(range(l)):
+        rest, digit = divmod(rest, N)
+        out[k] = digit + 1
+    return tuple(out)
