@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .dist import Dist
+from .dist import Dist, over_common_denominator
 from .errors import BoundViolationError, HypothesisError, ValidationError
 from .idcode import NoiselessIdCode, eval_noiseless
 
@@ -63,13 +63,9 @@ def build_approx(target: Dist, K: int) -> ApproxMap:
     if not (isinstance(K, int) and K >= 1):
         raise ValidationError("K must be a positive integer")
     N = target.size
-    base = []
-    remainders = []
-    for y in range(1, N + 1):
-        scaled = K * target[y]
-        floor = scaled.numerator // scaled.denominator
-        base.append(floor)
-        remainders.append(scaled - floor)
+    # K * p_y = (K * nums[y-1]) / denom: its floor and remainder over denom
+    nums, denom = over_common_denominator(target[y] for y in range(1, N + 1))
+    base, remainders = map(list, zip(*(divmod(K * v, denom) for v in nums)))
     surplus = K - sum(base)
     order = sorted(range(N), key=lambda idx: (-remainders[idx], idx))
     for idx in order[:surplus]:

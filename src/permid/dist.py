@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ValidationError
+
+
+def over_common_denominator(masses: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """The rationals `masses` as integer numerators over their least common
+    denominator D: masses[k] == numerators[k] / D."""
+    masses = list(masses)
+    denom = math.lcm(*(p.denominator for p in masses))
+    return [p.numerator * (denom // p.denominator) for p in masses], denom
 
 
 class Dist:
@@ -21,16 +30,15 @@ class Dist:
 
     def __init__(self, mass: Mapping[Hashable, Fraction | int], size: int | None = None):
         cleaned: dict = {}
-        total = Fraction(0)
         for key, value in mass.items():
-            value = Fraction(value)
+            value = value if isinstance(value, Fraction) else Fraction(value)
             if value < 0:
                 raise ValidationError(f"negative mass {value} at {key!r}")
-            if value == 0:
-                continue
-            cleaned[key] = value
-            total += value
-        if total != 1:
+            if value:
+                cleaned[key] = value
+        nums, denom = over_common_denominator(cleaned.values())
+        if sum(nums) != denom:
+            total = Fraction(sum(nums), denom)
             raise ValidationError(f"masses must sum to 1 exactly, got {total}")
         if size is not None:
             if not (isinstance(size, int) and size >= 1):

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .combinatorics import (
     type_unrank,
     typeclass_size,
 )
-from .dist import Dist
+from .dist import Dist, over_common_denominator
 from .errors import (
     BoundViolationError,
     BudgetError,
@@ -315,10 +316,11 @@ def _encoder_rows(code, rows: range | None = None):
     cols = sorted({k for pairs in pushed for k, _ in pairs})
     where = {k: g for g, k in enumerate(cols)}
     table = np.zeros((len(pushed), len(cols)), dtype=object)
-    dens = np.array([math.lcm(*(p.denominator for _, p in ps)) for ps in pushed], dtype=object)
+    dens = np.zeros(len(pushed), dtype=object)
     for i, pairs in enumerate(pushed):
-        for k, p in pairs:
-            table[i, where[k]] += p.numerator * (dens[i] // p.denominator)
+        nums, dens[i] = over_common_denominator(p for _, p in pairs)
+        for (k, _), v in zip(pairs, nums):
+            table[i, where[k]] += v
     return cols, table, dens
 
 
@@ -337,8 +339,7 @@ def _decoder_columns(code, cols):
             [int(k in d) for k in cols] if isinstance(d, frozenset) else [d.get(k, 0) for k in cols]
             for d in code.decoders
         ]
-    dens = [math.lcm(*(p.denominator for p in ps)) for ps in probs]
-    table = [[p.numerator * (d // p.denominator) for p in ps] for ps, d in zip(probs, dens)]
+    table, dens = zip(*map(over_common_denominator, probs))
     return np.array(table, dtype=object).T, np.array(dens, dtype=object)
 
 
@@ -493,13 +494,9 @@ def _exact_sampler(dist: Dist, key: Callable = repr) -> tuple[list, list[int], i
     Keys are taken in repr order; `key` may stand in for repr when it sorts
     them the same way."""
     items = sorted(dist.items(), key=lambda kv: key(kv[0]))
-    denom = math.lcm(*(p.denominator for _, p in items))
-    cuts = []
-    acc = 0
-    for _, p in items:
-        acc += p.numerator * (denom // p.denominator)
-        cuts.append(acc)
-    if acc != denom:
+    nums, denom = over_common_denominator(p for _, p in items)
+    cuts = list(accumulate(nums))
+    if cuts[-1] != denom:
         raise PermidError("sampler weights must total the common denominator")
     return [k for k, _ in items], cuts, denom
 
