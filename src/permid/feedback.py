@@ -20,7 +20,6 @@ import numpy as np
 from .combinatorics import (
     TypeVector,
     count_types,
-    type_index,
     type_of,
     type_representative,
     type_unrank,
@@ -227,7 +226,7 @@ def _feedback_mc_hits(code: FeedbackCode, rows: range, trials: int, stream: Stre
                 t = type_unrank(sent, code.n, code.q)
                 orbits[sent] = (t, typeclass_size(t))
             t, size = orbits[sent]
-            if type_index(type_of(vector_unrank(t, randrange(size)), code.q)) != sent:
+            if type_of(vector_unrank(t, randrange(size)), code.q) != t:
                 raise BoundViolationError("channel output left the input orbit")
             flats.append(flat)
         # decoder k accepts when its table sends this trial's ranks to the
