@@ -87,10 +87,13 @@ def _resolve_seed(value: int | None) -> int:
 
 def _emit(args, doc: dict, report=None) -> None:
     """Write a command's document as JSON, or its table as CSV, to stdout or
-    to --output. Past --matrix-cap messages the JSON leaves out the matrix."""
+    to --output. Past --matrix-cap messages the JSON leaves out the matrix,
+    and the CSV, which is nothing but the matrix, is refused."""
     if args.format == "csv" and report is None and doc["kind"] != "bounds":
         raise ValidationError("this subcommand has no CSV rendering")
     if report is not None and report.M > args.matrix_cap:
+        if args.format == "csv":
+            raise ValidationError("report carries no matrix (M too large)")
         doc.pop("matrix", None)
         doc.pop("counts", None)
     if args.output is not None:
@@ -324,6 +327,8 @@ def cmd_approx(args):
             "distances": [frac_str(d) for d in report.distances],
         }
     probs = _read_json(args.target, "target distribution")
+    if not isinstance(probs, list) or any(isinstance(p, bool) for p in probs):
+        raise ValidationError("target distribution must be a JSON list of rational masses")
     target = Dist(
         {y: parse_frac(p) for y, p in enumerate(probs, start=1)}, size=len(probs)
     )

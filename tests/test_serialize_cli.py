@@ -467,6 +467,59 @@ def test_cli_approx_paths(capsys, tmp_path):
     assert json.loads(err)["category"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "document", [{"1": "0"}, "1", [True], ["1/2", False, "1/2"]], ids=["object", "string", "bool", "bools"]
+)
+def test_cli_approx_refuses_a_target_that_is_not_a_list_of_masses(capsys, tmp_path, document):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(document))
+    status, out, err = run_cli(capsys, ["approx", "--K", "2", "--target", str(target)])
+    assert (status, out) == (2, "")
+    error = json.loads(err)
+    assert error["category"] == "invalid-input"
+    assert error["message"] == "target distribution must be a JSON list of rational masses"
+
+
+@pytest.mark.parametrize("document", [["1/2", "1/2"], [1], [0.5, "1/2"]])
+def test_cli_approx_accepts_lists_of_masses(capsys, tmp_path, document):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(document))
+    status, out, _ = run_cli(capsys, ["approx", "--K", "2", "--target", str(target)])
+    assert status == 0
+    assert json.loads(out)["N"] == len(document)
+
+
+def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path):
+    """Past --matrix-cap the CSV, which is only the matrix, is refused the way
+    a report above MATRIX_CAP refuses it; at or below the cap it is unchanged."""
+    code = random_perm_code(random.Random(3), 3, 2, 6)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(dumps(code_to_json(code)))
+    expected = io.StringIO(newline="")
+    matrix_csv(eval_perm_exact(code), expected)
+    feedback = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"]
+    for argv, M in [
+        (["eval", "--code", str(code_path)], 6),
+        (["eval", "--code", str(code_path), "--mode", "mc", "--trials", "50"], 6),
+        (feedback + ["--target-test"], 4),
+        (feedback + ["--mode", "mc", "--trials", "50"], 4),
+    ]:
+        out_path = tmp_path / "matrix.csv"
+        cap = ["--matrix-cap", str(M - 1), "--format", "csv"]
+        status, out, err = run_cli(capsys, cap + ["--output", str(out_path)] + argv)
+        assert (status, out) == (2, "") and not out_path.exists()
+        error = json.loads(err)
+        assert error["category"] == "invalid-input"
+        assert error["message"] == "report carries no matrix (M too large)"
+        status, out, _ = run_cli(capsys, cap + argv)
+        assert (status, out) == (2, "")
+        status, at_cap, _ = run_cli(capsys, ["--matrix-cap", str(M), "--format", "csv"] + argv)
+        status_default, default, _ = run_cli(capsys, ["--format", "csv"] + argv)
+        assert status == status_default == 0 and at_cap == default
+    status, out, _ = run_cli(capsys, ["--format", "csv", "eval", "--code", str(code_path)])
+    assert out == expected.getvalue()
+
+
 def test_cli_bounds_sweep_and_system(capsys, tmp_path):
     argv = [
         "bounds",
