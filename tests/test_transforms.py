@@ -13,11 +13,13 @@ from itertools import product
 import mpmath
 import pytest
 
+import permid.transforms
 from helpers import random_dist, random_noiseless_code, random_perm_code, reference_report
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
 from permid.errors import HypothesisError, ValidationError
 from permid.idcode import (
+    acceptance,
     acceptance_matrix,
     build_multishot_achievable,
     counts_from_vector_set,
@@ -465,6 +467,24 @@ def test_pipeline_step_names_and_m_profile():
     assert report.final_code.M <= code.M
     for s in report.steps:
         assert s.checks
+
+
+def test_pipeline_computes_five_kernels_and_slices_a_sixth(monkeypatch):
+    # each step reads its input report off the kernel the previous step
+    # handed on; only the input code and steps 1-4's outputs are computed
+    calls = []
+
+    def counted(code, rows=None):
+        calls.append(code)
+        return acceptance(code, rows)
+
+    monkeypatch.setattr(permid.transforms, "acceptance", counted)
+    build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(17, "pipe"))
+    steps = soft_converse_pipeline(build.code, Fraction(1, 3)).steps
+    assert [id(c) for c in calls] == [id(c) for c in [build.code, *(s.code for s in steps[:4])]]
+    assert steps[0].before == eval_perm_exact(build.code)
+    for prev, step in zip(steps, steps[1:]):
+        assert step.before == prev.after
 
 
 def test_pipeline_profile_matches_lambda2():
