@@ -72,7 +72,7 @@ from .setsystem import (
     prop2_lower_bound,
     verify_profile,
 )
-from .transforms import gamma_for_rate, soft_converse_pipeline
+from .transforms import SelectResult, UniformizeResult, gamma_for_rate, soft_converse_pipeline
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -263,6 +263,10 @@ def cmd_eval(args):
     return doc, report
 
 
+def _lambdas(report) -> dict:
+    return {"lambda1": frac_str(report.lambda1), "lambda2": frac_str(report.lambda2)}
+
+
 def cmd_transform(args) -> dict:
     code = _load_code(args.code, "perm")
     if args.gamma is not None:
@@ -275,24 +279,15 @@ def cmd_transform(args) -> dict:
         entry = {
             "name": step.name,
             "checks": list(step.checks),
-            "before": {
-                "lambda1": frac_str(step.before.lambda1),
-                "lambda2": frac_str(step.before.lambda2),
-            },
-            "after": {
-                "lambda1": frac_str(step.after.lambda1),
-                "lambda2": frac_str(step.after.lambda2),
-            },
+            "before": _lambdas(step.before),
+            "after": _lambdas(step.after),
             "M": step.code.M,
         }
-        if hasattr(step, "chosen_bins"):
-            entry["gamma"] = frac_str(step.gamma)
-            entry["kappa"] = step.kappa
-            entry["chosen_bins"] = list(step.chosen_bins)
-            entry["factor_vacuous"] = step.factor_vacuous
-        if hasattr(step, "kept"):
-            entry["kept"] = list(step.kept)
-            entry["support_size"] = step.support_size
+        if isinstance(step, UniformizeResult):
+            entry.update(gamma=frac_str(step.gamma), kappa=step.kappa,
+                         chosen_bins=list(step.chosen_bins), factor_vacuous=step.factor_vacuous)
+        if isinstance(step, SelectResult):
+            entry.update(kept=list(step.kept), support_size=step.support_size)
         steps.append(entry)
     return {
         "schema": SCHEMA,
@@ -300,11 +295,7 @@ def cmd_transform(args) -> dict:
         "gamma": frac_str(gamma),
         "steps": steps,
         "duplicate_supports": result.duplicate_supports,
-        "final": {
-            "M": result.final_code.M,
-            "lambda1": frac_str(result.final.lambda1),
-            "lambda2": frac_str(result.final.lambda2),
-        },
+        "final": {"M": result.final_code.M, **_lambdas(result.final)},
         "system": code_to_json(result.system) if result.system else None,
         "profile": profile_to_json(result.profile) if result.profile else None,
     }

@@ -363,7 +363,13 @@ class Acceptance:
             yield tuple(Fraction(n, r * c) for n, c in zip(nums, cols))
 
     def exact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise numerators and denominators as Python-integer arrays."""
+        """Entrywise numerators and denominators as Python-integer arrays,
+        built once per kernel: in a transform chain one step's output is the
+        next step's input."""
+        return self._exact
+
+    @cached_property
+    def _exact(self) -> tuple[np.ndarray, np.ndarray]:
         return self.num.astype(object), np.outer(self.row_den, self.col_den)
 
     def take(self, idx: Sequence[int]) -> "Acceptance":

@@ -13,10 +13,11 @@ The composite turns any permutation-channel code into an equal-size support
 family whose intersection profile reproduces its cross error. Maps 2-5
 receive their input's exact acceptance matrix as `before` (in a chain, the
 previous map's `matrix`; computed by the integer kernel when omitted), so
-only the output's is derived. Each map checks the advertised inequality
-entry by entry on the integer numerators (deciding signs involving powers
-of N exactly); a failed check raises BoundViolationError, since it would
-mean the construction is wrong, not the input.
+only the output's is derived; a result keeps both kernels and reads its
+`before` and `after` reports off them. Each map checks the advertised
+inequality entry by entry on the integer numerators (deciding signs
+involving powers of N exactly); a failed check raises BoundViolationError,
+since it would mean the construction is wrong, not the input.
 """
 
 from __future__ import annotations
@@ -36,16 +37,30 @@ from .setsystem import IntersectionProfile, SetSystem, verify_profile
 
 @dataclass(frozen=True)
 class StepResult:
-    """One transform application: the new code, exact reports on both sides,
-    the names of the inequalities that were verified, and the new code's
-    acceptance matrix for the next map of a chain."""
+    """One transform application: the new code, the acceptance kernels of
+    the input (`source`) and of the new code (`matrix`, the next map's input
+    in a chain), and the names of the inequalities that were verified."""
 
     name: str
     code: NoiselessIdCode
-    before: ErrorReport
-    after: ErrorReport
+    source: Acceptance = field(repr=False)
+    matrix: Acceptance = field(repr=False)
     checks: tuple[str, ...]
-    matrix: Acceptance = field(compare=False, repr=False, kw_only=True)
+
+    @property
+    def before(self) -> ErrorReport:
+        return self.source.report
+
+    @property
+    def after(self) -> ErrorReport:
+        return self.matrix.report
+
+
+def _compare(before: Acceptance, code: NoiselessIdCode):
+    """The acceptance kernel of a step's new code, with the exact
+    (numerator, denominator) pairs of the step's input and of that kernel."""
+    after = acceptance(code)
+    return after, before.exact(), after.exact()
 
 
 def _require_none(failed: np.ndarray, message) -> None:
@@ -86,18 +101,10 @@ def perm_to_noiseless(code: PermIdCode) -> StepResult:
     ]
     decoders = [frozenset(tb) if all(p == 1 for p in tb.values()) else tb for tb in tables]
     lifted = NoiselessIdCode(code.ground, encoders, decoders)
-    after = acceptance(lifted)
-    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    after, (n0, d0), (n1, d1) = _compare(before, lifted)
     if not (n0 * d1 == n1 * d0).all():
         raise BoundViolationError("orbit lift changed the acceptance matrix")
-    return StepResult(
-        name="noiseless-lift",
-        code=lifted,
-        before=before.report,
-        after=after.report,
-        checks=("acceptance matrix equal entrywise",),
-        matrix=after,
-    )
+    return StepResult("noiseless-lift", lifted, before, after, ("acceptance matrix equal entrywise",))
 
 
 def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = None) -> StepResult:
@@ -117,8 +124,7 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
         table = dec if isinstance(dec, dict) else {k: Fraction(1) for k in dec}
         decoders.append(frozenset(k for k, p in table.items() if p * p > lam2))
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
-    after = acceptance(new_code)
-    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    after, (n0, d0), (n1, d1) = _compare(before, new_code)
     p, q = lam2.numerator, lam2.denominator
     own = np.eye(code.M, dtype=bool)
     # miss growth (old - new acceptance) = gap / (d0 * d1)
@@ -132,18 +138,11 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
          lambda i, j: f"cross {i + 1}->{j + 1} exceeds sqrt(lambda)"),
     ):
         _require_none(failed, message)
-    return StepResult(
-        name="deterministic-decoders",
-        code=new_code,
-        before=before.report,
-        after=after.report,
-        checks=(
-            "cross * alpha <= old cross (squared form)",
-            "cross <= sqrt(old cross) (squared form)",
-            "miss increase <= alpha (squared form)",
-        ),
-        matrix=after,
-    )
+    return StepResult("deterministic-decoders", new_code, before, after, (
+        "cross * alpha <= old cross (squared form)",
+        "cross <= sqrt(old cross) (squared form)",
+        "miss increase <= alpha (squared form)",
+    ))
 
 
 def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
@@ -236,8 +235,7 @@ def to_uniform_encoders(
         chosen.append(b_star)
         encoders.append(Dist.uniform(bins[b_star], size=code.N))
     new_code = NoiselessIdCode(code.N, encoders, code.decoders)
-    after = acceptance(new_code)
-    (n0, d0), (n1, d1) = before.exact(), after.exact()
+    after, (n0, d0), (n1, d1) = _compare(before, new_code)
     own = np.eye(code.M, dtype=bool)
     # misses on the diagonal, cross acceptances elsewhere
     old = (np.where(own, d0 - n0, n0), d0)
@@ -256,22 +254,11 @@ def to_uniform_encoders(
         )
     lam2 = before.report.lambda2
     vacuous = power_sign([(lam2 * (1 + 2 * gamma), gamma), (-gamma, 0), (gamma, -gamma)], N) >= 0
-    return UniformizeResult(
-        name="uniform-encoders",
-        code=new_code,
-        before=before.report,
-        after=after.report,
-        checks=(
-            "entrywise growth within published factor",
-            "entrywise growth within internal factor",
-            "kappa bracket",
-        ),
-        matrix=after,
-        gamma=gamma,
-        kappa=kappa,
-        chosen_bins=tuple(chosen),
-        factor_vacuous=vacuous,
-    )
+    return UniformizeResult("uniform-encoders", new_code, before, after, (
+        "entrywise growth within published factor",
+        "entrywise growth within internal factor",
+        "kappa bracket",
+    ), gamma, kappa, tuple(chosen), vacuous)
 
 
 def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = None) -> StepResult:
@@ -301,27 +288,18 @@ def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = No
         encoders.append(Dist({k: p / total for k, p in kept.items()}, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
-    after = acceptance(new_code)
+    after, (n0, d0), (n1, d1) = _compare(before, new_code)
     if after.report.lambda1 != 0:
         raise BoundViolationError("support restriction left a positive miss")
-    (n0, d0), (n1, d1) = before.exact(), after.exact()
     # 1 - old miss of sender i is its old own acceptance n0[i, i] / d0[i, i]
     own_n, own_d = np.diagonal(n0)[:, None], np.diagonal(d0)[:, None]
     _require_none(
         ~np.eye(code.M, dtype=bool) & (n1 * own_n * d0 > n0 * d1 * own_d),
         lambda i, j: f"cross {i + 1}->{j + 1} exceeds old/(1 - old miss)",
     )
-    return StepResult(
-        name="decoder-equals-support",
-        code=new_code,
-        before=before.report,
-        after=after.report,
-        checks=(
-            "all misses exactly 0",
-            "cross * (1 - old miss) <= old cross",
-        ),
-        matrix=after,
-    )
+    return StepResult("decoder-equals-support", new_code, before, after, (
+        "all misses exactly 0", "cross * (1 - old miss) <= old cross",
+    ))
 
 
 @dataclass(frozen=True)
@@ -351,25 +329,15 @@ def equal_size_supports(code: NoiselessIdCode, before: Acceptance | None = None)
         [code.encoders[i - 1] for i in kept],
         [code.decoders[i - 1] for i in kept],
     )
-    matrix = before.take([i - 1 for i in kept])
-    after, before_report = matrix.report, before.report
+    after = before.take([i - 1 for i in kept])
+    old, new = before.report, after.report
     if len(kept) * code.N < code.M:
         raise BoundViolationError("pigeonhole failed: kept group below M/N")
-    if after.lambda1 > before_report.lambda1 or after.lambda2 > before_report.lambda2:
+    if new.lambda1 > old.lambda1 or new.lambda2 > old.lambda2:
         raise BoundViolationError("sub-family increased an error figure")
-    return SelectResult(
-        name="equal-size-supports",
-        code=new_code,
-        before=before_report,
-        after=after,
-        checks=(
-            "kept count >= ceil(M/N)",
-            "lambda1 and lambda2 not increased",
-        ),
-        matrix=matrix,
-        kept=kept,
-        support_size=k_star,
-    )
+    return SelectResult("equal-size-supports", new_code, before, after, (
+        "kept count >= ceil(M/N)", "lambda1 and lambda2 not increased",
+    ), kept, k_star)
 
 
 @dataclass(frozen=True)

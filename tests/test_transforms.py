@@ -487,6 +487,17 @@ def test_pipeline_computes_five_kernels_and_slices_a_sixth(monkeypatch):
         assert step.before == prev.after
 
 
+def test_pipeline_steps_share_kernels_and_exact_pairs():
+    # step k's output kernel is step k+1's input, and its exact pair is
+    # built once for both
+    build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(17, "pipe"))
+    steps = soft_converse_pipeline(build.code, Fraction(1, 3)).steps
+    for prev, step in zip(steps, steps[1:]):
+        assert step.source is prev.matrix
+    for step in steps[:4]:
+        assert step.matrix.exact() is step.matrix.exact()
+
+
 def test_pipeline_profile_matches_lambda2():
     rand = random.Random(32)
     built = 0
