@@ -115,7 +115,21 @@ def code_from_json(doc: dict):
         raise ValidationError(f"malformed code document: {exc!r}") from exc
 
 
+def _holds_bool(node) -> bool:
+    """Whether a JSON array or object holds a bool at any depth."""
+    kids = node.values() if isinstance(node, dict) else node
+    types = set(map(type, kids))
+    return bool in types or (
+        not types.isdisjoint((list, dict))
+        and any(_holds_bool(k) for k in kids if isinstance(k, (list, dict)))
+    )
+
+
 def _code_from_json(doc: dict):
+    # no field of a code document is a bool, but isinstance(x, int) and
+    # Fraction(x) would take one for a number
+    if _holds_bool(doc):
+        raise ValidationError("malformed code document: a JSON bool where a number belongs")
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unknown schema {doc.get('schema')!r}")
     kind = doc.get("kind")
@@ -160,7 +174,7 @@ def _code_from_json(doc: dict):
         return FeedbackCode(doc["n"], doc["q"], doc["l"], np.array(doc["maps"]))
     if kind == "setsystem":
         sets = tuple(frozenset(s) for s in doc["sets"])
-        # a repeat (1 twice, or 1 beside true or 1.0) would silently shrink the set
+        # a repeat (1 twice, or 1 beside 1.0) would silently shrink the set
         if any(len(f) != len(s) for f, s in zip(sets, doc["sets"])):
             raise ValidationError("a member set lists an element twice")
         return SetSystem(doc["N"], sets)

@@ -672,7 +672,9 @@ def _with(doc, path, value):
 
 
 _PERM = code_to_json(random_perm_code(random.Random(3), 2, 2, 2, l=2))
+_PERM_ONE_USE = code_to_json(random_perm_code(random.Random(3), 2, 2, 2))
 _NOISELESS = code_to_json(random_noiseless_code(random.Random(3), 3, 2))
+_STOCHASTIC = code_to_json(random_noiseless_code(random.Random(3), 3, 2, "stoch"))
 _FEEDBACK = code_to_json(build_feedback_code(2, 2, 2, 2, Stream(1)))
 
 
@@ -693,6 +695,14 @@ _FEEDBACK = code_to_json(build_feedback_code(2, 2, 2, 2, Stream(1)))
         _with(_FEEDBACK, ["maps", 0], [1]),
         _with(_FEEDBACK, ["maps", 0, 0], 10**30),
         _with(_FEEDBACK, ["maps", 0, 0], 1.5),
+        # no field of a code document is a bool, though each of these
+        # would pass for the number 1
+        _with(_NOISELESS, ["encoders", 0, 0, 1], True),
+        _with(_NOISELESS, ["decoders", "deterministic", 1], [True]),
+        _with(_STOCHASTIC, ["decoders", "stochastic", 0, 0], True),
+        _with(_PERM, ["encoders", 0, 0, 0], True),
+        _with(_PERM, ["decoders", "typecounts", 0, 1], True),
+        _with(_PERM_ONE_USE, ["l"], True),
     ],
 )
 def test_cli_rejects_a_malformed_code_document(capsys, tmp_path, doc):
