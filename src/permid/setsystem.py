@@ -332,14 +332,14 @@ def prop2_lower_bound(N: int, M: int, alpha: Fraction) -> float:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0,1)")
-    if N < 1 or M < 1:
-        raise ValidationError("N and M must be positive")
+    if N < 1:
+        raise ValidationError("N must be positive")
     if M <= 1 + Fraction(N) / alpha:
         raise HypothesisError(f"bound needs M > 1 + N/alpha = {1 + Fraction(N) / alpha}")
-    ratio = math.log2(M) / N
-    if ratio > 1.0 and M > 2**N:
-        raise HypothesisError(f"log2(M)/N = {ratio:.6f} > 1; inverse entropy undefined")
-    return (1.0 - float(alpha)) * h2_inv(min(ratio, 1.0))
+    # decided on integers: M > 2^N iff M - 1 has more than N bits
+    if (M - 1).bit_length() > N:
+        raise HypothesisError(f"M = {M} > 2^N = 2^{N}; inverse entropy undefined")
+    return (1.0 - float(alpha)) * h2_inv(min(math.log2(M) / N, 1.0))
 
 
 def lemma6_check(system: SetSystem, alpha: Fraction) -> bool:

@@ -585,6 +585,19 @@ def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
     gated = {row["M"]: "prop2_lower" in row for row in json.loads(out)["sweep"]}
     assert [M for M, present in gated.items() if present] == list(range(10, 17))
     assert set(gated) == set(range(2, 65))
+    status, out, _ = run_cli(
+        capsys, ["bounds", "--N", "4", "--alpha", "1/2", "--M-min", "0", "--M-max", "11"]
+    )
+    assert status == 0
+    assert [sorted(row) for row in json.loads(out)["sweep"]] == (
+        [["M"]] * 10 + [["M", "prop2_lower"]] * 2
+    )
+    status, out, _ = run_cli(
+        capsys,
+        ["bounds", "--N", "60", "--alpha", "1/2", "--M-min", str(2**60), "--M-max", str(2**60 + 1)],
+    )
+    assert status == 0
+    assert [row.get("prop2_lower") for row in json.loads(out)["sweep"]] == [0.25, None]
     for N in ("0", "-3"):
         status, out, err = run_cli(capsys, ["bounds", "--N", N, "--alpha", "1/2"])
         assert status == 2 and out == ""

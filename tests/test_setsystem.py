@@ -442,6 +442,13 @@ def test_prop2_hypothesis_gate():
     assert prop2_lower_bound(8, 18, Fraction(1, 2)) > 0.0
 
 
+def test_prop2_domain_is_decided_on_integers():
+    # log2(2^60 + 1) rounds to exactly 60.0, so no float may decide M > 2^N
+    with pytest.raises(HypothesisError):
+        prop2_lower_bound(60, 2**60 + 1, Fraction(1, 2))
+    assert prop2_lower_bound(60, 2**60, Fraction(1, 2)) == 0.25
+
+
 def test_prop2_validations():
     with pytest.raises(ValidationError):
         prop2_lower_bound(8, 100, Fraction(1))
