@@ -60,8 +60,4 @@ class PermutationChannel:
         mass of type j is the encoder mass on typeclass j.
         """
         N = count_types(self.n, self.q)
-        mass: dict[int, Fraction] = {}
-        for x, p in encoder.items():
-            j = type_index(self._check_vector(x))
-            mass[j] = mass.get(j, Fraction(0)) + p
-        return Dist(mass, size=N)
+        return encoder.pushforward(lambda x: type_index(self._check_vector(x)), N)

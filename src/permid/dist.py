@@ -72,6 +72,14 @@ class Dist:
     def items(self):
         return self.mass.items()
 
+    def pushforward(self, f, size: int | None = None) -> "Dist":
+        """The distribution of f(x) for x drawn from this one."""
+        mass: dict = {}
+        for x, p in self.items():
+            y = f(x)
+            mass[y] = mass.get(y, 0) + p
+        return Dist(mass, size=size)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented

@@ -210,11 +210,7 @@ class PermIdCode:
 
     def output_dist(self, i: int) -> Dist:
         """Distribution of the combined output orbit index under message i."""
-        mass: dict[int, Fraction] = {}
-        for x, p in self.encoders[i - 1].items():
-            t = self.input_orbit(x)
-            mass[t] = mass.get(t, Fraction(0)) + p
-        return Dist(mass, size=self.ground)
+        return self.encoders[i - 1].pushforward(self.input_orbit, self.ground)
 
 
 def _block_orbit(x, n: int, q: int, N: int, l: int) -> int:
