@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -115,14 +116,16 @@ def code_from_json(doc: dict):
         raise ValidationError(f"malformed code document: {exc!r}") from exc
 
 
-def _holds_bool(node) -> bool:
-    """Whether a JSON array or object holds a bool at any depth."""
-    kids = node.values() if isinstance(node, dict) else node
-    types = set(map(type, kids))
-    return bool in types or (
-        not types.isdisjoint((list, dict))
-        and any(_holds_bool(k) for k in kids if isinstance(k, (list, dict)))
-    )
+def _holds_bool(doc) -> bool:
+    """Whether a parsed JSON document holds a bool at any depth, scanned one
+    depth at a time so that each depth's values are typed in bulk."""
+    level = [doc]
+    while True:
+        kids = [n.values() if isinstance(n, dict) else n for n in level]
+        types = set(map(type, chain.from_iterable(kids)))
+        if bool in types or types.isdisjoint((list, dict)):
+            return bool in types
+        level = [k for k in chain.from_iterable(kids) if isinstance(k, (list, dict))]
 
 
 def _code_from_json(doc: dict):

@@ -334,8 +334,9 @@ def prop2_lower_bound(N: int, M: int, alpha: Fraction) -> float:
         raise ValidationError("alpha must be in (0,1)")
     if N < 1:
         raise ValidationError("N must be positive")
-    if M <= 1 + Fraction(N) / alpha:
-        raise HypothesisError(f"bound needs M > 1 + N/alpha = {1 + Fraction(N) / alpha}")
+    floor = 1 + Fraction(N) / alpha
+    if M <= floor:
+        raise HypothesisError(f"bound needs M > 1 + N/alpha = {floor}")
     # decided on integers: M > 2^N iff M - 1 has more than N bits
     if (M - 1).bit_length() > N:
         raise HypothesisError(f"M = {M} > 2^N = 2^{N}; inverse entropy undefined")
