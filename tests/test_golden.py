@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the CLI's exact reports on three fixed inputs.
+"""Byte-for-byte pins of the CLI's exact reports on four fixed inputs.
 
 `tests/golden/` holds, for each input, the code file and the exact stdout of
 `permid eval --converse`, `permid transform --gamma 1/3` and
@@ -15,7 +15,9 @@
 for `eval --converse` and the Monte Carlo run only (its decoders break the
 transform's hypotheses). With two-digit symbols the `repr` order of its
 input vectors differs from their tuple order, and the sampler's draws
-follow the former: by repr, (10, 3) sorts before (2, 5).
+follow the former: by repr, (10, 3) sorts before (2, 5). `noiseless` is
+`helpers.random_noiseless_code` at seed 2 with N=5, M=4 and mixed decoders,
+pinned for `eval --converse` only: it runs the noiseless branch of `eval`.
 
 `feedback_mc.json` is the stdout of `permid feedback --n 6 --q 2 --l 2 --M 4
 --mode mc --trials 2000 --seed 1`.
@@ -28,6 +30,12 @@ the greedy family's draws and the exact intersection profile. The Monte Carlo pi
 draw order: a rewrite that changes which random numbers decide a trial
 changes these bytes.
 
+Each `.csv` file is the stdout of `permid --format csv` on the command named
+in `CSV_ARGV` below: `eval` on `orbit`, `perm_l2`, `q11` and `noiseless`,
+the Monte Carlo `eval` on `orbit`, `feedback --n 6 --q 2 --l 2 --M 4 --seed
+1` plain and with `--retry 3`, and the `bounds` run above. The CSV rows end
+in CRLF, so these files are compared as bytes.
+
 Any change to these bytes is a change of behaviour. Regenerate them only for
 a deliberate one, with `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -37,7 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_perm_code
+from helpers import random_noiseless_code, random_perm_code
 from permid.cli import main
 from permid.serialize import code_to_json, dumps
 
@@ -62,12 +70,25 @@ SETSYSTEM_ARGV = {
 BOUNDS_ARGV = [
     "bounds", "--N", "120", "--alpha", "1/2", "--system", str(GOLDEN / "setsystem_dense.json"),
 ]
+FEEDBACK_ARGV = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1"]
+CSV_ARGV = {
+    **{
+        f"{name}_eval": ["eval", "--code", str(GOLDEN / f"{name}_code.json")]
+        for name in ("orbit", "perm_l2", "q11")
+    },
+    "noiseless_eval": ["eval", "--code", str(GOLDEN / "noiseless_code.json"), "--converse"],
+    "orbit_mc": ["eval", "--code", str(GOLDEN / "orbit_code.json")] + COMMANDS["mc"][1:],
+    "feedback": FEEDBACK_ARGV,
+    "feedback_retry": FEEDBACK_ARGV + ["--retry", "3"],
+    "bounds_dense": BOUNDS_ARGV,
+}
 
 
 # every (command, input) pair with a golden report
 REPORTS = [(c, name) for c in sorted(COMMANDS) for name in ("orbit", "perm_l2")] + [
     ("eval", "q11"),
     ("mc", "q11"),
+    ("eval", "noiseless"),
 ]
 
 
@@ -78,6 +99,10 @@ def perm_l2_code():
 
 def q11_code():
     return random_perm_code(random.Random(1), 2, 11, 4, max_support=4, max_decoder=12)
+
+
+def noiseless_code():
+    return random_noiseless_code(random.Random(2), 5, 4, "mixed")
 
 
 def run(capsys, argv):
@@ -91,6 +116,7 @@ def test_inputs_reproduce(capsys):
     assert run(capsys, BUILD_ARGV) == (GOLDEN / "orbit_code.json").read_text()
     assert dumps(code_to_json(perm_l2_code())) == (GOLDEN / "perm_l2_code.json").read_text()
     assert dumps(code_to_json(q11_code())) == (GOLDEN / "q11_code.json").read_text()
+    assert dumps(code_to_json(noiseless_code())) == (GOLDEN / "noiseless_code.json").read_text()
 
 
 @pytest.mark.parametrize("command, name", REPORTS, ids=[f"{c}-{name}" for c, name in REPORTS])
@@ -113,6 +139,12 @@ def test_bounds_on_a_system_matches_golden_bytes(capsys):
     assert run(capsys, BOUNDS_ARGV) == (GOLDEN / "bounds_dense.json").read_text()
 
 
+@pytest.mark.parametrize("stem", sorted(CSV_ARGV))
+def test_csv_matches_golden_bytes(capsys, stem):
+    out = run(capsys, ["--format", "csv"] + CSV_ARGV[stem])
+    assert out.encode() == (GOLDEN / f"{stem}.csv").read_bytes()
+
+
 def _regenerate() -> None:
     import contextlib
     import io
@@ -127,6 +159,7 @@ def _regenerate() -> None:
     (GOLDEN / "orbit_code.json").write_text(capture(BUILD_ARGV))
     (GOLDEN / "perm_l2_code.json").write_text(dumps(code_to_json(perm_l2_code())))
     (GOLDEN / "q11_code.json").write_text(dumps(code_to_json(q11_code())))
+    (GOLDEN / "noiseless_code.json").write_text(dumps(code_to_json(noiseless_code())))
     for command, name in REPORTS:
         args = COMMANDS[command]
         text = capture(args[:1] + ["--code", str(GOLDEN / f"{name}_code.json")] + args[1:])
@@ -135,6 +168,8 @@ def _regenerate() -> None:
     for name, argv in SETSYSTEM_ARGV.items():
         (GOLDEN / f"setsystem_{name}.json").write_text(capture(argv))
     (GOLDEN / "bounds_dense.json").write_text(capture(BOUNDS_ARGV))
+    for stem, argv in CSV_ARGV.items():
+        (GOLDEN / f"{stem}.csv").write_bytes(capture(["--format", "csv"] + argv).encode())
 
 
 if __name__ == "__main__":
