@@ -57,11 +57,12 @@ from .idcode import (
 )
 from .rng import Stream
 from .serialize import (
+    REPORT_KINDS,
     SCHEMA,
     code_from_json,
     code_to_json,
+    csv_rows,
     dumps,
-    matrix_csv,
     profile_to_json,
     report_to_json,
 )
@@ -85,17 +86,15 @@ def _resolve_seed(value: int | None) -> int:
         raise ValidationError(f"PERMID_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(args, doc: dict, report=None) -> None:
+def _emit(args, doc: dict) -> None:
     """Write a command's document as JSON, or its table as CSV, to stdout or
-    to --output. Past --matrix-cap messages the JSON leaves out the matrix,
-    and the CSV, which is nothing but the matrix, is refused."""
-    if args.format == "csv" and report is None and doc["kind"] != "bounds":
-        raise ValidationError("this subcommand has no CSV rendering")
-    if report is not None and report.M > args.matrix_cap:
-        if args.format == "csv":
-            raise ValidationError("report carries no matrix (M too large)")
+    to --output. Past --matrix-cap messages a report leaves out its matrix,
+    so its CSV, which is nothing but the matrix, is refused, and refused
+    before --output is opened."""
+    if doc["kind"] in REPORT_KINDS and doc["M"] > args.matrix_cap:
         doc.pop("matrix", None)
         doc.pop("counts", None)
+    rows = csv_rows(doc) if args.format == "csv" else None
     if args.output is not None:
         try:
             out = open(args.output, "w", newline="")
@@ -106,19 +105,10 @@ def _emit(args, doc: dict, report=None) -> None:
     else:
         out = nullcontext(sys.stdout)
     with out as fh:
-        if args.format == "json":
+        if rows is None:
             fh.write(dumps(doc))
-        elif report is None:
-            _bounds_csv(doc, fh)
         else:
-            matrix_csv(report, fh)
-
-
-def _bounds_csv(doc: dict, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["M", "prop2_lower"])
-    for row in doc["sweep"]:
-        writer.writerow([row["M"], row.get("prop2_lower", "")])
+            csv.writer(fh).writerows(rows)
 
 
 def _read_json(path: str, what: str):
@@ -238,7 +228,7 @@ def cmd_build(args) -> dict:
     }
 
 
-def cmd_eval(args):
+def cmd_eval(args) -> dict:
     mc = args.mode == "mc"
     kinds = ("perm", "feedback") if mc else ("perm", "noiseless", "feedback")
     code = _load_code(args.code, *kinds)
@@ -260,7 +250,7 @@ def cmd_eval(args):
     doc = report_to_json(report)
     if args.converse:
         doc["bounds"] = {"pairwise_floor": frac_str(check_strong_converse(code, report))}
-    return doc, report
+    return doc
 
 
 def _lambdas(report) -> dict:
@@ -337,7 +327,7 @@ def cmd_approx(args):
     }
 
 
-def cmd_feedback(args):
+def cmd_feedback(args) -> dict:
     if args.mode == "mc" and (args.retry is not None or args.target_test):
         raise ValidationError("--mode mc does not combine with --retry or --target-test")
     seed = _resolve_seed(args.seed)
@@ -347,16 +337,16 @@ def cmd_feedback(args):
         doc = report_to_json(result.report)
         doc["draws"] = result.draws
         doc["success"] = result.success
-        return doc, result.report
+        return doc
     code = build_feedback_code(args.n, args.q, args.l, args.M, stream)
     if args.mode == "mc":
         report = eval_feedback_mc(code, args.trials, Stream(seed, "feedback-mc"))
-        return report_to_json(report), report
+        return report_to_json(report)
     report = _target_report(code) if args.target_test else eval_feedback_exact(code)
     doc = report_to_json(report)
     if args.target_test:
         doc["target_test"] = report.passed
-    return doc, report
+    return doc
 
 
 def cmd_bounds(args) -> dict:
@@ -505,10 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # eval and feedback also return the report behind their document
-        result = COMMANDS[args.command](args)
-        doc, report = result if isinstance(result, tuple) else (result, None)
-        _emit(args, doc, report)
+        _emit(args, COMMANDS[args.command](args))
         return 0
     except BoundViolationError as exc:
         _error_out("bound-violation", exc)

@@ -9,10 +9,10 @@ keys, making equal objects byte-identical for determinism checks.
 
 from __future__ import annotations
 
-import csv
 import json
 from fractions import Fraction
 from itertools import chain
+from operator import truediv
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
 SCHEMA = "permid/1"
+# the kinds of report_to_json, whose documents carry a matrix up to a cap
+REPORT_KINDS = ("error-report", "mc-report", "collision-report")
 
 
 def code_to_json(code, seed: int | None = None) -> dict:
@@ -307,34 +309,31 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def matrix_csv(report, fh) -> None:
-    """One row per (i, j) acceptance entry; exact string plus decimal."""
-    writer = csv.writer(fh)
-    if isinstance(report, ErrorReport):
-        if report.accept is None:
-            raise ValidationError("report carries no matrix (M too large)")
-        writer.writerow(["i", "j", "accept", "accept_decimal"])
-        for i, row in enumerate(report.accept, start=1):
-            for j, p in enumerate(row, start=1):
-                writer.writerow([i, j, frac_str(p), float(p)])
-    elif isinstance(report, MCReport):
-        if report.accept_hat is None:
-            raise ValidationError("report carries no matrix (M too large)")
-        writer.writerow(["i", "j", "accept_hat"])
-        for i, row in enumerate(report.accept_hat, start=1):
-            for j, p in enumerate(row, start=1):
-                writer.writerow([i, j, p])
-    elif isinstance(report, CollisionReport):
-        if report.counts is None:
-            raise ValidationError("report carries no matrix (M too large)")
-        writer.writerow(["j", "k", "collisions", "fraction", "fraction_decimal"])
-        for j in range(1, report.M + 1):
-            for k in range(1, report.M + 1):
-                if j == k:
-                    continue
-                c = int(report.counts[j - 1][k - 1])
-                writer.writerow(
-                    [j, k, c, frac_str(Fraction(c, report.D)), c / report.D]
-                )
-    else:
-        raise ValidationError(f"cannot render {type(report).__name__} as CSV")
+def csv_rows(doc: dict):
+    """The CSV table of a report or bounds document, header first: one row
+    per (i, j) acceptance entry (the exact string plus its decimal, or the
+    Monte Carlo estimate), per ordered pair of distinct messages with its
+    collision count, or per M of a bounds sweep. A document of another kind,
+    or a report whose matrix was left out, is refused here, before any row is
+    made; the rows themselves are made one at a time."""
+    kind = doc["kind"]
+    if kind == "bounds":
+        rows = ([row["M"], row.get("prop2_lower", "")] for row in doc["sweep"])
+        return chain([["M", "prop2_lower"]], rows)
+    if kind not in REPORT_KINDS:
+        raise ValidationError("this subcommand has no CSV rendering")
+    matrix = doc.get("counts" if kind == "collision-report" else "matrix")
+    if matrix is None:
+        raise ValidationError("report carries no matrix (M too large)")
+    cells = (
+        (i, j, p) for i, row in enumerate(matrix, start=1) for j, p in enumerate(row, start=1)
+    )
+    if kind == "error-report":
+        # "n/d" in lowest terms, so n / d is float(Fraction(n, d))
+        rows = ([i, j, p, truediv(*map(int, p.split("/")))] for i, j, p in cells)
+        return chain([["i", "j", "accept", "accept_decimal"]], rows)
+    if kind == "mc-report":
+        return chain([["i", "j", "accept_hat"]], ([i, j, p] for i, j, p in cells))
+    D = doc["D"]
+    rows = ([j, k, c, frac_str(Fraction(c, D)), c / D] for j, k, c in cells if j != k)
+    return chain([["j", "k", "collisions", "fraction", "fraction_decimal"]], rows)

@@ -9,6 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import permid.cli
+import permid.feedback
+import permid.idcode
 from helpers import random_noiseless_code, random_perm_code
 from permid import (
     Dist,
@@ -31,9 +34,9 @@ from permid.serialize import (
     SCHEMA,
     code_from_json,
     code_to_json,
+    csv_rows,
     dumps,
     error_report_from_json,
-    matrix_csv,
     profile_to_json,
     report_to_json,
 )
@@ -176,7 +179,7 @@ def test_matrix_csv_agrees_with_json():
     code = random_noiseless_code(random.Random(9), 4, 3, "stoch")
     report = eval_noiseless(code)
     buf = io.StringIO()
-    matrix_csv(report, buf)
+    csv.writer(buf).writerows(csv_rows(report_to_json(report)))
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["i", "j", "accept", "accept_decimal"]
     assert len(rows) == 1 + 9
@@ -190,7 +193,7 @@ def test_collision_csv_lists_off_diagonal_pairs():
     code = build_feedback_code(6, 2, 2, 3, Stream(17))
     report = eval_feedback_exact(code)
     buf = io.StringIO()
-    matrix_csv(report, buf)
+    csv.writer(buf).writerows(csv_rows(report_to_json(report)))
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["j", "k", "collisions", "fraction", "fraction_decimal"]
     assert len(rows) == 1 + 6
@@ -210,9 +213,9 @@ def test_matrix_csv_requires_a_matrix():
         accept=None,
     )
     with pytest.raises(ValidationError):
-        matrix_csv(report, io.StringIO())
+        csv_rows(report_to_json(report))
     with pytest.raises(ValidationError):
-        matrix_csv(object(), io.StringIO())
+        csv_rows(profile_to_json(verify_profile(SetSystem(2, (frozenset({1}),)))))
 
 
 def test_profile_json_fields():
@@ -496,7 +499,7 @@ def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path):
     code_path = tmp_path / "code.json"
     code_path.write_text(dumps(code_to_json(code)))
     expected = io.StringIO(newline="")
-    matrix_csv(eval_perm_exact(code), expected)
+    csv.writer(expected).writerows(csv_rows(report_to_json(eval_perm_exact(code))))
     feedback = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"]
     for argv, M in [
         (["eval", "--code", str(code_path)], 6),
@@ -518,6 +521,27 @@ def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path):
         assert status == status_default == 0 and at_cap == default
     status, out, _ = run_cli(capsys, ["--format", "csv", "eval", "--code", str(code_path)])
     assert out == expected.getvalue()
+
+
+def test_cli_refused_csv_leaves_the_output_file_untouched(capsys, tmp_path, monkeypatch):
+    """A report above the library's MATRIX_CAP carries no matrix even under a
+    larger --matrix-cap; its CSV is refused before --output is opened."""
+    monkeypatch.setattr(permid.idcode, "MATRIX_CAP", 2)
+    monkeypatch.setattr(permid.feedback, "MATRIX_CAP", 2)
+    code_path = tmp_path / "code.json"
+    code_path.write_text(dumps(code_to_json(random_perm_code(random.Random(3), 3, 2, 6))))
+    out_path = tmp_path / "matrix.csv"
+    out_path.write_text("kept\n")
+    for argv in (
+        ["eval", "--code", str(code_path)],
+        ["eval", "--code", str(code_path), "--mode", "mc", "--trials", "50"],
+        ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"],
+    ):
+        cap = ["--matrix-cap", "100", "--format", "csv", "--output", str(out_path)]
+        status, out, err = run_cli(capsys, cap + argv)
+        assert (status, out) == (2, "")
+        assert json.loads(err)["message"] == "report carries no matrix (M too large)"
+        assert out_path.read_text() == "kept\n"
 
 
 def test_cli_bounds_sweep_and_system(capsys, tmp_path):
