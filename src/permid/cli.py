@@ -359,6 +359,9 @@ def cmd_bounds(args) -> dict:
         raise ValidationError("N must be positive")
     if (args.d is None) != (args.w is None):
         raise ValidationError("--d and --w go together")
+    count = args.M_max - args.M_min + 1
+    if count > ENUMERATION_LIMIT:
+        raise BudgetError(f"sweep of {count} rows exceeds the budget of {ENUMERATION_LIMIT}")
     rows = []
     for M in range(args.M_min, args.M_max + 1):
         row = {"M": M}

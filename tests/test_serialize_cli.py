@@ -628,6 +628,18 @@ def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
         assert json.loads(err)["category"] == "invalid-input"
 
 
+def test_cli_bounds_refuses_a_sweep_past_the_enumeration_limit(capsys, monkeypatch):
+    monkeypatch.setattr(permid.cli, "ENUMERATION_LIMIT", 10)
+    argv = ["bounds", "--N", "4", "--alpha", "1/2", "--M-min", "5", "--M-max"]
+    status, out, _ = run_cli(capsys, argv + ["14"])
+    assert status == 0 and len(json.loads(out)["sweep"]) == 10
+    status, out, err = run_cli(capsys, argv + ["15"])
+    assert (status, out) == (4, "")
+    error = json.loads(err)
+    assert error["category"] == "budget"
+    assert error["message"] == "sweep of 11 rows exceeds the budget of 10"
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--alpha", "0"], ["--alpha", "0", "--M-min", "1", "--M-max", "0"],
