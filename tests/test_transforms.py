@@ -5,20 +5,23 @@ re-derives the advertised inequality on its own, so a bug in a transform's
 internal check cannot hide itself.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import mpmath
+import numpy as np
 import pytest
 
 import permid.transforms
 from helpers import random_dist, random_noiseless_code, random_perm_code, reference_report
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
-from permid.errors import HypothesisError, ValidationError
+from permid.errors import BoundViolationError, HypothesisError, ValidationError
 from permid.idcode import (
+    Acceptance,
     acceptance,
     acceptance_matrix,
     build_multishot_achievable,
@@ -389,6 +392,57 @@ def test_support_restriction_inequalities_random_sweep():
                 if i != j:
                     assert new[i][j] * (1 - before.missed[i]) <= old[i][j]
         done += 1
+
+
+# ---------------------------------------------------- entrywise checks firing
+
+# Each step checks its inequalities against the `before` kernel it is handed.
+# A doctored kernel breaks one inequality at some entries but never at all
+# of them, so each check must raise at its first failing entry (row-major).
+THIRD = Fraction(1, 3)
+DOCTORED = [
+    (stoch_to_det_decoders, [[1, 0], [0, 1]], "miss of message 1 grew past sqrt(lambda2)"),
+    (stoch_to_det_decoders, [[0, Fraction(1, 2)], [0, 0]], "cross 1->2 exceeds lambda/alpha"),
+    (stoch_to_det_decoders, [[0, 0], [0, 0]], "cross 1->2 exceeds sqrt(lambda)"),
+    (
+        functools.partial(to_uniform_encoders, gamma=THIRD),
+        [[0, 0], [0, 0]],
+        "published factor bound fails at entry (1,2): new=1, old=0, gamma=1/3",
+    ),
+    # at N = 2 and gamma = 1/3 the internal factor is 24.4 and the published 30.5
+    (
+        functools.partial(to_uniform_encoders, gamma=THIRD),
+        [[Fraction(1, 2), Fraction(1, 27)], [Fraction(1, 2), 1]],
+        "internal factor bound fails at entry (1,2): new=1, old=1/27, gamma=1/3",
+    ),
+    (
+        decoder_equals_support,
+        [[Fraction(1, 2), 1], [Fraction(1, 4), 1]],
+        "cross 2->1 exceeds old/(1 - old miss)",
+    ),
+]
+
+
+def _kernel(rows) -> Acceptance:
+    """An acceptance kernel that holds the given matrix over one denominator."""
+    rows = [[Fraction(p) for p in row] for row in rows]
+    den = math.lcm(*(p.denominator for row in rows for p in row))
+    num = np.array([[p.numerator * den // p.denominator for p in row] for row in rows])
+    ones = np.ones(len(rows), dtype=object)
+    return Acceptance(num.astype(object), ones * den, ones, "object")
+
+
+@pytest.mark.parametrize("step, rows, message", DOCTORED, ids=[m for _, _, m in DOCTORED])
+def test_each_entrywise_check_fires_on_a_doctored_kernel(step, rows, message):
+    # true kernel [[1/2, 1], [1/2, 1]]: every step passes it
+    code = NoiselessIdCode(
+        2, [Dist.uniform([1, 2], size=2)] * 2, [frozenset({1}), frozenset({1, 2})]
+    )
+    assert acceptance_matrix(code) == [[Fraction(1, 2), 1], [Fraction(1, 2), 1]]
+    step(code, before=acceptance(code))
+    with pytest.raises(BoundViolationError) as caught:
+        step(code, before=_kernel(rows))
+    assert str(caught.value) == message
 
 
 # ------------------------------------------------------------- size selection
