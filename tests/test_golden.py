@@ -56,10 +56,8 @@ COMMANDS = {
     "transform": ["transform", "--gamma", "1/3"],
     "mc": ["eval", "--mode", "mc", "--trials", "2000", "--seed", "1"],
 }
-FEEDBACK_MC_ARGV = [
-    "feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4",
-    "--mode", "mc", "--trials", "2000", "--seed", "1",
-]
+FEEDBACK_ARGV = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1"]
+FEEDBACK_MC_ARGV = FEEDBACK_ARGV + ["--mode", "mc", "--trials", "2000"]
 SETSYSTEM_ARGV = {
     name: [
         "setsystem", "--N", N, "--epsilon", eps, "--lambda", lam,
@@ -70,7 +68,6 @@ SETSYSTEM_ARGV = {
 BOUNDS_ARGV = [
     "bounds", "--N", "120", "--alpha", "1/2", "--system", str(GOLDEN / "setsystem_dense.json"),
 ]
-FEEDBACK_ARGV = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1"]
 CSV_ARGV = {
     **{
         f"{name}_eval": ["eval", "--code", str(GOLDEN / f"{name}_code.json")]
