@@ -26,14 +26,17 @@ pinned for `eval --converse` only: it runs the noiseless branch of `eval`.
 setsystem --m-target 400 --max-attempts 400000 --seed 1` at N=200, epsilon
 1/10, lambda 1/4 and at N=120, epsilon 3/5, lambda 3/4; `bounds_dense.json` is
 `permid bounds --N 120 --alpha 1/2 --system setsystem_dense.json`. They fix
-the greedy family's draws and the exact intersection profile. The Monte Carlo pins fix the samplers'
+the greedy family's draws and the exact intersection profile.
+`bounds_prop2.json` is `permid bounds --N 8 --alpha 1/2 --M-min 16 --M-max
+64`: the sweep crosses the Prop-2 threshold 1 + N/alpha = 17, so rows 16 and
+17 leave `prop2_lower` out and rows 18 to 64 carry its value. The Monte Carlo pins fix the samplers'
 draw order: a rewrite that changes which random numbers decide a trial
 changes these bytes.
 
 Each `.csv` file is the stdout of `permid --format csv` on the command named
 in `CSV_ARGV` below: `eval` on `orbit`, `perm_l2`, `q11` and `noiseless`,
 the Monte Carlo `eval` on `orbit`, `feedback --n 6 --q 2 --l 2 --M 4 --seed
-1` plain and with `--retry 3`, and the `bounds` run above. The CSV rows end
+1` plain and with `--retry 3`, and the two `bounds` runs above. The CSV rows end
 in CRLF, so these files are compared as bytes.
 
 Any change to these bytes is a change of behaviour. Regenerate them only for
@@ -68,6 +71,7 @@ SETSYSTEM_ARGV = {
 BOUNDS_ARGV = [
     "bounds", "--N", "120", "--alpha", "1/2", "--system", str(GOLDEN / "setsystem_dense.json"),
 ]
+BOUNDS_PROP2_ARGV = ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "64"]
 CSV_ARGV = {
     **{
         f"{name}_eval": ["eval", "--code", str(GOLDEN / f"{name}_code.json")]
@@ -78,6 +82,7 @@ CSV_ARGV = {
     "feedback": FEEDBACK_ARGV,
     "feedback_retry": FEEDBACK_ARGV + ["--retry", "3"],
     "bounds_dense": BOUNDS_ARGV,
+    "bounds_prop2": BOUNDS_PROP2_ARGV,
 }
 
 
@@ -136,6 +141,10 @@ def test_bounds_on_a_system_matches_golden_bytes(capsys):
     assert run(capsys, BOUNDS_ARGV) == (GOLDEN / "bounds_dense.json").read_text()
 
 
+def test_bounds_sweep_across_the_prop2_threshold_matches_golden_bytes(capsys):
+    assert run(capsys, BOUNDS_PROP2_ARGV) == (GOLDEN / "bounds_prop2.json").read_text()
+
+
 @pytest.mark.parametrize("stem", sorted(CSV_ARGV))
 def test_csv_matches_golden_bytes(capsys, stem):
     out = run(capsys, ["--format", "csv"] + CSV_ARGV[stem])
@@ -165,6 +174,7 @@ def _regenerate() -> None:
     for name, argv in SETSYSTEM_ARGV.items():
         (GOLDEN / f"setsystem_{name}.json").write_text(capture(argv))
     (GOLDEN / "bounds_dense.json").write_text(capture(BOUNDS_ARGV))
+    (GOLDEN / "bounds_prop2.json").write_text(capture(BOUNDS_PROP2_ARGV))
     for stem, argv in CSV_ARGV.items():
         (GOLDEN / f"{stem}.csv").write_bytes(capture(["--format", "csv"] + argv).encode())
 
