@@ -7,7 +7,8 @@ sweeps. Every stochastic subcommand takes a 64-bit root seed (flag --seed,
 env PERMID_SEED as fallback, 0 otherwise) and is bit-reproducible. Rational
 parameters are parsed exactly from "p/q" strings. Every failure, a usage
 error or a conflicting flag included, exits nonzero with a machine-readable
-JSON error on stderr.
+JSON error on stderr; so does a flag the command would ignore. Reports drop
+their matrix above the library's MATRIX_CAP, and no flag moves that cap.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from .errors import (
 from .exact import frac_str, parse_frac
 from .feedback import (
     FeedbackCode,
-    _target_report,
     build_feedback_code,
     build_until_target,
     eval_feedback_exact,
     eval_feedback_mc,
 )
 from .idcode import (
-    MATRIX_CAP,
     PermIdCode,
     build_multishot_achievable,
     check_strong_converse,
@@ -57,7 +56,6 @@ from .idcode import (
 )
 from .rng import Stream
 from .serialize import (
-    REPORT_KINDS,
     SCHEMA,
     code_from_json,
     code_to_json,
@@ -76,6 +74,10 @@ from .setsystem import (
 from .transforms import SelectResult, UniformizeResult, gamma_for_rate, soft_converse_pipeline
 
 
+#: Monte Carlo trials of an --mode mc run that gives no --trials
+MC_TRIALS = 10_000
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -86,14 +88,18 @@ def _resolve_seed(value: int | None) -> int:
         raise ValidationError(f"PERMID_SEED must be an integer, got {env!r}") from None
 
 
+def _refuse_mc_flags(args, *flags: str) -> None:
+    """Refuse the Monte Carlo `flags` given to an exact run, which would ignore them."""
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
+    if given:
+        raise ValidationError(f"an exact run ignores {' and '.join(given)}; add --mode mc")
+
+
 def _emit(args, doc: dict) -> None:
     """Write a command's document as JSON, or its table as CSV, to stdout or
-    to --output. Past --matrix-cap messages a report leaves out its matrix,
-    so its CSV, which is nothing but the matrix, is refused, and refused
-    before --output is opened."""
-    if doc["kind"] in REPORT_KINDS and doc["M"] > args.matrix_cap:
-        doc.pop("matrix", None)
-        doc.pop("counts", None)
+    to --output. A report past MATRIX_CAP messages carries no matrix, so its
+    CSV, which is nothing but the matrix, is refused, and refused before
+    --output is opened."""
     rows = csv_rows(doc) if args.format == "csv" else None
     if args.output is not None:
         try:
@@ -178,7 +184,6 @@ def cmd_setsystem(args) -> dict:
         stream,
         max_attempts=args.max_attempts,
         m_target=args.m_target,
-        strict=args.strict,
     )
     return {
         "schema": SCHEMA,
@@ -230,6 +235,8 @@ def cmd_build(args) -> dict:
 
 def cmd_eval(args) -> dict:
     mc = args.mode == "mc"
+    if not mc:
+        _refuse_mc_flags(args, "--trials", "--seed")
     kinds = ("perm", "feedback") if mc else ("perm", "noiseless", "feedback")
     code = _load_code(args.code, *kinds)
     feedback = isinstance(code, FeedbackCode)
@@ -240,7 +247,8 @@ def cmd_eval(args) -> dict:
         )
     if mc:
         evaluate = eval_feedback_mc if feedback else eval_perm_mc
-        report = evaluate(code, args.trials, Stream(_resolve_seed(args.seed), "eval"))
+        trials = MC_TRIALS if args.trials is None else args.trials
+        report = evaluate(code, trials, Stream(_resolve_seed(args.seed), "eval"))
     elif feedback:
         report = eval_feedback_exact(code)
     elif isinstance(code, PermIdCode):
@@ -328,8 +336,10 @@ def cmd_approx(args):
 
 
 def cmd_feedback(args) -> dict:
-    if args.mode == "mc" and (args.retry is not None or args.target_test):
-        raise ValidationError("--mode mc does not combine with --retry or --target-test")
+    if args.mode == "mc" and args.retry is not None:
+        raise ValidationError("--mode mc does not combine with --retry")
+    if args.mode != "mc":
+        _refuse_mc_flags(args, "--trials")
     seed = _resolve_seed(args.seed)
     stream = Stream(seed, "feedback")
     if args.retry is not None:
@@ -340,13 +350,10 @@ def cmd_feedback(args) -> dict:
         return doc
     code = build_feedback_code(args.n, args.q, args.l, args.M, stream)
     if args.mode == "mc":
-        report = eval_feedback_mc(code, args.trials, Stream(seed, "feedback-mc"))
+        trials = MC_TRIALS if args.trials is None else args.trials
+        report = eval_feedback_mc(code, trials, Stream(seed, "feedback-mc"))
         return report_to_json(report)
-    report = _target_report(code) if args.target_test else eval_feedback_exact(code)
-    doc = report_to_json(report)
-    if args.target_test:
-        doc["target_test"] = report.passed
-    return doc
+    return report_to_json(eval_feedback_exact(code))
 
 
 def cmd_bounds(args) -> dict:
@@ -423,12 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--output", "-o", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--matrix-cap",
-        type=int,
-        default=MATRIX_CAP,
-        help="omit matrices once the message count exceeds this",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("types", help="enumerate orbits and check the count bounds")
@@ -441,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", required=True, help='intersection ratio, e.g. "2/5"')
     p.add_argument("--seed", type=int)
     p.add_argument("--m-target", type=int, dest="m_target")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--max-attempts", type=int, default=100_000)
 
     p = sub.add_parser("build", help="orbit-union achievable code")
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a code file")
     p.add_argument("--code", required=True)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {MC_TRIALS})")
     p.add_argument("--seed", type=int)
     p.add_argument("--converse", action="store_true", help="attach the pairwise floor")
 
@@ -478,10 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--trials", type=int, default=10_000)
-    exact = p.add_mutually_exclusive_group()
-    exact.add_argument("--target-test", action="store_true", dest="target_test")
-    exact.add_argument("--retry", type=int, help="redraw budget for the target test")
+    p.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {MC_TRIALS})")
+    p.add_argument("--retry", type=int, help="redraw budget for the 2/N target")
 
     p = sub.add_parser("bounds", help="lower-bound sweeps")
     p.add_argument("--N", type=int, required=True)

@@ -71,13 +71,13 @@ def iter_types(n: int, q: int) -> Iterator[TypeVector]:
         yield TypeVector(counts)
 
 
-def enumerate_types(n: int, q: int, limit: int = ENUMERATION_LIMIT) -> list[TypeVector]:
+def enumerate_types(n: int, q: int) -> list[TypeVector]:
     """All C(n+q-1, q-1) types as a list, canonical order."""
     total = count_types(n, q)
-    if total > limit:
+    if total > ENUMERATION_LIMIT:
         raise BudgetError(
-            f"refusing to materialize {total} types (limit {limit}); "
-            "use iter_types or raise the limit"
+            f"refusing to materialize {total} types (limit {ENUMERATION_LIMIT}); "
+            "use iter_types"
         )
     return list(iter_types(n, q))
 

@@ -106,13 +106,11 @@ class FeedbackCode:
         return flat
 
 
-def build_feedback_code(
-    n: int, q: int, l: int, M: int, stream: Stream, budget: int = TABLE_BUDGET
-) -> FeedbackCode:
+def build_feedback_code(n: int, q: int, l: int, M: int, stream: Stream) -> FeedbackCode:
     """Draw the M lookup tables i.i.d. uniform over [1..N].
 
-    Refuses tables beyond `budget` entries; shrink the instance in that case
-    (the tables are the whole construction, there is nothing to stream).
+    Refuses tables beyond TABLE_BUDGET entries; shrink the instance in that
+    case (the tables are the whole construction, there is nothing to stream).
     """
     if not (isinstance(M, int) and M >= 1):
         raise ValidationError("M must be a positive integer")
@@ -121,9 +119,9 @@ def build_feedback_code(
     N = count_types(n, q)
     _, orbit = max_typeclass(n, q)
     D = orbit ** (l - 1)
-    if D > budget or M * D > budget:
+    if D > TABLE_BUDGET or M * D > TABLE_BUDGET:
         raise BudgetError(
-            f"table of {M} x {D} entries exceeds the budget of {budget}"
+            f"table of {M} x {D} entries exceeds the budget of {TABLE_BUDGET}"
         )
     maps = stream.numpy.integers(1, N + 1, size=(M, D), dtype=np.min_scalar_type(N))
     return FeedbackCode(n, q, l, maps)
@@ -238,16 +236,11 @@ def _feedback_mc_hits(code: FeedbackCode, rows: range, trials: int, stream: Stre
     return hits
 
 
-def _target_report(code: FeedbackCode) -> CollisionReport:
-    """The exact report of a code put to the 2/N target; M >= 2 required."""
-    if code.M < 2:
-        raise HypothesisError("the target test needs at least two messages")
-    return eval_feedback_exact(code)
-
-
 def target_test(code: FeedbackCode) -> bool:
     """True iff the exact lambda2 meets the 2/N target; M >= 2 required."""
-    return _target_report(code).passed
+    if code.M < 2:
+        raise HypothesisError("the target test needs at least two messages")
+    return eval_feedback_exact(code).passed
 
 
 @dataclass(frozen=True)
@@ -274,9 +267,12 @@ def build_until_target(
     """
     if budget_draws < 1:
         raise ValidationError("need at least one draw")
+    # build_feedback_code refuses every other M below 2
+    if M == 1:
+        raise HypothesisError("the target test needs at least two messages")
     for attempt in range(1, budget_draws + 1):
         code = build_feedback_code(n, q, l, M, stream.child(f"draw{attempt}"))
-        report = _target_report(code)
+        report = eval_feedback_exact(code)
         if report.passed:
             break
     return RetryResult(code=code, report=report, draws=attempt, success=report.passed)

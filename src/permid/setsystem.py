@@ -277,7 +277,6 @@ def greedy_gilbert(
     stream: Stream,
     max_attempts: int = 100_000,
     m_target: int | None = None,
-    strict: bool = False,
     log_base: int = 2,
 ) -> GreedyResult:
     """Randomized greedy family of floor(eps*N)-subsets with pairwise
@@ -286,15 +285,15 @@ def greedy_gilbert(
     The existence hypothesis (epsilon < 1/6, lambda in (0,1/2),
     lambda*log(1/epsilon - 1) > 2) guarantees a family of size
     existence_floor(N, epsilon). It is enforced when that floor is used as
-    the target (m_target None) or when strict=True; with an explicit
-    m_target the hypothesis is only recorded on the result, since the greedy
-    itself is mechanical. If max_attempts runs out, the partial family is
-    returned with `warning` set and reached_target False.
+    the target (m_target None); with an explicit m_target the family is
+    built anyway and the verdict only recorded in `hypothesis`, since the
+    greedy itself is mechanical. If max_attempts runs out, the partial
+    family is returned with `warning` set and reached_target False.
     """
     epsilon = Fraction(epsilon)
     lam = Fraction(lam)
     hyp = existence_hypothesis(epsilon, lam, log_base=log_base)
-    if (m_target is None or strict) and not hyp.ok:
+    if m_target is None and not hyp.ok:
         raise HypothesisError(
             "existence hypothesis fails "
             f"(epsilon<1/6: {hyp.epsilon_ok}, lambda in (0,1/2): {hyp.lambda_range_ok}, "

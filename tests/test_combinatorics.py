@@ -10,8 +10,8 @@ from itertools import product
 
 import pytest
 
+import permid.combinatorics
 from permid.combinatorics import (
-    ENUMERATION_LIMIT,
     TypeVector,
     check_N_bounds,
     count_types,
@@ -134,10 +134,14 @@ def test_tuple_index_bijection():
     assert index_to_tuple(14, 13, 2) == (2, 1)
 
 
-def test_enumerate_types_respects_limit():
+def test_enumerate_types_respects_limit(monkeypatch):
     assert len(enumerate_types(6, 3)) == 28
     with pytest.raises(BudgetError):
-        enumerate_types(10**6, 4, limit=ENUMERATION_LIMIT)
+        enumerate_types(10**6, 4)
+    # the limit is read at call time
+    monkeypatch.setattr(permid.combinatorics, "ENUMERATION_LIMIT", 27)
+    with pytest.raises(BudgetError):
+        enumerate_types(6, 3)
 
 
 def test_N_bounds_hold_at_desk_scale():

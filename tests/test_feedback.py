@@ -118,15 +118,19 @@ def test_build_is_seed_deterministic():
     assert not np.array_equal(a.maps, c.maps)
 
 
-def test_build_validations_and_budget():
+def test_build_validations_and_budget(monkeypatch):
     with pytest.raises(ValidationError):
         build_feedback_code(6, 2, 2, 0, Stream(1))
     with pytest.raises(ValidationError):
         build_feedback_code(6, 2, 1, 4, Stream(1))
+    # the budget is read at call time; D = 20 here
+    monkeypatch.setattr(permid.feedback, "TABLE_BUDGET", 100)
     with pytest.raises(BudgetError):
-        build_feedback_code(6, 2, 2, 16, Stream(1), budget=100)
+        build_feedback_code(6, 2, 2, 16, Stream(1))
+    assert build_feedback_code(6, 2, 2, 5, Stream(1)).maps.size == 100
+    monkeypatch.setattr(permid.feedback, "TABLE_BUDGET", 10)
     with pytest.raises(BudgetError):
-        build_feedback_code(6, 2, 2, 1, Stream(1), budget=10)
+        build_feedback_code(6, 2, 2, 1, Stream(1))
 
 
 def test_single_message_has_no_cross_rate():
@@ -300,8 +304,7 @@ def test_one_collision_pass_per_draw(monkeypatch):
 
     calls.clear()
     status = permid.cli.main(
-        ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4",
-         "--seed", "9", "--target-test"]
+        ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"]
     )
     assert status == 0 and len(calls) == 1
 
@@ -309,14 +312,15 @@ def test_one_collision_pass_per_draw(monkeypatch):
 def test_target_test_needs_two_messages_everywhere(capsys):
     with pytest.raises(HypothesisError):
         build_until_target(6, 2, 2, 1, Stream(1), budget_draws=3)
-    for extra in (["--target-test"], ["--retry", "3"]):
-        status = permid.cli.main(
-            ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "1", "--seed", "1"]
-            + extra
-        )
-        err = json.loads(capsys.readouterr().err)
-        assert status == 2 and err["error"] == "HypothesisError"
-        assert "at least two messages" in err["message"]
+    argv = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "1", "--seed", "1"]
+    status = permid.cli.main(argv + ["--retry", "3"])
+    err = json.loads(capsys.readouterr().err)
+    assert status == 2 and err["error"] == "HypothesisError"
+    assert "at least two messages" in err["message"]
+    # the plain exact run has no pair to collide, so it passes vacuously
+    assert permid.cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda2"] is None and doc["passed"] is True
 
 
 def test_build_until_target_exhaustion():

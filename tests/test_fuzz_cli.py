@@ -19,18 +19,16 @@ from permid import SetSystem, Stream, build_feedback_code
 from permid.cli import main
 from permid.serialize import code_to_json
 
-GLOBAL = ["--matrix-cap", "64"]
 BASE = {
     "types": ["types", "--n", "3", "--q", "2"],
     "setsystem": ["setsystem", "--N", "20", "--epsilon", "1/10", "--lambda", "2/5",
                   "--seed", "1", "--m-target", "10", "--max-attempts", "1000"],
     "build": ["build", "--n", "7", "--q", "2", "--l", "2", "--epsilon", "1/16", "--seed", "3",
               "--max-attempts", "10000"],
-    "eval": ["eval", "--code", "{perm}", "--trials", "50", "--seed", "1"],
+    "eval": ["eval", "--code", "{perm}"],
     "transform": ["transform", "--code", "{perm}", "--gamma", "1/3"],
     "approx": ["approx", "--K", "4", "--code", "{noiseless}"],
-    "feedback": ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1",
-                 "--trials", "50"],
+    "feedback": ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "1"],
     "bounds": ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "20",
                "--d", "4", "--w", "2", "--system", "{setsystem}"],
 }
@@ -40,11 +38,11 @@ CONFLICTS = {
     "setsystem": [["--format", "csv"]],
     "build": [["--format", "csv"]],
     "eval": [["--converse", "--mode", "mc"], ["--converse", "--code", "{feedback}"],
-             ["--mode", "mc", "--code", "{noiseless}"]],
+             ["--mode", "mc", "--code", "{noiseless}"], ["--trials", "50", "--seed", "1"]],
     "transform": [["--mu", "1"]],
     "approx": [["--target", "{target}"]],
-    "feedback": [["--retry", "2", "--target-test"], ["--retry", "2", "--mode", "mc"],
-                 ["--target-test", "--mode", "mc"]],
+    "feedback": [["--retry", "2", "--mode", "mc"], ["--trials", "50"],
+                 ["--retry", "2", "--trials", "50"]],
     "bounds": [["--system", "{perm}"], ["--system", "{feedback}"]],
 }
 
@@ -52,17 +50,19 @@ CONFLICTS = {
 @st.composite
 def mutated_argvs(draw):
     command = draw(st.sampled_from(sorted(BASE)))
-    argv = GLOBAL + BASE[command]
-    kind = draw(st.sampled_from(["drop", "retype", "nonpositive", "conflict", "output"]))
+    argv = BASE[command]
+    values = [i for i, a in enumerate(argv) if i and argv[i - 1].startswith("--")
+              and not a.startswith("--")]
+    integers = [i for i in values if argv[i].isdigit()]
+    kinds = ["drop", "retype", "nonpositive", "conflict", "output"]
+    kind = draw(st.sampled_from([k for k in kinds if k != "nonpositive" or integers]))
     if kind == "drop":
         i = draw(st.sampled_from([i for i, a in enumerate(argv) if a.startswith("--")]))
         has_value = i + 1 < len(argv) and not argv[i + 1].startswith("--")
         argv = argv[:i] + argv[i + 1 + has_value:]
     elif kind in ("retype", "nonpositive"):
-        values = [i for i, a in enumerate(argv) if i and argv[i - 1].startswith("--")
-                  and not a.startswith("--")]
         if kind == "nonpositive":
-            values = [i for i in values if argv[i].isdigit()]
+            values = integers
             new = draw(st.sampled_from(["0", "-1", "-7"]))
         else:
             new = draw(st.sampled_from(["abc", "1.5", "1/0"]))

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import random
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,7 +270,7 @@ def test_cli_setsystem_run(capsys):
     assert status == 0 and out2 == out
 
 
-def test_cli_build_eval_transform_flow(capsys, tmp_path):
+def test_cli_build_eval_transform_flow(capsys, tmp_path, monkeypatch):
     build_path = tmp_path / "build.json"
     status, out, _ = run_cli(
         capsys,
@@ -314,9 +316,9 @@ def test_cli_build_eval_transform_flow(capsys, tmp_path):
     for i, j, accept, _dec in rows[1:]:
         assert parse_frac(accept) == parse_frac(report["matrix"][int(i) - 1][int(j) - 1])
 
-    status, out, _ = run_cli(
-        capsys, ["--matrix-cap", "4", "eval", "--code", str(code_path)]
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(permid.idcode, "MATRIX_CAP", 4)
+        status, out, _ = run_cli(capsys, ["eval", "--code", str(code_path)])
     assert status == 0
     assert "matrix" not in json.loads(out)
 
@@ -379,33 +381,20 @@ def test_cli_seed_env_fallback(capsys, monkeypatch):
     assert from_env != base
 
 
-def test_cli_feedback_exact_and_retry(capsys):
-    status, out, _ = run_cli(
-        capsys,
-        [
-            "feedback",
-            "--n", "6", "--q", "2", "--l", "2", "--M", "4",
-            "--seed", "9",
-            "--target-test",
-        ],
-    )
+def test_cli_feedback_exact_and_retry(capsys, monkeypatch):
+    argv = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"]
+    status, out, _ = run_cli(capsys, argv)
     assert status == 0
     doc = json.loads(out)
     assert doc["kind"] == "collision-report"
     assert doc["lambda1"] == "0/1"
     assert doc["target"] == "2/7"
     assert len(doc["counts"]) == 4
-    assert doc["target_test"] == doc["passed"]
+    assert doc["passed"] == (parse_frac(doc["lambda2"]) <= parse_frac(doc["target"]))
 
-    status, out, _ = run_cli(
-        capsys,
-        [
-            "--matrix-cap", "2",
-            "feedback",
-            "--n", "6", "--q", "2", "--l", "2", "--M", "4",
-            "--seed", "9",
-        ],
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(permid.feedback, "MATRIX_CAP", 2)
+        status, out, _ = run_cli(capsys, argv)
     assert status == 0
     assert "counts" not in json.loads(out)
 
@@ -492,9 +481,17 @@ def test_cli_approx_accepts_lists_of_masses(capsys, tmp_path, document):
     assert json.loads(out)["N"] == len(document)
 
 
-def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path):
-    """Past --matrix-cap the CSV, which is only the matrix, is refused the way
-    a report above MATRIX_CAP refuses it; at or below the cap it is unchanged."""
+def _cap_matrices(monkeypatch, cap: int) -> None:
+    """Set the library's MATRIX_CAP, which the exact, Monte Carlo and
+    feedback reports all read."""
+    monkeypatch.setattr(permid.idcode, "MATRIX_CAP", cap)
+    monkeypatch.setattr(permid.feedback, "MATRIX_CAP", cap)
+
+
+def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path, monkeypatch):
+    """Past MATRIX_CAP messages a report leaves out its matrix or counts, so
+    its CSV, which is only the matrix, is refused before --output is opened;
+    at the cap the JSON and the CSV are unchanged."""
     code = random_perm_code(random.Random(3), 3, 2, 6)
     code_path = tmp_path / "code.json"
     code_path.write_text(dumps(code_to_json(code)))
@@ -504,41 +501,47 @@ def test_cli_csv_honours_the_matrix_cap(capsys, tmp_path):
     for argv, M in [
         (["eval", "--code", str(code_path)], 6),
         (["eval", "--code", str(code_path), "--mode", "mc", "--trials", "50"], 6),
-        (feedback + ["--target-test"], 4),
+        (feedback, 4),
         (feedback + ["--mode", "mc", "--trials", "50"], 4),
     ]:
-        out_path = tmp_path / "matrix.csv"
-        cap = ["--matrix-cap", str(M - 1), "--format", "csv"]
-        status, out, err = run_cli(capsys, cap + ["--output", str(out_path)] + argv)
-        assert (status, out) == (2, "") and not out_path.exists()
-        error = json.loads(err)
-        assert error["category"] == "invalid-input"
-        assert error["message"] == "report carries no matrix (M too large)"
-        status, out, _ = run_cli(capsys, cap + argv)
-        assert (status, out) == (2, "")
-        status, at_cap, _ = run_cli(capsys, ["--matrix-cap", str(M), "--format", "csv"] + argv)
-        status_default, default, _ = run_cli(capsys, ["--format", "csv"] + argv)
-        assert status == status_default == 0 and at_cap == default
+        default = [run_cli(capsys, fmt + argv) for fmt in ([], ["--format", "csv"])]
+        with monkeypatch.context() as patch:
+            _cap_matrices(patch, M)
+            at_cap = [run_cli(capsys, fmt + argv) for fmt in ([], ["--format", "csv"])]
+            assert at_cap == default and default[0][0] == default[1][0] == 0
+            _cap_matrices(patch, M - 1)
+            status, out, _ = run_cli(capsys, argv)
+            assert status == 0 and not {"matrix", "counts"} & set(json.loads(out))
+            out_path = tmp_path / "matrix.csv"
+            status, out, err = run_cli(
+                capsys, ["--format", "csv", "--output", str(out_path)] + argv
+            )
+            assert (status, out) == (2, "") and not out_path.exists()
+            error = json.loads(err)
+            assert error["category"] == "invalid-input"
+            assert error["message"] == "report carries no matrix (M too large)"
+            status, out, _ = run_cli(capsys, ["--format", "csv"] + argv)
+            assert (status, out) == (2, "")
     status, out, _ = run_cli(capsys, ["--format", "csv", "eval", "--code", str(code_path)])
     assert out == expected.getvalue()
 
 
 def test_cli_refused_csv_leaves_the_output_file_untouched(capsys, tmp_path, monkeypatch):
-    """A report above the library's MATRIX_CAP carries no matrix even under a
-    larger --matrix-cap; its CSV is refused before --output is opened."""
-    monkeypatch.setattr(permid.idcode, "MATRIX_CAP", 2)
-    monkeypatch.setattr(permid.feedback, "MATRIX_CAP", 2)
+    """A report above MATRIX_CAP carries no matrix; its CSV is refused before
+    --output is opened, so a file already there is left as it was."""
+    _cap_matrices(monkeypatch, 2)
     code_path = tmp_path / "code.json"
     code_path.write_text(dumps(code_to_json(random_perm_code(random.Random(3), 3, 2, 6))))
     out_path = tmp_path / "matrix.csv"
     out_path.write_text("kept\n")
+    feedback = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"]
     for argv in (
         ["eval", "--code", str(code_path)],
         ["eval", "--code", str(code_path), "--mode", "mc", "--trials", "50"],
-        ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "--seed", "9"],
+        feedback,
+        feedback + ["--mode", "mc", "--trials", "50"],
     ):
-        cap = ["--matrix-cap", "100", "--format", "csv", "--output", str(out_path)]
-        status, out, err = run_cli(capsys, cap + argv)
+        status, out, err = run_cli(capsys, ["--format", "csv", "--output", str(out_path)] + argv)
         assert (status, out) == (2, "")
         assert json.loads(err)["message"] == "report carries no matrix (M too large)"
         assert out_path.read_text() == "kept\n"
@@ -693,7 +696,7 @@ def test_cli_error_exit_codes(capsys):
     status, _, err = run_cli(
         capsys,
         ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "1",
-         "--seed", "1", "--target-test"],
+         "--seed", "1", "--retry", "3"],
     )
     assert status == 2
 
@@ -849,8 +852,12 @@ _FEEDBACK_ARGS = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "-
     [
         (_FEEDBACK_ARGS + ["--retry", "0"], ["need at least one draw"]),
         (_FEEDBACK_ARGS + ["--retry", "2", "--mode", "mc"], ["--mode mc", "--retry"]),
-        (_FEEDBACK_ARGS + ["--target-test", "--mode", "mc"], ["--mode mc", "--target-test"]),
-        (_FEEDBACK_ARGS + ["--retry", "2", "--target-test"], ["--retry", "--target-test"]),
+        (_FEEDBACK_ARGS + ["--trials", "7"], ["--trials", "--mode mc"]),
+        (_FEEDBACK_ARGS + ["--retry", "2", "--trials", "7"], ["--trials", "--mode mc"]),
+        (["eval", "--code", "{perm}", "--trials", "5"], ["--trials", "--mode mc"]),
+        (["eval", "--code", "{noiseless}", "--seed", "3"], ["--seed", "--mode mc"]),
+        (["eval", "--code", "{feedback}", "--trials", "5", "--seed", "3"],
+         ["--trials", "--seed", "--mode mc"]),
         (["transform", "--code", "{perm}", "--gamma", "1/3", "--mu", "1"], ["--gamma", "--mu"]),
         (["eval", "--code", "{perm}", "--converse", "--mode", "mc"], ["--converse", "--mode mc"]),
         (["eval", "--code", "{feedback}", "--converse"], ["--converse", "feedback"]),
@@ -859,7 +866,8 @@ _FEEDBACK_ARGS = ["feedback", "--n", "6", "--q", "2", "--l", "2", "--M", "4", "-
         (["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "20", "--d", "4"],
          ["--d", "--w"]),
     ],
-    ids=["retry-0", "retry-mc", "target-test-mc", "retry-target-test", "gamma-mu",
+    ids=["retry-0", "retry-mc", "trials-exact", "trials-retry", "eval-trials-exact",
+         "eval-seed-exact", "eval-trials-seed-exact", "gamma-mu",
          "converse-mc", "converse-feedback", "target-code", "d-without-w"],
 )
 def test_cli_refuses_flags_it_would_drop(capsys, tmp_path, argv, named):
@@ -869,6 +877,37 @@ def test_cli_refuses_flags_it_would_drop(capsys, tmp_path, argv, named):
     doc = json.loads(err)
     assert doc["kind"] == "error" and doc["category"] == "invalid-input"
     assert all(word in doc["message"] for word in named), doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--matrix-cap", "4", "types", "--n", "3", "--q", "2"],
+        _FEEDBACK_ARGS + ["--target-test"],
+        ["setsystem", "--N", "20", "--epsilon", "1/10", "--lambda", "2/5", "--seed", "1",
+         "--m-target", "4", "--strict"],
+    ],
+    ids=["matrix-cap", "target-test", "strict"],
+)
+def test_cli_refuses_retired_options(capsys, argv):
+    status, out, err = run_cli(capsys, argv)
+    assert (status, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["kind"] == "error" and doc["category"] == "invalid-input"
+    # a usage error, reported by the parser
+    assert doc["message"].startswith("permid: ")
+
+
+def test_readme_command_lines_parse():
+    """Every `permid` line of the README's command-line examples parses, so an
+    example with a misspelt or retired flag fails here."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("permid ")]
+    assert len(lines) >= 8
+    for line in lines:
+        permid.cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_cli_eval_converse_replays_the_floor(capsys, tmp_path, monkeypatch):

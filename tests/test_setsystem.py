@@ -358,10 +358,9 @@ def test_greedy_sixty_element_example():
 def test_greedy_enforces_hypothesis_without_target():
     with pytest.raises(HypothesisError):
         greedy_gilbert(20, Fraction(1, 10), Fraction(2, 5), Stream(7, "x"))
-    with pytest.raises(HypothesisError):
-        greedy_gilbert(
-            20, Fraction(1, 10), Fraction(2, 5), Stream(7, "x"), m_target=4, strict=True
-        )
+    # with an explicit target the family is built and the verdict recorded
+    r = greedy_gilbert(20, Fraction(1, 10), Fraction(2, 5), Stream(7, "x"), m_target=4)
+    assert r.reached_target and not r.hypothesis.ok
 
 
 def test_greedy_default_target_path():
