@@ -8,7 +8,7 @@ env PERMID_SEED as fallback, 0 otherwise) and is bit-reproducible. Rational
 parameters are parsed exactly from "p/q" strings. Every failure, a usage
 error or a conflicting flag included, exits nonzero with a machine-readable
 JSON error on stderr; so does a flag the command would ignore. Reports drop
-their matrix above the library's MATRIX_CAP, and no flag moves that cap.
+their matrix above the library's MATRIX_CAP.
 """
 
 from __future__ import annotations
