@@ -1,6 +1,5 @@
 """Exact identification codes for q-ary uniform permutation channels."""
 
-from .channel import PermutationChannel
 from .combinatorics import (
     TypeVector,
     check_N_bounds,

@@ -112,9 +112,14 @@ def _emit(args, doc: dict) -> None:
         out = nullcontext(sys.stdout)
     with out as fh:
         if rows is None:
-            fh.write(dumps(doc))
+            # in pieces: a reader that closes the pipe early can cut one long
+            # write short without an error, but it makes the next one fail
+            text = dumps(doc)
+            for lo in range(0, len(text), 1 << 16):
+                fh.write(text[lo : lo + (1 << 16)])
         else:
             csv.writer(fh).writerows(rows)
+        fh.flush()  # so a closed reader shows up here, not at interpreter exit
 
 
 def _read_json(path: str, what: str):
@@ -506,6 +511,12 @@ def main(argv=None) -> int:
         return 4
     except (ValidationError, HypothesisError) as exc:
         _error_out("invalid-input", exc)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed stdout early (say `| head -1`); stdout now points
+        # at devnull, so the interpreter's final flush stays silent
+        _error_out("invalid-input", exc)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except PermidError as exc:
         _error_out("internal", exc)

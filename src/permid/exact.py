@@ -30,9 +30,8 @@ def parse_frac(text: str | int | Fraction) -> Fraction:
 
 
 def frac_str(value: Rational) -> str:
-    """Render a rational as a canonical "p/q" string."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """Render an int or a Fraction as a canonical "p/q" string."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def sign(value: Rational) -> int:

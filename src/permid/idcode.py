@@ -269,23 +269,31 @@ class ErrorReport:
         return self.lambda1 + self.lambda2
 
 
-def _report(rows, M: int) -> ErrorReport:
-    """Error figures from the M acceptance rows (Fractions), taken in order."""
+def _report(blocks, M: int) -> ErrorReport:
+    """Error figures from the kernels of consecutive row blocks that cover
+    the M messages in order, decided on their integers: a row's entries
+    share one denominator, so its largest cross entry (the first, as a
+    row-major scan finds it) is a numpy argmax. Only the misses and the row
+    maxima that raise lambda2 are boxed, and the matrix within MATRIX_CAP."""
     keep_matrix = M <= MATRIX_CAP
     kept, missed = [], []
     lambda2, argmax_cross = Fraction(0), None
-    for i, row in enumerate(rows):
-        if min(row) < 0 or max(row) > 1:
-            p = next(p for p in row if not 0 <= p <= 1)
+    for block in blocks:
+        num, dens = block.num, block.den.tolist()
+        if any(a < 0 or b > d for a, b, d in zip(num.min(1).tolist(), num.max(1).tolist(), dens)):
+            p = next(Fraction(n, d) for r, d in zip(num.tolist(), dens) for n in r if not 0 <= n <= d)
             raise BoundViolationError(f"acceptance probability {p} outside [0,1]")
-        missed.append(1 - row[i])
-        cross = row[:i] + row[i + 1 :]
-        top = max(cross, default=0)
-        if top > lambda2:
-            j = cross.index(top)
-            lambda2, argmax_cross = top, (i + 1, j + 1 + (j >= i))
+        rows = np.arange(len(dens))
+        own = (rows, rows + len(missed))
+        cross = num.copy()
+        cross[own] = -1  # so at M = 1 the lone entry never beats lambda2 = 0
+        top = cross.argmax(axis=1).tolist()
+        for i, j, n, d in zip(own[1].tolist(), top, cross[rows, top].tolist(), dens):
+            if n * lambda2.denominator > lambda2.numerator * d:
+                lambda2, argmax_cross = Fraction(n, d), (i + 1, j + 1)
+        missed += [Fraction(d - n, d) for n, d in zip(num[own].tolist(), dens)]
         if keep_matrix:
-            kept.append(tuple(row))
+            kept += [tuple(Fraction(n, d) for n in row) for row, d in zip(num.tolist(), dens)]
     lambda1 = max(missed)
     return ErrorReport(
         M=M,
@@ -321,8 +329,8 @@ def _encoder_rows(code, rows: range | None = None):
 
 
 def _decoder_columns(code, cols):
-    """Each decoder as an integer column over `cols` with one denominator per
-    column: decoder j accepts cols[g] with probability table[g, j] / dens[j]."""
+    """The decoders as integer columns over `cols` with one common
+    denominator: decoder j accepts cols[g] with probability table[g, j] / den."""
     # integer 0s and 1s (denominator 1) stand in for Fractions where they can
     if isinstance(code, PermIdCode):
         sizes = [code.orbit_size(t) for t in cols]
@@ -335,47 +343,39 @@ def _decoder_columns(code, cols):
             [int(k in d) for k in cols] if isinstance(d, frozenset) else [d.get(k, 0) for k in cols]
             for d in code.decoders
         ]
-    table, dens = zip(*map(over_common_denominator, probs))
-    return np.array(table, dtype=object).T, np.array(dens, dtype=object)
+    nums, den = over_common_denominator(p for column in probs for p in column)
+    return np.array(nums, dtype=object).reshape(len(probs), len(cols)).T, den
 
 
 @dataclass(frozen=True, eq=False)
 class Acceptance:
     """Exact acceptance matrix in integer form: P(decoder j+1 accepts |
-    message i+1) = num[i, j] / (row_den[i] * col_den[j]), with Python-integer
-    denominators. `backend` names the matmul that made `num`: "int64" when no
-    sum can overflow, else "object" (Python integers). Entries are boxed into
-    Fractions only on demand, by `fractions` and `report`."""
+    message i+1) = num[i, j] / den[i], one Python-integer denominator per
+    row. `backend` names the matmul that made `num`: "int64" when no sum can
+    overflow, else "object" (Python integers). `report` decides the error
+    figures on these integers."""
 
     num: np.ndarray
-    row_den: np.ndarray
-    col_den: np.ndarray
+    den: np.ndarray
     backend: str
-
-    def fractions(self):
-        """The rows as tuples of Fractions, in order."""
-        cols = self.col_den.tolist()
-        for nums, r in zip(self.num.tolist(), self.row_den.tolist()):
-            yield tuple(Fraction(n, r * c) for n, c in zip(nums, cols))
 
     def exact(self) -> tuple[np.ndarray, np.ndarray]:
         """Entrywise numerators and denominators as Python-integer arrays,
-        built once per kernel: in a transform chain one step's output is the
-        next step's input."""
+        the denominators a broadcast view of `den`, built once per kernel:
+        in a transform chain one step's output is the next step's input."""
         return self._exact
 
     @cached_property
     def _exact(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.num.astype(object), np.outer(self.row_den, self.col_den)
+        return self.num.astype(object), np.broadcast_to(self.den[:, None], self.num.shape)
 
     def take(self, idx: Sequence[int]) -> "Acceptance":
         """The sub-matrix of the messages at 0-based positions idx."""
-        sub = np.ix_(idx, idx)
-        return Acceptance(self.num[sub], self.row_den[idx], self.col_den[idx], self.backend)
+        return Acceptance(self.num[np.ix_(idx, idx)], self.den[idx], self.backend)
 
     @cached_property
     def report(self) -> ErrorReport:
-        return _report(self.fractions(), len(self.col_den))
+        return _report([self], len(self.den))
 
 
 def acceptance(code, rows: range | None = None) -> Acceptance:
@@ -383,19 +383,20 @@ def acceptance(code, rows: range | None = None) -> Acceptance:
     integer matmul of encoder rows by decoder columns over the union of the
     encoder supports. `rows` restricts it to those (0-based) messages."""
     cols, enc, row_den = _encoder_rows(code, rows)
-    dec, col_den = _decoder_columns(code, cols)
+    dec, den = _decoder_columns(code, cols)
     # no sum can overflow; the 1s keep a zero factor from hiding a large one
     small = max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63
     if small:
         enc, dec = enc.astype(np.int64), dec.astype(np.int64)
-    return Acceptance(enc @ dec, row_den, col_den, "int64" if small else "object")
+    return Acceptance(enc @ dec, row_den * den, "int64" if small else "object")
 
 
 def acceptance_matrix(code) -> list[list[Fraction]]:
     """Full M x M acceptance matrix of a noiseless or permutation code,
     exact and uncapped. Entry [i][j] is P(decoder j+1 accepts | message i+1).
     """
-    return [list(row) for row in acceptance(code).fractions()]
+    kernel = acceptance(code)
+    return [[Fraction(n, d) for n in row] for row, d in zip(kernel.num.tolist(), kernel.den)]
 
 
 def _row_blocks(M: int):
@@ -406,8 +407,7 @@ def _row_blocks(M: int):
 
 
 def _exact_report(code) -> ErrorReport:
-    blocks = (acceptance(code, rows) for rows in _row_blocks(code.M))
-    return _report((row for block in blocks for row in block.fractions()), code.M)
+    return _report((acceptance(code, rows) for rows in _row_blocks(code.M)), code.M)
 
 
 def eval_noiseless(code: NoiselessIdCode) -> ErrorReport:

@@ -51,7 +51,7 @@ def code_to_json(code, seed: int | None = None) -> dict:
                 "stochastic": [
                     [
                         frac_str(d.get(k, 0)) if not isinstance(d, frozenset)
-                        else frac_str(Fraction(1 if k in d else 0))
+                        else frac_str(int(k in d))
                         for k in range(1, code.N + 1)
                     ]
                     for d in code.decoders

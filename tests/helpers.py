@@ -6,15 +6,18 @@ reproducible from the literal seeds written in the tests. Masses are built
 from small integer weights, so every probability is an exact Fraction with a
 modest denominator. The `reference_*` functions are the slow, direct
 versions of library algorithms (the codec loops, Fraction sums, per-trial
-samplers), kept as oracles for differential tests.
+samplers), kept as oracles for differential tests. `PermutationChannel`
+simulates the channel itself, vector by vector, as the physical oracle of
+the acceptance suite.
 """
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
-from permid import Dist, NoiselessIdCode, PermIdCode, tv_distance
+from permid import Dist, NoiselessIdCode, PermIdCode, Stream, tv_distance
 from permid.combinatorics import (
     TypeVector,
     count_types,
@@ -29,6 +32,49 @@ from permid.combinatorics import (
 )
 from permid.errors import BoundViolationError, ValidationError
 from permid.idcode import MATRIX_CAP, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
+
+
+class PermutationChannel:
+    """The q-ary uniform permutation channel on n-blocks, as a physical
+    oracle: a transmitted vector is hit by a uniformly random permutation of
+    its coordinates, so the output is uniform on the typeclass (orbit) of
+    the input. The n! permutations are never enumerated."""
+
+    def __init__(self, n: int, q: int):
+        if not (isinstance(n, int) and n >= 1):
+            raise ValidationError("n must be a positive integer")
+        if not (isinstance(q, int) and q >= 2):
+            raise ValidationError("q must be an integer >= 2")
+        self.n = n
+        self.q = q
+
+    def _check_vector(self, x: Sequence[int]):
+        if len(x) != self.n:
+            raise ValidationError(f"vector length {len(x)} != block length {self.n}")
+        return type_of(x, self.q)
+
+    def transition_prob(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
+        """P(output = y | input = x): 1/|orbit of x| on the orbit, else 0."""
+        tx = self._check_vector(x)
+        ty = self._check_vector(y)
+        if tx != ty:
+            return Fraction(0)
+        return Fraction(1, typeclass_size(tx))
+
+    def sample_output(self, x: Sequence[int], stream: Stream) -> tuple[int, ...]:
+        """Draw one channel output: a uniform element of the orbit of x."""
+        t = self._check_vector(x)
+        rank = stream.rand.randrange(typeclass_size(t))
+        return vector_unrank(t, rank)
+
+    def output_type_dist(self, encoder: Dist) -> Dist:
+        """Push an encoder (distribution over vectors) to type indices.
+
+        The output type equals the input type with probability one, so the
+        mass of type j is the encoder mass on typeclass j.
+        """
+        N = count_types(self.n, self.q)
+        return encoder.pushforward(lambda x: type_index(self._check_vector(x)), N)
 
 
 def random_dist(rand, N, max_weight=9):

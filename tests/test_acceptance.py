@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (
+    PermutationChannel,
     random_dist,
     random_noiseless_code,
     random_perm_code,
@@ -24,7 +25,6 @@ from helpers import (
 from permid import (
     Dist,
     NoiselessIdCode,
-    PermutationChannel,
     SetSystem,
     Stream,
     acceptance_matrix,

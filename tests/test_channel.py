@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 import scipy.stats
 
-from permid import Dist, PermutationChannel, Stream
+from helpers import PermutationChannel
+from permid import Dist, Stream
 from permid.combinatorics import (
     count_types,
     type_index,

@@ -42,6 +42,8 @@ def test_frac_str_always_slash_form():
     assert frac_str(Fraction(0)) == "0/1"
     assert frac_str(Fraction(4, 2)) == "2/1"
     assert frac_str(Fraction(-3, 4)) == "-3/4"
+    assert frac_str(0) == "0/1"
+    assert frac_str(3) == "3/1"
 
 
 def test_frac_str_round_trip():

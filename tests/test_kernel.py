@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import permid.idcode as idcode
 from helpers import (
+    random_decoder,
+    random_dist,
     random_noiseless_code,
     random_perm_code,
     reference_acceptance_matrix,
@@ -24,9 +26,17 @@ from helpers import (
     reference_report,
     with_prime_masses,
 )
-from permid import NoiselessIdCode, eval_noiseless, eval_perm_exact, strong_converse_floor
+from permid import (
+    Dist,
+    NoiselessIdCode,
+    PermIdCode,
+    eval_noiseless,
+    eval_perm_exact,
+    strong_converse_floor,
+)
+from permid.errors import BoundViolationError
 from permid.exact import bracket, power_sign
-from permid.idcode import acceptance, acceptance_matrix
+from permid.idcode import Acceptance, acceptance, acceptance_matrix
 from permid.transforms import _growth_violations
 
 
@@ -96,9 +106,97 @@ def test_take_is_the_sub_code_matrix():
     sub = NoiselessIdCode(
         code.N, [code.encoders[i] for i in kept], [code.decoders[i] for i in kept]
     )
-    assert list(acceptance(code).take(kept).fractions()) == [
+    assert list(acceptance(code).take(kept).report.accept) == [
         tuple(row) for row in reference_acceptance_matrix(sub)
     ]
+
+
+def with_repeats(rand, code, copies):
+    """The code with `copies` messages that repeat earlier ones, each put at
+    a random position: the repeat's row ties with its original's row, and
+    every other row has two equal entries in their two columns."""
+    encoders = list(code.encoders)
+    decoders = list(code.decoders if isinstance(code, NoiselessIdCode) else code.decoder_counts)
+    for _ in range(copies):
+        i, at = rand.randrange(len(encoders)), rand.randint(0, len(encoders))
+        encoders.insert(at, encoders[i])
+        decoders.insert(at, decoders[i])
+    if isinstance(code, NoiselessIdCode):
+        return NoiselessIdCode(code.N, encoders, decoders)
+    return PermIdCode(code.n, code.q, encoders, decoders, l=code.l)
+
+
+def mixed_denominator_code(rand, M):
+    """A noiseless code whose stochastic decoders each use their own
+    denominator, so that row blocks over different outcomes get different
+    common decoder denominators."""
+    N = rand.randint(2, 6)
+    return NoiselessIdCode(
+        N,
+        [random_dist(rand, N) for _ in range(M)],
+        [random_decoder(rand, N, True, den=rand.choice([2, 3, 5, 7, 8])) for _ in range(M)],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["noiseless", "perm", "mixed-denominators"]),
+    M=st.integers(1, 5),
+    copies=st.integers(0, 3),
+    big=st.booleans(),
+    blocked=st.booleans(),
+)
+def test_integer_report_equals_the_fraction_scan(seed, kind, M, copies, big, blocked):
+    """The report decided on the kernel's integers against the row-major
+    Fraction scan of the reference matrix, on both backends, with tied cross
+    entries, and in one-row blocks past a lowered MATRIX_CAP."""
+    rand = random.Random(seed)
+    if kind == "mixed-denominators":
+        code = mixed_denominator_code(rand, M)
+    else:
+        code = make_code(seed, kind, M, l=rand.randint(1, 2), decoders="mixed")
+    code = with_repeats(rand, code, copies)
+    if big:
+        code = with_prime_masses(rand, code)
+    expected = reference_report(reference_acceptance_matrix(code))
+    evaluate = eval_noiseless if isinstance(code, NoiselessIdCode) else eval_perm_exact
+    if not blocked:
+        assert evaluate(code) == expected
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idcode, "MATRIX_CAP", 0)
+        patch.setattr(idcode, "BLOCK_ENTRIES", 1)
+        assert evaluate(code) == replace(expected, accept=None)
+
+
+def test_blocks_over_different_outcomes_get_different_denominators(monkeypatch):
+    # message 1 only emits outcome 1, where the decoders accept in thirds;
+    # message 2 only emits outcome 2, where they accept in fifths
+    code = NoiselessIdCode(
+        2,
+        [Dist.point(1, size=2), Dist.point(2, size=2)],
+        [{1: Fraction(2, 3), 2: Fraction(4, 5)}, {1: Fraction(1, 3), 2: Fraction(2, 5)}],
+    )
+    assert [acceptance(code, range(i, i + 1)).den.tolist() for i in range(2)] == [[3], [5]]
+    expected = reference_report(reference_acceptance_matrix(code))
+    assert expected.argmax_cross == (2, 1)
+    monkeypatch.setattr(idcode, "MATRIX_CAP", 1)
+    monkeypatch.setattr(idcode, "BLOCK_ENTRIES", 2)
+    assert eval_noiseless(code) == replace(expected, accept=None)
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ([[1, 0], [3, 2]], [2, 2], "acceptance probability 3/2 outside [0,1]"),
+    ([[1, 2, 0], [0, -1, 3], [-2, 9, 0]], [3, 3, 3], "acceptance probability -1/3 outside [0,1]"),
+])
+def test_report_range_check_names_the_first_entry_out_of_range(num, den, message):
+    for backend in ("int64", "object"):
+        dtype = np.int64 if backend == "int64" else object
+        kernel = Acceptance(np.array(num, dtype=dtype), np.array(den, dtype=object), backend)
+        with pytest.raises(BoundViolationError) as caught:
+            kernel.report
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("N, e", [(2, Fraction(1, 3)), (151, Fraction(-1, 3)), (4, Fraction(1, 2)),

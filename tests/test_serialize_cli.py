@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -929,3 +932,22 @@ def test_cli_reports_usage_and_output_errors_in_json(capsys, tmp_path):
         assert status == 2 and out == ""
         doc = json.loads(err)
         assert doc["kind"] == "error" and doc["category"] == "invalid-input"
+
+
+@pytest.mark.parametrize("fmt, first", [("json", "{"), ("csv", "M,prop2_lower")])
+def test_cli_reader_closing_stdout_early_gets_a_json_error(fmt, first):
+    # about 600 KB of JSON or 150 KB of CSV, past the 64 KiB pipe buffer,
+    # so the command is still writing when the reader goes away
+    argv = ["--format", fmt, "bounds", "--N", "8", "--alpha", "1/2",
+            "--M-min", "16", "--M-max", "20000"]
+    src = str(Path(permid.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-m", "permid.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().rstrip("\r\n") == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert (status, doc["category"], doc["error"]) == (2, "invalid-input", "BrokenPipeError")

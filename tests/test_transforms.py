@@ -429,7 +429,7 @@ def _kernel(rows) -> Acceptance:
     den = math.lcm(*(p.denominator for row in rows for p in row))
     num = np.array([[p.numerator * den // p.denominator for p in row] for row in rows])
     ones = np.ones(len(rows), dtype=object)
-    return Acceptance(num.astype(object), ones * den, ones, "object")
+    return Acceptance(num.astype(object), ones * den, "object")
 
 
 @pytest.mark.parametrize("step, rows, message", DOCTORED, ids=[m for _, _, m in DOCTORED])
