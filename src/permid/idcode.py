@@ -106,11 +106,6 @@ class NoiselessIdCode:
     def M(self) -> int:
         return len(self.encoders)
 
-    def accept_prob(self, i: int, k: int) -> Fraction:
-        """P(decoder of message i accepts outcome k); i is 1-based."""
-        dec = self.decoders[i - 1]
-        return Fraction(k in dec) if isinstance(dec, frozenset) else Fraction(dec.get(k, 0))
-
     def is_deterministic(self) -> bool:
         return all(isinstance(d, frozenset) for d in self.decoders)
 
@@ -200,13 +195,6 @@ class PermIdCode:
         if size is None:
             size = self._sizes[t] = _orbit_product_size(t, self.n, self.q, self.N, self.l)
         return size
-
-    def accept_prob_for_orbit(self, i: int, t: int) -> Fraction:
-        """P(decoder of message i accepts | output lands in orbit product t)."""
-        c = self.decoder_counts[i - 1].get(t, 0)
-        if c == 0:
-            return Fraction(0)
-        return Fraction(c, self.orbit_size(t))
 
     def output_dist(self, i: int) -> Dist:
         """Distribution of the combined output orbit index under message i."""
@@ -358,16 +346,6 @@ class Acceptance:
     num: np.ndarray
     den: np.ndarray
     backend: str
-
-    def exact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise numerators and denominators as Python-integer arrays,
-        the denominators a broadcast view of `den`, built once per kernel:
-        in a transform chain one step's output is the next step's input."""
-        return self._exact
-
-    @cached_property
-    def _exact(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.num.astype(object), np.broadcast_to(self.den[:, None], self.num.shape)
 
     def take(self, idx: Sequence[int]) -> "Acceptance":
         """The sub-matrix of the messages at 0-based positions idx."""

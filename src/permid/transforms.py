@@ -57,10 +57,13 @@ class StepResult:
 
 
 def _compare(before: Acceptance, code: NoiselessIdCode):
-    """The acceptance kernel of a step's new code, with the exact
-    (numerator, denominator) pairs of the step's input and of that kernel."""
+    """The acceptance kernel of a step's new code, plus the numerators of
+    its input (`old`) and of that kernel (`new`) over one Python-integer
+    denominator per row, the column `den`, so no check's product can wrap."""
     after = acceptance(code)
-    return after, before.exact(), after.exact()
+    den = np.lcm(before.den, after.den)[:, None]
+    old, new = (k.num * (den // k.den[:, None]) for k in (before, after))
+    return after, old, new, den
 
 
 def _require_none(failed: np.ndarray, message) -> None:
@@ -101,8 +104,8 @@ def perm_to_noiseless(code: PermIdCode) -> StepResult:
     ]
     decoders = [frozenset(tb) if all(p == 1 for p in tb.values()) else tb for tb in tables]
     lifted = NoiselessIdCode(code.ground, encoders, decoders)
-    after, (n0, d0), (n1, d1) = _compare(before, lifted)
-    if not (n0 * d1 == n1 * d0).all():
+    after, old, new, _ = _compare(before, lifted)
+    if not (old == new).all():
         raise BoundViolationError("orbit lift changed the acceptance matrix")
     return StepResult("noiseless-lift", lifted, before, after, ("acceptance matrix equal entrywise",))
 
@@ -124,17 +127,17 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
         table = dec if isinstance(dec, dict) else {k: Fraction(1) for k in dec}
         decoders.append(frozenset(k for k, p in table.items() if p * p > lam2))
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
-    after, (n0, d0), (n1, d1) = _compare(before, new_code)
+    after, old, new, den = _compare(before, new_code)
     p, q = lam2.numerator, lam2.denominator
     own = np.eye(code.M, dtype=bool)
-    # miss growth (old - new acceptance) = gap / (d0 * d1)
-    gap = n0 * d1 - n1 * d0
+    # miss growth (old - new acceptance) = gap / den
+    gap = old - new
     for failed, message in (
-        (own & (gap > 0) & (gap * gap * q > p * (d0 * d1) ** 2),
+        (own & (gap > 0) & (gap * gap * q > p * den * den),
          lambda i, j: f"miss of message {i + 1} grew past sqrt(lambda2)"),
-        (~own & (n1 * n1 * p * d0 * d0 > n0 * n0 * q * d1 * d1),
+        (~own & (new * new * p > old * old * q),
          lambda i, j: f"cross {i + 1}->{j + 1} exceeds lambda/alpha"),
-        (~own & (n1 * n1 * d0 > n0 * d1 * d1),
+        (~own & (new * new > old * den),
          lambda i, j: f"cross {i + 1}->{j + 1} exceeds sqrt(lambda)"),
     ):
         _require_none(failed, message)
@@ -156,13 +159,11 @@ def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
     return None
 
 
-def _growth_violations(new, old, a_terms, b_terms, N: int) -> np.ndarray:
-    """Mask of the entries where new * A + old * B > 0, for nonnegative
-    (numerator, denominator) arrays new, old and A, B sums of c * N**e given
-    as (c, e) terms. One bracket each of A and B settles almost every entry;
-    power_sign decides the rest exactly."""
-    (nn, nd), (on, od) = new, old
-    x, y = nn * od, on * nd  # new and old over the common denominator nd * od
+def _growth_violations(x, y, a_terms, b_terms, N: int) -> np.ndarray:
+    """Mask of the entries where x * A + y * B > 0, for nonnegative integer
+    arrays x, y whose entries at (i, j) share one positive denominator, and
+    A, B sums of c * N**e given as (c, e) terms. One bracket each of A and B
+    settles almost every entry; power_sign decides the rest exactly."""
 
     def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
         return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
@@ -170,8 +171,7 @@ def _growth_violations(new, old, a_terms, b_terms, N: int) -> np.ndarray:
     (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
     bad = scaled(a_lo, b_lo) > 0
     for i, j in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
-        v, w = Fraction(nn[i, j], nd[i, j]), Fraction(on[i, j], od[i, j])
-        terms = [(v * c, e) for c, e in a_terms] + [(w * c, e) for c, e in b_terms]
+        terms = [(x[i, j] * c, e) for c, e in a_terms] + [(y[i, j] * c, e) for c, e in b_terms]
         bad[i, j] = power_sign(terms, N) > 0
     return bad
 
@@ -235,11 +235,11 @@ def to_uniform_encoders(
         chosen.append(b_star)
         encoders.append(Dist.uniform(bins[b_star], size=code.N))
     new_code = NoiselessIdCode(code.N, encoders, code.decoders)
-    after, (n0, d0), (n1, d1) = _compare(before, new_code)
+    after, old, new, den = _compare(before, new_code)
     own = np.eye(code.M, dtype=bool)
     # misses on the diagonal, cross acceptances elsewhere
-    old = (np.where(own, d0 - n0, n0), d0)
-    new = (np.where(own, d1 - n1, n1), d1)
+    old = np.where(own, den - old, old)
+    new = np.where(own, den - new, new)
     # each bound reads new * A + old * B <= 0, A and B as (c, e) terms of c * N**e
     bounds = {
         "published factor": ([(gamma, 0), (-gamma, -gamma)], [(-1 - 2 * gamma, gamma)]),
@@ -249,8 +249,8 @@ def to_uniform_encoders(
         _require_none(
             _growth_violations(new, old, a_terms, b_terms, N),
             lambda i, j: f"{label} bound fails at entry ({i + 1},{j + 1}): "
-            f"new={Fraction(new[0][i, j], new[1][i, j])}, "
-            f"old={Fraction(old[0][i, j], old[1][i, j])}, gamma={gamma}",
+            f"new={Fraction(new[i, j], den[i, 0])}, "
+            f"old={Fraction(old[i, j], den[i, 0])}, gamma={gamma}",
         )
     lam2 = before.report.lambda2
     vacuous = power_sign([(lam2 * (1 + 2 * gamma), gamma), (-gamma, 0), (gamma, -gamma)], N) >= 0
@@ -288,13 +288,12 @@ def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = No
         encoders.append(Dist({k: p / total for k, p in kept.items()}, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
-    after, (n0, d0), (n1, d1) = _compare(before, new_code)
+    after, old, new, den = _compare(before, new_code)
     if after.report.lambda1 != 0:
         raise BoundViolationError("support restriction left a positive miss")
-    # 1 - old miss of sender i is its old own acceptance n0[i, i] / d0[i, i]
-    own_n, own_d = np.diagonal(n0)[:, None], np.diagonal(d0)[:, None]
+    # 1 - old miss of sender i is its old own acceptance old[i, i] / den[i, 0]
     _require_none(
-        ~np.eye(code.M, dtype=bool) & (n1 * own_n * d0 > n0 * d1 * own_d),
+        ~np.eye(code.M, dtype=bool) & (new * np.diagonal(old)[:, None] > old * den),
         lambda i, j: f"cross {i + 1}->{j + 1} exceeds old/(1 - old miss)",
     )
     return StepResult("decoder-equals-support", new_code, before, after, (

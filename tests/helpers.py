@@ -6,9 +6,11 @@ reproducible from the literal seeds written in the tests. Masses are built
 from small integer weights, so every probability is an exact Fraction with a
 modest denominator. The `reference_*` functions are the slow, direct
 versions of library algorithms (the codec loops, Fraction sums, per-trial
-samplers), kept as oracles for differential tests. `PermutationChannel`
-simulates the channel itself, vector by vector, as the physical oracle of
-the acceptance suite.
+samplers), kept as oracles for differential tests; `accept_prob` and
+`accept_prob_for_orbit` give the per-outcome decoder factors that
+`reference_acceptance_matrix` sums. `PermutationChannel` simulates the
+channel itself, vector by vector, as the physical oracle of the acceptance
+suite.
 """
 
 import math
@@ -247,6 +249,22 @@ def orbit_products(n, q, l):
     return count_types(n, q) ** l
 
 
+def accept_prob(code, i, k):
+    """P(decoder of message i accepts outcome k) in a noiseless code; i is
+    1-based."""
+    dec = code.decoders[i - 1]
+    return Fraction(k in dec) if isinstance(dec, frozenset) else Fraction(dec.get(k, 0))
+
+
+def accept_prob_for_orbit(code, i, t):
+    """P(decoder of message i accepts | output lands in orbit product t) in a
+    permutation-channel code; i is 1-based."""
+    c = code.decoder_counts[i - 1].get(t, 0)
+    if c == 0:
+        return Fraction(0)
+    return Fraction(c, code.orbit_size(t))
+
+
 def reference_acceptance_matrix(code):
     """The acceptance matrix as direct Fraction sums over encoder supports.
 
@@ -259,13 +277,13 @@ def reference_acceptance_matrix(code):
         rows = [list(enc.items()) for enc in code.encoders]
 
         def accept(j, k):
-            return code.accept_prob(j, k)
+            return accept_prob(code, j, k)
 
     else:
         rows = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in code.encoders]
 
         def accept(j, t):
-            return code.accept_prob_for_orbit(j, t)
+            return accept_prob_for_orbit(code, j, t)
 
     return [
         [sum((p * accept(j, k) for k, p in row), Fraction(0)) for j in range(1, code.M + 1)]

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_noiseless_code, random_perm_code, reference_report
+from helpers import (
+    accept_prob,
+    accept_prob_for_orbit,
+    random_noiseless_code,
+    random_perm_code,
+    reference_report,
+)
 from permid import (
     Dist,
     NoiselessIdCode,
@@ -64,7 +70,7 @@ def test_noiseless_decoder_zero_entries_dropped():
         3, [u(1, size=3)], [{1: Fraction(1, 2), 2: Fraction(0)}]
     )
     assert code.decoders[0] == {1: Fraction(1, 2)}
-    assert code.accept_prob(1, 2) == 0
+    assert accept_prob(code, 1, 2) == 0
     assert not code.is_deterministic()
 
 
@@ -110,7 +116,7 @@ def test_orbit_bookkeeping():
     code = PermIdCode(4, 2, [u((1, 1, 2, 2))], [{}])
     t = code.input_orbit((1, 1, 2, 2))
     assert code.orbit_size(t) == 6
-    assert code.accept_prob_for_orbit(1, t) == 0
+    assert accept_prob_for_orbit(code, 1, t) == 0
     out = code.output_dist(1)
     assert out.size == code.ground and out[t] == 1
 

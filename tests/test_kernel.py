@@ -6,6 +6,7 @@ converse floor) must equal the reference entry by entry, on both matmul
 backends.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -234,10 +235,10 @@ def test_bracketed_growth_check_agrees_with_power_sign(N, gamma):
         olds.append(old)
     news += [Fraction(0), Fraction(1, 2)]
     olds += [Fraction(0), Fraction(0)]
-    new = (np.array([[x.numerator for x in news]], dtype=object),
-           np.array([[x.denominator for x in news]], dtype=object))
-    old = (np.array([[x.numerator for x in olds]], dtype=object),
-           np.array([[x.denominator for x in olds]], dtype=object))
+    # one row, so every entry goes over the row's one common denominator
+    den = math.lcm(*(x.denominator for x in news + olds))
+    new, old = (np.array([[x.numerator * (den // x.denominator) for x in xs]], dtype=object)
+                for xs in (news, olds))
     mask = _growth_violations(new, old, a_terms, b_terms, N)
     assert mask[0].tolist() == [power_sign(terms(n, o), N) > 0 for n, o in zip(news, olds)]
     assert mask[0].any() and not mask[0].all()

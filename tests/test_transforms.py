@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 import permid.transforms
-from helpers import random_dist, random_noiseless_code, random_perm_code, reference_report
+from helpers import (
+    random_dist,
+    random_noiseless_code,
+    random_perm_code,
+    reference_acceptance_matrix,
+    reference_report,
+    with_prime_masses,
+)
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
 from permid.errors import BoundViolationError, HypothesisError, ValidationError
@@ -56,6 +63,18 @@ def test_gamma_presets():
         gamma_for_rate(Fraction(1), 2, 0)
 
 
+def _and_prime_twin(code, seed):
+    """The code, then the same code with its encoder masses re-drawn over a
+    prime near 2^89, whose kernel runs on the object backend, so each sweep
+    drives both backends through the step checks. Point-mass encoders keep
+    mass 1, so a code of only those has no twin."""
+    if all(len(enc.mass) == 1 for enc in code.encoders):
+        return (code,)
+    twin = with_prime_masses(random.Random(seed), code)
+    assert acceptance(twin).backend == "object"
+    return code, twin
+
+
 # ----------------------------------------------------------------- orbit lift
 
 
@@ -87,6 +106,31 @@ def test_lift_keeps_construction_miss_free():
     step = perm_to_noiseless(build.code)
     assert step.after.lambda1 == 0
     assert step.code.is_deterministic()
+
+
+@pytest.mark.parametrize("bump, fires", [(0, False), (1, True)], ids=["rescaled", "changed"])
+def test_lift_check_compares_values_not_numerators(monkeypatch, bump, fires):
+    # the lifted code's kernel comes back over doubled row denominators,
+    # which leaves every value alone; moving one entry by 1/(2 den) does not
+    code = random_perm_code(random.Random(8), 3, 2, 3)
+    real = permid.transforms.acceptance
+
+    def doctored(c, rows=None):
+        kernel = real(c, rows)
+        if isinstance(c, PermIdCode):
+            return kernel
+        num, den = kernel.num * 2, kernel.den * 2
+        num[0, 0] += bump if num[0, 0] < den[0] else -bump
+        return Acceptance(num, den, kernel.backend)
+
+    monkeypatch.setattr(permid.transforms, "acceptance", doctored)
+    if fires:
+        with pytest.raises(BoundViolationError) as caught:
+            perm_to_noiseless(code)
+        assert str(caught.value) == "orbit lift changed the acceptance matrix"
+    else:
+        step = perm_to_noiseless(code)
+        assert step.after == step.before == eval_perm_exact(code)
 
 
 def test_multishot_lift_checks_l():
@@ -189,22 +233,70 @@ def test_threshold_inequalities_random_sweep():
     rand = random.Random(22)
     done = 0
     while done < 100:
-        code = random_noiseless_code(
+        drawn = random_noiseless_code(
             rand, rand.randint(2, 7), rand.randint(2, 5), decoder_kind="stoch"
         )
-        old = acceptance_matrix(code)
-        lam2 = reference_report(old).lambda2
-        step = stoch_to_det_decoders(code)
-        new = acceptance_matrix(step.code)
-        for i in range(code.M):
-            for j in range(code.M):
-                if i == j:
-                    gap = old[i][i] - new[i][i]  # miss growth
-                    assert gap <= 0 or gap * gap <= lam2
-                else:
-                    assert new[i][j] * new[i][j] <= old[i][j]
-                    assert new[i][j] * new[i][j] * lam2 <= old[i][j] * old[i][j]
+        for code in _and_prime_twin(drawn, done):
+            old = acceptance_matrix(code)
+            lam2 = reference_report(old).lambda2
+            step = stoch_to_det_decoders(code)
+            new = acceptance_matrix(step.code)
+            _assert_threshold_bounds(old, new, lam2)
         done += 1
+
+
+def _assert_threshold_bounds(old, new, lam2):
+    """Step 2's three inequalities, entry by entry on Fraction matrices."""
+    for i in range(len(old)):
+        for j in range(len(old)):
+            if i == j:
+                gap = old[i][i] - new[i][i]  # miss growth
+                assert gap <= 0 or gap * gap <= lam2
+            else:
+                assert new[i][j] * new[i][j] <= old[i][j]
+                assert new[i][j] * new[i][j] * lam2 <= old[i][j] * old[i][j]
+
+
+def test_int64_kernels_past_2_32_keep_steps_2_and_4_exact():
+    # Encoder masses over one prime near 2^20 and stochastic decoders over
+    # another put kernel entries near 2^40: int64 holds them, but not the
+    # squares and cross products of the step-2 and step-4 checks. Message i
+    # sends mostly on its private outcomes i and M + i; every decoder accepts
+    # those and the shared outcome N with probability above 7/8, and the rest
+    # below 1/4, so thresholding keeps those three and step 4 leaves cross
+    # entries strictly between 0 and 1.
+    P, Q, M = 1048573, 1048571, 4
+    N = 2 * M + 1
+    rand = random.Random(41)
+    encoders, decoders = [], []
+    for i in range(1, M + 1):
+        private = (i, M + i)
+        mass = {k: rand.randint(1, P // (4 * N)) for k in range(1, N + 1) if k not in private}
+        left = P - sum(mass.values())
+        mass[i] = rand.randint(1, left - 1)
+        mass[M + i] = left - mass[i]
+        encoders.append(Dist({k: Fraction(w, P) for k, w in mass.items()}, size=N))
+        table = {k: Fraction(rand.randint(1, Q // 4), Q) for k in range(1, N + 1)}
+        for k in (*private, N):
+            table[k] = Fraction(Q - rand.randint(1, Q // 8), Q)
+        decoders.append(table)
+    code = NoiselessIdCode(N, encoders, decoders)
+    kernel = acceptance(code)
+    assert kernel.backend == "int64" and int(kernel.num.max()) > 2**32
+
+    old = reference_acceptance_matrix(code)
+    lam2 = reference_report(old).lambda2
+    det = stoch_to_det_decoders(code, kernel)
+    assert det.code.decoders == tuple(frozenset({i, M + i, N}) for i in range(1, M + 1))
+    new = reference_acceptance_matrix(det.code)
+    assert det.after == reference_report(new)
+    _assert_threshold_bounds(old, new, lam2)
+
+    restricted = decoder_equals_support(det.code, det.matrix)
+    final = reference_acceptance_matrix(restricted.code)
+    assert restricted.after == reference_report(final)
+    assert any(final[i][j] not in (0, 1) for i in range(M) for j in range(M))
+    _assert_support_bounds(new, det.after, final)
 
 
 # -------------------------------------------------------------- uniformizing
@@ -295,27 +387,28 @@ def test_uniformize_factor_bound_high_precision_replay():
     done = 0
     with mpmath.workdps(50):
         while done < 100:
-            code = random_noiseless_code(
+            drawn = random_noiseless_code(
                 rand, rand.randint(2, 7), rand.randint(2, 5), decoder_kind="det"
             )
             gamma = gammas[done % 3]
-            old = acceptance_matrix(code)
-            step = to_uniform_encoders(code, gamma)
-            new = acceptance_matrix(step.code)
-            N = mpmath.mpf(code.N)
-            g = mpmath.mpf(gamma.numerator) / gamma.denominator
-            for i in range(code.M):
-                for j in range(code.M):
-                    o = old[i][j] if i != j else 1 - old[i][j]
-                    w = new[i][j] if i != j else 1 - new[i][j]
-                    lhs = mpmath.mpf(w.numerator) / w.denominator * g * (1 - N**-g)
-                    rhs = (
-                        mpmath.mpf(o.numerator)
-                        / o.denominator
-                        * (1 + 2 * g)
-                        * N**g
-                    )
-                    assert lhs <= rhs + mpmath.mpf(10) ** -40
+            for code in _and_prime_twin(drawn, done):
+                old = acceptance_matrix(code)
+                step = to_uniform_encoders(code, gamma)
+                new = acceptance_matrix(step.code)
+                N = mpmath.mpf(code.N)
+                g = mpmath.mpf(gamma.numerator) / gamma.denominator
+                for i in range(code.M):
+                    for j in range(code.M):
+                        o = old[i][j] if i != j else 1 - old[i][j]
+                        w = new[i][j] if i != j else 1 - new[i][j]
+                        lhs = mpmath.mpf(w.numerator) / w.denominator * g * (1 - N**-g)
+                        rhs = (
+                            mpmath.mpf(o.numerator)
+                            / o.denominator
+                            * (1 + 2 * g)
+                            * N**g
+                        )
+                        assert lhs <= rhs + mpmath.mpf(10) ** -40
             done += 1
 
 
@@ -381,17 +474,20 @@ def test_support_restriction_inequalities_random_sweep():
             anchor = rand.choice(sorted(enc.support()))
             rest = set(rand.sample(range(1, N + 1), rand.randint(0, N - 1)))
             decoders.append(frozenset({anchor} | rest))
-        code = NoiselessIdCode(N, encoders, decoders)
-        old = acceptance_matrix(code)
-        before = reference_report(old)
-        step = decoder_equals_support(code)
-        new = acceptance_matrix(step.code)
-        for i in range(M):
-            assert new[i][i] == 1
-            for j in range(M):
-                if i != j:
-                    assert new[i][j] * (1 - before.missed[i]) <= old[i][j]
+        for code in _and_prime_twin(NoiselessIdCode(N, encoders, decoders), done):
+            old = acceptance_matrix(code)
+            step = decoder_equals_support(code)
+            _assert_support_bounds(old, reference_report(old), acceptance_matrix(step.code))
         done += 1
+
+
+def _assert_support_bounds(old, before, new):
+    """Step 4's guarantees, entry by entry on Fraction matrices."""
+    for i in range(len(old)):
+        assert new[i][i] == 1
+        for j in range(len(old)):
+            if i != j:
+                assert new[i][j] * (1 - before.missed[i]) <= old[i][j]
 
 
 # ---------------------------------------------------- entrywise checks firing
@@ -424,12 +520,12 @@ DOCTORED = [
 
 
 def _kernel(rows) -> Acceptance:
-    """An acceptance kernel that holds the given matrix over one denominator."""
+    """An acceptance kernel that holds the given matrix as the integer kernel
+    does: each row over its own least common denominator."""
     rows = [[Fraction(p) for p in row] for row in rows]
-    den = math.lcm(*(p.denominator for row in rows for p in row))
-    num = np.array([[p.numerator * den // p.denominator for p in row] for row in rows])
-    ones = np.ones(len(rows), dtype=object)
-    return Acceptance(num.astype(object), ones * den, "object")
+    den = [math.lcm(*(p.denominator for p in row)) for row in rows]
+    num = [[p.numerator * d // p.denominator for p in row] for row, d in zip(rows, den)]
+    return Acceptance(np.array(num, dtype=np.int64), np.array(den, dtype=object), "int64")
 
 
 @pytest.mark.parametrize("step, rows, message", DOCTORED, ids=[m for _, _, m in DOCTORED])
@@ -478,17 +574,18 @@ def test_select_smallest_size_wins_ties():
 
 def test_select_pigeonhole_random_sweep():
     rand = random.Random(27)
-    for _ in range(100):
-        code = random_noiseless_code(
+    for seed in range(100):
+        drawn = random_noiseless_code(
             rand, rand.randint(2, 6), rand.randint(1, 6), decoder_kind="mixed"
         )
-        before = reference_report(acceptance_matrix(code))
-        step = equal_size_supports(code)
-        assert step.code.M >= math.ceil(code.M / code.N)
-        assert step.after.lambda1 <= before.lambda1
-        assert step.after.lambda2 <= before.lambda2
-        sizes = {len(e.mass) for e in step.code.encoders}
-        assert len(sizes) == 1
+        for code in _and_prime_twin(drawn, seed):
+            before = reference_report(acceptance_matrix(code))
+            step = equal_size_supports(code)
+            assert step.code.M >= math.ceil(code.M / code.N)
+            assert step.after.lambda1 <= before.lambda1
+            assert step.after.lambda2 <= before.lambda2
+            sizes = {len(e.mass) for e in step.code.encoders}
+            assert len(sizes) == 1
 
 
 # ------------------------------------------------------------------- pipeline
@@ -542,14 +639,11 @@ def test_pipeline_computes_five_kernels_and_slices_a_sixth(monkeypatch):
 
 
 def test_pipeline_steps_share_kernels_and_exact_pairs():
-    # step k's output kernel is step k+1's input, and its exact pair is
-    # built once for both
+    # step k's output kernel is step k+1's input
     build = build_multishot_achievable(40, 2, 1, Fraction(1, 100), Stream(17, "pipe"))
     steps = soft_converse_pipeline(build.code, Fraction(1, 3)).steps
     for prev, step in zip(steps, steps[1:]):
         assert step.source is prev.matrix
-    for step in steps[:4]:
-        assert step.matrix.exact() is step.matrix.exact()
 
 
 def test_pipeline_profile_matches_lambda2():
