@@ -155,11 +155,11 @@ def floor_plus_log2(a: Rational, n: int, mult: int = 1) -> int:
     if n < 1 or mult < 1:
         raise ValidationError("floor_plus_log2 needs n >= 1 and mult >= 1")
     a = Fraction(a)
-    k = math.floor(float(a) + mult * math.log2(n))
-    # a + mult*log2(n) >= k  iff  log2(n) >= (k - a)/mult
-    while compare_power(n, 2, (Fraction(k) - a) / mult) < 0:
-        k -= 1
-    while compare_power(n, 2, (Fraction(k + 1) - a) / mult) >= 0:
+    # 2^(b-1) <= n < 2^b for b = n.bit_length(), so the floor is at least
+    # this k and at most k + mult
+    k = math.floor(a) + mult * (n.bit_length() - 1)
+    # a + mult*log2(n) >= k + 1  iff  log2(n) >= (k + 1 - a)/mult
+    while compare_power(n, 2, (k + 1 - a) / mult) >= 0:
         k += 1
     return k
 

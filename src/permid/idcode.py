@@ -239,7 +239,7 @@ class ErrorReport:
     """Exact error figures of an identification code.
 
     `missed[i-1]` is the missed-detection probability of message i. `accept`
-    is the full M x M acceptance matrix (row = sent message, column = tested
+    is the M x M acceptance kernel (row = sent message, column = tested
     message) when M <= MATRIX_CAP, else None. For M = 1 there are no cross
     pairs and lambda2 is 0 by convention. Messages are numbered 1..M.
     """
@@ -250,7 +250,7 @@ class ErrorReport:
     missed: tuple[Fraction, ...]
     argmax_miss: int
     argmax_cross: tuple[int, int] | None
-    accept: tuple[tuple[Fraction, ...], ...] | None
+    accept: Acceptance | None
 
     @property
     def total(self) -> Fraction:
@@ -262,9 +262,9 @@ def _report(blocks, M: int) -> ErrorReport:
     the M messages in order, decided on their integers: a row's entries
     share one denominator, so its largest cross entry (the first, as a
     row-major scan finds it) is a numpy argmax. Only the misses and the row
-    maxima that raise lambda2 are boxed, and the matrix within MATRIX_CAP."""
-    keep_matrix = M <= MATRIX_CAP
-    kept, missed = [], []
+    maxima that raise lambda2 are boxed; within MATRIX_CAP the one block is
+    the report's matrix."""
+    missed = []
     lambda2, argmax_cross = Fraction(0), None
     for block in blocks:
         num, dens = block.num, block.den.tolist()
@@ -280,8 +280,6 @@ def _report(blocks, M: int) -> ErrorReport:
             if n * lambda2.denominator > lambda2.numerator * d:
                 lambda2, argmax_cross = Fraction(n, d), (i + 1, j + 1)
         missed += [Fraction(d - n, d) for n, d in zip(num[own].tolist(), dens)]
-        if keep_matrix:
-            kept += [tuple(Fraction(n, d) for n in row) for row, d in zip(num.tolist(), dens)]
     lambda1 = max(missed)
     return ErrorReport(
         M=M,
@@ -290,7 +288,7 @@ def _report(blocks, M: int) -> ErrorReport:
         missed=tuple(missed),
         argmax_miss=missed.index(lambda1) + 1,
         argmax_cross=argmax_cross,
-        accept=tuple(kept) if keep_matrix else None,
+        accept=block if M <= MATRIX_CAP else None,
     )
 
 
@@ -346,6 +344,14 @@ class Acceptance:
     num: np.ndarray
     den: np.ndarray
     backend: str
+
+    def __eq__(self, other) -> bool:
+        """Equal entries as rationals, cross-multiplied on Python integers."""
+        if not isinstance(other, Acceptance):
+            return NotImplemented
+        return self.num.shape == other.num.shape and bool(
+            (self.num * other.den[:, None] == other.num * self.den[:, None]).all()
+        )
 
     def take(self, idx: Sequence[int]) -> "Acceptance":
         """The sub-matrix of the messages at 0-based positions idx."""
@@ -423,28 +429,24 @@ class MCReport:
     def from_hits(cls, hits_of: Callable[[range], np.ndarray], M: int, trials: int) -> "MCReport":
         """Estimates from acceptance counts, `trials` per sent message.
 
-        `hits_of(rows)` gives the integer counts of the sent messages in
-        `rows` (0-based) against all M decoders, one row each, as a fresh
-        array that is overwritten here; it is called once per block of rows,
-        in order. Above MATRIX_CAP only the extremes are kept, so no more
-        than one block of counts is held at a time.
+        `hits_of(rows)` gives the int64 counts of the sent messages in `rows`
+        (0-based) against all M decoders, one row each; it is called once per
+        block of rows, in order. Counts over `trials` are an acceptance
+        kernel, whose exact report gives the extremes; above MATRIX_CAP no
+        more than one block of counts is held at a time.
         """
-        keep = M <= MATRIX_CAP
-        accept_hat, least_own, most_cross = [], trials, 0
-        for rows in _row_blocks(M):
-            hits = np.asarray(hits_of(rows), dtype=np.int64)
-            if keep:
-                accept_hat.extend(tuple(h / trials for h in row) for row in hits.tolist())
-            own = (np.arange(len(rows)), np.array(rows))
-            least_own = min(least_own, int(hits[own].min()))
-            hits[own] = -1
-            most_cross = max(most_cross, int(hits.max()))
-        # h -> h / trials and p -> 1.0 - p are monotone in floating point too,
-        # so these are the extremes of the entrywise estimates bit for bit
-        lambda1_hat = 1.0 - least_own / trials
-        lambda2_hat = most_cross / trials
+        blocks = (Acceptance(hits_of(rows), np.full(len(rows), trials, dtype=object), "int64")
+                  for rows in _row_blocks(M))
+        report = _report(blocks, M)
+        # 1 - lambda1 is the least own count over trials, and float(Fraction)
+        # rounds as int / int does: the extremes of the h / trials bit for bit
+        lambda1_hat = 1.0 - float(1 - report.lambda1)
+        lambda2_hat = float(report.lambda2)
         se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
-        return cls(M, trials, lambda1_hat, lambda2_hat, se, tuple(accept_hat) if keep else None)
+        accept_hat = None if report.accept is None else tuple(
+            tuple(h / trials for h in row) for row in report.accept.num.tolist()
+        )
+        return cls(M, trials, lambda1_hat, lambda2_hat, se, accept_hat)
 
 
 def _repr_order_key(vectors: Sequence[tuple], q: int) -> Callable[[tuple], object]:

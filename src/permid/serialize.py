@@ -17,11 +17,11 @@ from operator import truediv
 import numpy as np
 
 from .combinatorics import index_to_tuple, tuple_to_index
-from .dist import Dist
+from .dist import Dist, over_common_denominator
 from .errors import ValidationError
 from .exact import frac_str, parse_frac
 from .feedback import CollisionReport, FeedbackCode
-from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
+from .idcode import Acceptance, ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
 SCHEMA = "permid/1"
@@ -204,7 +204,8 @@ def report_to_json(report) -> dict:
             "argmax_cross": list(report.argmax_cross) if report.argmax_cross else None,
         }
         if report.accept is not None:
-            doc["matrix"] = [[frac_str(p) for p in row] for row in report.accept]
+            num, den = report.accept.num.tolist(), report.accept.den.tolist()
+            doc["matrix"] = [[frac_str(Fraction(n, d)) for n in row] for row, d in zip(num, den)]
         return doc
     if isinstance(report, MCReport):
         doc = {
@@ -245,7 +246,10 @@ def error_report_from_json(doc: dict) -> ErrorReport:
         raise ValidationError("not an error-report document")
     accept = None
     if "matrix" in doc:
-        accept = tuple(tuple(parse_frac(p) for p in row) for row in doc["matrix"])
+        nums, dens = zip(*(over_common_denominator(map(parse_frac, row)) for row in doc["matrix"]))
+        accept = Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object), "object")
+        if accept.num.shape != (doc["M"], doc["M"]):
+            raise ValidationError("error-report matrix is not M x M")
     return ErrorReport(
         M=doc["M"],
         lambda1=parse_frac(doc["lambda1"]),

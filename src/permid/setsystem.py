@@ -167,7 +167,6 @@ class ExistenceHypothesis:
 
     epsilon: Fraction
     lam: Fraction
-    log_base: int
     epsilon_ok: bool
     lambda_range_ok: bool
     product_ok: bool
@@ -177,31 +176,24 @@ class ExistenceHypothesis:
         return self.epsilon_ok and self.lambda_range_ok and self.product_ok
 
 
-def existence_hypothesis(
-    epsilon: Fraction, lam: Fraction, log_base: int = 2
-) -> ExistenceHypothesis:
-    """Check epsilon < 1/6, lambda in (0, 1/2), and lambda*log(1/epsilon - 1) > 2.
+def existence_hypothesis(epsilon: Fraction, lam: Fraction) -> ExistenceHypothesis:
+    """Check epsilon < 1/6, lambda in (0, 1/2), and lambda*log2(1/epsilon - 1) > 2.
 
-    The log base defaults to 2 and is exposed as a parameter; a float base
-    is taken at its exact binary value. All three checks are exact.
+    All three checks are exact.
     """
     epsilon = Fraction(epsilon)
     lam = Fraction(lam)
-    base = Fraction(log_base)
     if not 0 < epsilon < 1:
         raise ValidationError("epsilon must be in (0,1)")
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    if base <= 1:
-        raise ValidationError("log_base must exceed 1")
     return ExistenceHypothesis(
         epsilon=epsilon,
         lam=lam,
-        log_base=log_base,
         epsilon_ok=epsilon < Fraction(1, 6),
         lambda_range_ok=Fraction(0) < lam < Fraction(1, 2),
-        # lam * log_b(x) > 2  <=>  x^p > b^(2r) for x = 1/eps - 1, lam = p/r, b > 1
-        product_ok=(1 / epsilon - 1) ** lam.numerator > base ** (2 * lam.denominator),
+        # lam * log2(x) > 2  <=>  x^p > 2^(2r) for x = 1/eps - 1, lam = p/r
+        product_ok=(1 / epsilon - 1) ** lam.numerator > 2 ** (2 * lam.denominator),
     )
 
 
@@ -277,13 +269,12 @@ def greedy_gilbert(
     stream: Stream,
     max_attempts: int = 100_000,
     m_target: int | None = None,
-    log_base: int = 2,
 ) -> GreedyResult:
     """Randomized greedy family of floor(eps*N)-subsets with pairwise
     intersections at most floor(lam*eps*N).
 
     The existence hypothesis (epsilon < 1/6, lambda in (0,1/2),
-    lambda*log(1/epsilon - 1) > 2) guarantees a family of size
+    lambda*log2(1/epsilon - 1) > 2) guarantees a family of size
     existence_floor(N, epsilon). It is enforced when that floor is used as
     the target (m_target None); with an explicit m_target the family is
     built anyway and the verdict only recorded in `hypothesis`, since the
@@ -292,7 +283,7 @@ def greedy_gilbert(
     """
     epsilon = Fraction(epsilon)
     lam = Fraction(lam)
-    hyp = existence_hypothesis(epsilon, lam, log_base=log_base)
+    hyp = existence_hypothesis(epsilon, lam)
     if m_target is None and not hyp.ok:
         raise HypothesisError(
             "existence hypothesis fails "

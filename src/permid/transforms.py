@@ -104,8 +104,8 @@ def perm_to_noiseless(code: PermIdCode) -> StepResult:
     ]
     decoders = [frozenset(tb) if all(p == 1 for p in tb.values()) else tb for tb in tables]
     lifted = NoiselessIdCode(code.ground, encoders, decoders)
-    after, old, new, _ = _compare(before, lifted)
-    if not (old == new).all():
+    after = acceptance(lifted)
+    if after != before:
         raise BoundViolationError("orbit lift changed the acceptance matrix")
     return StepResult("noiseless-lift", lifted, before, after, ("acceptance matrix equal entrywise",))
 
@@ -219,10 +219,12 @@ def to_uniform_encoders(
     before = acceptance(code) if before is None else before
     encoders = []
     chosen = []
+    masses = {p for enc in code.encoders for p in enc.mass.values()}
+    bin_of = {p: _bin_of(p, N, gamma, kappa) for p in masses}  # each distinct mass once
     for enc in code.encoders:
         bins: dict[int, list] = {}
         for k, p in enc.items():
-            b = _bin_of(p, N, gamma, kappa)
+            b = bin_of[p]
             if b is not None:
                 bins.setdefault(b, []).append(k)
         if not bins:

@@ -8,9 +8,10 @@ modest denominator. The `reference_*` functions are the slow, direct
 versions of library algorithms (the codec loops, Fraction sums, per-trial
 samplers), kept as oracles for differential tests; `accept_prob` and
 `accept_prob_for_orbit` give the per-outcome decoder factors that
-`reference_acceptance_matrix` sums. `PermutationChannel` simulates the
-channel itself, vector by vector, as the physical oracle of the acceptance
-suite.
+`reference_acceptance_matrix` sums, and `fractions` and `kernel_of` convert
+between a Fraction matrix and an integer acceptance kernel.
+`PermutationChannel` simulates the channel itself, vector by vector, as the
+physical oracle of the acceptance suite.
 """
 
 import math
@@ -19,6 +20,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
+import permid.idcode as idcode
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream, tv_distance
 from permid.combinatorics import (
     TypeVector,
@@ -32,8 +36,9 @@ from permid.combinatorics import (
     vector_rank,
     vector_unrank,
 )
+from permid.dist import over_common_denominator
 from permid.errors import BoundViolationError, ValidationError
-from permid.idcode import MATRIX_CAP, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
+from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
 
 
 class PermutationChannel:
@@ -310,8 +315,20 @@ def reference_report(matrix):
         missed=missed,
         argmax_miss=missed.index(lambda1) + 1,
         argmax_cross=argmax_cross,
-        accept=tuple(tuple(row) for row in matrix),
+        accept=kernel_of(matrix),
     )
+
+
+def fractions(kernel):
+    """The rows of an acceptance kernel as lists of Fractions."""
+    return [[Fraction(n, d) for n in row] for row, d in zip(kernel.num.tolist(), kernel.den)]
+
+
+def kernel_of(matrix):
+    """The object acceptance kernel of a matrix of rationals, each row over
+    its least common denominator."""
+    nums, dens = zip(*(over_common_denominator(row) for row in matrix))
+    return Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object), "object")
 
 
 def reference_converse_floor(code):
@@ -349,8 +366,11 @@ def with_prime_masses(rand, code, P=2**89 - 1):
     return PermIdCode(code.n, code.q, encoders, code.decoder_counts, l=code.l)
 
 
-def _reference_mc_report(hits, trials):
-    """MCReport from a full M x M hit table, entry by entry."""
+def reference_mc_report(hits, trials):
+    """MCReport from a full M x M hit table, entry by entry, the table kept
+    within the current idcode.MATRIX_CAP. Since h -> h / trials and
+    p -> 1.0 - p are monotone in floating point, its extremes are bit for bit
+    1.0 - least_own / trials and most_cross / trials."""
     M = len(hits)
     accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
     lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
@@ -359,7 +379,7 @@ def _reference_mc_report(hits, trials):
         default=0.0,
     )
     se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
-    keep = M <= MATRIX_CAP
+    keep = M <= idcode.MATRIX_CAP
     return MCReport(M, trials, lambda1_hat, lambda2_hat, se, accept_hat if keep else None)
 
 
@@ -382,7 +402,7 @@ def reference_perm_mc(code, trials, stream):
             for j in range(M):
                 if u < code.decoder_counts[j].get(t, 0):
                     hits[i - 1][j] += 1
-    return _reference_mc_report(hits, trials)
+    return reference_mc_report(hits, trials)
 
 
 def reference_feedback_mc(code, trials, stream):
@@ -409,7 +429,7 @@ def reference_feedback_mc(code, trials, stream):
             for k in range(M):
                 if int(code.maps[k, flat]) == out_orbit:
                     hits[i - 1][k] += 1
-    return _reference_mc_report(hits, trials)
+    return reference_mc_report(hits, trials)
 
 
 def reference_grow_family(N, gamma, cap, target, stream, max_attempts):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from helpers import (
     PermutationChannel,
+    fractions,
     random_dist,
     random_noiseless_code,
     random_perm_code,
@@ -150,7 +151,7 @@ def test_criterion_03_transform_inequalities():
         code = random_noiseless_code(rand, rand.randint(3, 8), rand.randint(2, 5), "mixed")
         step = stoch_to_det_decoders(code)
         lam2 = step.before.lambda2
-        old, new = step.before.accept, step.after.accept
+        old, new = fractions(step.before.accept), fractions(step.after.accept)
         for i in range(code.M):
             gap = step.after.missed[i] - step.before.missed[i]
             if gap > 0:
@@ -186,7 +187,7 @@ def test_criterion_03_transform_inequalities():
             decoders.append(frozenset({anchor} | extra))
         step = decoder_equals_support(NoiselessIdCode(N, encoders, decoders))
         assert step.after.lambda1 == 0
-        old, new = step.before.accept, step.after.accept
+        old, new = fractions(step.before.accept), fractions(step.after.accept)
         for i in range(M):
             for j in range(M):
                 if i != j:

@@ -209,14 +209,30 @@ def test_floor_plus_log2():
     assert floor_plus_log2(1, 13, mult=2) == 8
     # exact landing: floor(3/2 + log2 2) = 2 with no off-by-one
     assert floor_plus_log2(Fraction(3, 2), 2) == 2
+    # n a power of two with integer a: the sum is itself an integer
+    assert floor_plus_log2(3, 8) == 6
+    assert floor_plus_log2(-2, 16, mult=3) == 10
+    assert floor_plus_log2(5, 2**40, mult=2) == 85
+    # n = 1 leaves floor(a)
+    assert floor_plus_log2(Fraction(7, 2), 1) == 3
+    assert floor_plus_log2(Fraction(-1, 3), 1, mult=3) == -1
+    # mult = 3: floor(1 + 3*log2 13) = floor(12.101...) = 12
+    assert floor_plus_log2(1, 13, mult=3) == 12
+    assert floor_plus_log2(Fraction(1, 2), 4, mult=3) == 6
+
+    def at_most(k, a, n, mult):
+        # k <= a + mult*log2(n) with a = p/r  iff  2^(k*r - p) <= n^(mult*r),
+        # a negative power of two moved to the other side
+        e = k * a.denominator - a.numerator
+        return 2 ** max(e, 0) <= n ** (mult * a.denominator) * 2 ** max(-e, 0)
+
     rand = random.Random(31)
     for _ in range(300):
-        a = Fraction(rand.randint(0, 400), rand.randint(1, 12))
-        n = rand.randint(1, 500)
+        a = Fraction(rand.randint(-400, 400), rand.randint(1, 12))
+        n = rand.choice([rand.randint(1, 500), 2 ** rand.randint(0, 12)])
         mult = rand.randint(1, 3)
         got = floor_plus_log2(a, n, mult=mult)
-        target = float(a) + mult * math.log2(n)
-        assert got <= target < got + 1 + 1e-9
+        assert at_most(got, a, n, mult) and not at_most(got + 1, a, n, mult)
 
 
 def test_ceil_pow2_over():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import permid.idcode as idcode
 from helpers import (
+    fractions,
     random_decoder,
     random_dist,
     random_noiseless_code,
@@ -107,9 +108,25 @@ def test_take_is_the_sub_code_matrix():
     sub = NoiselessIdCode(
         code.N, [code.encoders[i] for i in kept], [code.decoders[i] for i in kept]
     )
-    assert list(acceptance(code).take(kept).report.accept) == [
-        tuple(row) for row in reference_acceptance_matrix(sub)
-    ]
+    assert fractions(acceptance(code).take(kept).report.accept) == reference_acceptance_matrix(sub)
+
+
+def test_kernels_compare_by_value_not_by_backend():
+    den = np.array([2**63, 3], dtype=object)
+    kernel = Acceptance(np.array([[2**62, 0], [1, 3]], dtype=np.int64), den, "int64")
+    # an int64 kernel equals its object twin, past int64 in the cross products
+    assert kernel == Acceptance(kernel.num.astype(object), den, "object")
+    # a row over a doubled denominator holds the same values
+    doubled = np.array([[2**63, 0], [1, 3]], dtype=object)
+    assert kernel == Acceptance(doubled, np.array([2**64, 3], dtype=object), "object")
+    changed = kernel.num.copy()
+    changed[1, 0] = 2
+    assert kernel != Acceptance(changed, den, "int64")
+    # a shape mismatch that broadcasting alone would call equal
+    halves = Acceptance(np.ones((2, 2), dtype=np.int64), np.array([2, 2], dtype=object), "int64")
+    assert halves != Acceptance(np.ones((1, 1), dtype=np.int64), np.array([2], dtype=object), "int64")
+    assert kernel != fractions(kernel)
+    assert kernel != None  # noqa: E711
 
 
 def with_repeats(rand, code, copies):

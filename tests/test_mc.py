@@ -4,22 +4,31 @@
 same draws in the same order as the samplers and run every decoder on every
 trial; the samplers' reports must be equal to theirs, field by field. Above
 MATRIX_CAP the streamed extremes must equal those of the full path.
+`MCReport.from_hits` itself is checked on drawn hit tables against
+`helpers.reference_mc_report`, float bit for float bit.
 """
 
 import random
 from dataclasses import replace
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permid.feedback as feedback
 import permid.idcode as idcode
-from helpers import random_perm_code, reference_feedback_mc, reference_perm_mc
+from helpers import (
+    random_perm_code,
+    reference_feedback_mc,
+    reference_mc_report,
+    reference_perm_mc,
+)
 from permid import Dist, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
 from permid.feedback import build_feedback_code, eval_feedback_mc
-from permid.idcode import eval_perm_mc, full_orbit_counts
+from permid.idcode import MCReport, eval_perm_mc, full_orbit_counts
 
 
 def u(*xs):
@@ -113,3 +122,42 @@ def test_mc_streams_blocks_above_the_cap(monkeypatch):
     for a, b in zip(full, capped):
         assert b.accept_hat is None
         assert b == replace(a, accept_hat=None)
+
+
+@st.composite
+def hit_tables(draw):
+    """An M x M table of counts out of `trials`, with M = 1, all-zero rows,
+    counts equal to `trials` and tied cross maxima all within reach."""
+    M = draw(st.integers(1, 6))
+    trials = draw(st.one_of(st.integers(1, 4), st.integers(1, 2**40)))
+    cell = st.one_of(st.sampled_from([0, trials]), st.integers(0, trials))
+    hits = [[draw(cell) for _ in range(M)] for _ in range(M)]
+    for i in draw(st.sets(st.integers(0, M - 1))):
+        hits[i] = [0] * M
+    return hits, trials
+
+
+def float_bits(report):
+    """Every float field of an MCReport as its exact bit pattern."""
+    fields = (report.lambda1_hat, report.lambda2_hat, report.stderr, *chain(*report.accept_hat or ()))
+    return [x.hex() for x in fields]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=hit_tables(), block_entries=st.one_of(st.none(), st.integers(1, 12)))
+def test_from_hits_equals_the_float_reference(table, block_entries):
+    """The estimates read off the exact report of the hit kernel against the
+    entry-by-entry float reference, bit for bit, in memory and in blocks of
+    about block_entries counts past a zero cap."""
+    hits, trials = table
+    M = len(hits)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_entries is not None:
+            patch.setattr(idcode, "MATRIX_CAP", 0)
+            patch.setattr(idcode, "BLOCK_ENTRIES", block_entries)
+        got = MCReport.from_hits(
+            lambda rows: np.array([hits[i] for i in rows], dtype=np.int64), M, trials
+        )
+        expected = reference_mc_report(hits, trials)
+    assert got == expected
+    assert float_bits(got) == float_bits(expected)

@@ -17,7 +17,7 @@ import pytest
 import permid.cli
 import permid.feedback
 import permid.idcode
-from helpers import random_noiseless_code, random_perm_code
+from helpers import fractions, random_noiseless_code, random_perm_code
 from permid import (
     Dist,
     FeedbackCode,
@@ -150,6 +150,9 @@ def test_error_report_json_is_exactly_invertible():
         assert partial.accept is None
         assert partial.lambda1 == report.lambda1
         assert partial.lambda2 == report.lambda2
+        ragged = dict(doc, matrix=doc["matrix"][:-1] + [doc["matrix"][-1][:-1]])
+        with pytest.raises(ValidationError):
+            error_report_from_json(ragged)
     for _ in range(10):
         code = random_perm_code(rand, 3, 2, rand.randint(2, 4))
         report = eval_perm_exact(code)
@@ -188,8 +191,9 @@ def test_matrix_csv_agrees_with_json():
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["i", "j", "accept", "accept_decimal"]
     assert len(rows) == 1 + 9
+    matrix = fractions(report.accept)
     for i, j, accept, decimal in rows[1:]:
-        p = report.accept[int(i) - 1][int(j) - 1]
+        p = matrix[int(i) - 1][int(j) - 1]
         assert parse_frac(accept) == p
         assert float(decimal) == float(p)
 

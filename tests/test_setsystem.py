@@ -199,14 +199,6 @@ def test_existence_hypothesis_product_equality_is_not_above():
     assert not h.product_ok
     assert existence_hypothesis(Fraction(1, 2**39 + 2), Fraction(2, 39)).product_ok
     assert not existence_hypothesis(Fraction(1, 2**39), Fraction(2, 39)).product_ok
-    with pytest.raises(ValidationError):
-        existence_hypothesis(Fraction(1, 100), Fraction(1, 3), log_base=1)
-
-
-def test_existence_hypothesis_log_base():
-    # In base e the same product drops to about 1.53 and fails the bar.
-    h = existence_hypothesis(Fraction(1, 100), Fraction(1, 3), log_base=math.e)
-    assert not h.product_ok
 
 
 def test_existence_floor_values():
