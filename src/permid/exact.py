@@ -52,8 +52,10 @@ def iroot(x: int, r: int) -> int:
         return math.isqrt(x)
     if x.bit_length() <= r:
         return 1
-    # Newton iteration on integers, seeded from above.
-    y = 1 << -(-x.bit_length() // r)
+    # Newton iteration on integers, seeded from above; on large x, a seed from
+    # the root of the top bits spares the ~r slow steps from a doubled root
+    shift = x.bit_length() // (2 * r) if x.bit_length() > 4096 else 0
+    y = (iroot(x >> shift * r, r) + 1) << shift if shift else 1 << -(-x.bit_length() // r)
     while True:
         y_next = ((r - 1) * y + x // y ** (r - 1)) // r
         if y_next >= y:
@@ -150,44 +152,56 @@ def compare_power(x: Rational, base: int, expo: Rational) -> int:
     return sign(lhs - rhs)
 
 
+def floor_log2(x: Rational) -> int:
+    """Exact floor of log2(x) for a positive rational x."""
+    if x <= 0:
+        raise ValidationError("floor_log2 needs x > 0")
+    p, q = x.as_integer_ratio()
+    # 2^(k-1) < p/q < 2^(k+1), so one comparison with 2^k decides the floor
+    k = p.bit_length() - q.bit_length()
+    return k if p << max(0, -k) >= q << max(0, k) else k - 1
+
+
+def log2_bracket(x: Rational, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= log2(x) <= hi for a positive rational x: exact when x is
+    a power of two, else hi - lo <= 2**-bits. For x = 2^k * m, 1 <= m < 2, each
+    squaring of m, in fixed point rounded down and up, yields one binary digit
+    of log2(m); a digit the roundings leave open ends it with a wider bracket."""
+    k = floor_log2(x)
+    frac_bits = bits + 32  # rounding error doubles per squaring: 32 guard bits
+    one = 1 << frac_bits
+    m = Fraction(x) * Fraction(2) ** (frac_bits - k)
+    lo, hi = math.floor(m), math.ceil(m)
+    digits = done = 0
+    while done < bits:
+        lo, hi = lo * lo >> frac_bits, -(-hi * hi >> frac_bits)
+        if lo >= 2 * one:
+            digits, lo, hi = 2 * digits + 1, lo >> 1, -(-hi >> 1)
+        elif hi < 2 * one:
+            digits *= 2
+        else:
+            break
+        done += 1
+    # log2(m) = (digits + log2(m')) / 2^done with 1 <= m' <= hi/one, m' < 2
+    return k + Fraction(digits, 1 << done), k + Fraction(digits + (hi > one), 1 << done)
+
+
 def floor_plus_log2(a: Rational, n: int, mult: int = 1) -> int:
     """Exact floor of a + mult*log2(n) for rational a and integers n, mult."""
     if n < 1 or mult < 1:
         raise ValidationError("floor_plus_log2 needs n >= 1 and mult >= 1")
-    a = Fraction(a)
-    # 2^(b-1) <= n < 2^b for b = n.bit_length(), so the floor is at least
-    # this k and at most k + mult
-    k = math.floor(a) + mult * (n.bit_length() - 1)
-    # a + mult*log2(n) >= k + 1  iff  log2(n) >= (k + 1 - a)/mult
-    while compare_power(n, 2, (k + 1 - a) / mult) >= 0:
-        k += 1
-    return k
+    p, r = Fraction(a).as_integer_ratio()
+    # floor(p/r + mult*log2 n) = floor(log2(2^p * n^(r*mult)) / r)
+    return (p + floor_log2(n ** (r * mult))) // r
 
 
 def ceil_pow2_over(c: Rational, n: int) -> int:
     """Exact ceiling of 2**c / n for rational c and a positive integer n."""
     if n < 1:
         raise ValidationError("ceil_pow2_over needs n >= 1")
-    c = Fraction(c)
-
-    def at_least(k: int) -> bool:
-        # k >= 2**c / n  iff  k*n >= 2**c
-        return compare_power(k * n, 2, c) >= 0
-
-    if c < 0:
+    p, r = Fraction(c).as_integer_ratio()
+    if p < 0:
         return 1
-    guess = max(1, (1 << (c.numerator // c.denominator)) // n)
-    if at_least(guess):
-        lo, hi = 0, guess
-    else:
-        lo, hi = guess, 2 * guess
-        while not at_least(hi):
-            lo, hi = hi, 2 * hi
-    # invariant: lo fails, hi satisfies; bisect to the least satisfying k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at_least(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # root <= 2^c < root + 1, and 2^c = root only when root^r = 2^p
+    root = iroot(1 << p, r)
+    return -(-(root + (root**r != 1 << p)) // n)

@@ -44,7 +44,7 @@ from .errors import (
     PermidError,
     ValidationError,
 )
-from .exact import compare_power, floor_plus_log2, ceil_pow2_over
+from .exact import ceil_pow2_over, floor_plus_log2, log2_bracket
 from .rng import Stream
 from .setsystem import IntersectionProfile, SetSystem, grow_family, verify_profile
 
@@ -53,6 +53,7 @@ from .setsystem import IntersectionProfile, SetSystem, grow_family, verify_profi
 # about BLOCK_ENTRIES acceptance entries at a time.
 MATRIX_CAP = 4096
 BLOCK_ENTRIES = 2**20
+FEASIBLE_N_MAX = 4096  # min_feasible_n tries n = 1..FEASIBLE_N_MAX
 
 
 def _check_noiseless_decoder(decoder, N: int):
@@ -337,13 +338,11 @@ def _decoder_columns(code, cols):
 class Acceptance:
     """Exact acceptance matrix in integer form: P(decoder j+1 accepts |
     message i+1) = num[i, j] / den[i], one Python-integer denominator per
-    row. `backend` names the matmul that made `num`: "int64" when no sum can
-    overflow, else "object" (Python integers). `report` decides the error
-    figures on these integers."""
+    row; `num` is int64 when no sum can overflow, else object. `report`
+    decides the error figures on these integers."""
 
     num: np.ndarray
     den: np.ndarray
-    backend: str
 
     def __eq__(self, other) -> bool:
         """Equal entries as rationals, cross-multiplied on Python integers."""
@@ -355,7 +354,7 @@ class Acceptance:
 
     def take(self, idx: Sequence[int]) -> "Acceptance":
         """The sub-matrix of the messages at 0-based positions idx."""
-        return Acceptance(self.num[np.ix_(idx, idx)], self.den[idx], self.backend)
+        return Acceptance(self.num[np.ix_(idx, idx)], self.den[idx])
 
     @cached_property
     def report(self) -> ErrorReport:
@@ -372,7 +371,7 @@ def acceptance(code, rows: range | None = None) -> Acceptance:
     small = max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63
     if small:
         enc, dec = enc.astype(np.int64), dec.astype(np.int64)
-    return Acceptance(enc @ dec, row_den * den, "int64" if small else "object")
+    return Acceptance(enc @ dec, row_den * den)
 
 
 def acceptance_matrix(code) -> list[list[Fraction]]:
@@ -435,7 +434,7 @@ class MCReport:
         kernel, whose exact report gives the extremes; above MATRIX_CAP no
         more than one block of counts is held at a time.
         """
-        blocks = (Acceptance(hits_of(rows), np.full(len(rows), trials, dtype=object), "int64")
+        blocks = (Acceptance(hits_of(rows), np.full(len(rows), trials, dtype=object))
                   for rows in _row_blocks(M))
         report = _report(blocks, M)
         # 1 - lambda1 is the least own count over trials, and float(Fraction)
@@ -581,39 +580,38 @@ class AchievableParams:
 
 
 def _stable_cap(a: Fraction, N: int, l: int) -> int:
-    """floor(4*s / log2(N^l / s)) with s = a + l*log2(N), via adaptive-precision
-    evaluation; raises if the floor is still ambiguous at 1000 digits."""
-    import mpmath
-
-    for digits in (60, 120, 240, 1000):
-        with mpmath.workdps(digits):
-            s = mpmath.mpf(a.numerator) / a.denominator + l * mpmath.log(N, 2)
-            val = 4 * s / mpmath.log(mpmath.mpf(N) ** l / s, 2)
-            fl = int(mpmath.floor(val))
-            frac = val - fl
-            pad = mpmath.mpf(10) ** (-(digits // 2))
-            if pad < frac < 1 - pad:
-                return fl
-    raise PermidError("cap floor is numerically ambiguous at 1000 digits")
+    """floor(4*s / log2(N^l / s)) with s = a + l*log2(N) and N^l > 6s, from
+    brackets of log2 N and log2 s at doubling bits until both ends share a
+    floor. That ends: the value is rational only when N and s are powers of
+    two, whose brackets are exact (Gelfond-Schneider)."""
+    for bits in (1 << k for k in range(5, 17)):
+        n_lo, n_hi = log2_bracket(N, bits)
+        s_lo, s_hi = a + l * n_lo, a + l * n_hi
+        lo = 4 * s_lo / (l * n_hi - log2_bracket(s_lo, bits)[0])
+        hi = 4 * s_hi / (l * n_lo - log2_bracket(s_hi, bits)[1])
+        if math.floor(lo) == math.floor(hi):
+            return math.floor(lo)
+    raise PermidError("cap floor is still undecided at 65536 bits")
 
 
 def _eps_prime_small(n: int, q: int, epsilon: Fraction, l: int) -> bool:
     """Exact test of eps' = s/N^l < 1/6 at this block length."""
     N = count_types(n, q)
     a = epsilon * n ** (l * (q - 1)) + 1
-    # eps' < 1/6  <=>  6*(a + l*log2 N) < N^l  <=>  log2 N < (N^l - 6a)/(6l)
-    return compare_power(N, 2, (N**l - 6 * a) / (6 * l)) < 0
+    # eps' < 1/6  <=>  log2 N < r = (N^l - 6a)/(6l)  <=>  r > 0 and N^den(r) < 2^num(r)
+    r = (N**l - 6 * a) / (6 * l)
+    return r > 0 and (N**r.denominator).bit_length() <= r.numerator
 
 
-def min_feasible_n(q: int, epsilon: Fraction, l: int = 1, n_max: int = 4096) -> int | None:
-    """Smallest n <= n_max where the construction hypothesis eps' < 1/6 holds.
+def min_feasible_n(q: int, epsilon: Fraction, l: int = 1) -> int | None:
+    """Smallest n <= FEASIBLE_N_MAX where the construction hypothesis eps' < 1/6 holds.
 
-    Returns None when no block length up to n_max works; that happens when
+    Returns None when no such block length works; that happens when
     epsilon is too large for this alphabet (the leading term of s grows like
     epsilon * ((q-1)!)^l * N^l, so past a q-dependent threshold no n helps).
     """
     epsilon = Fraction(epsilon)
-    for n in range(1, n_max + 1):
+    for n in range(1, FEASIBLE_N_MAX + 1):
         if _eps_prime_small(n, q, epsilon, l):
             return n
     return None
@@ -635,7 +633,7 @@ def achievable_params(n: int, q: int, epsilon: Fraction, l: int = 1) -> Achievab
     a = epsilon * n ** (l * (q - 1)) + 1
     if not _eps_prime_small(n, q, epsilon, l):
         least = min_feasible_n(q, epsilon, l)
-        hint = f"the smallest workable n is {least}" if least else "no n up to 4096 works"
+        hint = f"the smallest workable n is {least}" if least else f"no n up to {FEASIBLE_N_MAX} works"
         raise HypothesisError(
             f"eps' = s/{ground} with s = eps*n^(l*(q-1)) + 1 + l*log2(N) is "
             f"not below 1/6 at n={n}, q={q}, l={l}, eps={epsilon}; {hint}"

@@ -247,7 +247,7 @@ def error_report_from_json(doc: dict) -> ErrorReport:
     accept = None
     if "matrix" in doc:
         nums, dens = zip(*(over_common_denominator(map(parse_frac, row)) for row in doc["matrix"]))
-        accept = Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object), "object")
+        accept = Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object))
         if accept.num.shape != (doc["M"], doc["M"]):
             raise ValidationError("error-report matrix is not M x M")
     return ErrorReport(

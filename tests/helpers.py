@@ -11,7 +11,9 @@ samplers), kept as oracles for differential tests; `accept_prob` and
 `reference_acceptance_matrix` sums, and `fractions` and `kernel_of` convert
 between a Fraction matrix and an integer acceptance kernel.
 `PermutationChannel` simulates the channel itself, vector by vector, as the
-physical oracle of the acceptance suite.
+physical oracle of the acceptance suite. `mpf` and `mpmath_cap` are the
+multiprecision oracles of the exact log2 brackets and the construction's
+intersection cap; mpmath is a test dependency only.
 """
 
 import math
@@ -20,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 import permid.idcode as idcode
@@ -328,7 +331,7 @@ def kernel_of(matrix):
     """The object acceptance kernel of a matrix of rationals, each row over
     its least common denominator."""
     nums, dens = zip(*(over_common_denominator(row) for row in matrix))
-    return Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object), "object")
+    return Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object))
 
 
 def reference_converse_floor(code):
@@ -459,3 +462,20 @@ def reference_profile(system):
         for j in range(i + 1, len(sets)):
             delta = max(delta, len(sets[i] & sets[j]))
     return gamma, delta
+
+
+def mpf(x: Fraction):
+    """A rational as an mpmath float at the working precision."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mpmath_cap(a: Fraction, N: int, l: int, digits: int = 100) -> int | None:
+    """floor(4*s / log2(N^l / s)) with s = a + l*log2(N) in mpmath, or None
+    when the value lies within 10^-(digits/2) of an integer, where a float
+    evaluation cannot decide the floor."""
+    with mpmath.workdps(digits):
+        s = mpf(a) + l * mpmath.log(N, 2)
+        val = 4 * s / mpmath.log(mpmath.mpf(N) ** l / s, 2)
+        floor = int(mpmath.floor(val))
+        pad = mpmath.mpf(10) ** (-(digits // 2))
+        return floor if pad < val - floor < 1 - pad else None

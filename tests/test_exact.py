@@ -5,17 +5,23 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permid.exact as exact
+from helpers import mpf
 from permid.errors import ValidationError
 from permid.exact import (
     bracket,
     ceil_pow2_over,
     compare_power,
+    floor_log2,
     floor_plus_log2,
     frac_str,
     iroot,
+    log2_bracket,
     parse_frac,
     power_sign,
     sign,
@@ -64,6 +70,13 @@ def test_iroot_is_floor_root():
         for r in (2, 3, 5):
             k = iroot(x, r)
             assert k**r <= x < (k + 1) ** r
+
+
+def test_iroot_of_large_powers_of_two():
+    # x of hundreds of thousands of bits with r in the thousands, and a 1143-bit root
+    for p, r in [(320001, 5000), (236827, 9973), (8001, 7)]:
+        k = iroot(1 << p, r)
+        assert k**r <= 1 << p < (k + 1) ** r
 
 
 def test_strip_power_reduces_perfect_powers():
@@ -235,8 +248,47 @@ def test_floor_plus_log2():
         assert at_most(got, a, n, mult) and not at_most(got + 1, a, n, mult)
 
 
+def test_floor_log2():
+    assert [floor_log2(x) for x in (1, 2, 3, 4, Fraction(1, 2), Fraction(3, 4))] == [0, 1, 1, 2, -1, -1]
+    rand = random.Random(5)
+    for _ in range(500):
+        x = Fraction(rand.randint(1, 2**70), rand.randint(1, 2**70))
+        k = floor_log2(x)
+        assert Fraction(2) ** k <= x < Fraction(2) ** (k + 1)
+    for bad in (0, Fraction(-1, 3)):
+        with pytest.raises(ValidationError):
+            floor_log2(bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(num=st.integers(1, 2**80), den=st.integers(1, 2**80), bits=st.integers(1, 200))
+def test_log2_bracket_against_mpmath(num, den, bits):
+    x = Fraction(num, den)
+    lo, hi = log2_bracket(x, bits)
+    with mpmath.workdps(100):
+        value = mpmath.log(mpf(x), 2)
+        assert mpf(lo) <= value <= mpf(hi)
+        # width 2^-bits, unless a binary digit was left undecided: log2(x) then
+        # lies at the midpoint of the wider bracket, within the guard bits
+        guard = mpmath.mpf(2) ** (-bits - 20)
+        assert hi - lo <= Fraction(1, 2**bits) or abs(value - mpf((lo + hi) / 2)) < guard
+
+
+def test_log2_bracket_is_exact_at_powers_of_two():
+    for k in range(-70, 71):
+        for bits in (1, 8, 64):
+            assert log2_bracket(Fraction(2) ** k, bits) == (k, k)
+    lo, hi = log2_bracket(3, 64)
+    assert lo < hi and hi - lo <= Fraction(1, 2**64)
+
+
 def test_ceil_pow2_over():
     assert ceil_pow2_over(Fraction(9), 1) == 512
+    # 2^1143 / 3, and a root of a 320001-bit power of two
+    got = ceil_pow2_over(Fraction(8001, 7), 3)
+    assert (got * 3) ** 7 >= 2**8001 > ((got - 1) * 3) ** 7
+    got = ceil_pow2_over(Fraction(320001, 5000), 3)
+    assert (got * 3) ** 5000 >= 2**320001 > ((got - 1) * 3) ** 5000
     assert ceil_pow2_over(Fraction(10), 4) == 256  # exact division
     assert ceil_pow2_over(Fraction(5, 2), 3) == 2  # ceil(5.656/3)
     assert ceil_pow2_over(Fraction(-3), 1) == 1  # ceil(1/8)

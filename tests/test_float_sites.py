@@ -32,7 +32,6 @@ ALLOWED = {
     ("serialize", "csv_rows"): "the CSV's decimal column beside each exact entry",
     ("idcode", "MCReport.from_hits"): "Monte Carlo estimates and their standard error",
     ("feedback", "eval_feedback_mc"): "Monte Carlo estimate, required to be exactly 0",
-    ("idcode", "_stable_cap"): "mpmath evaluation of the intersection cap (ROADMAP item 7)",
     ("setsystem", "h2"): "entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "h2_inv"): "inverse entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "prop2_lower_bound"): "the Prop-2 bound as a float (ROADMAP item 3)",

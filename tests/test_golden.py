@@ -39,15 +39,23 @@ the Monte Carlo `eval` on `orbit`, `feedback --n 6 --q 2 --l 2 --M 4 --seed
 1` plain and with `--retry 3`, and the two `bounds` runs above. The CSV rows end
 in CRLF, so these files are compared as bytes.
 
+`test_build_eval_transform_need_only_numpy` replays `orbit`'s build, eval
+and transform in a fresh interpreter where `import mpmath` fails: the
+runtime needs numpy alone.
+
 Any change to these bytes is a change of behaviour. Regenerate them only for
 a deliberate one, with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import permid
 from helpers import random_noiseless_code, random_perm_code
 from permid.cli import main
 from permid.serialize import code_to_json, dumps
@@ -149,6 +157,26 @@ def test_bounds_sweep_across_the_prop2_threshold_matches_golden_bytes(capsys):
 def test_csv_matches_golden_bytes(capsys, stem):
     out = run(capsys, ["--format", "csv"] + CSV_ARGV[stem])
     assert out.encode() == (GOLDEN / f"{stem}.csv").read_bytes()
+
+
+def test_build_eval_transform_need_only_numpy(tmp_path):
+    # the chain runs in a fresh interpreter where `import mpmath` fails
+    script = "import sys; sys.modules['mpmath'] = None; from permid.cli import main; sys.exit(main())"
+    src = str(Path(permid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run_bare(argv):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    code = tmp_path / "code.json"
+    code.write_bytes(run_bare(BUILD_ARGV))
+    assert code.read_bytes() == (GOLDEN / "orbit_code.json").read_bytes()
+    for command in ("eval", "transform"):
+        argv = COMMANDS[command][:1] + ["--code", str(code)] + COMMANDS[command][1:]
+        assert run_bare(argv) == (GOLDEN / f"orbit_{command}.json").read_bytes()
 
 
 def _regenerate() -> None:

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     accept_prob,
     accept_prob_for_orbit,
     fractions,
+    mpmath_cap,
     random_noiseless_code,
     random_perm_code,
     reference_report,
@@ -22,6 +25,7 @@ from permid import (
     tv_distance,
 )
 from permid.combinatorics import (
+    count_types,
     type_index,
     type_of,
     type_representative,
@@ -29,6 +33,7 @@ from permid.combinatorics import (
     typeclass_size,
 )
 from permid.errors import HypothesisError, ValidationError
+import permid.idcode as idcode
 from permid.idcode import (
     AchievableParams,
     acceptance_matrix,
@@ -320,6 +325,35 @@ def test_achievable_params_multishot_oracle():
     assert par.cap_vacuous
 
 
+def test_achievable_params_at_powers_of_two():
+    # N = n + 1 and s = a + log2 N are powers of two, so 4s / log2(N/s) is an
+    # integer: the cap has no fractional part to separate from the floor
+    for n, eps, want in [
+        (255, Fraction(7, 255), (16, 16, 128)),
+        (511, Fraction(22, 511), (32, 32, 4194304)),
+        (4095, Fraction(1, 1365), (16, 8, 8)),
+    ]:
+        par = achievable_params(n, 2, eps)
+        assert (par.gamma, par.cap, par.target) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    q=st.integers(2, 4),
+    l=st.integers(1, 3),
+    num=st.integers(1, 50),
+    den=st.integers(2, 5000),
+)
+def test_cap_equals_mpmath_where_unambiguous(n, q, l, num, den):
+    epsilon = Fraction(num, den)
+    assume(epsilon < 1 and idcode._eps_prime_small(n, q, epsilon, l))
+    # the cap alone: the target 2^(a-1) can be astronomically large here
+    a, N = epsilon * n ** (l * (q - 1)) + 1, count_types(n, q)
+    want = mpmath_cap(a, N, l)
+    assert want is None or idcode._stable_cap(a, N, l) == want
+
+
 def test_achievable_params_reports_minimal_n():
     with pytest.raises(HypothesisError, match="smallest workable n is 7"):
         achievable_params(3, 2, Fraction(1, 16), l=2)
@@ -333,6 +367,7 @@ def test_min_feasible_n_values():
     assert min_feasible_n(2, Fraction(1, 100)) == 40
     assert min_feasible_n(2, Fraction(1, 16), l=2) == 7
     assert min_feasible_n(2, Fraction(1, 5)) is None
+    assert min_feasible_n(4, Fraction(1, 3), l=2) is None
     # The returned n is the first acceptance point: one step down must fail.
     with pytest.raises(HypothesisError):
         achievable_params(39, 2, Fraction(1, 100))

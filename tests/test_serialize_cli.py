@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,23 @@ def run_cli(capsys, argv):
     status = main(argv)
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def test_cli_build_with_an_integer_cap(capsys):
+    # N = 256 and s = 16: the cap 4s / log2(N/s) is exactly 16
+    status, out, _ = run_cli(capsys, ["build", "--n", "255", "--q", "2", "--epsilon", "7/255",
+                                      "--seed", "1"])
+    assert status == 0
+    assert json.loads(out)["code"]["M"] == 128
+
+
+@pytest.mark.parametrize("n, q, eps", [("5", "3", "1/2"), ("3", "4", "1/3")])
+def test_cli_build_refuses_quickly_when_no_n_works(capsys, n, q, eps):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["build", "--n", n, "--q", q, "--epsilon", eps])
+    assert time.perf_counter() - start < 5
+    assert status == 2 and out == ""
+    assert "no n up to 4096 works" in json.loads(err)["message"]
 
 
 def test_cli_types_lists_all_orbits(capsys):
