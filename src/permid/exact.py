@@ -52,10 +52,10 @@ def iroot(x: int, r: int) -> int:
         return math.isqrt(x)
     if x.bit_length() <= r:
         return 1
-    # Newton iteration on integers, seeded from above; on large x, a seed from
-    # the root of the top bits spares the ~r slow steps from a doubled root
-    shift = x.bit_length() // (2 * r) if x.bit_length() > 4096 else 0
-    y = (iroot(x >> shift * r, r) + 1) << shift if shift else 1 << -(-x.bit_length() // r)
+    # Newton iteration on integers, seeded from above by the root of the top
+    # bits (x < 4^r when they are all of x, so the root is below 4)
+    shift = x.bit_length() // (2 * r)
+    y = (iroot(x >> shift * r, r) + 1) << shift if shift else 4
     while True:
         y_next = ((r - 1) * y + x // y ** (r - 1)) // r
         if y_next >= y:

@@ -72,6 +72,16 @@ def test_iroot_is_floor_root():
             assert k**r <= x < (k + 1) ** r
 
 
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(1, 3000), r=st.integers(3, 80), data=st.data())
+def test_iroot_is_floor_root_at_any_size(bits, r, data):
+    # x just below and at an r-th power, and anywhere with `bits` bits
+    k = data.draw(st.integers(2, 2 ** (bits // r + 1)))
+    for x in (k**r - 1, k**r, data.draw(st.integers(2 ** (bits - 1), 2**bits))):
+        y = iroot(x, r)
+        assert y**r <= x < (y + 1) ** r
+
+
 def test_iroot_of_large_powers_of_two():
     # x of hundreds of thousands of bits with r in the thousands, and a 1143-bit root
     for p, r in [(320001, 5000), (236827, 9973), (8001, 7)]:
