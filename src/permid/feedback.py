@@ -155,14 +155,34 @@ class CollisionReport:
 
 
 def eval_feedback_exact(code: FeedbackCode) -> CollisionReport:
-    """Count table agreements for every message pair, exactly."""
+    """Count table agreements for every message pair, exactly.
+
+    Entries lie in 1..N, so bit b of each goes to plane b, 64 positions to a
+    uint64 word, padding 0. Tables j and k agree where no plane differs, so
+    at D - popcount(OR over b of planes[b][j] ^ planes[b][k]) positions:
+    integer XOR, OR and popcount, no float. Above MATRIX_CAP only the planes
+    and two (M, words) buffers are held.
+    """
     M, D = code.M, code.D
     keep = M <= MATRIX_CAP
     counts = np.zeros((M, M), dtype=np.int64) if keep else None
+    planes = np.zeros((code.N.bit_length(), M, 8 * -(-D // 64)), dtype=np.uint8)
+    step = max(1, BLOCK_ENTRIES // D)  # rows packed at a time, so no M x D temporary
+    for lo in range(0, M, step):
+        for b, plane in enumerate(planes):
+            bits = code.maps[lo : lo + step] & (1 << b)
+            plane[lo : lo + step, : -(-D // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    planes = planes.view(np.uint64)
+    diff, scratch = np.empty((2, *planes.shape[1:]), dtype=np.uint64)
     max_count = -1
     argmax_pair = None
     for j in range(M - 1):
-        agree = (code.maps[j + 1 :] == code.maps[j]).sum(axis=1)
+        rest = slice(j + 1, M)
+        np.bitwise_xor(planes[0, rest], planes[0, j], out=diff[rest])
+        for plane in planes[1:]:
+            np.bitwise_xor(plane[rest], plane[j], out=scratch[rest])
+            np.bitwise_or(diff[rest], scratch[rest], out=diff[rest])
+        agree = D - np.bitwise_count(diff[rest]).sum(axis=1, dtype=np.int64)
         k_rel = int(agree.argmax())
         if int(agree[k_rel]) > max_count:
             max_count = int(agree[k_rel])

@@ -617,11 +617,16 @@ def min_feasible_n(q: int, epsilon: Fraction, l: int = 1) -> int | None:
     return None
 
 
-def achievable_params(n: int, q: int, epsilon: Fraction, l: int = 1) -> AchievableParams:
+def achievable_params(
+    n: int, q: int, epsilon: Fraction, l: int = 1, max_target: int | None = None
+) -> AchievableParams:
     """Resolve the construction parameters and check its hypotheses exactly.
 
     Requires eps' = s/N^l < 1/6 (which already forces the second hypothesis
     (1-eps')^2 > eps', since t^2 - 3t + 1 > 0 for t > 6 with t = 1/eps').
+    A target ceil(2^(a-1)) above `max_target` is refused with BudgetError
+    before the cap or the target is worked out (at once if a - 1 >=
+    bit_length(max_target), else from the exact target).
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -643,6 +648,11 @@ def achievable_params(n: int, q: int, epsilon: Fraction, l: int = 1) -> Achievab
         raise HypothesisError(f"orbit-set size floor(s) = {gamma} < 1")
     if gamma > ground:
         raise HypothesisError(f"orbit-set size {gamma} exceeds ground {ground}")
+    if max_target is not None and (
+        a - 1 >= max_target.bit_length() or ceil_pow2_over(a - 1, 1) > max_target
+    ):
+        raise BudgetError(f"a target of ceil(2^({a - 1})) sets exceeds {max_target}; the "
+                          "greedy keeps at most one set per attempt, so raise max_attempts")
     cap = _stable_cap(a, N, l)
     target = ceil_pow2_over(a - 1, 1)
     return AchievableParams(
@@ -691,7 +701,9 @@ def build_multishot_achievable(
     equals the input orbit), so lambda1 = 0 and every cross acceptance is
     |U_i meet U_j| / gamma.
     """
-    params = achievable_params(n, q, epsilon, l=l)
+    if max_attempts < 0:
+        raise ValidationError("attempt budget must be >= 0")
+    params = achievable_params(n, q, epsilon, l=l, max_target=max_attempts)
     kept, attempts = grow_family(
         params.ground, params.gamma, params.cap, params.target, stream, max_attempts
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import truediv
 
 import numpy as np
@@ -339,5 +340,6 @@ def csv_rows(doc: dict):
     if kind == "mc-report":
         return chain([["i", "j", "accept_hat"]], ([i, j, p] for i, j, p in cells))
     D = doc["D"]
-    rows = ([j, k, c, frac_str(Fraction(c, D)), c / D] for j, k, c in cells if j != k)
+    # c/D in lowest terms, as frac_str(Fraction(c, D)) gives it
+    rows = ([j, k, c, f"{c // (g := gcd(c, D))}/{D // g}", c / D] for j, k, c in cells if j != k)
     return chain([["j", "k", "collisions", "fraction", "fraction_decimal"]], rows)

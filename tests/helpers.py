@@ -6,10 +6,11 @@ reproducible from the literal seeds written in the tests. Masses are built
 from small integer weights, so every probability is an exact Fraction with a
 modest denominator. The `reference_*` functions are the slow, direct
 versions of library algorithms (the codec loops, Fraction sums, per-trial
-samplers), kept as oracles for differential tests; `accept_prob` and
-`accept_prob_for_orbit` give the per-outcome decoder factors that
-`reference_acceptance_matrix` sums, and `fractions` and `kernel_of` convert
-between a Fraction matrix and an integer acceptance kernel.
+samplers, the pairwise table compare), kept as oracles for differential
+tests; `accept_prob` and `accept_prob_for_orbit` give the per-outcome decoder
+factors that `reference_acceptance_matrix` sums, and `fractions` and
+`kernel_of` convert between a Fraction matrix and an integer acceptance
+kernel.
 `PermutationChannel` simulates the channel itself, vector by vector, as the
 physical oracle of the acceptance suite. `mpf` and `mpmath_cap` are the
 multiprecision oracles of the exact log2 brackets and the construction's
@@ -25,6 +26,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
+import permid.feedback as feedback
 import permid.idcode as idcode
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream, tv_distance
 from permid.combinatorics import (
@@ -41,6 +43,7 @@ from permid.combinatorics import (
 )
 from permid.dist import over_common_denominator
 from permid.errors import BoundViolationError, ValidationError
+from permid.feedback import CollisionReport
 from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
 
 
@@ -433,6 +436,38 @@ def reference_feedback_mc(code, trials, stream):
                 if int(code.maps[k, flat]) == out_orbit:
                     hits[i - 1][k] += 1
     return reference_mc_report(hits, trials)
+
+
+def reference_collision_report(code):
+    """Table collisions of a feedback code by one elementwise compare and a
+    bool sum per pair of rows; `eval_feedback_exact` must match it field by
+    field, with the first maximal pair in row-major order as the argmax and
+    `counts` kept only up to `feedback.MATRIX_CAP` messages."""
+    M, D = code.M, code.D
+    keep = M <= feedback.MATRIX_CAP
+    counts = np.zeros((M, M), dtype=np.int64) if keep else None
+    max_count = -1
+    argmax_pair = None
+    for j in range(M - 1):
+        agree = (code.maps[j + 1 :] == code.maps[j]).sum(axis=1)
+        k_rel = int(agree.argmax())
+        if int(agree[k_rel]) > max_count:
+            max_count = int(agree[k_rel])
+            argmax_pair = (j + 1, j + 2 + k_rel)
+        if keep:
+            counts[j, j + 1 :] = agree
+            counts[j + 1 :, j] = agree
+    return CollisionReport(
+        M=M,
+        D=D,
+        N=code.N,
+        lambda1=Fraction(0),
+        lambda2=Fraction(max_count, D) if M > 1 else None,
+        max_count=max(max_count, 0),
+        argmax_pair=argmax_pair,
+        counts=counts,
+        target=Fraction(2, code.N),
+    )
 
 
 def reference_grow_family(N, gamma, cap, target, stream, max_attempts):

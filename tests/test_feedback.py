@@ -1,15 +1,18 @@
 """Two-phase feedback scheme: pilot orbits, lookup tables, collision rates."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permid.cli
 import permid.feedback
-from helpers import reference_max_typeclass
+from helpers import reference_collision_report, reference_max_typeclass
 from permid import (
     FeedbackCode,
     Stream,
@@ -21,12 +24,13 @@ from permid import (
     max_typeclass,
     target_test,
 )
-from permid.combinatorics import TypeVector, type_of
+from permid.combinatorics import TypeVector, count_types, type_of
 from permid.errors import (
     BudgetError,
     HypothesisError,
     ValidationError,
 )
+from permid.feedback import CollisionReport
 
 
 def test_max_typeclass_examples():
@@ -191,6 +195,51 @@ def test_counts_dropped_above_matrix_cap():
     assert report.counts is None
     # 4097 single-entry rows over two orbit values must repeat somewhere.
     assert report.lambda2 == 1
+
+
+# (n, q, l) with N from 2 to 462 (2 to 9 bit planes, uint8 and uint16 maps)
+# and D = 1, 2, 20, 30, 36, 60, 64, 120, 128, 360, 720 and 924: below 64, at
+# 64, a multiple of 64 and between multiples, where the last word is padded
+TABLE_SHAPES = [(1, 2, 2), (2, 2, 2), (6, 2, 2), (5, 3, 2), (3, 3, 3), (5, 4, 2), (2, 2, 7),
+                (5, 5, 2), (2, 2, 8), (6, 5, 2), (6, 6, 2), (12, 2, 2)]
+
+
+@st.composite
+def collision_cases(draw):
+    """A feedback code of 1 to 6 messages, with a matrix cap around its M and
+    a packing block size. Entries come from 1, 2, 3 or all N values, and a
+    row may repeat an earlier one, so pairs tie; maps are int64 (as loaded
+    from JSON) or the narrowest type that holds N (as drawn)."""
+    n, q, l = draw(st.sampled_from(TABLE_SHAPES))
+    N, D = count_types(n, q), max_typeclass(n, q)[1] ** (l - 1)
+    M = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(N, draw(st.sampled_from([1, 2, 3, N])))
+    values = rng.choice(np.arange(1, N + 1), size=k, replace=False)
+    maps = values[rng.integers(0, k, size=(M, D))]
+    for i in range(1, M):
+        maps[i] = maps[draw(st.integers(0, i))]  # itself, or a copy of an earlier row
+    dtype = draw(st.sampled_from([np.int64, np.min_scalar_type(N)]))
+    cap = draw(st.sampled_from([0, M - 1, M, permid.feedback.MATRIX_CAP]))
+    # the tables are packed one row, two rows or all rows at a time
+    block = draw(st.sampled_from([1, 2 * D, permid.feedback.BLOCK_ENTRIES]))
+    return FeedbackCode(n, q, l, maps.astype(dtype)), cap, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=collision_cases())
+def test_exact_eval_matches_the_pairwise_reference(case):
+    code, cap, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permid.feedback, "MATRIX_CAP", cap)
+        patch.setattr(permid.feedback, "BLOCK_ENTRIES", block)
+        got, want = eval_feedback_exact(code), reference_collision_report(code)
+    for field in dataclasses.fields(CollisionReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "counts" and b is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b, field.name
 
 
 def test_mean_pair_collision_rate_near_expected():

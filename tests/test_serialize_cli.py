@@ -25,7 +25,9 @@ from permid import (
     NoiselessIdCode,
     SetSystem,
     Stream,
+    achievable_params,
     build_feedback_code,
+    build_multishot_achievable,
     eval_feedback_exact,
     eval_noiseless,
     eval_perm_exact,
@@ -33,7 +35,7 @@ from permid import (
 )
 from permid.cli import main
 from permid.combinatorics import index_to_tuple, tuple_to_index
-from permid.errors import ValidationError
+from permid.errors import BudgetError, ValidationError
 from permid.exact import frac_str, parse_frac
 from permid.idcode import ErrorReport
 from permid.serialize import (
@@ -259,6 +261,37 @@ def test_cli_build_refuses_quickly_when_no_n_works(capsys, n, q, eps):
     assert time.perf_counter() - start < 5
     assert status == 2 and out == ""
     assert "no n up to 4096 works" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "115", "--q", "4", "--epsilon", "1/41"],  # target ceil(2^37094.5...)
+    ["--n", "106", "--q", "2", "--l", "3", "--epsilon", "239/4356"],  # a - 1 = 71163206/1089
+])
+def test_cli_build_refuses_an_astronomical_target_quickly(argv):
+    # the greedy keeps at most one set per attempt, so a target above the
+    # attempt budget is refused before it (or the cap) is worked out
+    src = str(Path(permid.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "permid.cli", "build", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 4 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    doc = json.loads(done.stderr)
+    assert (doc["category"], doc["error"]) == ("budget", "BudgetError")
+
+
+def test_build_target_refusal_is_exact_at_the_attempt_budget():
+    # n=7, q=2, l=2, eps=1/16: a - 1 = 49/16, so the target is ceil(2^(49/16)) = 9
+    params = achievable_params(7, 2, Fraction(1, 16), l=2)
+    assert params.target == 9
+    assert achievable_params(7, 2, Fraction(1, 16), l=2, max_target=9) == params
+    for budget in (0, 1, 8):
+        with pytest.raises(BudgetError):
+            achievable_params(7, 2, Fraction(1, 16), l=2, max_target=budget)
+    with pytest.raises(ValidationError):
+        build_multishot_achievable(7, 2, 2, Fraction(1, 16), Stream(1), max_attempts=-1)
 
 
 def test_cli_types_lists_all_orbits(capsys):
