@@ -4,7 +4,6 @@ from .combinatorics import (
     TypeVector,
     check_N_bounds,
     count_types,
-    enumerate_types,
     index_to_tuple,
     iter_types,
     tuple_to_index,
@@ -35,7 +34,6 @@ from .idcode import (
     achievable_params,
     build_multishot_achievable,
     check_strong_converse,
-    counts_from_vector_set,
     eval_noiseless,
     eval_perm_exact,
     eval_perm_mc,
@@ -76,7 +74,6 @@ from .setsystem import (
     h2,
     h2_inv,
     johnson_bound_M,
-    johnson_bound_for_profile,
     lemma6_check,
     prop2_lower_bound,
     verify_profile,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .dist import Dist, over_common_denominator
+from .dist import Dist
 from .errors import BoundViolationError, HypothesisError, ValidationError
 from .idcode import NoiselessIdCode, eval_noiseless
 
@@ -44,10 +44,7 @@ class ApproxMap:
 
     def induced(self) -> Dist:
         """The distribution (atoms[y-1]/K) over [1..N]."""
-        return Dist(
-            {y: Fraction(m, self.K) for y, m in enumerate(self.atoms, start=1)},
-            size=self.N,
-        )
+        return Dist.from_counts(dict(enumerate(self.atoms, start=1)), size=self.N)
 
 
 def build_approx(target: Dist, K: int) -> ApproxMap:
@@ -63,9 +60,9 @@ def build_approx(target: Dist, K: int) -> ApproxMap:
     if not (isinstance(K, int) and K >= 1):
         raise ValidationError("K must be a positive integer")
     N = target.size
-    # K * p_y = (K * nums[y-1]) / denom: its floor and remainder over denom
-    nums, denom = over_common_denominator(target[y] for y in range(1, N + 1))
-    base, remainders = map(list, zip(*(divmod(K * v, denom) for v in nums)))
+    # K * p_y = (K * num[y]) / den: its floor and remainder over den
+    nums = (target.num.get(y, 0) for y in range(1, N + 1))
+    base, remainders = map(list, zip(*(divmod(K * v, target.den) for v in nums)))
     surplus = K - sum(base)
     order = sorted(range(N), key=lambda idx: (-remainders[idx], idx))
     for idx in order[:surplus]:
@@ -82,10 +79,10 @@ def approx_distance(amap: ApproxMap, target: Dist) -> Fraction:
     and the target; lies in [0, 2]."""
     if target.size != amap.N:
         raise ValidationError(f"ground-set mismatch: map N={amap.N}, target {target.size}")
-    return sum(
-        (abs(target[y] - Fraction(m, amap.K)) for y, m in enumerate(amap.atoms, start=1)),
-        Fraction(0),
-    )
+    # sum |num[y] / den - m / K| over the one denominator den * K
+    gaps = (abs(target.num.get(y, 0) * amap.K - m * target.den)
+            for y, m in enumerate(amap.atoms, start=1))
+    return Fraction(sum(gaps), target.den * amap.K)
 
 
 def count_resolution_types(N: int, K: int) -> int:

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 
-#: Refuse to materialize more than this many types in one list.
+#: Refuse to list more than this many types, or bounds rows, in one report.
 ENUMERATION_LIMIT = 2_000_000
 
 
@@ -69,17 +69,6 @@ def iter_types(n: int, q: int) -> Iterator[TypeVector]:
 
     for counts in compositions(n, q):
         yield TypeVector(counts)
-
-
-def enumerate_types(n: int, q: int) -> list[TypeVector]:
-    """All C(n+q-1, q-1) types as a list, canonical order."""
-    total = count_types(n, q)
-    if total > ENUMERATION_LIMIT:
-        raise BudgetError(
-            f"refusing to materialize {total} types (limit {ENUMERATION_LIMIT}); "
-            "use iter_types"
-        )
-    return list(iter_types(n, q))
 
 
 def type_index(t: TypeVector) -> int:

@@ -1,4 +1,5 @@
-"""Exact finite probability distributions (sparse, Fraction-valued)."""
+"""Exact finite probability distributions (sparse integer masses over one
+least common denominator)."""
 
 from __future__ import annotations
 
@@ -23,31 +24,54 @@ class Dist:
 
     Keys may be any hashable outcome (type indices, vectors, tuples of
     vectors). When `size` is given, the ground set is [1..size] and keys must
-    be integers in that range; zero-mass outcomes are never stored.
+    be integers in that range; zero-mass outcomes are never stored. Outcome k
+    has mass num[k] / den: `num` is a read-only mapping to positive integers
+    and `den` their least common denominator. `mass`, `d[k]` and `items()`
+    box the masses as Fractions on each call.
     """
 
-    __slots__ = ("mass", "size")
+    __slots__ = ("num", "den", "size")
 
     def __init__(self, mass: Mapping[Hashable, Fraction | int], size: int | None = None):
-        cleaned: dict = {}
+        # keys and masses go to lists: the one dict built hashes each key once
+        keys, masses = [], []
         for key, value in mass.items():
             value = value if isinstance(value, Fraction) else Fraction(value)
             if value < 0:
                 raise ValidationError(f"negative mass {value} at {key!r}")
             if value:
-                cleaned[key] = value
-        nums, denom = over_common_denominator(cleaned.values())
-        if sum(nums) != denom:
-            total = Fraction(sum(nums), denom)
-            raise ValidationError(f"masses must sum to 1 exactly, got {total}")
+                keys.append(key)
+                masses.append(value)
+        nums, den = over_common_denominator(masses)
+        if sum(nums) != den:
+            raise ValidationError(f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}")
+        self._fill(dict(zip(keys, nums)), den, size)
+
+    @classmethod
+    def from_counts(cls, weights: Mapping[Hashable, int], size: int | None = None) -> "Dist":
+        """The distribution proportional to nonnegative integer `weights`,
+        each mass in lowest terms."""
+        for key, w in weights.items():
+            if type(w) is not int:
+                raise ValidationError(f"weight {w!r} at {key!r} is not an integer")
+            if w < 0:
+                raise ValidationError(f"negative weight {w} at {key!r}")
+        if not (total := sum(weights.values())):
+            raise ValidationError("weights must have a positive total")
+        g = math.gcd(total, *weights.values())
+        self = object.__new__(cls)
+        self._fill({k: w // g for k, w in weights.items() if w}, total // g, size)
+        return self
+
+    def _fill(self, num: dict, den: int, size: int | None) -> None:
         if size is not None:
             if not (isinstance(size, int) and size >= 1):
                 raise ValidationError("size must be a positive integer")
-            for key in cleaned:
+            for key in num:
                 if not (isinstance(key, int) and 1 <= key <= size):
                     raise ValidationError(f"outcome {key!r} outside [1..{size}]")
-        object.__setattr__(self, "mass", MappingProxyType(cleaned))
-        object.__setattr__(self, "size", size)
+        for name, value in zip(self.__slots__, (MappingProxyType(num), den, size)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def uniform(cls, keys: Iterable[Hashable], size: int | None = None) -> "Dist":
@@ -56,40 +80,43 @@ class Dist:
             raise ValidationError("uniform support must not repeat outcomes")
         if not keys:
             raise ValidationError("uniform support must be nonempty")
-        p = Fraction(1, len(keys))
-        return cls({k: p for k in keys}, size=size)
+        return cls.from_counts(dict.fromkeys(keys, 1), size=size)
 
     @classmethod
     def point(cls, key: Hashable, size: int | None = None) -> "Dist":
-        return cls({key: Fraction(1)}, size=size)
+        return cls.from_counts({key: 1}, size=size)
+
+    @property
+    def mass(self) -> dict:
+        return dict(self.items())
 
     def __getitem__(self, key: Hashable) -> Fraction:
-        return self.mass.get(key, Fraction(0))
+        return Fraction(self.num.get(key, 0), self.den)
 
     def support(self):
-        return self.mass.keys()
+        return self.num.keys()
 
     def items(self):
-        return self.mass.items()
+        return [(k, Fraction(v, self.den)) for k, v in self.num.items()]
 
     def pushforward(self, f, size: int | None = None) -> "Dist":
         """The distribution of f(x) for x drawn from this one."""
-        mass: dict = {}
-        for x, p in self.items():
+        weights: dict = {}
+        for x, v in self.num.items():
             y = f(x)
-            mass[y] = mass.get(y, 0) + p
-        return Dist(mass, size=size)
+            weights[y] = weights.get(y, 0) + v
+        return Dist.from_counts(weights, size=size)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
-        return dict(self.mass) == dict(other.mass) and self.size == other.size
+        return (self.den, self.size, self.num) == (other.den, other.size, other.num)
 
     def __hash__(self):
-        return hash((frozenset(self.mass.items()), self.size))
+        return hash((frozenset(self.num.items()), self.den, self.size))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k!r}: {v}" for k, v in sorted(self.mass.items(), key=repr))
+        body = ", ".join(f"{k!r}: {v}" for k, v in sorted(self.items(), key=repr))
         return f"Dist({{{body}}}, size={self.size})"
 
     def __setattr__(self, name, value):
@@ -103,5 +130,6 @@ def tv_distance(p: Dist, r: Dist) -> Fraction:
     """
     if p.size != r.size:
         raise ValidationError(f"ground-set mismatch: {p.size} vs {r.size}")
-    keys = set(p.support()) | set(r.support())
-    return sum((abs(p[k] - r[k]) for k in keys), Fraction(0))
+    keys = p.num.keys() | r.num.keys()
+    gap = sum(abs(p.num.get(k, 0) * r.den - r.num.get(k, 0) * p.den) for k in keys)
+    return Fraction(gap, p.den * r.den)

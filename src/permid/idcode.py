@@ -36,7 +36,7 @@ from .combinatorics import (
     type_unrank,
     typeclass_size,
 )
-from .dist import Dist, over_common_denominator
+from .dist import Dist
 from .errors import (
     BoundViolationError,
     BudgetError,
@@ -208,23 +208,6 @@ def _block_orbit(x, n: int, q: int, N: int, l: int) -> int:
     return tuple_to_index(types, N)
 
 
-def counts_from_vector_set(
-    vectors, n: int, q: int, l: int = 1
-) -> dict[int, int]:
-    """Compress an explicit decoder region (set of flat tuples) to per-orbit
-    acceptance counts."""
-    N = count_types(n, q)
-    counts: dict[int, int] = {}
-    seen = set()
-    for x in vectors:
-        if x in seen:
-            raise ValidationError(f"repeated decoder vector {x!r}")
-        seen.add(x)
-        t = _block_orbit(x, n, q, N, l)
-        counts[t] = counts.get(t, 0) + 1
-    return counts
-
-
 def _orbit_product_size(t: int, n: int, q: int, N: int, l: int) -> int:
     return math.prod(typeclass_size(type_unrank(j, n, q)) for j in index_to_tuple(t, N, l))
 
@@ -295,43 +278,46 @@ def _report(blocks, M: int) -> ErrorReport:
 
 def _encoder_rows(code, rows: range | None = None):
     """The union of the encoders' supports (orbit indices for perm codes) as
-    sorted columns, and each encoder as an integer row over them with one
-    denominator per row: message i puts mass table[i, g] / dens[i] on cols[g]."""
+    sorted columns, and each encoder as an integer row over them with its own
+    denominator: message i puts mass table[i, g] / dens[i] on cols[g]."""
     encoders = code.encoders if rows is None else [code.encoders[i] for i in rows]
     if isinstance(code, PermIdCode):
-        pushed = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in encoders]
+        pushed = [[(code.input_orbit(x), v) for x, v in enc.num.items()] for enc in encoders]
     elif isinstance(code, NoiselessIdCode):
-        pushed = [enc.items() for enc in encoders]
+        pushed = [enc.num.items() for enc in encoders]
     else:
         raise ValidationError(f"unsupported code type {type(code).__name__}")
     cols = sorted({k for pairs in pushed for k, _ in pairs})
     where = {k: g for g, k in enumerate(cols)}
     table = np.zeros((len(pushed), len(cols)), dtype=object)
-    dens = np.zeros(len(pushed), dtype=object)
     for i, pairs in enumerate(pushed):
-        nums, dens[i] = over_common_denominator(p for _, p in pairs)
-        for (k, _), v in zip(pairs, nums):
+        for k, v in pairs:
             table[i, where[k]] += v
-    return cols, table, dens
+    return cols, table, np.array([enc.den for enc in encoders], dtype=object)
 
 
 def _decoder_columns(code, cols):
     """The decoders as integer columns over `cols` with one common
-    denominator: decoder j accepts cols[g] with probability table[g, j] / den."""
-    # integer 0s and 1s (denominator 1) stand in for Fractions where they can
+    denominator: decoder j accepts cols[g] with probability table[g, j] / den.
+    Each entry is a reduced pair a/b (count/orbit size over their gcd, 1/1,
+    or a stochastic probability), and den is the lcm of the b's in `cols`."""
     if isinstance(code, PermIdCode):
-        sizes = [code.orbit_size(t) for t in cols]
-        probs = [
-            [Fraction(d[t], s) if t in d else 0 for t, s in zip(cols, sizes)]
-            for d in code.decoder_counts
-        ]
+        raw = [[(t, c, code.orbit_size(t)) for t, c in d.items()] for d in code.decoder_counts]
     else:
-        probs = [
-            [int(k in d) for k in cols] if isinstance(d, frozenset) else [d.get(k, 0) for k in cols]
-            for d in code.decoders
-        ]
-    nums, den = over_common_denominator(p for column in probs for p in column)
-    return np.array(nums, dtype=object).reshape(len(probs), len(cols)).T, den
+        raw = [[(k, 1, 1) for k in d] if isinstance(d, frozenset)
+               else [(k, *p.as_integer_ratio()) for k, p in d.items()] for d in code.decoders]
+    where = {k: g for g, k in enumerate(cols)}
+    pairs = [
+        [(where[k], a // (r := math.gcd(a, b)), b // r) for k, a, b in column if k in where]
+        for column in raw
+    ]
+    den = math.lcm(*(b for column in pairs for _, _, b in column))
+    # filled by decoder, then transposed: the int64 matmul is faster on it
+    table = np.zeros((len(pairs), len(cols)), dtype=object)
+    for j, column in enumerate(pairs):
+        for g, a, b in column:
+            table[j, g] = a * (den // b)
+    return table.T, den
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,12 +460,11 @@ def _exact_sampler(dist: Dist, key: Callable = repr) -> tuple[list, list[int], i
 
     Keys are taken in repr order; `key` may stand in for repr when it sorts
     them the same way."""
-    items = sorted(dist.items(), key=lambda kv: key(kv[0]))
-    nums, denom = over_common_denominator(p for _, p in items)
-    cuts = list(accumulate(nums))
-    if cuts[-1] != denom:
+    items = sorted(dist.num.items(), key=lambda kv: key(kv[0]))
+    cuts = list(accumulate(v for _, v in items))
+    if cuts[-1] != dist.den:
         raise PermidError("sampler weights must total the common denominator")
-    return [k for k, _ in items], cuts, denom
+    return [k for k, _ in items], cuts, dist.den
 
 
 def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:

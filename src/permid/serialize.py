@@ -38,10 +38,7 @@ def code_to_json(code, seed: int | None = None) -> dict:
             "kind": "noiseless",
             "N": code.N,
             "M": code.M,
-            "encoders": [
-                sorted([k, frac_str(p)] for k, p in enc.items())
-                for enc in code.encoders
-            ],
+            "encoders": [_masses(enc, lambda k: k) for enc in code.encoders],
         }
         if code.is_deterministic():
             doc["decoders"] = {
@@ -73,10 +70,7 @@ def code_to_json(code, seed: int | None = None) -> dict:
             "l": code.l,
             "N": code.N,
             "M": code.M,
-            "encoders": [
-                sorted([ranks[id(x)], frac_str(p)] for x, p in enc.items())
-                for enc in code.encoders
-            ],
+            "encoders": [_masses(enc, lambda x: ranks[id(x)]) for enc in code.encoders],
             "decoders": {
                 "typecounts": [
                     [counts.get(t, 0) for t in range(1, code.ground + 1)]
@@ -108,6 +102,13 @@ def code_to_json(code, seed: int | None = None) -> dict:
     if seed is not None:
         doc["seed"] = seed
     return doc
+
+
+def _masses(enc: Dist, key) -> list:
+    """An encoder's [key(outcome), "p/q"] pairs in order, each mass in
+    lowest terms."""
+    den = enc.den
+    return sorted([key(k), f"{v // (g := gcd(v, den))}/{den // g}"] for k, v in enc.num.items())
 
 
 def code_from_json(doc: dict):
@@ -340,6 +341,8 @@ def csv_rows(doc: dict):
     if kind == "mc-report":
         return chain([["i", "j", "accept_hat"]], ([i, j, p] for i, j, p in cells))
     D = doc["D"]
-    # c/D in lowest terms, as frac_str(Fraction(c, D)) gives it
-    rows = ([j, k, c, f"{c // (g := gcd(c, D))}/{D // g}", c / D] for j, k, c in cells if j != k)
+    # each count c in 0..D rendered once: c/D in lowest terms, as
+    # frac_str(Fraction(c, D)) gives it, and the decimal as csv writes c / D
+    text = [(f"{c // (g := gcd(c, D))}/{D // g}", repr(c / D)) for c in range(D + 1)]
+    rows = ([j, k, c, *text[c]] for j, k, c in cells if j != k)
     return chain([["j", "k", "collisions", "fraction", "fraction_decimal"]], rows)

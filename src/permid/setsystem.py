@@ -368,11 +368,3 @@ def johnson_bound_M(N: int, d: int, w: int) -> int:
     if denom <= 0:
         raise HypothesisError(f"denominator 2w^2-2Nw+Nd = {denom} <= 0; bound inapplicable")
     return (N * d) // denom
-
-
-def johnson_bound_for_profile(profile: IntersectionProfile) -> int:
-    """Johnson bound specialized to a (Gamma, Delta) profile.
-
-    Characteristic vectors have weight w = Gamma and pairwise distance at
-    least d = 2*(Gamma - Delta)."""
-    return johnson_bound_M(profile.N, 2 * (profile.gamma - profile.delta), profile.gamma)

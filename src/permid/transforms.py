@@ -98,11 +98,11 @@ def perm_to_noiseless(code: PermIdCode) -> StepResult:
     """
     before = acceptance(code)
     encoders = [code.output_dist(i) for i in range(1, code.M + 1)]
-    tables = [
-        {t: Fraction(c, code.orbit_size(t)) for t, c in counts.items()}
+    decoders = [
+        frozenset(counts) if all(c == code.orbit_size(t) for t, c in counts.items())
+        else {t: Fraction(c, code.orbit_size(t)) for t, c in counts.items()}
         for counts in code.decoder_counts
     ]
-    decoders = [frozenset(tb) if all(p == 1 for p in tb.values()) else tb for tb in tables]
     lifted = NoiselessIdCode(code.ground, encoders, decoders)
     after = acceptance(lifted)
     if after != before:
@@ -219,12 +219,12 @@ def to_uniform_encoders(
     before = acceptance(code) if before is None else before
     encoders = []
     chosen = []
-    masses = {p for enc in code.encoders for p in enc.mass.values()}
-    bin_of = {p: _bin_of(p, N, gamma, kappa) for p in masses}  # each distinct mass once
+    masses = {(v, enc.den) for enc in code.encoders for v in enc.num.values()}
+    bin_of = {(v, d): _bin_of(Fraction(v, d), N, gamma, kappa) for v, d in masses}  # once each
     for enc in code.encoders:
         bins: dict[int, list] = {}
-        for k, p in enc.items():
-            b = bin_of[p]
+        for k, v in enc.num.items():
+            b = bin_of[v, enc.den]
             if b is not None:
                 bins.setdefault(b, []).append(k)
         if not bins:
@@ -232,7 +232,7 @@ def to_uniform_encoders(
                 "every encoder mass sits below the last bin floor; "
                 "impossible at total mass 1, so the encoder is malformed"
             )
-        weight = {b: sum((enc[k] for k in ks), Fraction(0)) for b, ks in sorted(bins.items())}
+        weight = {b: sum(enc.num[k] for k in ks) for b, ks in sorted(bins.items())}  # over enc.den
         b_star = max(weight, key=weight.__getitem__)  # ties go to the smallest bin
         chosen.append(b_star)
         encoders.append(Dist.uniform(bins[b_star], size=code.N))
@@ -285,9 +285,8 @@ def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = No
         )
     encoders, decoders = [], []
     for enc, dec in zip(code.encoders, code.decoders):
-        kept = {k: p for k, p in enc.items() if k in dec}
-        total = sum(kept.values(), Fraction(0))
-        encoders.append(Dist({k: p / total for k, p in kept.items()}, size=code.N))
+        kept = {k: v for k, v in enc.num.items() if k in dec}
+        encoders.append(Dist.from_counts(kept, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
     after, old, new, den = _compare(before, new_code)
@@ -322,7 +321,7 @@ def equal_size_supports(code: NoiselessIdCode, before: Acceptance | None = None)
     before = acceptance(code) if before is None else before
     by_size: dict[int, list[int]] = {}
     for i, enc in enumerate(code.encoders, start=1):
-        by_size.setdefault(len(enc.mass), []).append(i)
+        by_size.setdefault(len(enc.num), []).append(i)
     k_star = max(sorted(by_size), key=lambda k: len(by_size[k]))  # ties to the smallest size
     kept = tuple(by_size[k_star])
     new_code = NoiselessIdCode(

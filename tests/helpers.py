@@ -5,9 +5,11 @@ The generators are driven by a plain `random.Random` so the sweeps are
 reproducible from the literal seeds written in the tests. Masses are built
 from small integer weights, so every probability is an exact Fraction with a
 modest denominator. The `reference_*` functions are the slow, direct
-versions of library algorithms (the codec loops, Fraction sums, per-trial
-samplers, the pairwise table compare), kept as oracles for differential
-tests; `accept_prob` and `accept_prob_for_orbit` give the per-outcome decoder
+versions of library algorithms (the codec loops, Fraction sums, the kernel's
+Fraction-path encoder rows and decoder columns, per-trial samplers, the
+pairwise table compare), kept as oracles for differential tests;
+`counts_from_vector_set` compresses an explicit decoder region to per-orbit
+counts; `accept_prob` and `accept_prob_for_orbit` give the per-outcome decoder
 factors that `reference_acceptance_matrix` sums, and `fractions` and
 `kernel_of` convert between a Fraction matrix and an integer acceptance
 kernel.
@@ -33,6 +35,7 @@ from permid.combinatorics import (
     TypeVector,
     count_types,
     iter_types,
+    tuple_to_index,
     type_index,
     type_of,
     type_representative,
@@ -44,7 +47,7 @@ from permid.combinatorics import (
 from permid.dist import over_common_denominator
 from permid.errors import BoundViolationError, ValidationError
 from permid.feedback import CollisionReport
-from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler, counts_from_vector_set
+from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler
 
 
 class PermutationChannel:
@@ -124,6 +127,22 @@ def random_noiseless_code(rand, N, M, decoder_kind="det"):
             stochastic = decoder_kind == "stoch"
         decoders.append(random_decoder(rand, N, stochastic))
     return NoiselessIdCode(N, encoders, decoders)
+
+
+def counts_from_vector_set(vectors, n, q, l=1):
+    """Compress an explicit decoder region (set of flat tuples) to per-orbit
+    acceptance counts, keyed by combined orbit index."""
+    N = count_types(n, q)
+    counts = {}
+    seen = set()
+    for x in vectors:
+        if x in seen:
+            raise ValidationError(f"repeated decoder vector {x!r}")
+        seen.add(x)
+        blocks = (x[b * n:(b + 1) * n] for b in range(l))
+        t = tuple_to_index(tuple(type_index(type_of(block, q)) for block in blocks), N)
+        counts[t] = counts.get(t, 0) + 1
+    return counts
 
 
 def random_vector(rand, n, q, l=1):
@@ -300,6 +319,53 @@ def reference_acceptance_matrix(code):
         [sum((p * accept(j, k) for k, p in row), Fraction(0)) for j in range(1, code.M + 1)]
         for row in rows
     ]
+
+
+def reference_encoder_rows(code):
+    """The kernel's encoder rows built from the Fraction masses: the sorted
+    union of the supports (orbit indices for perm codes) as columns, and each
+    encoder over the least common denominator of its masses."""
+    if isinstance(code, PermIdCode):
+        pushed = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in code.encoders]
+    else:
+        pushed = [enc.items() for enc in code.encoders]
+    cols = sorted({k for pairs in pushed for k, _ in pairs})
+    where = {k: g for g, k in enumerate(cols)}
+    table = np.zeros((len(pushed), len(cols)), dtype=object)
+    dens = np.zeros(len(pushed), dtype=object)
+    for i, pairs in enumerate(pushed):
+        nums, dens[i] = over_common_denominator(p for _, p in pairs)
+        for (k, _), v in zip(pairs, nums):
+            table[i, where[k]] += v
+    return cols, table, dens
+
+
+def reference_decoder_columns(code, cols):
+    """The kernel's decoder columns from one Fraction per (column, decoder):
+    Fraction(count, orbit size) for perm decoders, 0/1 or the stochastic
+    probability for noiseless ones, all over their least common denominator."""
+    if isinstance(code, PermIdCode):
+        probs = [
+            [Fraction(d[t], code.orbit_size(t)) if t in d else 0 for t in cols]
+            for d in code.decoder_counts
+        ]
+    else:
+        probs = [
+            [int(k in d) for k in cols] if isinstance(d, frozenset) else [d.get(k, 0) for k in cols]
+            for d in code.decoders
+        ]
+    nums, den = over_common_denominator(p for column in probs for p in column)
+    return np.array(nums, dtype=object).reshape(len(probs), len(cols)).T, den
+
+
+def reference_kernel(code):
+    """The acceptance kernel from the Fraction-path rows and columns, with
+    the library's backend rule: int64 when no sum can overflow."""
+    cols, enc, row_den = reference_encoder_rows(code)
+    dec, den = reference_decoder_columns(code, cols)
+    if max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63:
+        enc, dec = enc.astype(np.int64), dec.astype(np.int64)
+    return Acceptance(enc @ dec, row_den * den)
 
 
 def reference_report(matrix):

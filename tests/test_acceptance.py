@@ -45,7 +45,7 @@ from permid import (
     h2,
     h2_inv,
     iter_types,
-    johnson_bound_for_profile,
+    johnson_bound_M,
     perm_to_noiseless,
     pigeonhole_collision_check,
     prop2_lower_bound,
@@ -276,7 +276,7 @@ def test_criterion_06_small_overlap_counting_bounds():
             if delta * N > (1 - alpha) * gamma * gamma:
                 continue
             assert M <= 1 + Fraction(N) / alpha
-            assert M <= johnson_bound_for_profile(profile)
+            assert M <= johnson_bound_M(N, 2 * (gamma - delta), gamma)
             checked += 1
     assert checked >= 50
     return f"{checked} small-overlap instances, zero violations"

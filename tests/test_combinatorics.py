@@ -10,12 +10,10 @@ from itertools import product
 
 import pytest
 
-import permid.combinatorics
 from permid.combinatorics import (
     TypeVector,
     check_N_bounds,
     count_types,
-    enumerate_types,
     index_to_tuple,
     iter_types,
     tuple_to_index,
@@ -27,7 +25,7 @@ from permid.combinatorics import (
     vector_rank,
     vector_unrank,
 )
-from permid.errors import BudgetError, ValidationError
+from permid.errors import ValidationError
 
 
 def test_count_types_closed_form():
@@ -132,16 +130,6 @@ def test_tuple_index_bijection():
         assert tuple_to_index((N,) * l, N) == N**l
     assert tuple_to_index((2, 1), 13) == 14
     assert index_to_tuple(14, 13, 2) == (2, 1)
-
-
-def test_enumerate_types_respects_limit(monkeypatch):
-    assert len(enumerate_types(6, 3)) == 28
-    with pytest.raises(BudgetError):
-        enumerate_types(10**6, 4)
-    # the limit is read at call time
-    monkeypatch.setattr(permid.combinatorics, "ENUMERATION_LIMIT", 27)
-    with pytest.raises(BudgetError):
-        enumerate_types(6, 3)
 
 
 def test_N_bounds_hold_at_desk_scale():

@@ -1,8 +1,11 @@
 """The exact distribution container: its checks, messages and conversions."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permid import Dist
 from permid.errors import ValidationError
@@ -56,3 +59,51 @@ def test_keys_must_lie_in_the_ground_set(key):
 def test_keys_are_free_without_a_size():
     d = Dist({(1, 2): Fraction(1, 2), "x": Fraction(1, 2)})
     assert d.size is None and d[(1, 2)] == Fraction(1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.dictionaries(st.integers(1, 8), st.integers(0, 60), min_size=1).filter(
+        lambda w: any(w.values())
+    ),
+    scale=st.integers(1, 12),
+    sized=st.booleans(),
+)
+def test_fraction_and_integer_constructors_agree(weights, scale, sized):
+    size = 8 if sized else None
+    total = sum(weights.values())
+    by_mass = Dist({k: Fraction(w, total) for k, w in weights.items()}, size=size)
+    by_counts = Dist.from_counts({k: w * scale for k, w in weights.items()}, size=size)
+    assert by_mass == by_counts and hash(by_mass) == hash(by_counts)
+    # zero weights are dropped, and den is the least common denominator
+    assert dict(by_counts.num) == {k: w // math.gcd(total, *weights.values())
+                                   for k, w in weights.items() if w}
+    assert by_counts.den == math.lcm(*(Fraction(w, total).denominator for w in weights.values()))
+    assert math.gcd(by_counts.den, *by_counts.num.values()) == 1
+    assert by_counts.mass == {k: Fraction(w, total) for k, w in weights.items() if w}
+    assert by_counts.size == size
+
+
+def test_integer_masses_are_read_only():
+    d = Dist.from_counts({1: 2, 2: 6}, size=2)
+    assert (dict(d.num), d.den) == ({1: 1, 2: 3}, 4)
+    with pytest.raises(TypeError):
+        d.num[1] = 2
+    with pytest.raises(AttributeError):
+        d.den = 8
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), 1.0, "1", True, None])
+def test_integer_constructor_refuses_non_integer_weights(weight):
+    with pytest.raises(ValidationError, match=r"^weight .* at 2 is not an integer$"):
+        Dist.from_counts({1: 1, 2: weight})
+
+
+def test_integer_constructor_refuses_negative_weights_and_a_zero_total():
+    with pytest.raises(ValidationError, match=r"^negative weight -1 at 2$"):
+        Dist.from_counts({1: 3, 2: -1})
+    for weights in ({}, {1: 0, 2: 0}):
+        with pytest.raises(ValidationError, match=r"^weights must have a positive total$"):
+            Dist.from_counts(weights)
+    with pytest.raises(ValidationError, match=r"outcome 3 outside \[1\.\.2\]"):
+        Dist.from_counts({3: 1}, size=2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     accept_prob,
     accept_prob_for_orbit,
+    counts_from_vector_set,
     fractions,
     mpmath_cap,
     random_noiseless_code,
@@ -40,7 +41,6 @@ from permid.idcode import (
     achievable_params,
     build_multishot_achievable,
     check_strong_converse,
-    counts_from_vector_set,
     eval_noiseless,
     eval_perm_exact,
     eval_perm_mc,

@@ -3,13 +3,17 @@
 `helpers.reference_acceptance_matrix` is the direct sum over encoder
 supports that the kernel replaced; every kernel output (matrix, report,
 converse floor) must equal the reference entry by entry, on both matmul
-backends.
+backends. `helpers.reference_kernel` builds the kernel's rows and columns
+from Fractions, as the library once did; the integer path must give the
+same dtype, numerators and denominators, and must build no Fraction.
 """
 
+import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from helpers import (
     random_perm_code,
     reference_acceptance_matrix,
     reference_converse_floor,
+    reference_kernel,
     reference_report,
     with_prime_masses,
 )
@@ -39,6 +44,7 @@ from permid import (
 from permid.errors import BoundViolationError
 from permid.exact import bracket, power_sign
 from permid.idcode import Acceptance, acceptance, acceptance_matrix
+from permid.serialize import code_from_json
 from permid.transforms import _growth_violations
 
 
@@ -52,9 +58,22 @@ def make_code(seed, kind, M, l=1, decoders="stoch", big=False):
     return with_prime_masses(rand, code) if big else code
 
 
+def check_against_oracle(code):
+    """The kernel equals the Fraction-path oracle in dtype, numerators and
+    denominators, and its decoder denominator is the least common
+    denominator of the reduced decoder entries."""
+    kernel, expected = acceptance(code), reference_kernel(code)
+    assert kernel.num.dtype == expected.num.dtype
+    assert kernel.num.tolist() == expected.num.tolist()
+    assert kernel.den.tolist() == expected.den.tolist()
+    dec, den = idcode._decoder_columns(code, idcode._encoder_rows(code)[0])
+    assert den == math.lcm(*(Fraction(a, den).denominator for a in dec.flat))
+    return kernel
+
+
 def check_against_reference(code, big):
     reference = reference_acceptance_matrix(code)
-    kernel = acceptance(code)
+    kernel = check_against_oracle(code)
     assert acceptance_matrix(code) == reference
     evaluate = eval_noiseless if isinstance(code, NoiselessIdCode) else eval_perm_exact
     assert evaluate(code) == reference_report(reference) == kernel.report
@@ -90,6 +109,47 @@ def test_perm_kernel_grid(M, l, big):
         code = make_code(seed, "perm", M, l, big=big)
         dtypes.add(check_against_reference(code, big).num.dtype)
     assert dtypes == {np.dtype(np.int64)} if not big else np.dtype(object) in dtypes
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_orbit_code():
+    """The golden orbit-union code: n=60, q=2, full-orbit decoders."""
+    return code_from_json(json.loads((GOLDEN / "orbit_code.json").read_text())["code"])
+
+
+def test_golden_orbit_kernel_stays_int64_over_decoder_denominator_one():
+    code = golden_orbit_code()
+    assert check_against_oracle(code).num.dtype == np.int64
+    cols = idcode._encoder_rows(code)[0]
+    assert idcode._decoder_columns(code, cols)[1] == 1
+    # scaling every count to the lcm of the orbit sizes instead would leave int64
+    assert math.lcm(*map(code.orbit_size, cols)) >= 2**63
+
+
+def fractions_made(monkeypatch, run) -> int:
+    """The number of Fraction constructions while `run()` runs."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counting))
+        run()
+    return len(made)
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    loaded = golden_orbit_code()
+    deterministic = random_noiseless_code(random.Random(4), 6, 5, "det")
+    for code in (loaded, deterministic):
+        assert fractions_made(monkeypatch, lambda: acceptance(code)) == 0
+        # the counter sees the Fraction path's constructions
+        assert fractions_made(monkeypatch, lambda: reference_kernel(code)) > 0
 
 
 def test_report_streams_blocks_above_the_cap(monkeypatch):

@@ -24,7 +24,6 @@ from permid.setsystem import (
     h2,
     h2_inv,
     johnson_bound_M,
-    johnson_bound_for_profile,
     lemma6_check,
     prop2_lower_bound,
     verify_profile,
@@ -507,6 +506,12 @@ def test_johnson_matches_exhaustive_disjoint_packing():
 
     extend([], 0)
     assert best == johnson_bound_M(8, 4, 2) == 4
+
+
+def johnson_bound_for_profile(p):
+    """The Johnson bound at the profile's weight w = Gamma and least
+    pairwise distance d = 2*(Gamma - Delta)."""
+    return johnson_bound_M(p.N, 2 * (p.gamma - p.delta), p.gamma)
 
 
 def test_johnson_for_profile_ties_out():

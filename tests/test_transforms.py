@@ -17,6 +17,7 @@ import pytest
 
 import permid.transforms
 from helpers import (
+    counts_from_vector_set,
     random_dist,
     random_noiseless_code,
     random_perm_code,
@@ -32,7 +33,6 @@ from permid.idcode import (
     acceptance,
     acceptance_matrix,
     build_multishot_achievable,
-    counts_from_vector_set,
     eval_perm_exact,
     full_orbit_counts,
 )
