@@ -10,7 +10,6 @@ keys, making equal objects byte-identical for determinism checks.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import truediv
@@ -206,8 +205,12 @@ def report_to_json(report) -> dict:
             "argmax_cross": list(report.argmax_cross) if report.argmax_cross else None,
         }
         if report.accept is not None:
-            num, den = report.accept.num.tolist(), report.accept.den.tolist()
-            doc["matrix"] = [[frac_str(Fraction(n, d)) for n in row] for row, d in zip(num, den)]
+            # each entry in lowest terms, reduced in bulk (np.gcd takes the
+            # object rows of the bigint kernel as well)
+            num, den = report.accept.num, report.accept.den[:, None]
+            g = np.gcd(num, den)
+            doc["matrix"] = [[f"{a}/{b}" for a, b in zip(*row)]
+                             for row in zip((num // g).tolist(), (den // g).tolist())]
         return doc
     if isinstance(report, MCReport):
         doc = {

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permid.cli
 import permid.feedback
@@ -37,7 +39,7 @@ from permid.cli import main
 from permid.combinatorics import index_to_tuple, tuple_to_index
 from permid.errors import BudgetError, ValidationError
 from permid.exact import frac_str, parse_frac
-from permid.idcode import ErrorReport
+from permid.idcode import Acceptance, ErrorReport
 from permid.serialize import (
     SCHEMA,
     code_from_json,
@@ -160,6 +162,25 @@ def test_error_report_json_is_exactly_invertible():
         code = random_perm_code(rand, 3, 2, rand.randint(2, 4))
         report = eval_perm_exact(code)
         assert error_report_from_json(json.loads(dumps(report_to_json(report)))) == report
+
+
+@st.composite
+def kernels(draw):
+    """Row-denominator kernels on either backend: int64 numerators with small
+    denominators, or object numerators over denominators up to 2**90."""
+    M = draw(st.integers(1, 5))
+    big = draw(st.booleans())
+    dens = draw(st.lists(st.integers(1, 2**90 if big else 720), min_size=M, max_size=M))
+    num = [draw(st.lists(st.integers(0, d), min_size=M, max_size=M)) for d in dens]
+    return Acceptance(np.array(num, dtype=object if big else np.int64), np.array(dens, dtype=object))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=kernels())
+def test_exact_matrix_renders_each_entry_in_lowest_terms(kernel):
+    """The bulk gcd render gives frac_str of each entry's Fraction."""
+    doc = report_to_json(kernel.report)
+    assert doc["matrix"] == [[frac_str(p) for p in row] for row in fractions(kernel)]
 
 
 def test_collision_report_json_shape():
