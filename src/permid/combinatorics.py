@@ -2,8 +2,7 @@
 canonical order, counting, size bounds, in-class vector ranking, and the
 mixed-radix bijection used by multishot codes.
 
-Everything here is exact big-integer arithmetic; counts never wrap, and
-vector_unrank_rows refuses classes too large for its int64 walk. The
+Everything here is exact big-integer arithmetic; counts never wrap. The
 canonical order on types is lexicographically decreasing (for n=3, q=2:
 (3,0), (2,1), (1,2), (0,3)), and type indices are 1-based against it.
 """
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -224,37 +221,6 @@ def vector_unrank(t: TypeVector, rank: int) -> tuple[int, ...]:
                 break
             rank -= here
     return tuple(out)
-
-
-def vector_unrank_rows(counts: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """vector_unrank of every row at once: row i of the (T, n) result is the
-    ranks[i]-th vector of the class with the symbol counts counts[i], for
-    T >= 1 rows of one length n. The walk runs on int64 over all rows, one
-    position at a time; its products stay below class size times n."""
-    counts = np.array(counts, dtype=np.int64, ndmin=2)
-    rows = list(map(tuple, counts.tolist()))
-    sizes = {c: typeclass_size(TypeVector(c)) for c in set(rows)}
-    n = sum(rows[0])
-    if len(ranks) != len(rows) or {sum(c) for c in sizes} != {n} or max(sizes.values()) * n >= 2**63:
-        raise ValidationError("need one rank per row of counts of one length n, "
-                              "and classes of fewer than 2**63 / n vectors")
-    current = np.array([sizes[c] for c in rows], dtype=np.int64)
-    ranks = np.array(ranks, dtype=np.int64)
-    if ((ranks < 0) | (ranks >= current)).any():
-        raise ValidationError("every rank must lie in [0..class size)")
-    at = np.arange(len(rows))
-    out = np.empty((len(rows), n), dtype=np.min_scalar_type(counts.shape[1]))
-    for pos in range(n):
-        # here[i, s]: the vectors of row i's remaining class with symbol s + 1
-        # next; the symbol is the last whose vectors before it are <= the rank
-        here = current[:, None] * counts // (n - pos)
-        below = here.cumsum(axis=1) - here
-        s = (below <= ranks[:, None]).sum(axis=1) - 1
-        out[:, pos] = s + 1
-        ranks = ranks - below[at, s]
-        current = here[at, s]
-        counts[at, s] -= 1
-    return out
 
 
 def type_representative(t: TypeVector) -> tuple[int, ...]:

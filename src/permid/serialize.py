@@ -150,7 +150,7 @@ def _code_from_json(doc: dict):
             decoders = [frozenset(d) for d in decs["deterministic"]]
         elif "stochastic" in decs:
             decoders = [
-                {k: parse_frac(p) for k, p in enumerate(row, start=1) if parse_frac(p)}
+                {k: p for k, p in enumerate(map(parse_frac, row), start=1) if p}
                 for row in decs["stochastic"]
             ]
         else:

@@ -124,8 +124,10 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
     lam2 = before.report.lambda2
     decoders = []
     for dec in code.decoders:
-        table = dec if isinstance(dec, dict) else {k: Fraction(1) for k in dec}
-        decoders.append(frozenset(k for k, p in table.items() if p * p > lam2))
+        if isinstance(dec, dict):
+            decoders.append(frozenset(k for k, p in dec.items() if p * p > lam2))
+        else:  # every outcome has P = 1, and 1 * 1 > lambda2 holds for all or none
+            decoders.append(dec if lam2 < 1 else frozenset())
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
     after, old, new, den = _compare(before, new_code)
     p, q = lam2.numerator, lam2.denominator

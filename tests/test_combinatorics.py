@@ -8,10 +8,7 @@ import math
 import random
 from itertools import product
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from permid.combinatorics import (
     TypeVector,
@@ -27,7 +24,6 @@ from permid.combinatorics import (
     typeclass_size,
     vector_rank,
     vector_unrank,
-    vector_unrank_rows,
 )
 from permid.errors import ValidationError
 
@@ -116,54 +112,6 @@ def test_vector_unrank_rejects_bad_rank():
         vector_unrank(t, 3)
     with pytest.raises(ValidationError):
         vector_unrank(t, -1)
-
-
-@st.composite
-def unrank_rows_cases(draw):
-    """Rows of symbol counts of one length n <= 12 over q <= 5 symbols, each
-    with a rank in its class: the first, the last or any."""
-    n, q = draw(st.integers(1, 12)), draw(st.integers(2, 5))
-    counts, ranks = [], []
-    for _ in range(draw(st.integers(1, 6))):
-        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=q - 1, max_size=q - 1)))
-        t = TypeVector(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
-        size = typeclass_size(t)
-        counts.append(t.counts)
-        ranks.append(draw(st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1))))
-    return counts, ranks
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=unrank_rows_cases())
-def test_vector_unrank_rows_matches_the_scalar_walk(case):
-    counts, ranks = case
-    expected = [list(vector_unrank(TypeVector(c), r)) for c, r in zip(counts, ranks)]
-    assert vector_unrank_rows(np.array(counts), np.array(ranks)).tolist() == expected
-
-
-def test_vector_unrank_rows_holds_symbols_past_int8():
-    t = TypeVector(tuple(int(s in (1, 64, 130)) for s in range(1, 131)))
-    ranks = list(range(typeclass_size(t)))
-    out = vector_unrank_rows(np.array([t.counts] * len(ranks)), np.array(ranks))
-    assert out.tolist() == [list(vector_unrank(t, r)) for r in ranks]
-    assert out.max() == 130
-
-
-def test_vector_unrank_rows_refusals():
-    with pytest.raises(ValidationError, match="class size"):
-        vector_unrank_rows([[2, 1]], [3])
-    with pytest.raises(ValidationError, match="class size"):
-        vector_unrank_rows([[2, 1]], [-1])
-    with pytest.raises(ValidationError, match="one length"):
-        vector_unrank_rows([[2, 1], [1, 1]], [0, 0])
-    with pytest.raises(ValidationError, match="one length"):
-        vector_unrank_rows([[2, 1]], [0, 0])
-    with pytest.raises(ValidationError, match="nonnegative"):
-        vector_unrank_rows([[3, -1]], [0])
-    # C(61, 30) * 61 passes 2**63, C(60, 30) * 60 does not
-    with pytest.raises(ValidationError, match="2\\*\\*63 / n"):
-        vector_unrank_rows([[1, 60], [31, 30]], [0, 0])
-    assert vector_unrank_rows([[30, 30]], [0]).tolist() == [[1] * 30 + [2] * 30]
 
 
 def test_tuple_index_bijection():

@@ -201,6 +201,20 @@ def test_threshold_keeps_deterministic_code():
     assert step.code.decoders == code.decoders
 
 
+def test_threshold_empties_deterministic_decoders_at_lambda2_one():
+    # decoder 2 holds both outcomes, so it accepts message 1 always:
+    # alpha = 1 and no outcome's P = 1 lies above it
+    code = NoiselessIdCode(
+        3,
+        [Dist.point(1, size=3), Dist.point(2, size=3)],
+        [frozenset({1}), frozenset({1, 2})],
+    )
+    step = stoch_to_det_decoders(code)
+    assert step.before.lambda2 == 1
+    assert step.code.decoders == (frozenset(), frozenset())
+    assert (step.after.lambda1, step.after.lambda2) == (1, 0)
+
+
 def test_threshold_rule_on_single_point():
     # lambda2 = 1/4 makes alpha = 1/2; the 9/10 entry survives, the 2/5 does
     # not (0.4^2 < 1/4).
