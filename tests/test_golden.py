@@ -19,8 +19,10 @@ follow the former: by repr, (10, 3) sorts before (2, 5). `noiseless` is
 `helpers.random_noiseless_code` at seed 2 with N=5, M=4 and mixed decoders,
 pinned for `eval --converse` only: it runs the noiseless branch of `eval`.
 
-`feedback_mc.json` is the stdout of `permid feedback --n 6 --q 2 --l 2 --M 4
---mode mc --trials 2000 --seed 1`.
+`feedback.json` and `feedback_retry.json` are the stdout of `permid feedback
+--n 6 --q 2 --l 2 --M 4 --seed 1`, plain and with `--retry 3`: collision
+reports with their count matrix. `feedback_mc.json` is the stdout of the same
+command with `--mode mc --trials 2000`.
 
 `setsystem_sparse.json` and `setsystem_dense.json` are the stdout of `permid
 setsystem --m-target 400 --max-attempts 400000 --seed 1` at N=200, epsilon
@@ -140,6 +142,11 @@ def test_feedback_mc_matches_golden_bytes(capsys):
     assert run(capsys, FEEDBACK_MC_ARGV) == (GOLDEN / "feedback_mc.json").read_text()
 
 
+@pytest.mark.parametrize("stem", ["feedback", "feedback_retry"])
+def test_collision_report_matches_golden_bytes(capsys, stem):
+    assert run(capsys, CSV_ARGV[stem]) == (GOLDEN / f"{stem}.json").read_text()
+
+
 @pytest.mark.parametrize("name", sorted(SETSYSTEM_ARGV))
 def test_setsystem_matches_golden_bytes(capsys, name):
     assert run(capsys, SETSYSTEM_ARGV[name]) == (GOLDEN / f"setsystem_{name}.json").read_text()
@@ -199,6 +206,8 @@ def _regenerate() -> None:
         text = capture(args[:1] + ["--code", str(GOLDEN / f"{name}_code.json")] + args[1:])
         (GOLDEN / f"{name}_{command}.json").write_text(text)
     (GOLDEN / "feedback_mc.json").write_text(capture(FEEDBACK_MC_ARGV))
+    for stem in ("feedback", "feedback_retry"):
+        (GOLDEN / f"{stem}.json").write_text(capture(CSV_ARGV[stem]))
     for name, argv in SETSYSTEM_ARGV.items():
         (GOLDEN / f"setsystem_{name}.json").write_text(capture(argv))
     (GOLDEN / "bounds_dense.json").write_text(capture(BOUNDS_ARGV))
