@@ -57,6 +57,7 @@ from .idcode import (
 from .rng import Stream
 from .serialize import (
     SCHEMA,
+    chunks,
     code_from_json,
     code_to_json,
     csv_rows,
@@ -114,9 +115,9 @@ def _emit(args, doc: dict) -> None:
         if rows is None:
             # in pieces: a reader that closes the pipe early can cut one long
             # write short without an error, but it makes the next one fail
-            text = dumps(doc)
-            for lo in range(0, len(text), 1 << 16):
-                fh.write(text[lo : lo + (1 << 16)])
+            for piece in chunks(doc):
+                for lo in range(0, len(piece), 1 << 16):
+                    fh.write(piece[lo : lo + (1 << 16)])
         else:
             csv.writer(fh).writerows(rows)
         fh.flush()  # so a closed reader shows up here, not at interpreter exit

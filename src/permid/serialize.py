@@ -10,6 +10,7 @@ keys, making equal objects byte-identical for determinism checks.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 from math import gcd
 from operator import truediv
@@ -240,7 +241,7 @@ def report_to_json(report) -> dict:
             "passed": report.passed,
         }
         if report.counts is not None:
-            doc["counts"] = report.counts.tolist()
+            doc["counts"] = report.counts
         return doc
     raise ValidationError(f"cannot serialize {type(report).__name__}")
 
@@ -282,21 +283,43 @@ def profile_to_json(profile: IntersectionProfile) -> dict:
 
 def dumps(doc: dict) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one trailing
-    newline; byte-identical for equal documents.
+    newline; byte-identical for equal documents. The join of chunks(doc)."""
+    return "".join(chunks(doc))
 
-    The bytes are those of json.dumps(doc, indent=2, sort_keys=True). An
-    indent makes json fall back to its pure-Python encoder, so the frame is
-    indented here and each array or object of scalars is left to the C
-    encoder, its item separator carrying the newline and indent."""
-    return _indented(doc, "") + "\n"
+
+def chunks(doc: dict) -> Iterator[str]:
+    """The text of dumps(doc) in pieces, one per top-level value and one per
+    row block of a top-level int64 matrix, so that a writer never holds the
+    whole of a large report.
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True), with a
+    numpy array in place of its .tolist(). An indent makes json fall back to
+    its pure-Python encoder, so the frame is indented here and each array or
+    object of scalars is left to the C encoder, its item separator carrying
+    the newline and indent."""
+    if not (isinstance(doc, dict) and doc and set(map(type, doc)) == {str}):
+        yield _indented(doc, "") + "\n"
+        return
+    for k, (key, value) in enumerate(sorted(doc.items())):
+        yield f"{',' if k else '{'}\n  {json.dumps(key)}: "
+        if isinstance(value, np.ndarray):
+            yield from _array(value, "  ")
+        else:
+            yield _indented(value, "  ")
+    yield "\n}\n"
 
 
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
+#: the most characters a row block of an int64 matrix renders to (unless
+#: one row alone is longer)
+BLOCK_CHARS = 1 << 19
 
 
 def _indented(value, pad: str) -> str:
     """json.dumps(value, indent=2, sort_keys=True) for a value that starts
     at indentation `pad`."""
+    if isinstance(value, np.ndarray):
+        return "".join(_array(value, pad))
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)) and value:
@@ -318,6 +341,49 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
+def _array(a: np.ndarray, pad: str) -> Iterator[str]:
+    """The text of a numpy array at indentation `pad`: a 2-D int64 matrix a
+    row block at a time, any other array as its .tolist()."""
+    span = _table_span(a)
+    if span is None:
+        yield _indented(a.tolist(), pad)
+    else:
+        yield from _int_matrix(a, span, pad)
+
+
+def _table_span(a: np.ndarray) -> tuple[int, int] | None:
+    """(min, max) of a nonempty 2-D int64 array whose values span fewer than
+    its entry count, so a table of their text is smaller than the array;
+    None for any other array."""
+    if a.ndim != 2 or a.size == 0 or a.dtype != np.int64:
+        return None
+    lo, hi = int(a.min()), int(a.max())
+    return (lo, hi) if hi - lo < a.size else None
+
+
+def _int_matrix(a: np.ndarray, span: tuple[int, int], pad: str) -> Iterator[str]:
+    """The text of a 2-D int64 array at indentation `pad`, one str.join
+    per row block. Each value's text is made once: `mid` for an entry
+    followed by another in its row, `last` for the entry that closes a row
+    and opens the next one."""
+    lo, hi = span
+    inner, entry = pad + "  ", pad + "    "
+    mid = np.array([f"{entry}{v},\n" for v in range(lo, hi + 1)], dtype=object)
+    last = np.array([f"{entry}{v}\n{inner}],\n{inner}[\n" for v in range(lo, hi + 1)],
+                    dtype=object)
+    rows, cols = a.shape
+    step = max(1, BLOCK_CHARS // (cols * max(len(last[0]), len(last[-1]))))
+    yield f"[\n{inner}[\n"
+    for r in range(0, rows, step):
+        index = a[r : r + step] - lo
+        text = mid[index]
+        text[:, -1] = last[index[:, -1]]
+        if r + step >= rows:
+            # the matrix's last entry closes its row and the matrix
+            text[-1, -1] = f"{entry}{int(a[-1, -1])}\n{inner}]\n{pad}]"
+        yield "".join(text.ravel().tolist())
+
+
 def csv_rows(doc: dict):
     """The CSV table of a report or bounds document, header first: one row
     per (i, j) acceptance entry (the exact string plus its decimal, or the
@@ -334,6 +400,8 @@ def csv_rows(doc: dict):
     matrix = doc.get("counts" if kind == "collision-report" else "matrix")
     if matrix is None:
         raise ValidationError("report carries no matrix (M too large)")
+    if isinstance(matrix, np.ndarray):
+        matrix = map(np.ndarray.tolist, matrix)  # each row read once, as a list
     cells = (
         (i, j, p) for i, row in enumerate(matrix, start=1) for j, p in enumerate(row, start=1)
     )

@@ -3,8 +3,9 @@
 `helpers` keeps those loops as oracles: type ranks summed one count at a
 time, histograms built one symbol at a time, and mixed-radix ranks by one
 multiply or divmod per entry. The fast codec must give the same values and
-refuse the same inputs with the same ValidationError. `dumps` must give the
-bytes of `json.dumps(doc, indent=2, sort_keys=True)` plus a newline.
+refuse the same inputs with the same ValidationError. `dumps`, and the join of
+`chunks`, must give the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
+plus a newline, with a numpy array standing for its `.tolist()`.
 """
 
 import json
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     random_perm_code,
@@ -36,7 +38,7 @@ from permid.combinatorics import (
 )
 from permid.errors import ValidationError
 from permid.idcode import _exact_sampler, _repr_order_key
-from permid.serialize import dumps
+from permid.serialize import _table_span, chunks, dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -192,7 +194,42 @@ documents = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(doc=documents)
 def test_dumps_matches_the_stdlib_on_drawn_documents(doc):
-    assert dumps(doc) == reference_dumps(doc)
+    assert "".join(chunks(doc)) == dumps(doc) == reference_dumps(doc)
+
+
+@st.composite
+def int64_matrices(draw):
+    """int64 matrices of 1x1 to 40x40 whose values span anywhere from one
+    value (all equal) to far more than the entry count (the list path)."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    lo = draw(st.integers(-(2**62), 2**62))
+    span = draw(st.sampled_from([0, 1, 9, shape[0] * shape[1] - 1, shape[0] * shape[1], 2**40]))
+    return draw(arrays(np.int64, shape, elements=st.integers(lo, lo + span)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=int64_matrices())
+@example(a=np.array([[0, 2**40], [2**40, 0]]))
+@example(a=np.full((7, 3), -5))
+@example(a=np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max]]))
+def test_dumps_renders_an_int64_matrix_as_its_list(a):
+    # streamed at the top level, joined whole one level down
+    doc = {"counts": a, "M": len(a), "nested": [{"counts": a}]}
+    as_lists = {"counts": a.tolist(), "M": len(a), "nested": [{"counts": a.tolist()}]}
+    assert dumps(doc) == reference_dumps(as_lists)
+
+
+def test_integer_table_only_when_smaller_than_the_matrix():
+    # a 2x2 count matrix over D = 33M positions renders through lists, not
+    # through a 33M-entry table
+    assert _table_span(np.array([[0, 33_000_000], [33_000_000, 0]])) is None
+    assert _table_span(np.array([[0, 3], [3, 0]])) == (0, 3)
+    assert _table_span(np.array([[0, 4], [4, 0]])) is None
+    for other in (np.zeros(4, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+                  np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
+                  np.eye(2, dtype=bool), np.eye(2)):
+        assert _table_span(other) is None
+        assert dumps(other) == reference_dumps(other.tolist())
 
 
 def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():

@@ -42,6 +42,7 @@ from permid.exact import frac_str, parse_frac
 from permid.idcode import Acceptance, ErrorReport
 from permid.serialize import (
     SCHEMA,
+    chunks,
     code_from_json,
     code_to_json,
     csv_rows,
@@ -181,6 +182,21 @@ def test_exact_matrix_renders_each_entry_in_lowest_terms(kernel):
     """The bulk gcd render gives frac_str of each entry's Fraction."""
     doc = report_to_json(kernel.report)
     assert doc["matrix"] == [[frac_str(p) for p in row] for row in fractions(kernel)]
+
+
+def test_collision_matrix_streams_in_bounded_pieces():
+    """The M=1024 count matrix (10.5 MB of JSON) comes out of `chunks` in
+    row blocks of at most 1 MiB, and joins to the stdlib's rendering."""
+    code = build_feedback_code(12, 2, 2, 1024, Stream(1, "feedback"))
+    doc = report_to_json(eval_feedback_exact(code))
+    assert isinstance(doc["counts"], np.ndarray) and doc["counts"].dtype == np.int64
+    pieces = list(chunks(doc))
+    assert max(map(len, pieces)) <= 1 << 20
+    doc["counts"] = doc["counts"].tolist()
+    # a bool, not a string comparison: a diff of two 10.5 MB texts would take
+    # pytest minutes to print
+    same = "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert same, "the joined pieces differ from the stdlib rendering"
 
 
 def test_collision_report_json_shape():
@@ -1010,12 +1026,20 @@ def test_cli_reports_usage_and_output_errors_in_json(capsys, tmp_path):
         assert doc["kind"] == "error" and doc["category"] == "invalid-input"
 
 
-@pytest.mark.parametrize("fmt, first", [("json", "{"), ("csv", "M,prop2_lower")])
-def test_cli_reader_closing_stdout_early_gets_a_json_error(fmt, first):
-    # about 600 KB of JSON or 150 KB of CSV, past the 64 KiB pipe buffer,
-    # so the command is still writing when the reader goes away
-    argv = ["--format", fmt, "bounds", "--N", "8", "--alpha", "1/2",
-            "--M-min", "16", "--M-max", "20000"]
+SWEEP_ARGV = ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "20000"]
+COLLISION_ARGV = ["feedback", "--n", "12", "--q", "2", "--l", "2", "--M", "1024", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "fmt, first, command",
+    [("json", "{", SWEEP_ARGV), ("csv", "M,prop2_lower", SWEEP_ARGV), ("json", "{", COLLISION_ARGV)],
+    ids=["json-{", "csv-M,prop2_lower", "json-collision-M1024"],
+)
+def test_cli_reader_closing_stdout_early_gets_a_json_error(fmt, first, command):
+    # about 600 KB of JSON or 150 KB of CSV for the sweep, 10.5 MB of JSON
+    # streamed a row block at a time for the collision counts: all past the
+    # 64 KiB pipe buffer, so the command is still writing when the reader goes
+    argv = ["--format", fmt, *command]
     src = str(Path(permid.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     with subprocess.Popen([sys.executable, "-m", "permid.cli", *argv], env=env,
