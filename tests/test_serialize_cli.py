@@ -186,7 +186,7 @@ def test_exact_matrix_renders_each_entry_in_lowest_terms(kernel):
 
 def test_collision_matrix_streams_in_bounded_pieces():
     """The M=1024 count matrix (10.5 MB of JSON) comes out of `chunks` in
-    row blocks of at most 1 MiB, and joins to the stdlib's rendering."""
+    pieces of at most 1 MiB, and they join to the stdlib's rendering."""
     code = build_feedback_code(12, 2, 2, 1024, Stream(1, "feedback"))
     doc = report_to_json(eval_feedback_exact(code))
     assert isinstance(doc["counts"], np.ndarray) and doc["counts"].dtype == np.int64
