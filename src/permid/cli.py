@@ -20,6 +20,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import cache
 
 from .approx import approx_distance, build_approx, pigeonhole_collision_check
 from .combinatorics import (
@@ -429,7 +430,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: parse_args makes a fresh namespace each time, and no caller may
+    change the parser."""
     parser = _Parser(
         prog="permid",
         description="Exact identification codes for q-ary uniform permutation channels.",

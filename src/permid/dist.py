@@ -37,9 +37,10 @@ class Dist:
         keys, masses = [], []
         for key, value in mass.items():
             value = value if isinstance(value, Fraction) else Fraction(value)
-            if value < 0:
+            # a Fraction's denominator is positive: its numerator carries the sign
+            if value.numerator < 0:
                 raise ValidationError(f"negative mass {value} at {key!r}")
-            if value:
+            if value.numerator:
                 keys.append(key)
                 masses.append(value)
         nums, den = over_common_denominator(masses)

@@ -158,13 +158,15 @@ class PermIdCode:
         for counts in decoder_counts:
             dec: dict[int, int] = {}
             for t, c in counts.items():
-                if not (isinstance(t, int) and 1 <= t <= self.ground):
+                # not isinstance: a bool is an int to it, and no code file carries one
+                if not (type(t) is int and 1 <= t <= self.ground):
                     raise ValidationError(f"orbit index {t!r} outside [1..{self.ground}]")
-                if not (isinstance(c, int) and c >= 0):
+                if not (type(c) is int and c >= 0):
                     raise ValidationError(f"orbit count {c!r} must be a nonnegative integer")
-                if c > self.orbit_size(t):
+                size = self.orbit_size(t)
+                if c > size:
                     raise ValidationError(
-                        f"count {c} exceeds orbit product size {self.orbit_size(t)} at index {t}"
+                        f"count {c} exceeds orbit product size {size} at index {t}"
                     )
                 if c:
                     dec[t] = c

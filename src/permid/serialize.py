@@ -72,10 +72,8 @@ def code_to_json(code, seed: int | None = None) -> dict:
             "M": code.M,
             "encoders": [_masses(enc, lambda x: ranks[id(x)]) for enc in code.encoders],
             "decoders": {
-                "typecounts": [
-                    [counts.get(t, 0) for t in range(1, code.ground + 1)]
-                    for counts in code.decoder_counts
-                ]
+                "typecounts": [_typecount_row(counts, code.ground)
+                               for counts in code.decoder_counts]
             },
         }
     elif isinstance(code, FeedbackCode):
@@ -102,6 +100,14 @@ def code_to_json(code, seed: int | None = None) -> dict:
     if seed is not None:
         doc["seed"] = seed
     return doc
+
+
+def _typecount_row(counts: dict, ground: int) -> list:
+    """A decoder's count for every orbit product 1..ground, zeros included."""
+    row = [0] * ground
+    for t, c in counts.items():
+        row[t - 1] = c
+    return row
 
 
 def _masses(enc: Dist, key) -> list:
@@ -140,18 +146,27 @@ def _code_from_json(doc: dict):
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unknown schema {doc.get('schema')!r}")
     kind = doc.get("kind")
+    fracs = {}
+
+    def frac(text):
+        # each distinct mass string is parsed once per document; other JSON
+        # values (1 and 1.0 hash alike) are parsed where they stand
+        if type(text) is not str:
+            return parse_frac(text)
+        value = fracs.get(text)
+        if value is None:
+            value = fracs[text] = parse_frac(text)
+        return value
+
     if kind == "noiseless":
         N = doc["N"]
-        encoders = [
-            Dist({k: parse_frac(p) for k, p in pairs}, size=N)
-            for pairs in doc["encoders"]
-        ]
+        encoders = [Dist({k: frac(p) for k, p in pairs}, size=N) for pairs in doc["encoders"]]
         decs = doc["decoders"]
         if "deterministic" in decs:
             decoders = [frozenset(d) for d in decs["deterministic"]]
         elif "stochastic" in decs:
             decoders = [
-                {k: p for k, p in enumerate(map(parse_frac, row), start=1) if p}
+                {k: p for k, p in enumerate(map(frac, row), start=1) if p}
                 for row in decs["stochastic"]
             ]
         else:
@@ -169,9 +184,7 @@ def _code_from_json(doc: dict):
                 vectors[i] = index_to_tuple(i, q, n * l)
             return vectors[i]
 
-        encoders = [
-            Dist({vector(i): parse_frac(p) for i, p in pairs}) for pairs in doc["encoders"]
-        ]
+        encoders = [Dist({vector(i): frac(p) for i, p in pairs}) for pairs in doc["encoders"]]
         counts = [
             {t: c for t, c in enumerate(row, start=1) if c != 0}
             for row in doc["decoders"]["typecounts"]

@@ -7,7 +7,8 @@ from small integer weights, so every probability is an exact Fraction with a
 modest denominator. The `reference_*` functions are the slow, direct
 versions of library algorithms (the codec loops, Fraction sums, the kernel's
 Fraction-path encoder rows and decoder columns, per-trial samplers, the
-pairwise table compare), kept as oracles for differential tests;
+pairwise table compare, the code loader with one Fraction per mass), kept
+as oracles for differential tests;
 `counts_from_vector_set` compresses an explicit decoder region to per-orbit
 counts; `accept_prob` and `accept_prob_for_orbit` give the per-outcome decoder
 factors that `reference_acceptance_matrix` sums, and `fractions` and
@@ -34,6 +35,7 @@ from permid import Dist, NoiselessIdCode, PermIdCode, Stream, tv_distance
 from permid.combinatorics import (
     TypeVector,
     count_types,
+    index_to_tuple,
     iter_types,
     tuple_to_index,
     type_index,
@@ -46,8 +48,10 @@ from permid.combinatorics import (
 )
 from permid.dist import over_common_denominator
 from permid.errors import BoundViolationError, ValidationError
+from permid.exact import parse_frac
 from permid.feedback import CollisionReport
 from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler
+from permid.serialize import SCHEMA, _holds_bool
 
 
 class PermutationChannel:
@@ -414,6 +418,62 @@ def reference_converse_floor(code):
         tv_distance(outs[i], outs[j]) for i in range(code.M) for j in range(i + 1, code.M)
     )
     return max(1 - best, Fraction(0))
+
+
+def reference_code_from_json(doc):
+    """The code loader with one Fraction per encoder mass, each parsed where
+    it stands and put over one denominator by `Dist`: the oracle of
+    `serialize.code_from_json` on perm and noiseless documents, which must
+    give equal codes or refuse with the same ValidationError."""
+    try:
+        return _reference_code_from_json(doc)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed code document: {exc!r}") from exc
+
+
+def _reference_code_from_json(doc):
+    if _holds_bool(doc):
+        raise ValidationError("malformed code document: a JSON bool where a number belongs")
+    if doc.get("schema") != SCHEMA:
+        raise ValidationError(f"unknown schema {doc.get('schema')!r}")
+    kind = doc.get("kind")
+    if kind == "noiseless":
+        N = doc["N"]
+        encoders = [
+            Dist({k: parse_frac(p) for k, p in pairs}, size=N)
+            for pairs in doc["encoders"]
+        ]
+        decs = doc["decoders"]
+        if "deterministic" in decs:
+            decoders = [frozenset(d) for d in decs["deterministic"]]
+        elif "stochastic" in decs:
+            decoders = [
+                {k: p for k, p in enumerate(map(parse_frac, row), start=1) if p}
+                for row in decs["stochastic"]
+            ]
+        else:
+            raise ValidationError("noiseless decoders must be deterministic or stochastic")
+        return NoiselessIdCode(N, encoders, decoders)
+    if kind == "perm":
+        n, q, l = doc["n"], doc["q"], doc["l"]
+        vectors: dict[int, tuple] = {}
+
+        def vector(i):
+            if type(i) is not int:
+                return index_to_tuple(i, q, n * l)
+            if i not in vectors:
+                vectors[i] = index_to_tuple(i, q, n * l)
+            return vectors[i]
+
+        encoders = [
+            Dist({vector(i): parse_frac(p) for i, p in pairs}) for pairs in doc["encoders"]
+        ]
+        counts = [
+            {t: c for t, c in enumerate(row, start=1) if c != 0}
+            for row in doc["decoders"]["typecounts"]
+        ]
+        return PermIdCode(n, q, encoders, counts, l=l)
+    raise ValidationError(f"unknown code kind {kind!r}")
 
 
 def with_prime_masses(rand, code, P=2**89 - 1):

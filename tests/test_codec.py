@@ -3,14 +3,18 @@
 `helpers` keeps those loops as oracles: type ranks summed one count at a
 time, histograms built one symbol at a time, and mixed-radix ranks by one
 multiply or divmod per entry. The fast codec must give the same values and
-refuse the same inputs with the same ValidationError. `dumps`, and the join of
-`chunks`, must give the bytes of `json.dumps(doc, indent=2, sort_keys=True)`
-plus a newline, with a numpy array standing for its `.tolist()`.
+refuse the same inputs with the same ValidationError. So must the code
+loader, against the one that parsed a Fraction per mass. `dumps`, and the
+join of `chunks`, must give the bytes of
+`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, with a numpy
+array standing for its `.tolist()`.
 """
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,15 +22,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import permid.idcode
+import permid.serialize
 from helpers import (
     random_perm_code,
+    reference_code_from_json,
     reference_index_to_tuple,
     reference_tuple_to_index,
     reference_type_index,
     reference_type_of,
     reference_type_unrank,
 )
-from permid import Dist
+from permid import Dist, PermIdCode
 from permid.combinatorics import (
     count_types,
     index_to_tuple,
@@ -38,7 +45,7 @@ from permid.combinatorics import (
 )
 from permid.errors import ValidationError
 from permid.idcode import _exact_sampler, _repr_order_key
-from permid.serialize import _table_span, chunks, dumps
+from permid.serialize import SCHEMA, _table_span, chunks, code_from_json, dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -247,3 +254,150 @@ def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():
     ]
     for doc in docs:
         assert outcome(dumps, doc) == outcome(reference_dumps, doc)
+
+
+# ------------------------------------------------------------- the code loader
+
+#: spellings of the masses of the partitions below, the odd ones included
+SPELLINGS = {
+    Fraction(1): ["1", 1, 1.0, "1/1", "2/2", " 1", "+1"],
+    Fraction(1, 2): ["1/2", "2/4", "0.5", " 1/2", "+1/2", 0.5, "5e-1"],
+    Fraction(1, 3): ["1/3", "2/6"],
+    Fraction(2, 3): ["2/3", "4/6"],
+    Fraction(1, 4): ["1/4", "0.25", 0.25, "3/12"],
+    Fraction(1, 10): ["1e-1", "1/10", "0.1"],
+    Fraction(9, 10): ["9/10", "0.9"],
+    Fraction(0): ["0", 0, 0.0, "0/5", "-0", "0.0"],
+}
+PARTITIONS = [
+    [1], [Fraction(1, 2)] * 2, [Fraction(1, 3), Fraction(2, 3)],
+    [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], [Fraction(1, 10), Fraction(9, 10)],
+]
+#: masses that break a document: negative, not rational, not a number
+BAD_MASSES = ["-1/2", -1, "1/0", "x", "", "1/2/3", None, [1], float("nan"), float("inf"),
+              "1/3", 0.1, "2"]
+
+
+@st.composite
+def encoder_pairs(draw, top):
+    """[outcome, mass] pairs over outcomes 1..top (more when there are more
+    masses) that sum to 1, or miss it by a part or a bad mass; some repeat
+    an outcome, whose last mass must win."""
+    parts = list(draw(st.sampled_from(PARTITIONS)))
+    parts += [Fraction(0)] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 7)) == 0:
+        parts.pop(draw(st.integers(0, len(parts) - 1)))
+    masses = [draw(st.sampled_from(SPELLINGS[p])) for p in parts]
+    if masses and draw(st.integers(0, 9)) == 0:
+        masses[draw(st.integers(0, len(masses) - 1))] = draw(st.sampled_from(BAD_MASSES))
+    size = len(masses)
+    outcomes = draw(st.lists(st.integers(1, max(top, size)), unique=True,
+                             min_size=size, max_size=size))
+    pairs = [[k, p] for k, p in zip(outcomes, masses)]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        pairs.insert(0, [draw(st.sampled_from(outcomes)), draw(st.sampled_from(SPELLINGS[1]))])
+    return pairs
+
+
+@st.composite
+def code_documents(draw):
+    """perm and noiseless documents, mostly valid, whose encoders spell
+    their masses every way JSON can and share outcomes, with the occasional
+    bad mass, missing part, out-of-range outcome or count."""
+    M = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n, q, l = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
+        ground = count_types(n, q) ** l
+        # few distinct vectors, so that encoders share them
+        top = min(q ** (n * l), 6)
+        rows = st.lists(st.integers(0, 1), min_size=ground, max_size=ground)
+        return {
+            "schema": SCHEMA, "kind": "perm", "n": n, "q": q, "l": l,
+            "N": count_types(n, q), "M": M,
+            "encoders": [draw(encoder_pairs(top)) for _ in range(M)],
+            "decoders": {"typecounts": [draw(rows) for _ in range(M)]},
+        }
+    N = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        decoders = {"deterministic": [draw(st.lists(st.integers(1, N), unique=True))
+                                      for _ in range(M)]}
+    else:
+        probs = st.sampled_from(["0", "1", "1/2", "2/4", " 1/2", 0, 1, 0.5, "3/2", "-1/2"])
+        decoders = {"stochastic": [draw(st.lists(probs, min_size=N, max_size=N))
+                                   for _ in range(M)]}
+    return {
+        "schema": SCHEMA, "kind": "noiseless", "N": N, "M": M,
+        "encoders": [draw(encoder_pairs(N)) for _ in range(M)],
+        "decoders": decoders,
+    }
+
+
+def loaded(load, doc):
+    """What `load` makes of `doc`: each encoder's masses in order with its
+    denominator and ground set, and the decoders; or the refusal."""
+    try:
+        code = load(doc)
+    except ValidationError as exc:
+        return "refused", str(exc)
+    encoders = [(list(e.num.items()), e.den, e.size) for e in code.encoders]
+    if isinstance(code, PermIdCode):
+        return encoders, code.decoder_counts, (code.n, code.q, code.l)
+    return encoders, code.decoders, code.N
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=code_documents())
+def test_code_loader_matches_the_fraction_loader(doc):
+    assert loaded(code_from_json, doc) == loaded(reference_code_from_json, doc)
+
+
+def test_code_loader_parses_each_mass_and_vector_once():
+    doc = json.loads((GOLDEN / "orbit_code.json").read_text())["code"]
+    calls = {"parse_frac": [], "_block_orbit": []}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(first, *rest):
+            calls[name].append(first)
+            return real(first, *rest)
+
+        return mock.patch.object(module, name, wrapper)
+
+    with counted(permid.serialize, "parse_frac"), counted(permid.idcode, "_block_orbit"):
+        code = code_from_json(doc)
+    texts = [p for pairs in doc["encoders"] for _, p in pairs]
+    indices = {i for pairs in doc["encoders"] for i, _ in pairs}
+    assert len(texts) > len(set(texts)) and len(calls["parse_frac"]) == len(set(texts))
+    assert sorted(calls["parse_frac"]) == sorted(set(texts))
+    assert len(calls["_block_orbit"]) == len(indices) < len(texts)
+    assert {tuple_to_index(x, code.q) for x in calls["_block_orbit"]} == indices
+
+
+# -------------------------------------------------------- rows of scalar lists
+
+row_scalars = scalars | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 2**64, -(2**64) - 1, 10**40, "\x00", "a\x00b"]
+)
+scalar_rows = st.lists(
+    st.lists(row_scalars, min_size=1, max_size=4)
+    | st.tuples(st.integers(), row_scalars)
+    | st.lists(row_scalars, max_size=2),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=scalar_rows)
+def test_rows_of_scalars_render_as_the_stdlib_does(rows):
+    # at the top level, one level down, and as the encoders of a code
+    doc = {"rows": rows, "code": {"encoders": rows, "M": 1}, "nested": [rows, [rows]]}
+    assert "".join(chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_an_empty_row_keeps_its_rendering():
+    for rows in ([[1], []], [[], ["a", 2]], [[]], [[[]], [1]], [[1, 2], [3], ["\x00"]]):
+        doc = {"rows": rows}
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert '"rows": [\n    [\n      1\n    ],\n    []\n  ]' in dumps({"rows": [[1], []]})

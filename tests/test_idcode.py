@@ -1,6 +1,7 @@
 """Identification codes: containers, exact and Monte Carlo evaluation, the
 orbit-union constructions, and the pairwise converse floor."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from permid.idcode import (
     min_feasible_n,
     strong_converse_floor,
 )
+from permid.serialize import code_from_json, code_to_json, dumps
 
 
 def u(*keys, size=None):
@@ -92,6 +94,23 @@ def test_perm_code_validations():
         PermIdCode(3, 2, [u((1, 1))], [{1: 1}])
     with pytest.raises(ValidationError):
         PermIdCode(3, 2, enc, [{1: 1}], l=0)
+
+
+@pytest.mark.parametrize(
+    "counts", [{1: True}, {True: 1}, {1: False}, {1: 1.0}, {1.0: 1}, {1: 1}, {1: 0}, {}]
+)
+def test_perm_code_takes_only_codes_its_own_file_can_carry(counts):
+    # a bool is an int to isinstance, and a JSON file would carry it as
+    # true, which code_from_json refuses; so the constructor refuses it too
+    enc = [u((1, 1, 2))]
+    try:
+        code = PermIdCode(3, 2, enc, [counts])
+    except ValidationError:
+        assert any(type(v) is not int for v in (*counts, *counts.values()))
+        return
+    back = code_from_json(json.loads(dumps(code_to_json(code))))
+    assert back.decoder_counts == code.decoder_counts == ({1: 1} if counts.get(1) else {},)
+    assert [(dict(e.num), e.den) for e in back.encoders] == [(dict(e.num), e.den) for e in enc]
 
 
 def test_perm_code_drops_zero_counts():

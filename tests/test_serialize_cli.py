@@ -1026,6 +1026,21 @@ def test_cli_reports_usage_and_output_errors_in_json(capsys, tmp_path):
         assert doc["kind"] == "error" and doc["category"] == "invalid-input"
 
 
+def test_cli_parser_is_built_once_and_parses_each_call_afresh(capsys, tmp_path):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(dumps(code_to_json(random_perm_code(random.Random(12), 3, 2, 3))))
+    mc = ["eval", "--code", str(code_path), "--mode", "mc", "--seed", "5", "--trials", "50"]
+    status, out, _ = run_cli(capsys, mc)
+    assert status == 0 and json.loads(out)["kind"] == "mc-report"
+    # an exact run refuses --seed, so none may carry over from the last call
+    status, out, err = run_cli(capsys, ["eval", "--code", str(code_path)])
+    assert (status, err) == (0, "") and json.loads(out)["kind"] == "error-report"
+    status, out, err = run_cli(capsys, ["eval", "--code", str(code_path), "--mode", "nope"])
+    assert status == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["category"] == "invalid-input"
+    assert permid.cli.build_parser() is permid.cli.build_parser()
+
+
 SWEEP_ARGV = ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "16", "--M-max", "20000"]
 COLLISION_ARGV = ["feedback", "--n", "12", "--q", "2", "--l", "2", "--M", "1024", "--seed", "1"]
 
