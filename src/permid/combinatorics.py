@@ -142,7 +142,9 @@ def check_N_bounds(n: int, q: int) -> NBounds:
 def typeclass_size(t: TypeVector) -> int:
     """Number of vectors with histogram t: the multinomial n!/(prod counts!).
 
-    Memoised per type: samplers range-check a rank against it per draw."""
+    Memoised per type: an orbit product's size multiplies l of these, so a
+    code with several uses asks for each block type many times, and a build
+    and the code it makes size the same orbits."""
     size = math.factorial(t.n)
     for c in t.counts:
         size //= math.factorial(c)

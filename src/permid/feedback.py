@@ -158,8 +158,9 @@ def eval_feedback_exact(code: FeedbackCode) -> CollisionReport:
     Entries lie in 1..N, so bit b of each goes to plane b, 64 positions to a
     uint64 word, padding 0. Tables j and k agree where no plane differs, so
     at D - popcount(OR over b of planes[b][j] ^ planes[b][k]) positions:
-    integer XOR, OR and popcount, no float. Above MATRIX_CAP only the planes
-    and two (M, words) buffers are held.
+    integer XOR, OR and popcount, no float: one XOR call over all planes per
+    row, then an OR-reduce over them. Above MATRIX_CAP only the planes and
+    one buffer of their shape are held.
     """
     M, D = code.M, code.D
     keep = M <= MATRIX_CAP
@@ -171,16 +172,14 @@ def eval_feedback_exact(code: FeedbackCode) -> CollisionReport:
             bits = code.maps[lo : lo + step] & (1 << b)
             plane[lo : lo + step, : -(-D // 8)] = np.packbits(bits, axis=1, bitorder="little")
     planes = planes.view(np.uint64)
-    diff, scratch = np.empty((2, *planes.shape[1:]), dtype=np.uint64)
+    diff = np.empty_like(planes)
     max_count = -1
     argmax_pair = None
     for j in range(M - 1):
         rest = slice(j + 1, M)
-        np.bitwise_xor(planes[0, rest], planes[0, j], out=diff[rest])
-        for plane in planes[1:]:
-            np.bitwise_xor(plane[rest], plane[j], out=scratch[rest])
-            np.bitwise_or(diff[rest], scratch[rest], out=diff[rest])
-        agree = D - np.bitwise_count(diff[rest]).sum(axis=1, dtype=np.int64)
+        np.bitwise_xor(planes[:, rest], planes[:, j, None], out=diff[:, rest])
+        differ = np.bitwise_or.reduce(diff[:, rest], axis=0)
+        agree = D - np.bitwise_count(differ).sum(axis=1, dtype=np.int64)
         k_rel = int(agree.argmax())
         if int(agree[k_rel]) > max_count:
             max_count = int(agree[k_rel])

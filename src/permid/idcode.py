@@ -119,9 +119,12 @@ class PermIdCode:
     keyed by the combined orbit index in [1..N^l] (N = number of length-n
     orbits); the value at key t is |decoder region within orbit product t|.
 
-    The constructor keeps the orbit index of every encoder vector it
-    validates, and orbit sizes are memoised, so evaluators that look them up
-    repeatedly do no further type computations.
+    The channel shows the decoder only the output's orbit, so every error
+    figure depends on an encoder only through its law on orbit indices. The
+    constructor finds the orbit of each distinct vector object once, and
+    `sizes[t]` is |orbit product t| for every t an encoder or decoder
+    touches; `output_laws[i-1]` is message i's encoder pushed onto [1..N^l].
+    Evaluators read these and do no further type computations.
     """
 
     def __init__(
@@ -139,9 +142,6 @@ class PermIdCode:
         self.l = l
         self.N = count_types(n, q)
         self.ground = self.N**l
-        # id(x) -> (x, orbit index); holding x keeps its id from being reused
-        self._orbits: dict[int, tuple[tuple, int]] = {}
-        self._sizes: dict[int, int] = {}
         encoders = tuple(encoders)
         if not encoders:
             raise ValidationError("need at least one message")
@@ -149,11 +149,15 @@ class PermIdCode:
             raise ValidationError(
                 f"{len(encoders)} encoders vs {len(decoder_counts)} decoder count maps"
             )
+        # id(x) -> orbit index; the encoders hold every x, so no id is reused
+        orbit_of: dict[int, int] = {}
         for enc in encoders:
             if not isinstance(enc, Dist):
                 raise ValidationError("encoders must be Dist instances")
-            for x in enc.support():
-                self._orbits[id(x)] = (x, self.input_orbit(x))
+            for x in enc.num:
+                if id(x) not in orbit_of:
+                    orbit_of[id(x)] = self.input_orbit(x)
+        sizes = {t: self.orbit_size(t) for t in set(orbit_of.values())}
         cleaned = []
         for counts in decoder_counts:
             dec: dict[int, int] = {}
@@ -163,29 +167,33 @@ class PermIdCode:
                     raise ValidationError(f"orbit index {t!r} outside [1..{self.ground}]")
                 if not (type(c) is int and c >= 0):
                     raise ValidationError(f"orbit count {c!r} must be a nonnegative integer")
-                size = self.orbit_size(t)
-                if c > size:
+                if t not in sizes:
+                    sizes[t] = self.orbit_size(t)
+                if c > sizes[t]:
                     raise ValidationError(
-                        f"count {c} exceeds orbit product size {size} at index {t}"
+                        f"count {c} exceeds orbit product size {sizes[t]} at index {t}"
                     )
                 if c:
                     dec[t] = c
             cleaned.append(dec)
         self.encoders = encoders
         self.decoder_counts = tuple(cleaned)
+        self.sizes = sizes
+        self._orbit_of = orbit_of
 
     @property
     def M(self) -> int:
         return len(self.encoders)
 
-    def input_orbit(self, x) -> int:
-        """Combined orbit index in [1..N^l] of a flat input tuple, validated.
+    @cached_property
+    def output_laws(self) -> tuple[Dist, ...]:
+        """Each message's encoder pushed onto [1..N^l], by the orbits found
+        on construction; worked out on first use."""
+        orbit_of = self._orbit_of
+        return tuple(e.pushforward(lambda x: orbit_of[id(x)], self.ground) for e in self.encoders)
 
-        The very tuples held by the encoders were validated on construction
-        and are looked up; any other object is checked afresh."""
-        hit = self._orbits.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1]
+    def input_orbit(self, x) -> int:
+        """Combined orbit index in [1..N^l] of a flat input tuple, validated."""
         if not (isinstance(x, tuple) and len(x) == self.n * self.l):
             raise ValidationError(
                 f"input must be a tuple of length n*l = {self.n * self.l}, got {x!r}"
@@ -194,14 +202,7 @@ class PermIdCode:
 
     def orbit_size(self, t: int) -> int:
         """Number of vectors in the orbit product with combined index t."""
-        size = self._sizes.get(t) if isinstance(t, int) else None
-        if size is None:
-            size = self._sizes[t] = _orbit_product_size(t, self.n, self.q, self.N, self.l)
-        return size
-
-    def output_dist(self, i: int) -> Dist:
-        """Distribution of the combined output orbit index under message i."""
-        return self.encoders[i - 1].pushforward(self.input_orbit, self.ground)
+        return _orbit_product_size(t, self.n, self.q, self.N, self.l)
 
 
 def _block_orbit(x, n: int, q: int, N: int, l: int) -> int:
@@ -279,23 +280,21 @@ def _report(blocks, M: int) -> ErrorReport:
 
 
 def _encoder_rows(code, rows: range | None = None):
-    """The union of the encoders' supports (orbit indices for perm codes) as
-    sorted columns, and each encoder as an integer row over them with its own
-    denominator: message i puts mass table[i, g] / dens[i] on cols[g]."""
-    encoders = code.encoders if rows is None else [code.encoders[i] for i in rows]
-    if isinstance(code, PermIdCode):
-        pushed = [[(code.input_orbit(x), v) for x, v in enc.num.items()] for enc in encoders]
-    elif isinstance(code, NoiselessIdCode):
-        pushed = [enc.num.items() for enc in encoders]
-    else:
+    """The union of the output laws' supports (the encoders' own for
+    noiseless codes) as sorted columns, and each law as an integer row over
+    them with its own least denominator: message i puts mass table[i, g] /
+    dens[i] on cols[g]."""
+    if not isinstance(code, (PermIdCode, NoiselessIdCode)):
         raise ValidationError(f"unsupported code type {type(code).__name__}")
-    cols = sorted({k for pairs in pushed for k, _ in pairs})
+    laws = code.output_laws if isinstance(code, PermIdCode) else code.encoders
+    laws = laws if rows is None else [laws[i] for i in rows]
+    cols = sorted({k for law in laws for k in law.num})
     where = {k: g for g, k in enumerate(cols)}
-    table = np.zeros((len(pushed), len(cols)), dtype=object)
-    for i, pairs in enumerate(pushed):
-        for k, v in pairs:
-            table[i, where[k]] += v
-    return cols, table, np.array([enc.den for enc in encoders], dtype=object)
+    table = np.zeros((len(laws), len(cols)), dtype=object)
+    for i, law in enumerate(laws):
+        for k, v in law.num.items():
+            table[i, where[k]] = v
+    return cols, table, np.array([law.den for law in laws], dtype=object)
 
 
 def _decoder_columns(code, cols):
@@ -304,7 +303,7 @@ def _decoder_columns(code, cols):
     Each entry is a reduced pair a/b (count/orbit size over their gcd, 1/1,
     or a stochastic probability), and den is the lcm of the b's in `cols`."""
     if isinstance(code, PermIdCode):
-        raw = [[(t, c, code.orbit_size(t)) for t, c in d.items()] for d in code.decoder_counts]
+        raw = [[(t, c, code.sizes[t]) for t, c in d.items()] for d in code.decoder_counts]
     else:
         raw = [[(k, 1, 1) for k in d] if isinstance(d, frozenset)
                else [(k, *p.as_integer_ratio()) for k, p in d.items()] for d in code.decoders]
@@ -498,7 +497,7 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
     """Acceptance counts of the sent messages in `rows` (0-based) against
     all decoders, simulated as eval_perm_mc describes."""
     M = code.M
-    cols = sorted({code.input_orbit(x) for i in rows for x in code.encoders[i].support()})
+    cols = sorted({t for i in rows for t in code.output_laws[i].num})
     where = {t: g for g, t in enumerate(cols)}
     found = [[] for _ in cols]
     for j, counts in enumerate(code.decoder_counts):
@@ -521,10 +520,8 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
     for r, i in enumerate(rows):
         randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
         keys, cuts, denom = _exact_sampler(code.encoders[i], key)
-        landing = []
-        for x in keys:
-            g = where[code.input_orbit(x)]
-            landing.append((g * width, code.orbit_size(cols[g]), thresholds[g]))
+        orbits = [code._orbit_of[id(x)] for x in keys]
+        landing = [(where[t] * width, code.sizes[t], thresholds[where[t]]) for t in orbits]
         record = []
         for _ in range(trials):
             base, size, thr = landing[bisect_right(cuts, randrange(denom))]

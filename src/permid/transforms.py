@@ -97,13 +97,12 @@ def perm_to_noiseless(code: PermIdCode) -> StepResult:
     orbit products.
     """
     before = acceptance(code)
-    encoders = [code.output_dist(i) for i in range(1, code.M + 1)]
     decoders = [
-        frozenset(counts) if all(c == code.orbit_size(t) for t, c in counts.items())
-        else {t: Fraction(c, code.orbit_size(t)) for t, c in counts.items()}
+        frozenset(counts) if all(c == code.sizes[t] for t, c in counts.items())
+        else {t: Fraction(c, code.sizes[t]) for t, c in counts.items()}
         for counts in code.decoder_counts
     ]
-    lifted = NoiselessIdCode(code.ground, encoders, decoders)
+    lifted = NoiselessIdCode(code.ground, code.output_laws, decoders)
     after = acceptance(lifted)
     if after != before:
         raise BoundViolationError("orbit lift changed the acceptance matrix")

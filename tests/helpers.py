@@ -328,9 +328,16 @@ def reference_acceptance_matrix(code):
 def reference_encoder_rows(code):
     """The kernel's encoder rows built from the Fraction masses: the sorted
     union of the supports (orbit indices for perm codes) as columns, and each
-    encoder over the least common denominator of its masses."""
+    encoder's masses, summed per orbit for perm codes, over their least
+    common denominator."""
     if isinstance(code, PermIdCode):
-        pushed = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in code.encoders]
+        pushed = []
+        for enc in code.encoders:
+            law = {}
+            for x, p in enc.items():
+                t = code.input_orbit(x)
+                law[t] = law.get(t, 0) + p
+            pushed.append(list(law.items()))
     else:
         pushed = [enc.items() for enc in code.encoders]
     cols = sorted({k for pairs in pushed for k, _ in pairs})
@@ -407,13 +414,26 @@ def kernel_of(matrix):
     return Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object))
 
 
+def reference_output_law(code, i):
+    """The output-orbit law of message i (1-based) of a perm code from one
+    Fraction per encoder vector, each vector's orbit ranked by the reference
+    type and tuple ranks: `code.output_laws[i - 1]` must equal it."""
+    law = {}
+    for x, p in code.encoders[i - 1].items():
+        blocks = [x[b * code.n : (b + 1) * code.n] for b in range(code.l)]
+        types = [reference_type_index(reference_type_of(y, code.q)) for y in blocks]
+        t = reference_tuple_to_index(types, code.N)
+        law[t] = law.get(t, 0) + p
+    return Dist(law, size=code.ground)
+
+
 def reference_converse_floor(code):
     """The pairwise converse floor from M^2/2 `tv_distance` calls on the
     output distributions: max(0, 1 - min L1 distance)."""
     if isinstance(code, NoiselessIdCode):
         outs = list(code.encoders)
     else:
-        outs = [code.output_dist(i) for i in range(1, code.M + 1)]
+        outs = list(code.output_laws)
     best = min(
         tv_distance(outs[i], outs[j]) for i in range(code.M) for j in range(i + 1, code.M)
     )

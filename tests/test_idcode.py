@@ -142,13 +142,13 @@ def test_orbit_bookkeeping():
     t = code.input_orbit((1, 1, 2, 2))
     assert code.orbit_size(t) == 6
     assert accept_prob_for_orbit(code, 1, t) == 0
-    out = code.output_dist(1)
+    out = code.output_laws[0]
     assert out.size == code.ground and out[t] == 1
 
 
 def test_orbit_caches_still_validate():
-    # the encoder's own tuple is looked up; equal-looking inputs of the
-    # wrong kind are still refused, and sizes are memoised only for ints
+    # equal tuples get one orbit; equal-looking inputs of the wrong kind are
+    # refused, and so are sizes asked for at anything but an orbit index
     x = (1, 1, 2, 2)
     code = PermIdCode(4, 2, [u(x)], [{}])
     t = code.input_orbit(x)

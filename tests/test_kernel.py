@@ -30,6 +30,7 @@ from helpers import (
     reference_acceptance_matrix,
     reference_converse_floor,
     reference_kernel,
+    reference_output_law,
     reference_report,
     with_prime_masses,
 )
@@ -37,15 +38,17 @@ from permid import (
     Dist,
     NoiselessIdCode,
     PermIdCode,
+    Stream,
     eval_noiseless,
     eval_perm_exact,
+    eval_perm_mc,
     strong_converse_floor,
 )
 from permid.errors import BoundViolationError
 from permid.exact import bracket, power_sign
 from permid.idcode import Acceptance, acceptance, acceptance_matrix
-from permid.serialize import code_from_json
-from permid.transforms import _growth_violations
+from permid.serialize import code_from_json, report_to_json
+from permid.transforms import _growth_violations, soft_converse_pipeline
 
 
 def make_code(seed, kind, M, l=1, decoders="stoch", big=False):
@@ -117,6 +120,41 @@ GOLDEN = Path(__file__).parent / "golden"
 def golden_orbit_code():
     """The golden orbit-union code: n=60, q=2, full-orbit decoders."""
     return code_from_json(json.loads((GOLDEN / "orbit_code.json").read_text())["code"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), M=st.integers(1, 5), l=st.integers(1, 2), big=st.booleans())
+def test_output_laws_are_the_per_vector_pushforward(seed, M, l, big):
+    code = make_code(seed, "perm", M, l, big=big)
+    assert list(code.output_laws) == [reference_output_law(code, i) for i in range(1, M + 1)]
+
+
+def test_evaluators_work_out_no_orbit_after_construction(monkeypatch):
+    """A perm code's output laws and sizes are all the kernel, the sampler,
+    the converse and the pipeline read: with the orbit and orbit-size
+    primitives made to raise once the codes are built, every report is the
+    one a fresh copy of the code gives unpatched."""
+
+    def reports(code, pipeline):
+        out = [eval_perm_exact(code), eval_perm_mc(code, 300, Stream(1))]
+        if pipeline:
+            run = soft_converse_pipeline(code, Fraction(1, 3))
+            out += [s.before for s in run.steps] + [run.final]
+        return [report_to_json(r) for r in out] + [strong_converse_floor(code)]
+
+    names = {"orbit": True, "perm_l2": True, "q11": False}
+    docs = {name: json.loads((GOLDEN / f"{name}_code.json").read_text()) for name in names}
+    docs["orbit"] = docs["orbit"]["code"]  # the build document wraps its code
+    expected = {name: reports(code_from_json(docs[name]), names[name]) for name in names}
+    codes = {name: code_from_json(docs[name]) for name in names}
+
+    def refuse(*args):
+        raise AssertionError("an orbit was worked out again after construction")
+
+    monkeypatch.setattr(idcode, "_block_orbit", refuse)
+    monkeypatch.setattr(idcode, "_orbit_product_size", refuse)
+    for name, code in codes.items():
+        assert reports(code, names[name]) == expected[name]
 
 
 def test_golden_orbit_kernel_stays_int64_over_decoder_denominator_one():
