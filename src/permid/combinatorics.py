@@ -43,9 +43,9 @@ class TypeVector:
 
 
 def _validate_nq(n: int, q: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValidationError(f"block length n must be a positive integer, got {n!r}")
-    if not (isinstance(q, int) and q >= 2):
+    if not (type(q) is int and q >= 2):
         raise ValidationError(f"alphabet size q must be an integer >= 2, got {q!r}")
 
 
@@ -123,9 +123,6 @@ class NBounds:
     lower_ok: bool
     upper_ok: bool
     coarse_ok: bool | None
-
-    def all_ok(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.coarse_ok in (True, None)
 
 
 def check_N_bounds(n: int, q: int) -> NBounds:

@@ -11,14 +11,6 @@ from typing import Hashable, Iterable, Mapping
 from .errors import ValidationError
 
 
-def over_common_denominator(masses: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """The rationals `masses` as integer numerators over their least common
-    denominator D: masses[k] == numerators[k] / D."""
-    masses = list(masses)
-    denom = math.lcm(*(p.denominator for p in masses))
-    return [p.numerator * (denom // p.denominator) for p in masses], denom
-
-
 class Dist:
     """A probability distribution with exact rational masses.
 
@@ -43,7 +35,9 @@ class Dist:
             if value.numerator:
                 keys.append(key)
                 masses.append(value)
-        nums, den = over_common_denominator(masses)
+        # numerators over the masses' least common denominator
+        den = math.lcm(*(p.denominator for p in masses))
+        nums = [p.numerator * (den // p.denominator) for p in masses]
         if sum(nums) != den:
             raise ValidationError(f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}")
         self._fill(dict(zip(keys, nums)), den, size)
@@ -66,7 +60,7 @@ class Dist:
 
     def _fill(self, num: dict, den: int, size: int | None) -> None:
         if size is not None:
-            if not (isinstance(size, int) and size >= 1):
+            if not (type(size) is int and size >= 1):
                 raise ValidationError("size must be a positive integer")
             for key in num:
                 if not (isinstance(key, int) and 1 <= key <= size):

@@ -92,17 +92,6 @@ class FeedbackCode:
     def M(self) -> int:
         return int(self.maps.shape[0])
 
-    def flat_index(self, ranks) -> int:
-        """Flatten a (l-1)-tuple of pilot-output ranks, each in [0..orbit)."""
-        if len(ranks) != self.l - 1:
-            raise ValidationError(f"need {self.l - 1} ranks, got {len(ranks)}")
-        flat = 0
-        for r in ranks:
-            if not 0 <= r < self.orbit:
-                raise ValidationError(f"rank {r} outside [0..{self.orbit})")
-            flat = flat * self.orbit + r
-        return flat
-
 
 def build_feedback_code(n: int, q: int, l: int, M: int, stream: Stream) -> FeedbackCode:
     """Draw the M lookup tables i.i.d. uniform over [1..N].

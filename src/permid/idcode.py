@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .combinatorics import (
+    TypeVector,
     count_types,
     index_to_tuple,
     tuple_to_index,
@@ -84,7 +85,7 @@ class NoiselessIdCode:
     """
 
     def __init__(self, N: int, encoders: Sequence[Dist], decoders: Sequence):
-        if not (isinstance(N, int) and N >= 1):
+        if not (type(N) is int and N >= 1):
             raise ValidationError("N must be a positive integer")
         encoders = tuple(encoders)
         decoders = tuple(_check_noiseless_decoder(d, N) for d in decoders)
@@ -121,10 +122,12 @@ class PermIdCode:
 
     The channel shows the decoder only the output's orbit, so every error
     figure depends on an encoder only through its law on orbit indices. The
-    constructor finds the orbit of each distinct vector object once, and
-    `sizes[t]` is |orbit product t| for every t an encoder or decoder
-    touches; `output_laws[i-1]` is message i's encoder pushed onto [1..N^l].
-    Evaluators read these and do no further type computations.
+    constructor counts the block types of each distinct vector object once,
+    and `sizes[t]` is |orbit product t| for every t an encoder or decoder
+    touches: an encoder's orbit is sized from the types it counted, and only
+    an orbit that a decoder alone touches is unranked. `output_laws[i-1]` is
+    message i's encoder pushed onto [1..N^l]. Evaluators read these and do
+    no further type computations.
     """
 
     def __init__(
@@ -135,7 +138,7 @@ class PermIdCode:
         decoder_counts: Sequence[Mapping[int, int]],
         l: int = 1,
     ):
-        if not (isinstance(l, int) and l >= 1):
+        if not (type(l) is int and l >= 1):
             raise ValidationError("l must be a positive integer")
         self.n = n
         self.q = q
@@ -151,13 +154,15 @@ class PermIdCode:
             )
         # id(x) -> orbit index; the encoders hold every x, so no id is reused
         orbit_of: dict[int, int] = {}
+        sizes: dict[int, int] = {}
         for enc in encoders:
             if not isinstance(enc, Dist):
                 raise ValidationError("encoders must be Dist instances")
             for x in enc.num:
                 if id(x) not in orbit_of:
-                    orbit_of[id(x)] = self.input_orbit(x)
-        sizes = {t: self.orbit_size(t) for t in set(orbit_of.values())}
+                    types = _input_types(x, n, q, l)
+                    t = orbit_of[id(x)] = tuple_to_index(tuple(map(type_index, types)), self.N)
+                    sizes[t] = math.prod(map(typeclass_size, types))
         cleaned = []
         for counts in decoder_counts:
             dec: dict[int, int] = {}
@@ -168,7 +173,7 @@ class PermIdCode:
                 if not (type(c) is int and c >= 0):
                     raise ValidationError(f"orbit count {c!r} must be a nonnegative integer")
                 if t not in sizes:
-                    sizes[t] = self.orbit_size(t)
+                    sizes[t] = math.prod(map(typeclass_size, _orbit_types(t, n, q, self.N, l)))
                 if c > sizes[t]:
                     raise ValidationError(
                         f"count {c} exceeds orbit product size {sizes[t]} at index {t}"
@@ -192,33 +197,23 @@ class PermIdCode:
         orbit_of = self._orbit_of
         return tuple(e.pushforward(lambda x: orbit_of[id(x)], self.ground) for e in self.encoders)
 
-    def input_orbit(self, x) -> int:
-        """Combined orbit index in [1..N^l] of a flat input tuple, validated."""
-        if not (isinstance(x, tuple) and len(x) == self.n * self.l):
-            raise ValidationError(
-                f"input must be a tuple of length n*l = {self.n * self.l}, got {x!r}"
-            )
-        return _block_orbit(x, self.n, self.q, self.N, self.l)
 
-    def orbit_size(self, t: int) -> int:
-        """Number of vectors in the orbit product with combined index t."""
-        return _orbit_product_size(t, self.n, self.q, self.N, self.l)
+def _input_types(x, n: int, q: int, l: int) -> tuple[TypeVector, ...]:
+    """The block types of a flat input tuple of l blocks of length n, validated."""
+    if not (isinstance(x, tuple) and len(x) == n * l):
+        raise ValidationError(f"input must be a tuple of length n*l = {n * l}, got {x!r}")
+    return tuple(type_of(x[b * n : (b + 1) * n], q) for b in range(l))
 
 
-def _block_orbit(x, n: int, q: int, N: int, l: int) -> int:
-    """Combined orbit index in [1..N^l] of a flat tuple of l blocks of length n."""
-    types = tuple(type_index(type_of(x[b * n : (b + 1) * n], q)) for b in range(l))
-    return tuple_to_index(types, N)
-
-
-def _orbit_product_size(t: int, n: int, q: int, N: int, l: int) -> int:
-    return math.prod(typeclass_size(type_unrank(j, n, q)) for j in index_to_tuple(t, N, l))
+def _orbit_types(t: int, n: int, q: int, N: int, l: int) -> tuple[TypeVector, ...]:
+    """The block types of the orbit product with combined index t in [1..N^l]."""
+    return tuple(type_unrank(j, n, q) for j in index_to_tuple(t, N, l))
 
 
 def full_orbit_counts(type_sets, n: int, q: int, l: int = 1) -> dict[int, int]:
     """Decoder that accepts every vector of the listed orbit products."""
     N = count_types(n, q)
-    return {t: _orbit_product_size(t, n, q, N, l) for t in type_sets}
+    return {t: math.prod(map(typeclass_size, _orbit_types(t, n, q, N, l))) for t in type_sets}
 
 
 @dataclass(frozen=True)
@@ -663,11 +658,6 @@ class AchievableBuild:
     attempts: int
 
 
-def _orbit_representative(t: int, n: int, q: int, N: int, l: int) -> tuple[int, ...]:
-    """Lexicographically smallest vector of the orbit product t, flattened."""
-    return sum((type_representative(type_unrank(j, n, q)) for j in index_to_tuple(t, N, l)), ())
-
-
 def build_multishot_achievable(
     n: int,
     q: int,
@@ -698,11 +688,12 @@ def build_multishot_achievable(
         )
     system = SetSystem(params.ground, tuple(kept))
     profile = verify_profile(system)
-    # an orbit lies in many sets: its representative (one shared tuple, which
-    # the code validates once) and its size are worked out once
-    orbits = sorted(set().union(*kept))
-    reps = {t: _orbit_representative(t, n, q, params.N, l) for t in orbits}
-    sizes = full_orbit_counts(orbits, n, q, l)
+    # an orbit lies in many sets: it is decoded once, for its representative
+    # (the lexicographically smallest vector, one shared tuple, which the code
+    # validates once) and its size
+    decoded = {t: _orbit_types(t, n, q, params.N, l) for t in sorted(set().union(*kept))}
+    reps = {t: sum(map(type_representative, types), ()) for t, types in decoded.items()}
+    sizes = {t: math.prod(map(typeclass_size, types)) for t, types in decoded.items()}
     encoders = []
     counts = []
     for U in kept:

@@ -18,11 +18,11 @@ from operator import truediv
 import numpy as np
 
 from .combinatorics import index_to_tuple, tuple_to_index
-from .dist import Dist, over_common_denominator
+from .dist import Dist
 from .errors import ValidationError
 from .exact import frac_str, parse_frac
 from .feedback import CollisionReport, FeedbackCode
-from .idcode import Acceptance, ErrorReport, MCReport, NoiselessIdCode, PermIdCode
+from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
 SCHEMA = "permid/1"
@@ -257,27 +257,6 @@ def report_to_json(report) -> dict:
             doc["counts"] = report.counts
         return doc
     raise ValidationError(f"cannot serialize {type(report).__name__}")
-
-
-def error_report_from_json(doc: dict) -> ErrorReport:
-    """Rebuild an exact ErrorReport; inverse of report_to_json on that kind."""
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "error-report":
-        raise ValidationError("not an error-report document")
-    accept = None
-    if "matrix" in doc:
-        nums, dens = zip(*(over_common_denominator(map(parse_frac, row)) for row in doc["matrix"]))
-        accept = Acceptance(np.array(nums, dtype=object), np.array(dens, dtype=object))
-        if accept.num.shape != (doc["M"], doc["M"]):
-            raise ValidationError("error-report matrix is not M x M")
-    return ErrorReport(
-        M=doc["M"],
-        lambda1=parse_frac(doc["lambda1"]),
-        lambda2=parse_frac(doc["lambda2"]),
-        missed=tuple(parse_frac(m) for m in doc["missed"]),
-        argmax_miss=doc["argmax_miss"],
-        argmax_cross=tuple(doc["argmax_cross"]) if doc["argmax_cross"] else None,
-        accept=accept,
-    )
 
 
 def profile_to_json(profile: IntersectionProfile) -> dict:

@@ -62,9 +62,6 @@ class SetSystem:
     def M(self) -> int:
         return len(self.sets)
 
-    def is_constant_weight(self) -> bool:
-        return len({len(s) for s in self.sets}) <= 1
-
 
 @dataclass(frozen=True)
 class IntersectionProfile:

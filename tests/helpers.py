@@ -10,10 +10,14 @@ Fraction-path encoder rows and decoder columns, per-trial samplers, the
 pairwise table compare, the code loader with one Fraction per mass), kept
 as oracles for differential tests;
 `counts_from_vector_set` compresses an explicit decoder region to per-orbit
-counts; `accept_prob` and `accept_prob_for_orbit` give the per-outcome decoder
-factors that `reference_acceptance_matrix` sums, and `fractions` and
-`kernel_of` convert between a Fraction matrix and an integer acceptance
-kernel.
+counts; `reference_orbit` and `reference_orbit_size` rank and size a perm
+code's orbits from the reference codec alone, so no perm oracle shares the
+code's own orbit bookkeeping; `accept_prob` and `accept_prob_for_orbit` give
+the per-outcome decoder factors that `reference_acceptance_matrix` sums, and
+`fractions` and `kernel_of` convert between a Fraction matrix and an integer
+acceptance kernel. `error_report_from_json`, `flat_index`, `all_ok` and
+`is_constant_weight` are small inverses and predicates that only the tests
+call, so they live here rather than in the library.
 `PermutationChannel` simulates the channel itself, vector by vector, as the
 physical oracle of the acceptance suite. `mpf` and `mpmath_cap` are the
 multiprecision oracles of the exact log2 brackets and the construction's
@@ -46,7 +50,6 @@ from permid.combinatorics import (
     vector_rank,
     vector_unrank,
 )
-from permid.dist import over_common_denominator
 from permid.errors import BoundViolationError, ValidationError
 from permid.exact import parse_frac
 from permid.feedback import CollisionReport
@@ -267,6 +270,30 @@ def reference_index_to_tuple(index, N, l):
     return tuple(reversed(out))
 
 
+def reference_typeclass_size(t):
+    """The multinomial n! / prod(counts!) of a type, from factorials."""
+    return math.factorial(t.n) // math.prod(math.factorial(c) for c in t.counts)
+
+
+def reference_orbit(code, x):
+    """The combined orbit index of a flat input tuple of a perm code, from
+    the reference type and tuple ranks, block by block."""
+    if not (isinstance(x, tuple) and len(x) == code.n * code.l):
+        raise ValidationError(f"input must be a tuple of length n*l = {code.n * code.l}")
+    blocks = [x[b * code.n : (b + 1) * code.n] for b in range(code.l)]
+    types = [reference_type_index(reference_type_of(y, code.q)) for y in blocks]
+    return reference_tuple_to_index(types, code.N)
+
+
+def reference_orbit_size(code, t):
+    """|orbit product t| of a perm code: each block type unranked by the
+    reference, its multinomial taken from factorials, and the l of them
+    multiplied."""
+    blocks = reference_index_to_tuple(t, code.N, code.l)
+    return math.prod(reference_typeclass_size(reference_type_unrank(j, code.n, code.q))
+                     for j in blocks)
+
+
 def reference_max_typeclass(n, q):
     """Largest orbit by scanning every type, ties to the first in canonical
     order; `feedback.max_typeclass` must match it."""
@@ -296,7 +323,7 @@ def accept_prob_for_orbit(code, i, t):
     c = code.decoder_counts[i - 1].get(t, 0)
     if c == 0:
         return Fraction(0)
-    return Fraction(c, code.orbit_size(t))
+    return Fraction(c, reference_orbit_size(code, t))
 
 
 def reference_acceptance_matrix(code):
@@ -314,7 +341,7 @@ def reference_acceptance_matrix(code):
             return accept_prob(code, j, k)
 
     else:
-        rows = [[(code.input_orbit(x), p) for x, p in enc.items()] for enc in code.encoders]
+        rows = [[(reference_orbit(code, x), p) for x, p in enc.items()] for enc in code.encoders]
 
         def accept(j, t):
             return accept_prob_for_orbit(code, j, t)
@@ -335,7 +362,7 @@ def reference_encoder_rows(code):
         for enc in code.encoders:
             law = {}
             for x, p in enc.items():
-                t = code.input_orbit(x)
+                t = reference_orbit(code, x)
                 law[t] = law.get(t, 0) + p
             pushed.append(list(law.items()))
     else:
@@ -357,7 +384,7 @@ def reference_decoder_columns(code, cols):
     probability for noiseless ones, all over their least common denominator."""
     if isinstance(code, PermIdCode):
         probs = [
-            [Fraction(d[t], code.orbit_size(t)) if t in d else 0 for t in cols]
+            [Fraction(d[t], reference_orbit_size(code, t)) if t in d else 0 for t in cols]
             for d in code.decoder_counts
         ]
     else:
@@ -407,6 +434,14 @@ def fractions(kernel):
     return [[Fraction(n, d) for n in row] for row, d in zip(kernel.num.tolist(), kernel.den)]
 
 
+def over_common_denominator(masses):
+    """The rationals `masses` as integer numerators over their least common
+    denominator D: masses[k] == numerators[k] / D."""
+    masses = list(masses)
+    denom = math.lcm(*(p.denominator for p in masses))
+    return [p.numerator * (denom // p.denominator) for p in masses], denom
+
+
 def kernel_of(matrix):
     """The object acceptance kernel of a matrix of rationals, each row over
     its least common denominator."""
@@ -420,9 +455,7 @@ def reference_output_law(code, i):
     type and tuple ranks: `code.output_laws[i - 1]` must equal it."""
     law = {}
     for x, p in code.encoders[i - 1].items():
-        blocks = [x[b * code.n : (b + 1) * code.n] for b in range(code.l)]
-        types = [reference_type_index(reference_type_of(y, code.q)) for y in blocks]
-        t = reference_tuple_to_index(types, code.N)
+        t = reference_orbit(code, x)
         law[t] = law.get(t, 0) + p
     return Dist(law, size=code.ground)
 
@@ -438,6 +471,27 @@ def reference_converse_floor(code):
         tv_distance(outs[i], outs[j]) for i in range(code.M) for j in range(i + 1, code.M)
     )
     return max(1 - best, Fraction(0))
+
+
+def error_report_from_json(doc):
+    """Rebuild an exact ErrorReport; inverse of `report_to_json` on that
+    kind, the matrix's rows each over their least common denominator."""
+    if doc.get("schema") != SCHEMA or doc.get("kind") != "error-report":
+        raise ValidationError("not an error-report document")
+    accept = None
+    if "matrix" in doc:
+        accept = kernel_of([list(map(parse_frac, row)) for row in doc["matrix"]])
+        if accept.num.shape != (doc["M"], doc["M"]):
+            raise ValidationError("error-report matrix is not M x M")
+    return ErrorReport(
+        M=doc["M"],
+        lambda1=parse_frac(doc["lambda1"]),
+        lambda2=parse_frac(doc["lambda2"]),
+        missed=tuple(parse_frac(m) for m in doc["missed"]),
+        argmax_miss=doc["argmax_miss"],
+        argmax_cross=tuple(doc["argmax_cross"]) if doc["argmax_cross"] else None,
+        accept=accept,
+    )
 
 
 def reference_code_from_json(doc):
@@ -549,8 +603,8 @@ def reference_perm_mc(code, trials, stream):
         keys, cuts, denom = _exact_sampler(code.encoders[i - 1])
         for _ in range(trials):
             x = keys[bisect_right(cuts, rand.randrange(denom))]
-            t = code.input_orbit(x)
-            u = rand.randrange(code.orbit_size(t))
+            t = reference_orbit(code, x)
+            u = rand.randrange(reference_orbit_size(code, t))
             for j in range(M):
                 if u < code.decoder_counts[j].get(t, 0):
                     hits[i - 1][j] += 1
@@ -570,7 +624,7 @@ def reference_feedback_mc(code, trials, stream):
             for _b in range(code.l - 1):
                 y = vector_unrank(code.pstar, rand.randrange(code.orbit))
                 ranks.append(vector_rank(y, code.q))
-            flat = code.flat_index(ranks)
+            flat = flat_index(code, ranks)
             sent_orbit = int(code.maps[i - 1, flat])
             x_last = type_representative(type_unrank(sent_orbit, code.n, code.q))
             t_last = type_of(x_last, code.q)
@@ -582,6 +636,19 @@ def reference_feedback_mc(code, trials, stream):
                 if int(code.maps[k, flat]) == out_orbit:
                     hits[i - 1][k] += 1
     return reference_mc_report(hits, trials)
+
+
+def flat_index(code, ranks):
+    """Flatten a (l-1)-tuple of pilot-output ranks of a feedback code, each
+    in [0..orbit), row-major: the column of its lookup tables."""
+    if len(ranks) != code.l - 1:
+        raise ValidationError(f"need {code.l - 1} ranks, got {len(ranks)}")
+    flat = 0
+    for r in ranks:
+        if not 0 <= r < code.orbit:
+            raise ValidationError(f"rank {r} outside [0..{code.orbit})")
+        flat = flat * code.orbit + r
+    return flat
 
 
 def reference_collision_report(code):
@@ -631,6 +698,17 @@ def reference_grow_family(N, gamma, cap, target, stream, max_attempts):
             continue
         kept.append(candidate)
     return kept, attempts
+
+
+def is_constant_weight(system):
+    """Whether every set of a set system has the same size."""
+    return len({len(s) for s in system.sets}) <= 1
+
+
+def all_ok(bounds):
+    """Whether every applicable sandwich bound of an NBounds holds; the
+    coarse one counts only where it applies."""
+    return bounds.lower_ok and bounds.upper_ok and bounds.coarse_ok in (True, None)
 
 
 def reference_profile(system):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from helpers import (
     PermutationChannel,
+    error_report_from_json,
     fractions,
     random_dist,
     random_noiseless_code,
@@ -60,7 +61,7 @@ from permid import (
 )
 from permid.cli import main as cli_main
 from permid.exact import power_sign
-from permid.serialize import code_to_json, dumps, error_report_from_json, report_to_json
+from permid.serialize import code_to_json, dumps, report_to_json
 
 
 def criterion(number, label, limit=None):

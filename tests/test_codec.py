@@ -353,7 +353,7 @@ def test_code_loader_matches_the_fraction_loader(doc):
 
 def test_code_loader_parses_each_mass_and_vector_once():
     doc = json.loads((GOLDEN / "orbit_code.json").read_text())["code"]
-    calls = {"parse_frac": [], "_block_orbit": []}
+    calls = {"parse_frac": [], "_input_types": []}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -364,14 +364,14 @@ def test_code_loader_parses_each_mass_and_vector_once():
 
         return mock.patch.object(module, name, wrapper)
 
-    with counted(permid.serialize, "parse_frac"), counted(permid.idcode, "_block_orbit"):
+    with counted(permid.serialize, "parse_frac"), counted(permid.idcode, "_input_types"):
         code = code_from_json(doc)
     texts = [p for pairs in doc["encoders"] for _, p in pairs]
     indices = {i for pairs in doc["encoders"] for i, _ in pairs}
     assert len(texts) > len(set(texts)) and len(calls["parse_frac"]) == len(set(texts))
     assert sorted(calls["parse_frac"]) == sorted(set(texts))
-    assert len(calls["_block_orbit"]) == len(indices) < len(texts)
-    assert {tuple_to_index(x, code.q) for x in calls["_block_orbit"]} == indices
+    assert len(calls["_input_types"]) == len(indices) < len(texts)
+    assert {tuple_to_index(x, code.q) for x in calls["_input_types"]} == indices
 
 
 # -------------------------------------------------------- rows of scalar lists

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from helpers import all_ok
 from permid.combinatorics import (
     TypeVector,
     check_N_bounds,
@@ -137,6 +138,6 @@ def test_N_bounds_hold_at_desk_scale():
         for q in (2, 3, 4):
             b = check_N_bounds(n, q)
             assert b.N == count_types(n, q)
-            assert b.all_ok()
+            assert all_ok(b)
     # below n = q-1 the coarse bound is not applicable
     assert check_N_bounds(1, 3).coarse_ok is None

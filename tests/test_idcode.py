@@ -17,6 +17,7 @@ from helpers import (
     mpmath_cap,
     random_noiseless_code,
     random_perm_code,
+    reference_orbit,
     reference_report,
 )
 from permid import (
@@ -113,6 +114,30 @@ def test_perm_code_takes_only_codes_its_own_file_can_carry(counts):
     assert [(dict(e.num), e.den) for e in back.encoders] == [(dict(e.num), e.den) for e in enc]
 
 
+def test_sizes_and_counts_refuse_bools():
+    # True passes isinstance(x, int) as 1, but code_to_json would write it as
+    # JSON true, which code_from_json refuses
+    x = (1, 1, 2)
+    with pytest.raises(ValidationError, match="l must be a positive integer"):
+        PermIdCode(3, 2, [u(x)], [{}], l=True)
+    with pytest.raises(ValidationError, match="block length n must be a positive integer"):
+        PermIdCode(True, 2, [u((1,))], [{}])
+    with pytest.raises(ValidationError, match="block length n must be a positive integer"):
+        count_types(True, 2)
+    with pytest.raises(ValidationError, match="N must be a positive integer"):
+        NoiselessIdCode(True, [u(1, size=1)], [frozenset({1})])
+    with pytest.raises(ValidationError, match="size must be a positive integer"):
+        Dist({1: 1}, size=True)
+    # with 1 in place of True, each code's file reads back as the same code
+    for code in (
+        PermIdCode(3, 2, [u(x)], [{}], l=1),
+        PermIdCode(1, 2, [u((1,))], [{}]),
+        NoiselessIdCode(1, [u(1, size=1)], [frozenset({1})]),
+    ):
+        doc = code_to_json(code)
+        assert code_to_json(code_from_json(json.loads(dumps(doc)))) == doc
+
+
 def test_perm_code_drops_zero_counts():
     code = PermIdCode(3, 2, [u((1, 1, 2))], [{1: 1, 2: 0}])
     assert code.decoder_counts[0] == {1: 1}
@@ -139,8 +164,8 @@ def test_full_orbit_counts_matches_sizes():
 
 def test_orbit_bookkeeping():
     code = PermIdCode(4, 2, [u((1, 1, 2, 2))], [{}])
-    t = code.input_orbit((1, 1, 2, 2))
-    assert code.orbit_size(t) == 6
+    t = reference_orbit(code, (1, 1, 2, 2))
+    assert code.sizes[t] == 6
     assert accept_prob_for_orbit(code, 1, t) == 0
     out = code.output_laws[0]
     assert out.size == code.ground and out[t] == 1
@@ -150,20 +175,27 @@ def test_orbit_caches_still_validate():
     # equal tuples get one orbit; equal-looking inputs of the wrong kind are
     # refused, and so are sizes asked for at anything but an orbit index
     x = (1, 1, 2, 2)
-    code = PermIdCode(4, 2, [u(x)], [{}])
-    t = code.input_orbit(x)
-    assert code.input_orbit(tuple(x)) == code.input_orbit((1, 1, 2, 2)) == t
+    code = PermIdCode(4, 2, [u(x), u(tuple([1, 1, 2, 2]))], [{}, {}])
+    t = reference_orbit(code, x)
+    types = idcode._input_types(x, 4, 2, 1)
+    assert idcode._input_types(tuple(x), 4, 2, 1) == types
+    assert idcode._input_types((1, 1, 2, 2), 4, 2, 1) == types
+    assert code.output_laws[0] == code.output_laws[1] == Dist.point(t, size=code.ground)
     for bad in ([1, 1, 2, 2], (1.0, 1, 2, 2), (1, 1, 2), (1, 1, 2, 3), (1, "2", 2, 2)):
         with pytest.raises(ValidationError):
-            code.input_orbit(bad)
+            idcode._input_types(bad, 4, 2, 1)
         # the constructor checks each encoder vector the same way
         if isinstance(bad, tuple):
             with pytest.raises(ValidationError):
                 PermIdCode(4, 2, [u(bad)], [{}])
-    assert code.orbit_size(t) == code.orbit_size(t) == 6
+    assert idcode._orbit_types(t, 4, 2, code.N, 1) == types
+    assert code.sizes[t] == 6
     for bad in (float(t), 0, code.ground + 1):
         with pytest.raises(ValidationError):
-            code.orbit_size(bad)
+            idcode._orbit_types(bad, 4, 2, code.N, 1)
+        # and each decoder's orbit index
+        with pytest.raises(ValidationError):
+            PermIdCode(4, 2, [u(x)], [{bad: 0}])
 
 
 # ------------------------------------------------------------------- noiseless

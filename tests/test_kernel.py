@@ -30,6 +30,7 @@ from helpers import (
     reference_acceptance_matrix,
     reference_converse_floor,
     reference_kernel,
+    reference_orbit_size,
     reference_output_law,
     reference_report,
     with_prime_masses,
@@ -151,10 +152,30 @@ def test_evaluators_work_out_no_orbit_after_construction(monkeypatch):
     def refuse(*args):
         raise AssertionError("an orbit was worked out again after construction")
 
-    monkeypatch.setattr(idcode, "_block_orbit", refuse)
-    monkeypatch.setattr(idcode, "_orbit_product_size", refuse)
+    monkeypatch.setattr(idcode, "_input_types", refuse)
+    monkeypatch.setattr(idcode, "_orbit_types", refuse)
     for name, code in codes.items():
         assert reports(code, names[name]) == expected[name]
+
+
+def test_construction_unranks_only_the_orbits_a_decoder_alone_touches(monkeypatch):
+    """An encoder's orbits are sized from the block types the constructor
+    counted; an orbit that only a decoder touches is unranked, once per
+    block. The golden orbit code's decoders hold its encoders' orbits only."""
+    calls = []
+    real = idcode.type_unrank
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(idcode, "type_unrank", counting)
+    for name, expected in (("orbit", 0), ("perm_l2", 18), ("q11", 17)):
+        doc = json.loads((GOLDEN / f"{name}_code.json").read_text())
+        calls.clear()
+        code = code_from_json(doc["code"] if name == "orbit" else doc)
+        decoder_only = set(code.sizes) - {t for law in code.output_laws for t in law.num}
+        assert len(calls) == code.l * len(decoder_only) == expected
 
 
 def test_golden_orbit_kernel_stays_int64_over_decoder_denominator_one():
@@ -163,7 +184,7 @@ def test_golden_orbit_kernel_stays_int64_over_decoder_denominator_one():
     cols = idcode._encoder_rows(code)[0]
     assert idcode._decoder_columns(code, cols)[1] == 1
     # scaling every count to the lcm of the orbit sizes instead would leave int64
-    assert math.lcm(*map(code.orbit_size, cols)) >= 2**63
+    assert math.lcm(*(reference_orbit_size(code, t) for t in cols)) >= 2**63
 
 
 def fractions_made(monkeypatch, run) -> int:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import permid.cli
 import permid.feedback
 import permid.idcode
-from helpers import fractions, random_noiseless_code, random_perm_code
+from helpers import error_report_from_json, fractions, random_noiseless_code, random_perm_code
 from permid import (
     Dist,
     FeedbackCode,
@@ -47,7 +47,6 @@ from permid.serialize import (
     code_to_json,
     csv_rows,
     dumps,
-    error_report_from_json,
     profile_to_json,
     report_to_json,
 )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_grow_family, reference_profile
+from helpers import is_constant_weight, reference_grow_family, reference_profile
 from permid import Stream
 from permid.errors import HypothesisError, ValidationError
 from permid.setsystem import (
@@ -49,9 +49,9 @@ def test_setsystem_rejects_duplicates_and_strays():
 
 
 def test_is_constant_weight():
-    assert SetSystem(4, pairs((1, 2), (3, 4))).is_constant_weight()
-    assert not SetSystem(4, pairs((1,), (3, 4))).is_constant_weight()
-    assert SetSystem(4, ()).is_constant_weight()
+    assert is_constant_weight(SetSystem(4, pairs((1, 2), (3, 4))))
+    assert not is_constant_weight(SetSystem(4, pairs((1,), (3, 4))))
+    assert is_constant_weight(SetSystem(4, ()))
 
 
 def test_verify_profile_examples():
