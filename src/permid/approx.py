@@ -31,13 +31,13 @@ class ApproxMap:
     atoms: tuple[int, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (type(self.N) is int and self.N >= 1):
             raise ValidationError("N must be a positive integer")
-        if not (isinstance(self.K, int) and self.K >= 1):
+        if not (type(self.K) is int and self.K >= 1):
             raise ValidationError("K must be a positive integer")
         if len(self.atoms) != self.N:
             raise ValidationError(f"atom vector length {len(self.atoms)} != N = {self.N}")
-        if any(not (isinstance(m, int) and m >= 0) for m in self.atoms):
+        if any(not (type(m) is int and m >= 0) for m in self.atoms):
             raise ValidationError("atom counts must be nonnegative integers")
         if sum(self.atoms) != self.K:
             raise ValidationError(f"atom counts sum to {sum(self.atoms)}, not K = {self.K}")
@@ -57,7 +57,7 @@ def build_approx(target: Dist, K: int) -> ApproxMap:
     """
     if target.size is None:
         raise ValidationError("target must declare its ground-set size")
-    if not (isinstance(K, int) and K >= 1):
+    if not (type(K) is int and K >= 1):
         raise ValidationError("K must be a positive integer")
     N = target.size
     # K * p_y = (K * num[y]) / den: its floor and remainder over den

@@ -63,7 +63,7 @@ class Dist:
             if not (type(size) is int and size >= 1):
                 raise ValidationError("size must be a positive integer")
             for key in num:
-                if not (isinstance(key, int) and 1 <= key <= size):
+                if not (type(key) is int and 1 <= key <= size):
                     raise ValidationError(f"outcome {key!r} outside [1..{size}]")
         for name, value in zip(self.__slots__, (MappingProxyType(num), den, size)):
             object.__setattr__(self, name, value)

@@ -66,7 +66,7 @@ class FeedbackCode:
     """
 
     def __init__(self, n: int, q: int, l: int, maps: np.ndarray):
-        if not (isinstance(l, int) and l >= 2):
+        if not (type(l) is int and l >= 2):
             raise ValidationError("feedback needs l >= 2 blocks")
         self.n = n
         self.q = q
@@ -99,9 +99,9 @@ def build_feedback_code(n: int, q: int, l: int, M: int, stream: Stream) -> Feedb
     Refuses tables beyond TABLE_BUDGET entries; shrink the instance in that
     case (the tables are the whole construction, there is nothing to stream).
     """
-    if not (isinstance(M, int) and M >= 1):
+    if not (type(M) is int and M >= 1):
         raise ValidationError("M must be a positive integer")
-    if l < 2:
+    if not (type(l) is int and l >= 2):
         raise ValidationError("feedback needs l >= 2 blocks")
     N = count_types(n, q)
     _, orbit = max_typeclass(n, q)
@@ -194,14 +194,16 @@ def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCRepor
 
     Each trial permutes the pilot blocks: the output of a pilot block is a
     uniform element of the pilot orbit, which the sender reads back as its
-    rank, so one randrange(|pilot orbit|) per block stands for it. The
-    sender then transmits the chosen orbit's representative, the channel
-    permutes it (a uniform vector of that orbit, by one randrange), and
-    every decoder runs on the final output. A permutation never takes a
-    vector out of its orbit and the decoders read only the orbit, so the
-    output's position in it is drawn but never built into a vector. The
-    sender's own decoder must accept in every trial, so lambda1_hat must
-    come out exactly 0.
+    rank, so one uniform draw below |pilot orbit| per block stands for it.
+    The sender then transmits the chosen orbit's representative, the
+    channel permutes it (a uniform position in that orbit, one more draw),
+    and every decoder runs on the final output. Each draw below n is
+    randrange(n)'s rejection loop on getrandbits, run inline, so its values
+    and the generator's state after it are those of randrange(n). A
+    permutation never takes a vector out of its orbit and the decoders read
+    only the orbit, so the output's position in it is drawn but never built
+    into a vector. The sender's own decoder must accept in every trial, so
+    lambda1_hat must come out exactly 0.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -216,21 +218,32 @@ def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCRepor
 def _feedback_mc_hits(code: FeedbackCode, rows: range, trials: int, stream: Stream) -> np.ndarray:
     """Acceptance counts of the sent messages in `rows` (0-based) against
     all decoders, simulated as eval_feedback_mc describes."""
-    sizes: dict[int, int] = {}  # orbit index -> number of vectors in it
+    # orbit index -> (number of vectors in it, its bit length)
+    sizes: dict[int, tuple[int, int]] = {}
+    pilot, pilot_bits = code.orbit, code.orbit.bit_length()
     chunk = max(1, BLOCK_ENTRIES // code.M)
     hits = np.zeros((len(rows), code.M), dtype=np.int64)
     for r, i in enumerate(rows):
-        randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
+        getrandbits = stream.child(f"mc/msg{i + 1}").rand.getrandbits
         own = code.maps[i].tolist()
         flats = []
+        # each draw below n is randrange(n)'s rejection loop, inlined
         for _ in range(trials):
             flat = 0
             for _b in range(code.l - 1):
-                flat = flat * code.orbit + randrange(code.orbit)
+                rank = getrandbits(pilot_bits)
+                while rank >= pilot:
+                    rank = getrandbits(pilot_bits)
+                flat = flat * pilot + rank
             orbit = own[flat]
             if orbit not in sizes:
-                sizes[orbit] = typeclass_size(type_unrank(orbit, code.n, code.q))
-            randrange(sizes[orbit])  # the channel's permutation, kept so every seed reproduces its report
+                size = typeclass_size(type_unrank(orbit, code.n, code.q))
+                sizes[orbit] = size, size.bit_length()
+            # the channel's permutation, drawn and discarded so every seed
+            # reproduces its report
+            size, bits = sizes[orbit]
+            while getrandbits(bits) >= size:
+                pass
             flats.append(flat)
         # decoder k accepts when its table sends this trial's ranks to the
         # orbit the output landed in, which is the sent one

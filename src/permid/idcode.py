@@ -60,13 +60,13 @@ FEASIBLE_N_MAX = 4096  # min_feasible_n tries n = 1..FEASIBLE_N_MAX
 def _check_noiseless_decoder(decoder, N: int):
     if isinstance(decoder, frozenset):
         for k in decoder:
-            if not (isinstance(k, int) and 1 <= k <= N):
+            if not (type(k) is int and 1 <= k <= N):
                 raise ValidationError(f"decoder element {k!r} outside [1..{N}]")
         return decoder
     if isinstance(decoder, Mapping):
         cleaned = {}
         for k, p in decoder.items():
-            if not (isinstance(k, int) and 1 <= k <= N):
+            if not (type(k) is int and 1 <= k <= N):
                 raise ValidationError(f"decoder outcome {k!r} outside [1..{N}]")
             p = Fraction(p)
             if not 0 <= p <= 1:
@@ -389,7 +389,7 @@ def eval_perm_exact(code: PermIdCode) -> ErrorReport:
     return _exact_report(code)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCReport:
     """Monte Carlo estimate of the acceptance matrix, for perm and feedback
     codes alike.
@@ -397,14 +397,33 @@ class MCReport:
     Every sampling step uses integer arithmetic on exact odds, so each cell
     estimator is unbiased for the true rational acceptance probability.
     `stderr` is the larger binomial standard error of the two reported
-    extremes."""
+    extremes. `hits` holds the int64 acceptance counts, out of `trials`
+    each (row = sent message, column = decoder), when M <= MATRIX_CAP, else
+    None."""
 
     M: int
     trials: int
     lambda1_hat: float
     lambda2_hat: float
     stderr: float
-    accept_hat: tuple[tuple[float, ...], ...] | None
+    hits: np.ndarray | None
+
+    def __eq__(self, other) -> bool:
+        """Equal fields, the hit counts compared entry by entry."""
+        if not isinstance(other, MCReport):
+            return NotImplemented
+        a, b = self.hits, other.hits
+        head = (self.M, self.trials, self.lambda1_hat, self.lambda2_hat, self.stderr)
+        return (head == (other.M, other.trials, other.lambda1_hat, other.lambda2_hat, other.stderr)
+                and (a is None) == (b is None) and (a is None or np.array_equal(a, b)))
+
+    @property
+    def accept_hat(self) -> np.ndarray | None:
+        """The estimate matrix hits / trials as float64, None above
+        MATRIX_CAP. Each entry is bit for bit the Python h / trials: below
+        2^53 (a count of trials no sampler run reaches) both operands are
+        exact in float64, and the division is correctly rounded in either."""
+        return None if self.hits is None else self.hits / self.trials
 
     @classmethod
     def from_hits(cls, hits_of: Callable[[range], np.ndarray], M: int, trials: int) -> "MCReport":
@@ -424,10 +443,8 @@ class MCReport:
         lambda1_hat = 1.0 - float(1 - report.lambda1)
         lambda2_hat = float(report.lambda2)
         se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
-        accept_hat = None if report.accept is None else tuple(
-            tuple(h / trials for h in row) for row in report.accept.num.tolist()
-        )
-        return cls(M, trials, lambda1_hat, lambda2_hat, se, accept_hat)
+        hits = None if report.accept is None else report.accept.num
+        return cls(M, trials, lambda1_hat, lambda2_hat, se, hits)
 
 
 def _repr_order_key(vectors: Sequence[tuple], q: int) -> Callable[[tuple], object]:
@@ -451,8 +468,9 @@ def _repr_order_key(vectors: Sequence[tuple], q: int) -> Callable[[tuple], objec
 
 
 def _exact_sampler(dist: Dist, key: Callable = repr) -> tuple[list, list[int], int]:
-    """The exact law of `dist` as (keys, cuts, denom): with r drawn by one
-    randrange(denom), keys[bisect_right(cuts, r)] has that law.
+    """The exact law of `dist` as (keys, cuts, denom): with r uniform on
+    [0, denom), as randrange(denom) or its rejection loop on getrandbits
+    draws it, keys[bisect_right(cuts, r)] has that law.
 
     Keys are taken in repr order; `key` may stand in for repr when it sorts
     them the same way."""
@@ -467,11 +485,14 @@ def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:
     """Estimate the acceptance matrix by simulating the channel.
 
     For each sent message i, its own stream `mc/msg{i}` drives the trials.
-    Each trial draws an input from the encoder (one randrange) and then a
-    uniform position u inside its output orbit (a second randrange); decoder
-    j accepts when u falls below its count c_j at that orbit. Those are all
-    the draws, in that order, so a seed reproduces its report. Output
-    vectors are never materialized.
+    Each trial draws an input from the encoder (r uniform below its common
+    denominator) and then a uniform position u inside its output orbit;
+    decoder j accepts when u falls below its count c_j at that orbit. Each
+    draw below n is randrange(n)'s rejection loop on getrandbits, run
+    inline: n.bit_length() bits at a time until a value falls below n. So
+    the draws, their values and their order are those of two randrange
+    calls per trial, and a seed reproduces its report. Output vectors are
+    never materialized.
 
     The decoders are not run trial by trial. At each orbit g the distinct
     nonzero counts form a sorted threshold list, and R[g, j] is the 1-based
@@ -513,14 +534,26 @@ def _perm_mc_hits(code: PermIdCode, rows: range, trials: int, stream: Stream) ->
     key = _repr_order_key(list(vectors.values()), code.q)
     hits = np.zeros((len(rows), M), dtype=np.int64)
     for r, i in enumerate(rows):
-        randrange = stream.child(f"mc/msg{i + 1}").rand.randrange
+        getrandbits = stream.child(f"mc/msg{i + 1}").rand.getrandbits
         keys, cuts, denom = _exact_sampler(code.encoders[i], key)
-        orbits = [code._orbit_of[id(x)] for x in keys]
-        landing = [(where[t] * width, code.sizes[t], thresholds[where[t]]) for t in orbits]
+        bits = denom.bit_length()
+        landing = []
+        for x in keys:
+            t = code._orbit_of[id(x)]
+            size = code.sizes[t]
+            landing.append((where[t] * width, size, size.bit_length(), thresholds[where[t]]))
         record = []
+        # each draw is randrange's own rejection loop, inlined: k = n.bit_length()
+        # bits at a time until one falls below n (for n = 1 as well)
         for _ in range(trials):
-            base, size, thr = landing[bisect_right(cuts, randrange(denom))]
-            record.append(base + bisect_right(thr, randrange(size)))
+            v = getrandbits(bits)
+            while v >= denom:
+                v = getrandbits(bits)
+            base, size, k, thr = landing[bisect_right(cuts, v)]
+            u = getrandbits(k)
+            while u >= size:
+                u = getrandbits(k)
+            record.append(base + bisect_right(thr, u))
         pairs, weight = np.unique(record, return_counts=True)
         g, b = np.divmod(pairs, width)
         for lo in range(0, len(pairs), chunk):

@@ -235,8 +235,8 @@ def report_to_json(report) -> dict:
             "lambda2": report.lambda2_hat,
             "mc": {"trials": report.trials, "stderr": report.stderr},
         }
-        if report.accept_hat is not None:
-            doc["matrix"] = [list(row) for row in report.accept_hat]
+        if report.hits is not None:
+            doc["matrix"] = report.accept_hat
         return doc
     if isinstance(report, CollisionReport):
         doc = {
@@ -281,8 +281,10 @@ def dumps(doc: dict) -> str:
 
 def chunks(doc: dict) -> Iterator[str]:
     """The text of dumps(doc) in pieces, one per top-level value and one per
-    row block of a top-level int64 matrix, so that a writer never holds the
-    whole of a large report.
+    row block of a top-level matrix that renders from a table of its values'
+    texts (see `_table`: an int64 count matrix, or a float64 estimate matrix
+    with repeated values), so that a writer never holds the whole of a
+    large report.
 
     The bytes are those of json.dumps(doc, indent=2, sort_keys=True), with a
     numpy array in place of its .tolist(). An indent makes json fall back to
@@ -302,8 +304,8 @@ def chunks(doc: dict) -> Iterator[str]:
 
 
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-#: the most characters a row block of an int64 matrix renders to (unless
-#: one row alone is longer)
+#: the most characters a row block of a table-rendered matrix renders to
+#: (unless one row alone is longer)
 BLOCK_CHARS = 1 << 19
 
 
@@ -334,45 +336,61 @@ def _indented(value, pad: str) -> str:
 
 
 def _array(a: np.ndarray, pad: str) -> Iterator[str]:
-    """The text of a numpy array at indentation `pad`: a 2-D int64 matrix a
-    row block at a time, any other array as its .tolist()."""
-    span = _table_span(a)
-    if span is None:
+    """The text of a numpy array at indentation `pad`: a 2-D int64 or
+    float64 matrix that `_table` accepts a row block at a time from a table
+    of its values' texts, any other array as its .tolist()."""
+    table = _table(a)
+    if table is None:
         yield _indented(a.tolist(), pad)
     else:
-        yield from _int_matrix(a, span, pad)
+        yield from _table_matrix(*table, pad)
 
 
-def _table_span(a: np.ndarray) -> tuple[int, int] | None:
-    """(min, max) of a nonempty 2-D int64 array whose values span fewer than
-    its entry count, so a table of their text is smaller than the array;
-    None for any other array."""
-    if a.ndim != 2 or a.size == 0 or a.dtype != np.int64:
+def _table(a: np.ndarray) -> tuple[np.ndarray, int, list[str]] | None:
+    """(index, lo, texts) such that texts[index[i, j] - lo] is the JSON text
+    of a[i, j], when a is a nonempty 2-D array whose table of texts is
+    smaller than the array itself:
+
+    - int64, values spanning fewer numbers than the entry count: each value
+      in [lo, max] once, indexed by the array itself (a row block at a time,
+      so no copy of the whole is made);
+    - float64, every value finite with its sign bit clear (so no -0.0,
+      which np.unique would merge with 0.0), fewer distinct values than
+      entries: each distinct value once, as repr writes it, indexed by its
+      sorted position, lo = 0.
+
+    None for any other array, which renders through its list."""
+    if a.ndim != 2 or a.size == 0:
         return None
-    lo, hi = int(a.min()), int(a.max())
-    return (lo, hi) if hi - lo < a.size else None
+    if a.dtype == np.int64:
+        lo, hi = int(a.min()), int(a.max())
+        if hi - lo < a.size:
+            return a, lo, [str(v) for v in range(lo, hi + 1)]
+    elif a.dtype == np.float64 and np.isfinite(a).all() and not np.signbit(a).any():
+        values, index = np.unique(a, return_inverse=True)
+        if len(values) < a.size:
+            return index.reshape(a.shape), 0, [repr(v) for v in values.tolist()]
+    return None
 
 
-def _int_matrix(a: np.ndarray, span: tuple[int, int], pad: str) -> Iterator[str]:
-    """The text of a 2-D int64 array at indentation `pad`, one str.join
-    per row block. Each value's text is made once: `mid` for an entry
-    followed by another in its row, `last` for the entry that closes a row
-    and opens the next one."""
-    lo, hi = span
+def _table_matrix(index: np.ndarray, lo: int, texts: list[str], pad: str) -> Iterator[str]:
+    """The text of a 2-D matrix at indentation `pad` whose entry [i, j]
+    reads texts[index[i, j] - lo], one str.join per row block. Each value's
+    text is made once: `mid` for an entry followed by another in its row,
+    `last` for the entry that closes a row and opens the next one."""
     inner, entry = pad + "  ", pad + "    "
-    mid = np.array([f"{entry}{v},\n" for v in range(lo, hi + 1)], dtype=object)
-    last = np.array([f"{entry}{v}\n{inner}],\n{inner}[\n" for v in range(lo, hi + 1)],
-                    dtype=object)
-    rows, cols = a.shape
-    step = max(1, BLOCK_CHARS // (cols * max(len(last[0]), len(last[-1]))))
+    mid = np.array([f"{entry}{t},\n" for t in texts], dtype=object)
+    last = np.array([f"{entry}{t}\n{inner}],\n{inner}[\n" for t in texts], dtype=object)
+    rows, cols = index.shape
+    step = max(1, BLOCK_CHARS // (cols * max(map(len, last))))
     yield f"[\n{inner}[\n"
     for r in range(0, rows, step):
-        index = a[r : r + step] - lo
-        text = mid[index]
-        text[:, -1] = last[index[:, -1]]
+        block = index[r : r + step] - lo
+        text = mid[block]
+        text[:, -1] = last[block[:, -1]]
         if r + step >= rows:
             # the matrix's last entry closes its row and the matrix
-            text[-1, -1] = f"{entry}{int(a[-1, -1])}\n{inner}]\n{pad}]"
+            text[-1, -1] = f"{entry}{texts[index[-1, -1] - lo]}\n{inner}]\n{pad}]"
         yield "".join(text.ravel().tolist())
 
 

@@ -576,9 +576,10 @@ def reference_mc_report(hits, trials):
     """MCReport from a full M x M hit table, entry by entry, the table kept
     within the current idcode.MATRIX_CAP. Since h -> h / trials and
     p -> 1.0 - p are monotone in floating point, its extremes are bit for bit
-    1.0 - least_own / trials and most_cross / trials."""
+    1.0 - least_own / trials and most_cross / trials. Its `accept_hat`
+    divides in numpy; tests compare that with `reference_accept_hat`."""
     M = len(hits)
-    accept_hat = tuple(tuple(h / trials for h in row) for row in hits)
+    accept_hat = reference_accept_hat(hits, trials)
     lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
     lambda2_hat = max(
         (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
@@ -586,7 +587,14 @@ def reference_mc_report(hits, trials):
     )
     se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
     keep = M <= idcode.MATRIX_CAP
-    return MCReport(M, trials, lambda1_hat, lambda2_hat, se, accept_hat if keep else None)
+    return MCReport(M, trials, lambda1_hat, lambda2_hat, se,
+                    np.array(hits, dtype=np.int64) if keep else None)
+
+
+def reference_accept_hat(hits, trials):
+    """The estimate matrix of a hit table as Python floats, h / trials
+    entry by entry."""
+    return [[h / trials for h in row] for row in hits]
 
 
 def reference_perm_mc(code, trials, stream):

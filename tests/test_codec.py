@@ -11,6 +11,7 @@ array standing for its `.tolist()`.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -45,7 +46,7 @@ from permid.combinatorics import (
 )
 from permid.errors import ValidationError
 from permid.idcode import _exact_sampler, _repr_order_key
-from permid.serialize import SCHEMA, _table_span, chunks, code_from_json, dumps
+from permid.serialize import SCHEMA, _table, chunks, code_from_json, dumps
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -229,14 +230,58 @@ def test_dumps_renders_an_int64_matrix_as_its_list(a):
 def test_integer_table_only_when_smaller_than_the_matrix():
     # a 2x2 count matrix over D = 33M positions renders through lists, not
     # through a 33M-entry table
-    assert _table_span(np.array([[0, 33_000_000], [33_000_000, 0]])) is None
-    assert _table_span(np.array([[0, 3], [3, 0]])) == (0, 3)
-    assert _table_span(np.array([[0, 4], [4, 0]])) is None
+    assert _table(np.array([[0, 33_000_000], [33_000_000, 0]])) is None
+    index, lo, texts = _table(np.array([[1, 3], [4, 1]]))
+    assert (index.tolist(), lo, texts) == ([[1, 3], [4, 1]], 1, ["1", "2", "3", "4"])
+    assert _table(np.array([[0, 4], [4, 0]])) is None
     for other in (np.zeros(4, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
                   np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
-                  np.eye(2, dtype=bool), np.eye(2)):
-        assert _table_span(other) is None
+                  np.eye(2, dtype=bool), np.zeros(4), np.zeros((0, 3))):
+        assert _table(other) is None
         assert dumps(other) == reference_dumps(other.tolist())
+
+
+#: float64 values whose text or comparison is odd: the two zeros, NaN, the
+#: infinities, subnormals, 1e16 (whose repr has an exponent) and 1/3
+ODD_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16,
+              1 / 3, 0.1, 1.0, -2.5, 1e300]
+
+
+@st.composite
+def float64_matrices(draw):
+    """float64 matrices of 1x1 to 30x30 over a few values, odd ones
+    included, so that most repeat a value; or over distinct values."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if draw(st.integers(0, 4)) == 0:
+        values = draw(st.lists(st.floats(allow_nan=False), min_size=rows * cols,
+                               max_size=rows * cols, unique=True))
+    else:
+        pool = draw(st.lists(st.sampled_from(ODD_FLOATS) | st.floats(), min_size=1, max_size=6))
+        values = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                               max_size=rows * cols))
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=float64_matrices())
+@example(a=np.eye(2))
+@example(a=np.arange(12.0).reshape(3, 4) / 7)  # every value distinct
+@example(a=np.array([[0.0, -0.0], [0.0, 0.0]]))
+@example(a=np.array([[math.nan, math.nan], [math.nan, 1.0]]))
+@example(a=np.array([[math.inf, math.inf], [-math.inf, 1.0]]))
+@example(a=np.full((2, 3), 5e-324))
+@example(a=np.array([[1e16, 1e16, 0.1], [0.1, 1e16, 0.1]]))
+def test_dumps_renders_a_float64_matrix_as_its_list(a):
+    # streamed at the top level, joined whole one level down
+    doc = {"matrix": a, "M": len(a), "nested": [{"matrix": a}]}
+    as_lists = {"matrix": a.tolist(), "M": len(a), "nested": [{"matrix": a.tolist()}]}
+    assert "".join(chunks(doc)) == reference_dumps(as_lists)
+    # the table path takes exactly the matrices of finite values with their
+    # sign bit clear (no -0.0), a value repeated; all others go through the list
+    values = a.ravel().tolist()
+    plain = all(math.isfinite(x) and math.copysign(1.0, x) > 0 for x in values)
+    repeated = len(set(values)) < len(values)
+    assert (_table(a) is not None) == (plain and repeated)
 
 
 def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,9 @@ from permid.combinatorics import (
     type_unrank,
     typeclass_size,
 )
+from permid.approx import ApproxMap, build_approx
 from permid.errors import HypothesisError, ValidationError
+from permid.feedback import FeedbackCode, build_feedback_code
 import permid.idcode as idcode
 from permid.idcode import (
     AchievableParams,
@@ -136,6 +139,44 @@ def test_sizes_and_counts_refuse_bools():
     ):
         doc = code_to_json(code)
         assert code_to_json(code_from_json(json.loads(dumps(doc)))) == doc
+
+
+def test_noiseless_outcomes_refuse_bools():
+    # an outcome True would be written as JSON true, which code_from_json
+    # refuses, so neither an encoder nor a decoder of either kind takes it
+    with pytest.raises(ValidationError, match=r"outcome True outside \[1\.\.2\]"):
+        NoiselessIdCode(2, [Dist({True: 1}, size=2)], [frozenset({True})])
+    enc = [Dist({1: 1}, size=2)]
+    with pytest.raises(ValidationError, match=r"decoder element True outside \[1\.\.2\]"):
+        NoiselessIdCode(2, enc, [frozenset({True})])
+    with pytest.raises(ValidationError, match=r"decoder outcome True outside \[1\.\.2\]"):
+        NoiselessIdCode(2, enc, [{True: 1}])
+    # with 1 in place of True, the file reads back as the same code
+    for decoder in (frozenset({1}), {1: 1}):
+        doc = code_to_json(NoiselessIdCode(2, enc, [decoder]))
+        assert code_to_json(code_from_json(json.loads(dumps(doc)))) == doc
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build_feedback_code(6, 2, 2, True, Stream(1)), "M must be a positive integer"),
+        (lambda: build_feedback_code(6, 2, 2.0, 4, Stream(1)), "feedback needs l >= 2 blocks"),
+        (lambda: FeedbackCode(6, 2, True, np.ones((1, 20), dtype=np.int64)),
+         "feedback needs l >= 2 blocks"),
+        (lambda: ApproxMap(True, 1, (1,)), "N must be a positive integer"),
+        (lambda: ApproxMap(1, True, (1,)), "K must be a positive integer"),
+        (lambda: ApproxMap(2, 1, (True, 0)), "atom counts must be nonnegative integers"),
+        (lambda: build_approx(Dist({1: 1}, size=1), True), "K must be a positive integer"),
+    ],
+    ids=["build_feedback_code-M", "build_feedback_code-float-l", "FeedbackCode-l", "ApproxMap-N", "ApproxMap-K",
+         "ApproxMap-atoms", "build_approx-K"],
+)
+def test_feedback_and_approx_counts_refuse_bools(make, message):
+    # True passes isinstance(x, int) as 1; the count checks take ints only,
+    # and refuse a float l before numpy would
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 def test_perm_code_drops_zero_counts():

@@ -48,7 +48,7 @@ from permid import (
 from permid.errors import BoundViolationError
 from permid.exact import bracket, power_sign
 from permid.idcode import Acceptance, acceptance, acceptance_matrix
-from permid.serialize import code_from_json, report_to_json
+from permid.serialize import code_from_json, dumps, report_to_json
 from permid.transforms import _growth_violations, soft_converse_pipeline
 
 
@@ -141,7 +141,8 @@ def test_evaluators_work_out_no_orbit_after_construction(monkeypatch):
         if pipeline:
             run = soft_converse_pipeline(code, Fraction(1, 3))
             out += [s.before for s in run.steps] + [run.final]
-        return [report_to_json(r) for r in out] + [strong_converse_floor(code)]
+        # as text: an MC report's matrix is a numpy array
+        return [dumps(report_to_json(r)) for r in out] + [strong_converse_floor(code)]
 
     names = {"orbit": True, "perm_l2": True, "q11": False}
     docs = {name: json.loads((GOLDEN / f"{name}_code.json").read_text()) for name in names}

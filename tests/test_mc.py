@@ -6,10 +6,18 @@ trial; the samplers' reports must be equal to theirs, field by field. Above
 MATRIX_CAP the streamed extremes must equal those of the full path.
 `MCReport.from_hits` itself is checked on drawn hit tables against
 `helpers.reference_mc_report`, float bit for float bit.
+
+The samplers draw with randrange's rejection loop on getrandbits, inlined;
+the references call randrange itself. Besides equal reports, each sub-stream
+must end in the same generator state, so the samplers make as many
+getrandbits calls as randrange would, for n = 1, powers of two and their
+neighbours, and n past 2^64 and 2^200.
 """
 
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -25,6 +33,7 @@ from helpers import (
     reference_mc_report,
     reference_orbit,
     reference_orbit_size,
+    reference_accept_hat,
     reference_perm_mc,
 )
 from permid import Dist, PermIdCode, Stream
@@ -111,6 +120,86 @@ def test_feedback_mc_equals_reference(n, q, l, M, trials):
     assert eval_feedback_mc(code, trials, stream) == reference_feedback_mc(code, trials, stream)
 
 
+def widths():
+    """n for a uniform draw below n: 1, 2^k and 2^k +- 1, and values past
+    2^64 and past 2^200."""
+    k = st.integers(1, 210)
+    return st.one_of(
+        st.just(1),
+        k.map(lambda k: 2**k),
+        k.map(lambda k: 2**k - 1),
+        k.map(lambda k: 2**k + 1),
+        st.integers(2**64, 2**66),
+        st.integers(2**200, 2**202),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=widths(), count=st.integers(1, 12))
+def test_rejection_loop_on_getrandbits_is_randrange(seed, n, count):
+    # the loop both samplers run inline, against the randrange it stands for
+    inline, reference = random.Random(seed), random.Random(seed)
+    bits, got = n.bit_length(), []
+    for _ in range(count):
+        v = inline.getrandbits(bits)
+        while v >= n:
+            v = inline.getrandbits(bits)
+        got.append(v)
+    assert got == [reference.randrange(n) for _ in range(count)]
+    assert inline.getstate() == reference.getstate()
+
+
+def report_and_states(sample, code, trials, seed):
+    """What sample(code, trials, stream) reports, and the generator state
+    each sub-stream it derived ends in."""
+    made = []
+    child = Stream.child
+
+    def recording(self, label):
+        made.append(child(self, label))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Stream, "child", recording)
+        report = sample(code, trials, Stream(seed, "draws"))
+    return report, [(s.label, s.rand.getstate()) for s in made]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    denom=widths(),
+    n=st.sampled_from([4, 70, 210]),
+    trials=st.integers(1, 40),
+)
+def test_perm_sampler_draws_as_randrange_does(seed, denom, n, trials):
+    """Encoder denominators from `widths`, and orbits of size 1, n and
+    C(n, n/2): past 2^64 at n = 70 and past 2^200 at n = 210."""
+    ones, half, one_two = (1,) * n, (1,) * (n // 2) + (2,) * (n // 2), (1,) * (n - 1) + (2,)
+    assert math.comb(n, n // 2) > {4: 5, 70: 2**64, 210: 2**200}[n]
+    first = (Dist.point(ones) if denom == 1
+             else Dist({ones: Fraction(1, denom), half: Fraction(denom - 1, denom)}))
+    orbit = {x: type_index(type_of(x, 2)) for x in (ones, half, one_two)}
+    decoders = [{orbit[ones]: 1, orbit[half]: math.comb(n, n // 2) // 2 + 1}, {orbit[one_two]: 1}]
+    code = PermIdCode(n, 2, [first, u(half, one_two)], decoders)
+    assert code.encoders[0].den == denom
+    got = report_and_states(eval_perm_mc, code, trials, seed)
+    assert got == report_and_states(reference_perm_mc, code, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "n, q, l, M",
+    [(1, 3, 2, 2), (2, 2, 3, 3), (6, 2, 2, 4), (4, 3, 2, 3), (12, 2, 2, 3)],
+)
+def test_feedback_sampler_draws_as_randrange_does(n, q, l, M):
+    # pilot orbits of 1, 2, 20, 12 and 924 vectors; at n = 1 every orbit
+    # has one vector, and each draw below 1 still spends getrandbits(1) calls
+    code = build_feedback_code(n, q, l, M, Stream(n * 10 + q))
+    for seed in (0, 1, 2):
+        got = report_and_states(eval_feedback_mc, code, 200, seed)
+        assert got == report_and_states(reference_feedback_mc, code, 200, seed)
+
+
 def test_mc_streams_blocks_above_the_cap(monkeypatch):
     perm = random_perm_code(random.Random(5), 3, 2, 5, l=2, max_decoder=20)
     fb = build_feedback_code(6, 2, 2, 5, Stream(8))
@@ -135,7 +224,7 @@ def test_mc_streams_blocks_above_the_cap(monkeypatch):
     assert blocks == [2, 2, 1]
     for a, b in zip(full, capped):
         assert b.accept_hat is None
-        assert b == replace(a, accept_hat=None)
+        assert b == replace(a, hits=None)
 
 
 @st.composite
@@ -152,8 +241,10 @@ def hit_tables(draw):
 
 
 def float_bits(report):
-    """Every float field of an MCReport as its exact bit pattern."""
-    fields = (report.lambda1_hat, report.lambda2_hat, report.stderr, *chain(*report.accept_hat or ()))
+    """Every float field of an MCReport, and every estimate, as its exact
+    bit pattern."""
+    estimates = () if report.accept_hat is None else report.accept_hat.ravel().tolist()
+    fields = (report.lambda1_hat, report.lambda2_hat, report.stderr, *estimates)
     return [x.hex() for x in fields]
 
 
@@ -175,3 +266,24 @@ def test_from_hits_equals_the_float_reference(table, block_entries):
         expected = reference_mc_report(hits, trials)
     assert got == expected
     assert float_bits(got) == float_bits(expected)
+    # numpy's hits / trials against Python's, entry by entry
+    if got.hits is not None:
+        assert float_bits(got)[3:] == [x.hex() for x in chain(*reference_accept_hat(hits, trials))]
+
+
+def test_reports_compare_by_their_hit_counts():
+    hits = np.array([[5, 1, 0], [2, 4, 0], [0, 0, 5]], dtype=np.int64)
+    a = MCReport.from_hits(lambda rows: hits[rows.start : rows.stop], 3, 5)
+    b = MCReport.from_hits(lambda rows: hits[rows.start : rows.stop].copy(), 3, 5)
+    assert a == b and not a != b
+    assert a.hits is not b.hits
+    # one hit more in a cell that sets neither extreme: only the counts differ
+    changed = hits.copy()
+    changed[1, 0] += 1
+    c = replace(a, hits=changed)
+    assert (c.lambda1_hat, c.lambda2_hat, c.stderr) == (a.lambda1_hat, a.lambda2_hat, a.stderr)
+    assert a != c and not a == c
+    assert a != replace(a, hits=None) and replace(a, hits=None) == replace(b, hits=None)
+    assert a != replace(a, hits=hits[:2])
+    assert a != replace(a, trials=6)
+    assert a != (a.M, a.trials, a.lambda1_hat, a.lambda2_hat, a.stderr, a.hits)

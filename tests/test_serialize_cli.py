@@ -219,7 +219,9 @@ def test_mc_report_json_shape():
     doc = report_to_json(report)
     assert doc["kind"] == "mc-report"
     assert doc["mc"]["trials"] == 500
-    assert doc["matrix"] == [list(row) for row in report.accept_hat]
+    # the float64 estimate matrix itself, each entry the Python h / trials
+    assert doc["matrix"].dtype == np.float64
+    assert doc["matrix"].tolist() == [[h / 500 for h in row] for row in report.hits.tolist()]
 
 
 def test_matrix_csv_agrees_with_json():
