@@ -505,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         _emit(args, COMMANDS[args.command](args))
@@ -518,11 +519,14 @@ def main(argv=None) -> int:
     except (ValidationError, HypothesisError) as exc:
         _error_out("invalid-input", exc)
         return 2
-    except BrokenPipeError as exc:
-        # the reader closed stdout early (say `| head -1`); stdout now points
-        # at devnull, so the interpreter's final flush stays silent
+    except OSError as exc:
+        # writing, flushing or closing the output failed: the reader closed
+        # stdout early (say `| head -1`), or the disk is full. A failed
+        # stdout now points at devnull, so the interpreter's final flush of
+        # what is left in its buffer stays silent
         _error_out("invalid-input", exc)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if args is not None and args.output is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except PermidError as exc:
         _error_out("internal", exc)

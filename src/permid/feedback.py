@@ -205,8 +205,6 @@ def eval_feedback_mc(code: FeedbackCode, trials: int, stream: Stream) -> MCRepor
     into a vector. The sender's own decoder must accept in every trial, so
     lambda1_hat must come out exactly 0.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     report = MCReport.from_hits(
         lambda rows: _feedback_mc_hits(code, rows, trials, stream), code.M, trials
     )

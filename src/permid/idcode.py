@@ -200,8 +200,9 @@ class PermIdCode:
 
 def _input_types(x, n: int, q: int, l: int) -> tuple[TypeVector, ...]:
     """The block types of a flat input tuple of l blocks of length n, validated."""
-    if not (isinstance(x, tuple) and len(x) == n * l):
-        raise ValidationError(f"input must be a tuple of length n*l = {n * l}, got {x!r}")
+    # plain ints: True would pass isinstance as 1, but sorts apart from it
+    if not (isinstance(x, tuple) and len(x) == n * l and set(map(type, x)) == {int}):
+        raise ValidationError(f"input must be a tuple of n*l = {n * l} plain integers, got {x!r}")
     return tuple(type_of(x[b * n : (b + 1) * n], q) for b in range(l))
 
 
@@ -389,7 +390,7 @@ def eval_perm_exact(code: PermIdCode) -> ErrorReport:
     return _exact_report(code)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MCReport:
     """Monte Carlo estimate of the acceptance matrix, for perm and feedback
     codes alike.
@@ -397,33 +398,16 @@ class MCReport:
     Every sampling step uses integer arithmetic on exact odds, so each cell
     estimator is unbiased for the true rational acceptance probability.
     `stderr` is the larger binomial standard error of the two reported
-    extremes. `hits` holds the int64 acceptance counts, out of `trials`
-    each (row = sent message, column = decoder), when M <= MATRIX_CAP, else
-    None."""
+    extremes. `accept` is the kernel of int64 acceptance counts over
+    `trials` (row = sent message, column = decoder) when M <= MATRIX_CAP,
+    else None."""
 
     M: int
     trials: int
     lambda1_hat: float
     lambda2_hat: float
     stderr: float
-    hits: np.ndarray | None
-
-    def __eq__(self, other) -> bool:
-        """Equal fields, the hit counts compared entry by entry."""
-        if not isinstance(other, MCReport):
-            return NotImplemented
-        a, b = self.hits, other.hits
-        head = (self.M, self.trials, self.lambda1_hat, self.lambda2_hat, self.stderr)
-        return (head == (other.M, other.trials, other.lambda1_hat, other.lambda2_hat, other.stderr)
-                and (a is None) == (b is None) and (a is None or np.array_equal(a, b)))
-
-    @property
-    def accept_hat(self) -> np.ndarray | None:
-        """The estimate matrix hits / trials as float64, None above
-        MATRIX_CAP. Each entry is bit for bit the Python h / trials: below
-        2^53 (a count of trials no sampler run reaches) both operands are
-        exact in float64, and the division is correctly rounded in either."""
-        return None if self.hits is None else self.hits / self.trials
+    accept: Acceptance | None
 
     @classmethod
     def from_hits(cls, hits_of: Callable[[range], np.ndarray], M: int, trials: int) -> "MCReport":
@@ -435,6 +419,8 @@ class MCReport:
         kernel, whose exact report gives the extremes; above MATRIX_CAP no
         more than one block of counts is held at a time.
         """
+        if trials < 1:
+            raise ValidationError("trials must be >= 1")
         blocks = (Acceptance(hits_of(rows), np.full(len(rows), trials, dtype=object))
                   for rows in _row_blocks(M))
         report = _report(blocks, M)
@@ -443,8 +429,7 @@ class MCReport:
         lambda1_hat = 1.0 - float(1 - report.lambda1)
         lambda2_hat = float(report.lambda2)
         se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
-        hits = None if report.accept is None else report.accept.num
-        return cls(M, trials, lambda1_hat, lambda2_hat, se, hits)
+        return cls(M, trials, lambda1_hat, lambda2_hat, se, report.accept)
 
 
 def _repr_order_key(vectors: Sequence[tuple], q: int) -> Callable[[tuple], object]:
@@ -502,8 +487,6 @@ def eval_perm_mc(code: PermIdCode, trials: int, stream: Stream) -> MCReport:
     they are. A message's hit counts are a weighted sum of (b < R[g, :])
     over its distinct (g, b) pairs.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     return MCReport.from_hits(
         lambda rows: _perm_mc_hits(code, rows, trials, stream), code.M, trials
     )

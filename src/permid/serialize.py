@@ -10,7 +10,8 @@ keys, making equal objects byte-identical for determinism checks.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from operator import truediv
@@ -26,8 +27,6 @@ from .idcode import ErrorReport, MCReport, NoiselessIdCode, PermIdCode
 from .setsystem import IntersectionProfile, SetSystem
 
 SCHEMA = "permid/1"
-# the kinds of report_to_json, whose documents carry a matrix up to a cap
-REPORT_KINDS = ("error-report", "mc-report", "collision-report")
 
 
 def code_to_json(code, seed: int | None = None) -> dict:
@@ -202,7 +201,8 @@ def _code_from_json(doc: dict):
 
 
 def report_to_json(report) -> dict:
-    """Render an exact, Monte Carlo, or collision report as a dict."""
+    """Render an exact, Monte Carlo, or collision report as a dict, its
+    matrix as a `Matrix` of the report's own integers."""
     if isinstance(report, ErrorReport):
         doc = {
             "schema": SCHEMA,
@@ -219,12 +219,7 @@ def report_to_json(report) -> dict:
             "argmax_cross": list(report.argmax_cross) if report.argmax_cross else None,
         }
         if report.accept is not None:
-            # each entry in lowest terms, reduced in bulk (np.gcd takes the
-            # object rows of the bigint kernel as well)
-            num, den = report.accept.num, report.accept.den[:, None]
-            g = np.gcd(num, den)
-            doc["matrix"] = [[f"{a}/{b}" for a, b in zip(*row)]
-                             for row in zip((num // g).tolist(), (den // g).tolist())]
+            doc["matrix"] = Matrix(report.accept.num, report.accept.den, _fraction_text)
         return doc
     if isinstance(report, MCReport):
         doc = {
@@ -235,8 +230,8 @@ def report_to_json(report) -> dict:
             "lambda2": report.lambda2_hat,
             "mc": {"trials": report.trials, "stderr": report.stderr},
         }
-        if report.hits is not None:
-            doc["matrix"] = report.accept_hat
+        if report.accept is not None:
+            doc["matrix"] = Matrix(report.accept.num, report.accept.den, _estimate_text)
         return doc
     if isinstance(report, CollisionReport):
         doc = {
@@ -254,9 +249,36 @@ def report_to_json(report) -> dict:
             "passed": report.passed,
         }
         if report.counts is not None:
-            doc["counts"] = report.counts
+            doc["counts"] = Matrix(report.counts, np.ones(report.M, dtype=np.int64), _count_text)
         return doc
     raise ValidationError(f"cannot serialize {type(report).__name__}")
+
+
+@dataclass(frozen=True, eq=False)
+class Matrix:
+    """A report's matrix as integers: entry [i, j] is num[i, j] / den[i],
+    and text(a, b) writes it as JSON, given that ratio in lowest terms a/b.
+    `num` is a nonempty 2-D int64 or object array, `den` one positive
+    integer per row."""
+
+    num: np.ndarray
+    den: np.ndarray
+    text: Callable[[int, int], str]
+
+
+def _fraction_text(a: int, b: int) -> str:
+    """An exact probability, as the string "a/b"."""
+    return f'"{a}/{b}"'
+
+
+def _estimate_text(a: int, b: int) -> str:
+    """A Monte Carlo estimate hits / trials, as json writes that float."""
+    return repr(truediv(a, b))
+
+
+def _count_text(a: int, b: int) -> str:
+    """A count, over a denominator of 1."""
+    return str(a)
 
 
 def profile_to_json(profile: IntersectionProfile) -> dict:
@@ -281,39 +303,40 @@ def dumps(doc: dict) -> str:
 
 def chunks(doc: dict) -> Iterator[str]:
     """The text of dumps(doc) in pieces, one per top-level value and one per
-    row block of a top-level matrix that renders from a table of its values'
-    texts (see `_table`: an int64 count matrix, or a float64 estimate matrix
-    with repeated values), so that a writer never holds the whole of a
-    large report.
+    row block (or row, see `_matrix`) of a top-level `Matrix`, so that a
+    writer never holds the whole of a large report.
 
     The bytes are those of json.dumps(doc, indent=2, sort_keys=True), with a
-    numpy array in place of its .tolist(). An indent makes json fall back to
-    its pure-Python encoder, so the frame is indented here and each array or
-    object of scalars is left to the C encoder, its item separator carrying
-    the newline and indent."""
+    Matrix in place of the list of its entries' texts and a numpy array in
+    place of its .tolist(). An indent makes json fall back to its pure-Python
+    encoder, so the frame is indented here and each array or object of
+    scalars is left to the C encoder, its item separator carrying the newline
+    and indent."""
     if not (isinstance(doc, dict) and doc and set(map(type, doc)) == {str}):
         yield _indented(doc, "") + "\n"
         return
     for k, (key, value) in enumerate(sorted(doc.items())):
         yield f"{',' if k else '{'}\n  {json.dumps(key)}: "
-        if isinstance(value, np.ndarray):
-            yield from _array(value, "  ")
+        if isinstance(value, Matrix):
+            yield from _matrix(value, "  ")
         else:
             yield _indented(value, "  ")
     yield "\n}\n"
 
 
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-#: the most characters a row block of a table-rendered matrix renders to
-#: (unless one row alone is longer)
+#: the most characters one piece of a rendered Matrix holds (unless one row
+#: alone is longer)
 BLOCK_CHARS = 1 << 19
 
 
 def _indented(value, pad: str) -> str:
     """json.dumps(value, indent=2, sort_keys=True) for a value that starts
     at indentation `pad`."""
+    if isinstance(value, Matrix):
+        return "".join(_matrix(value, pad))
     if isinstance(value, np.ndarray):
-        return "".join(_array(value, pad))
+        value = value.tolist()
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)) and value:
@@ -335,68 +358,62 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _array(a: np.ndarray, pad: str) -> Iterator[str]:
-    """The text of a numpy array at indentation `pad`: a 2-D int64 or
-    float64 matrix that `_table` accepts a row block at a time from a table
-    of its values' texts, any other array as its .tolist()."""
-    table = _table(a)
-    if table is None:
-        yield _indented(a.tolist(), pad)
-    else:
-        yield from _table_matrix(*table, pad)
-
-
-def _table(a: np.ndarray) -> tuple[np.ndarray, int, list[str]] | None:
-    """(index, lo, texts) such that texts[index[i, j] - lo] is the JSON text
-    of a[i, j], when a is a nonempty 2-D array whose table of texts is
-    smaller than the array itself:
-
-    - int64, values spanning fewer numbers than the entry count: each value
-      in [lo, max] once, indexed by the array itself (a row block at a time,
-      so no copy of the whole is made);
-    - float64, every value finite with its sign bit clear (so no -0.0,
-      which np.unique would merge with 0.0), fewer distinct values than
-      entries: each distinct value once, as repr writes it, indexed by its
-      sorted position, lo = 0.
-
-    None for any other array, which renders through its list."""
-    if a.ndim != 2 or a.size == 0:
-        return None
-    if a.dtype == np.int64:
-        lo, hi = int(a.min()), int(a.max())
-        if hi - lo < a.size:
-            return a, lo, [str(v) for v in range(lo, hi + 1)]
-    elif a.dtype == np.float64 and np.isfinite(a).all() and not np.signbit(a).any():
-        values, index = np.unique(a, return_inverse=True)
-        if len(values) < a.size:
-            return index.reshape(a.shape), 0, [repr(v) for v in values.tolist()]
-    return None
-
-
-def _table_matrix(index: np.ndarray, lo: int, texts: list[str], pad: str) -> Iterator[str]:
-    """The text of a 2-D matrix at indentation `pad` whose entry [i, j]
-    reads texts[index[i, j] - lo], one str.join per row block. Each value's
-    text is made once: `mid` for an entry followed by another in its row,
-    `last` for the entry that closes a row and opens the next one."""
+def _matrix(m: Matrix, pad: str) -> Iterator[str]:
+    """The text of a Matrix at indentation `pad`, in pieces of at most
+    BLOCK_CHARS characters unless one row alone is longer. With a
+    `_value_table`, a piece is a row block, one join over each value's text,
+    made once: `mid` for an entry followed by another in its row, `last` for
+    the entry that closes a row and opens the next. Otherwise a piece is one
+    row, written entry by entry from its `_lowest_terms`."""
     inner, entry = pad + "  ", pad + "    "
-    mid = np.array([f"{entry}{t},\n" for t in texts], dtype=object)
-    last = np.array([f"{entry}{t}\n{inner}],\n{inner}[\n" for t in texts], dtype=object)
-    rows, cols = index.shape
-    step = max(1, BLOCK_CHARS // (cols * max(map(len, last))))
+    rows, cols = m.num.shape
     yield f"[\n{inner}[\n"
-    for r in range(0, rows, step):
-        block = index[r : r + step] - lo
-        text = mid[block]
-        text[:, -1] = last[block[:, -1]]
-        if r + step >= rows:
-            # the matrix's last entry closes its row and the matrix
-            text[-1, -1] = f"{entry}{texts[index[-1, -1] - lo]}\n{inner}]\n{pad}]"
-        yield "".join(text.ravel().tolist())
+    table = _value_table(m)
+    if table is not None:
+        lo, texts = table
+        mid = np.array([f"{entry}{t},\n" for t in texts], dtype=object)
+        last = np.array([f"{entry}{t}\n{inner}],\n{inner}[\n" for t in texts], dtype=object)
+        step = max(1, BLOCK_CHARS // (cols * max(map(len, last))))
+        for r in range(0, rows, step):
+            block = m.num[r : r + step] - lo
+            text = mid[block]
+            text[:, -1] = last[block[:, -1]]
+            if r + step >= rows:
+                # the matrix's last entry closes its row and the matrix
+                text[-1, -1] = f"{entry}{texts[block[-1, -1]]}\n{inner}]\n{pad}]"
+            yield "".join(text.ravel().tolist())
+        return
+    sep, end = f",\n{entry}", f"\n{inner}],\n{inner}[\n"
+    for i, (a, b) in enumerate(_lowest_terms(m.num, m.den), start=1):
+        yield f"{entry}{sep.join(map(m.text, a, b))}" + (end if i < rows else f"\n{inner}]\n{pad}]")
+
+
+def _value_table(m: Matrix) -> tuple[int, list[str]] | None:
+    """(lo, texts) with texts[v - lo] the text of each value v in the range
+    of an int64 `num` over one denominator, when that range has fewer
+    numbers than the matrix has entries; else None."""
+    if m.num.dtype != np.int64 or len(dens := set(m.den.tolist())) != 1:
+        return None
+    (d,), lo, hi = dens, int(m.num.min()), int(m.num.max())
+    if hi - lo >= m.num.size:
+        return None
+    return lo, [m.text(v // (g := gcd(v, d)), d // g) for v in range(lo, hi + 1)]
+
+
+def _lowest_terms(num: np.ndarray, den: np.ndarray) -> Iterator[tuple[list, list]]:
+    """Each row of num / den[:, None] in lowest terms, as its numerators and
+    denominators; a block of about BLOCK_CHARS / 8 entries at a time is
+    reduced by one np.gcd, which takes object rows as well."""
+    step = max(1, BLOCK_CHARS // (8 * num.shape[1]))
+    for r in range(0, len(num), step):
+        block, d = num[r : r + step], den[r : r + step, None]
+        g = np.gcd(block, d)
+        yield from zip((block // g).tolist(), (d // g).tolist())
 
 
 def csv_rows(doc: dict):
     """The CSV table of a report or bounds document, header first: one row
-    per (i, j) acceptance entry (the exact string plus its decimal, or the
+    per (i, j) acceptance entry (the exact fraction plus its decimal, or the
     Monte Carlo estimate), per ordered pair of distinct messages with its
     collision count, or per M of a bounds sweep. A document of another kind,
     or a report whose matrix was left out, is refused here, before any row is
@@ -405,25 +422,22 @@ def csv_rows(doc: dict):
     if kind == "bounds":
         rows = ([row["M"], row.get("prop2_lower", "")] for row in doc["sweep"])
         return chain([["M", "prop2_lower"]], rows)
-    if kind not in REPORT_KINDS:
+    if kind not in ("error-report", "mc-report", "collision-report"):
         raise ValidationError("this subcommand has no CSV rendering")
-    matrix = doc.get("counts" if kind == "collision-report" else "matrix")
-    if matrix is None:
+    m = doc.get("counts" if kind == "collision-report" else "matrix")
+    if m is None:
         raise ValidationError("report carries no matrix (M too large)")
-    if isinstance(matrix, np.ndarray):
-        matrix = map(np.ndarray.tolist, matrix)  # each row read once, as a list
+    # a count c (over 1) is read over D as a/b in lowest terms, so c = a * D / b
+    D = doc.get("D", 1)
     cells = (
-        (i, j, p) for i, row in enumerate(matrix, start=1) for j, p in enumerate(row, start=1)
+        (i, j, a, b)
+        for i, row in enumerate(_lowest_terms(m.num, m.den * D), start=1)
+        for j, (a, b) in enumerate(zip(*row), start=1)
     )
     if kind == "error-report":
-        # "n/d" in lowest terms, so n / d is float(Fraction(n, d))
-        rows = ([i, j, p, truediv(*map(int, p.split("/")))] for i, j, p in cells)
+        rows = ([i, j, f"{a}/{b}", truediv(a, b)] for i, j, a, b in cells)
         return chain([["i", "j", "accept", "accept_decimal"]], rows)
     if kind == "mc-report":
-        return chain([["i", "j", "accept_hat"]], ([i, j, p] for i, j, p in cells))
-    D = doc["D"]
-    # each count c in 0..D rendered once: c/D in lowest terms, as
-    # frac_str(Fraction(c, D)) gives it, and the decimal as csv writes c / D
-    text = [(f"{c // (g := gcd(c, D))}/{D // g}", repr(c / D)) for c in range(D + 1)]
-    rows = ([j, k, c, *text[c]] for j, k, c in cells if j != k)
+        return chain([["i", "j", "accept_hat"]], ([i, j, truediv(a, b)] for i, j, a, b in cells))
+    rows = ([j, k, a * D // b, f"{a}/{b}", truediv(a, b)] for j, k, a, b in cells if j != k)
     return chain([["j", "k", "collisions", "fraction", "fraction_decimal"]], rows)

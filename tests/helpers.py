@@ -576,25 +576,30 @@ def reference_mc_report(hits, trials):
     """MCReport from a full M x M hit table, entry by entry, the table kept
     within the current idcode.MATRIX_CAP. Since h -> h / trials and
     p -> 1.0 - p are monotone in floating point, its extremes are bit for bit
-    1.0 - least_own / trials and most_cross / trials. Its `accept_hat`
-    divides in numpy; tests compare that with `reference_accept_hat`."""
+    1.0 - least_own / trials and most_cross / trials."""
     M = len(hits)
-    accept_hat = reference_accept_hat(hits, trials)
-    lambda1_hat = max(1.0 - accept_hat[i][i] for i in range(M))
+    estimates = reference_accept_hat(hits, trials)
+    lambda1_hat = max(1.0 - estimates[i][i] for i in range(M))
     lambda2_hat = max(
-        (accept_hat[i][j] for i in range(M) for j in range(M) if i != j),
+        (estimates[i][j] for i in range(M) for j in range(M) if i != j),
         default=0.0,
     )
     se = max(math.sqrt(p * (1.0 - p) / trials) for p in (lambda1_hat, lambda2_hat))
     keep = M <= idcode.MATRIX_CAP
-    return MCReport(M, trials, lambda1_hat, lambda2_hat, se,
-                    np.array(hits, dtype=np.int64) if keep else None)
+    accept = Acceptance(np.array(hits, dtype=np.int64), np.full(M, trials, dtype=object))
+    return MCReport(M, trials, lambda1_hat, lambda2_hat, se, accept if keep else None)
 
 
 def reference_accept_hat(hits, trials):
     """The estimate matrix of a hit table as Python floats, h / trials
     entry by entry."""
     return [[h / trials for h in row] for row in hits]
+
+
+def accept_hat(report):
+    """The estimate matrix of an MCReport that keeps its hit kernel, as
+    Python floats."""
+    return reference_accept_hat(report.accept.num.tolist(), report.trials)
 
 
 def reference_perm_mc(code, trials, stream):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (
+    accept_hat,
     PermutationChannel,
     error_report_from_json,
     fractions,
@@ -344,10 +345,11 @@ def test_criterion_09_feedback_scheme():
         code = build_feedback_code(6, 2, 2, M, Stream(seed))
         exact = eval_feedback_exact(code)
         mc = eval_feedback_mc(code, trials, Stream(seed + 100))
+        estimates = accept_hat(mc)
         assert mc.lambda1_hat == 0.0
         for i in range(M):
             for j in range(M):
-                p_hat = mc.accept_hat[i][j]
+                p_hat = estimates[i][j]
                 if i == j:
                     assert p_hat == 1.0
                     continue

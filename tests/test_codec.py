@@ -10,10 +10,14 @@ join of `chunks`, must give the bytes of
 array standing for its `.tolist()`.
 """
 
+import csv
+import io
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from operator import truediv
 from pathlib import Path
 from unittest import mock
 
@@ -45,8 +49,21 @@ from permid.combinatorics import (
     type_unrank,
 )
 from permid.errors import ValidationError
+from permid.exact import frac_str
 from permid.idcode import _exact_sampler, _repr_order_key
-from permid.serialize import SCHEMA, _table, chunks, code_from_json, dumps
+from permid.serialize import (
+    SCHEMA,
+    Matrix,
+    _count_text,
+    _estimate_text,
+    _fraction_text,
+    _value_table,
+    chunks,
+    code_from_json,
+    csv_rows,
+    dumps,
+    report_to_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -227,17 +244,31 @@ def test_dumps_renders_an_int64_matrix_as_its_list(a):
     assert dumps(doc) == reference_dumps(as_lists)
 
 
+def counts(rows) -> Matrix:
+    """A count Matrix, as a collision report hands it to the writer."""
+    num = np.array(rows, dtype=np.int64)
+    return Matrix(num, np.ones(len(num), dtype=np.int64), _count_text)
+
+
 def test_integer_table_only_when_smaller_than_the_matrix():
-    # a 2x2 count matrix over D = 33M positions renders through lists, not
+    # a 2x2 count matrix over D = 33M positions renders entry by entry, not
     # through a 33M-entry table
-    assert _table(np.array([[0, 33_000_000], [33_000_000, 0]])) is None
-    index, lo, texts = _table(np.array([[1, 3], [4, 1]]))
-    assert (index.tolist(), lo, texts) == ([[1, 3], [4, 1]], 1, ["1", "2", "3", "4"])
-    assert _table(np.array([[0, 4], [4, 0]])) is None
+    assert _value_table(counts([[0, 33_000_000], [33_000_000, 0]])) is None
+    assert _value_table(counts([[1, 3], [4, 1]])) == (1, ["1", "2", "3", "4"])
+    assert _value_table(counts([[0, 4], [4, 0]])) is None
+    # each value's text is made once, from the value in lowest terms
+    exact = Matrix(np.array([[0, 2], [1, 2]]), np.array([4, 4], dtype=object), _fraction_text)
+    assert _value_table(exact) == (0, ['"0/1"', '"1/4"', '"1/2"'])
+    # object numerators, or rows over different denominators, go entry by
+    # entry, to the same text
+    as_objects = replace(exact, num=exact.num.astype(object))
+    assert _value_table(as_objects) is None
+    assert dumps({"matrix": as_objects}) == dumps({"matrix": exact})
+    assert _value_table(replace(exact, den=np.array([4, 2], dtype=object))) is None
+    # any other array renders through its list
     for other in (np.zeros(4, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
                   np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
                   np.eye(2, dtype=bool), np.zeros(4), np.zeros((0, 3))):
-        assert _table(other) is None
         assert dumps(other) == reference_dumps(other.tolist())
 
 
@@ -276,12 +307,112 @@ def test_dumps_renders_a_float64_matrix_as_its_list(a):
     doc = {"matrix": a, "M": len(a), "nested": [{"matrix": a}]}
     as_lists = {"matrix": a.tolist(), "M": len(a), "nested": [{"matrix": a.tolist()}]}
     assert "".join(chunks(doc)) == reference_dumps(as_lists)
-    # the table path takes exactly the matrices of finite values with their
-    # sign bit clear (no -0.0), a value repeated; all others go through the list
-    values = a.ravel().tolist()
-    plain = all(math.isfinite(x) and math.copysign(1.0, x) > 0 for x in values)
-    repeated = len(set(values)) < len(values)
-    assert (_table(a) is not None) == (plain and repeated)
+
+
+RULES = {"exact": _fraction_text, "mc": _estimate_text, "counts": _count_text}
+
+
+@st.composite
+def report_matrices(draw):
+    """(rule, Matrix) as a report hands it to the writer: int64 or object
+    numerators, over one row denominator or one per row (1 for counts),
+    whose values span fewer numbers than the entry count or more; 1x1
+    matrices and single rows included."""
+    rule = draw(st.sampled_from(sorted(RULES)))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    big = draw(st.booleans())
+    if rule == "counts":
+        dens = [1] * rows
+    else:
+        top = 2**90 if big else 10**6
+        shared = draw(st.booleans())
+        dens = [draw(st.integers(1, top))] * rows if shared else draw(
+            st.lists(st.integers(1, top), min_size=rows, max_size=rows))
+    lo = draw(st.integers(0, 2**80 if big else 2**40))
+    span = draw(st.sampled_from([0, 1, 5, rows * cols - 1, rows * cols, 2**20]))
+    num = [draw(st.lists(st.integers(lo, lo + span), min_size=cols, max_size=cols))
+           for _ in range(rows)]
+    dtype = object if big else np.int64
+    return rule, Matrix(np.array(num, dtype=dtype), np.array(dens, dtype=object), RULES[rule])
+
+
+def listed(rule: str, m: Matrix) -> list:
+    """The matrix as a report document held it before `Matrix`: "p/q"
+    strings, floats h / trials, or ints."""
+    rows = zip(m.num.tolist(), m.den.tolist())
+    if rule == "exact":
+        return [[frac_str(Fraction(a, d)) for a in row] for row, d in rows]
+    if rule == "mc":
+        return [[a / d for a in row] for row, d in rows]
+    return m.num.tolist()
+
+
+def listed_csv(doc: dict, matrix: list) -> str:
+    """The CSV text of a report whose matrix is held as `listed` gives it,
+    as csv_rows wrote it from those lists."""
+    cells = [(i, j, p) for i, row in enumerate(matrix, start=1)
+             for j, p in enumerate(row, start=1)]
+    if doc["kind"] == "error-report":
+        rows = [["i", "j", "accept", "accept_decimal"]]
+        rows += [[i, j, p, truediv(*map(int, p.split("/")))] for i, j, p in cells]
+    elif doc["kind"] == "mc-report":
+        rows = [["i", "j", "accept_hat"], *([i, j, p] for i, j, p in cells)]
+    else:
+        D = doc["D"]
+        rows = [["j", "k", "collisions", "fraction", "fraction_decimal"]]
+        rows += [[j, k, c, frac_str(Fraction(c, D)), repr(c / D)] for j, k, c in cells if j != k]
+    return csv_text(rows)
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=report_matrices())
+@example(drawn=("counts", counts([[7]])))
+@example(drawn=("mc", Matrix(np.array([[3, 0, 3]]), np.array([3], dtype=object), _estimate_text)))
+@example(drawn=("exact", Matrix(np.array([[2**62, 0], [1, 2**62]]),
+                                np.array([2**62, 2**62], dtype=object), _fraction_text)))
+def test_every_report_matrix_renders_as_its_list(drawn):
+    """Each rule's Matrix renders, at the top level and one level down, and
+    reads into CSV, as the document holding its list of texts did."""
+    rule, m = drawn
+    matrix = listed(rule, m)
+    doc = {"matrix": m, "M": len(m.num), "nested": [{"matrix": m}]}
+    as_lists = {"matrix": matrix, "M": len(m.num), "nested": [{"matrix": matrix}]}
+    assert "".join(chunks(doc)) == reference_dumps(as_lists)
+    # the value table serves exactly the int64 matrices over one denominator
+    # whose values span fewer numbers than the entry count
+    values = m.num.ravel().tolist()
+    table = m.num.dtype == np.int64 and len(set(m.den.tolist())) == 1
+    assert (_value_table(m) is not None) == (table and max(values) - min(values) < len(values))
+    if rule == "counts":
+        report = {"kind": "collision-report", "counts": m, "D": max(values) + 3}
+    else:
+        report = {"kind": {"exact": "error-report", "mc": "mc-report"}[rule], "matrix": m}
+    assert csv_text(csv_rows(report)) == listed_csv(report, matrix)
+
+
+@pytest.mark.parametrize("dens", [[720] * 9, list(range(712, 721))], ids=["table", "entries"])
+def test_exact_matrix_streams_in_row_blocks(monkeypatch, dens):
+    """With a small BLOCK_CHARS an exact report's matrix comes out of
+    `chunks` in several pieces, none over the bound and none the whole
+    matrix, on the table path and on the entry path alike."""
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 400)
+    num = np.array([[(7 * i + j) % 5 for j in range(9)] for i in range(9)], dtype=np.int64)
+    kernel = permid.idcode.Acceptance(num, np.array(dens, dtype=object))
+    doc = report_to_json(kernel.report)
+    assert (_value_table(doc["matrix"]) is None) == (len(set(dens)) > 1)
+    pieces = list(chunks(doc))
+    start = pieces.index(',\n  "matrix": ') + 1
+    stop = next(k for k in range(start, len(pieces)) if pieces[k].startswith(",\n  "))
+    whole = "".join(pieces[start:stop])
+    assert stop - start > 3
+    assert all(len(piece) <= 400 and len(piece) < len(whole) for piece in pieces[start:stop])
+    assert whole == reference_dumps({"m": listed("exact", doc["matrix"])})[9:-3]
 
 
 def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():

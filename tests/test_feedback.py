@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import permid.cli
 import permid.feedback
-from helpers import flat_index, reference_collision_report, reference_max_typeclass
+from helpers import accept_hat, flat_index, reference_collision_report, reference_max_typeclass
 from permid import (
     FeedbackCode,
     Stream,
@@ -272,10 +272,11 @@ def test_mc_matches_exact_within_four_sigma():
     exact = eval_feedback_exact(code)
     trials = 20_000
     mc = eval_feedback_mc(code, trials, Stream(99))
+    estimates = accept_hat(mc)
     assert mc.lambda1_hat == 0.0
     for i in range(4):
         for j in range(4):
-            p_hat = mc.accept_hat[i][j]
+            p_hat = estimates[i][j]
             if i == j:
                 assert p_hat == 1.0
                 continue
@@ -292,7 +293,7 @@ def test_mc_is_seed_deterministic():
     b = eval_feedback_mc(code, 2000, Stream(1))
     c = eval_feedback_mc(code, 2000, Stream(2))
     assert a == b
-    assert not np.array_equal(a.accept_hat, c.accept_hat)
+    assert a.accept != c.accept
     with pytest.raises(ValidationError):
         eval_feedback_mc(code, 0, Stream(1))
 

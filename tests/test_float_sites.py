@@ -29,7 +29,8 @@ ALLOWED = {
     ("cli", "cmd_approx"): "display decimal beside the exact approximation distance",
     ("serialize", "report_to_json"): "display decimals beside the exact error figures",
     ("serialize", "profile_to_json"): "display decimal beside the exact intersection ratio",
-    ("serialize", "csv_rows"): "the CSV's decimal column beside each exact entry",
+    ("serialize", "csv_rows"): "the CSV's decimal columns and Monte Carlo estimates",
+    ("serialize", "_estimate_text"): "a Monte Carlo estimate hits / trials, written as JSON",
     ("idcode", "MCReport.from_hits"): "Monte Carlo estimates and their standard error",
     ("feedback", "eval_feedback_mc"): "Monte Carlo estimate, required to be exactly 0",
     ("setsystem", "h2"): "entropy behind the Prop-2 bound (ROADMAP item 3)",

@@ -14,6 +14,7 @@ getrandbits calls as randrange would, for n = 1, powers of two and their
 neighbours, and n past 2^64 and 2^200.
 """
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 import permid.feedback as feedback
 import permid.idcode as idcode
 from helpers import (
+    accept_hat,
     random_perm_code,
     reference_feedback_mc,
     reference_mc_report,
@@ -39,7 +41,8 @@ from helpers import (
 from permid import Dist, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of
 from permid.feedback import build_feedback_code, eval_feedback_mc
-from permid.idcode import MCReport, eval_perm_mc, full_orbit_counts
+from permid.idcode import Acceptance, MCReport, eval_perm_mc, full_orbit_counts
+from permid.serialize import dumps, report_to_json
 
 
 def u(*xs):
@@ -212,7 +215,7 @@ def test_mc_streams_blocks_above_the_cap(monkeypatch):
 
     monkeypatch.setattr(feedback, "_feedback_mc_hits", counted)
     full = (eval_perm_mc(perm, 400, Stream(1)), eval_feedback_mc(fb, 400, Stream(1)))
-    assert all(report.accept_hat is not None for report in full)
+    assert all(report.accept is not None for report in full)
     assert blocks == [5]  # one row block in memory
     monkeypatch.setattr(idcode, "MATRIX_CAP", 2)
     # two matrix rows per block, two (g, b) pairs per perm chunk, and one
@@ -223,8 +226,8 @@ def test_mc_streams_blocks_above_the_cap(monkeypatch):
     capped = (eval_perm_mc(perm, 400, Stream(1)), eval_feedback_mc(fb, 400, Stream(1)))
     assert blocks == [2, 2, 1]
     for a, b in zip(full, capped):
-        assert b.accept_hat is None
-        assert b == replace(a, hits=None)
+        assert b.accept is None
+        assert b == replace(a, accept=None)
 
 
 @st.composite
@@ -243,7 +246,7 @@ def hit_tables(draw):
 def float_bits(report):
     """Every float field of an MCReport, and every estimate, as its exact
     bit pattern."""
-    estimates = () if report.accept_hat is None else report.accept_hat.ravel().tolist()
+    estimates = () if report.accept is None else chain(*accept_hat(report))
     fields = (report.lambda1_hat, report.lambda2_hat, report.stderr, *estimates)
     return [x.hex() for x in fields]
 
@@ -266,9 +269,12 @@ def test_from_hits_equals_the_float_reference(table, block_entries):
         expected = reference_mc_report(hits, trials)
     assert got == expected
     assert float_bits(got) == float_bits(expected)
-    # numpy's hits / trials against Python's, entry by entry
-    if got.hits is not None:
-        assert float_bits(got)[3:] == [x.hex() for x in chain(*reference_accept_hat(hits, trials))]
+    # the written estimates against Python's h / trials, entry by entry
+    if got.accept is not None:
+        written = json.loads(dumps(report_to_json(got)))["matrix"]
+        assert [x.hex() for x in chain(*written)] == [
+            x.hex() for x in chain(*reference_accept_hat(hits, trials))
+        ]
 
 
 def test_reports_compare_by_their_hit_counts():
@@ -276,14 +282,18 @@ def test_reports_compare_by_their_hit_counts():
     a = MCReport.from_hits(lambda rows: hits[rows.start : rows.stop], 3, 5)
     b = MCReport.from_hits(lambda rows: hits[rows.start : rows.stop].copy(), 3, 5)
     assert a == b and not a != b
-    assert a.hits is not b.hits
+    assert a.accept.num is not b.accept.num
+
+    def with_hits(report, table):
+        return replace(report, accept=Acceptance(table, report.accept.den[: len(table)]))
+
     # one hit more in a cell that sets neither extreme: only the counts differ
     changed = hits.copy()
     changed[1, 0] += 1
-    c = replace(a, hits=changed)
+    c = with_hits(a, changed)
     assert (c.lambda1_hat, c.lambda2_hat, c.stderr) == (a.lambda1_hat, a.lambda2_hat, a.stderr)
     assert a != c and not a == c
-    assert a != replace(a, hits=None) and replace(a, hits=None) == replace(b, hits=None)
-    assert a != replace(a, hits=hits[:2])
+    assert a != replace(a, accept=None) and replace(a, accept=None) == replace(b, accept=None)
+    assert a != with_hits(a, hits[:2])
     assert a != replace(a, trials=6)
-    assert a != (a.M, a.trials, a.lambda1_hat, a.lambda2_hat, a.stderr, a.hits)
+    assert a != (a.M, a.trials, a.lambda1_hat, a.lambda2_hat, a.stderr, a.accept)

@@ -42,6 +42,7 @@ from permid.exact import frac_str, parse_frac
 from permid.idcode import Acceptance, ErrorReport
 from permid.serialize import (
     SCHEMA,
+    Matrix,
     chunks,
     code_from_json,
     code_to_json,
@@ -51,6 +52,8 @@ from permid.serialize import (
     report_to_json,
 )
 from permid.setsystem import verify_profile
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_vector_index_examples_and_roundtrip():
@@ -179,7 +182,7 @@ def kernels(draw):
 @given(kernel=kernels())
 def test_exact_matrix_renders_each_entry_in_lowest_terms(kernel):
     """The bulk gcd render gives frac_str of each entry's Fraction."""
-    doc = report_to_json(kernel.report)
+    doc = json.loads(dumps(report_to_json(kernel.report)))
     assert doc["matrix"] == [[frac_str(p) for p in row] for row in fractions(kernel)]
 
 
@@ -188,10 +191,10 @@ def test_collision_matrix_streams_in_bounded_pieces():
     pieces of at most 1 MiB, and they join to the stdlib's rendering."""
     code = build_feedback_code(12, 2, 2, 1024, Stream(1, "feedback"))
     doc = report_to_json(eval_feedback_exact(code))
-    assert isinstance(doc["counts"], np.ndarray) and doc["counts"].dtype == np.int64
+    assert isinstance(doc["counts"], Matrix) and doc["counts"].num.dtype == np.int64
     pieces = list(chunks(doc))
     assert max(map(len, pieces)) <= 1 << 20
-    doc["counts"] = doc["counts"].tolist()
+    doc["counts"] = doc["counts"].num.tolist()
     # a bool, not a string comparison: a diff of two 10.5 MB texts would take
     # pytest minutes to print
     same = "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -204,7 +207,7 @@ def test_collision_report_json_shape():
     assert doc["kind"] == "collision-report"
     assert doc["lambda1"] == "0/1"
     assert doc["target"] == "2/7"
-    assert len(doc["counts"]) == 3
+    assert len(doc["counts"].num) == 3
     assert isinstance(doc["passed"], bool)
     single = build_feedback_code(6, 2, 2, 1, Stream(2))
     doc = report_to_json(eval_feedback_exact(single))
@@ -219,9 +222,10 @@ def test_mc_report_json_shape():
     doc = report_to_json(report)
     assert doc["kind"] == "mc-report"
     assert doc["mc"]["trials"] == 500
-    # the float64 estimate matrix itself, each entry the Python h / trials
-    assert doc["matrix"].dtype == np.float64
-    assert doc["matrix"].tolist() == [[h / 500 for h in row] for row in report.hits.tolist()]
+    # the int64 hit kernel itself, each entry written as the Python h / trials
+    assert doc["matrix"].num is report.accept.num and doc["matrix"].num.dtype == np.int64
+    written = json.loads(dumps(doc))["matrix"]
+    assert written == [[h / 500 for h in row] for row in report.accept.num.tolist()]
 
 
 def test_matrix_csv_agrees_with_json():
@@ -1067,3 +1071,23 @@ def test_cli_reader_closing_stdout_early_gets_a_json_error(fmt, first, command):
     assert "Traceback" not in err
     doc = json.loads(err)
     assert (status, doc["category"], doc["error"]) == (2, "invalid-input", "BrokenPipeError")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_cli_write_to_a_full_device_gets_a_json_error(capsys):
+    # every write to /dev/full fails with ENOSPC: through --output, in
+    # process, and through stdout, in a child whose final flush must stay
+    # silent as well
+    code = str(GOLDEN / "orbit_code.json")
+    status, out, err = run_cli(capsys, ["-o", "/dev/full", "eval", "--code", code])
+    assert (status, out) == (2, "") and "Traceback" not in err
+    doc = json.loads(err)
+    assert (doc["category"], doc["error"]) == ("invalid-input", "OSError")
+    src = str(Path(permid.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "permid.cli", "eval", "--code", code],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    doc = json.loads(done.stderr)
+    assert (done.returncode, doc["category"], doc["error"]) == (2, "invalid-input", "OSError")
