@@ -26,7 +26,6 @@ from .approx import approx_distance, build_approx, pigeonhole_collision_check
 from .combinatorics import (
     ENUMERATION_LIMIT,
     check_N_bounds,
-    count_types,
     iter_types,
     type_index,
     typeclass_size,
@@ -160,25 +159,20 @@ def _load_code(path: str, *kinds: str):
 
 
 def cmd_types(args) -> dict:
-    N = count_types(args.n, args.q)
     bounds = check_N_bounds(args.n, args.q)
     doc = {
         "schema": SCHEMA,
         "kind": "types",
         "n": args.n,
         "q": args.q,
-        "N": N,
-        "bounds": {
-            "lower_ok": bounds.lower_ok,
-            "upper_ok": bounds.upper_ok,
-            "coarse_ok": bounds.coarse_ok,
-        },
+        "N": bounds.N,
+        "bounds": {k: getattr(bounds, k) for k in ("lower_ok", "upper_ok", "coarse_ok")},
     }
-    if N <= ENUMERATION_LIMIT:
-        doc["types"] = [
+    if bounds.N <= ENUMERATION_LIMIT:
+        doc["types"] = (
             {"index": type_index(t), "counts": list(t.counts), "size": typeclass_size(t)}
             for t in iter_types(args.n, args.q)
-        ]
+        )
     return doc
 
 
@@ -376,21 +370,13 @@ def cmd_bounds(args) -> dict:
     count = args.M_max - args.M_min + 1
     if count > ENUMERATION_LIMIT:
         raise BudgetError(f"sweep of {count} rows exceeds the budget of {ENUMERATION_LIMIT}")
-    rows = []
-    for M in range(args.M_min, args.M_max + 1):
-        row = {"M": M}
-        # the bound is defined for 1 + N/alpha < M <= 2^N; other rows leave it out
-        try:
-            row["prop2_lower"] = prop2_lower_bound(args.N, M, alpha)
-        except HypothesisError:
-            pass
-        rows.append(row)
     doc = {
         "schema": SCHEMA,
         "kind": "bounds",
         "N": args.N,
         "alpha": frac_str(alpha),
-        "sweep": rows,
+        # rows made as the writer reaches them, after every check here
+        "sweep": (_bounds_row(args.N, M, alpha) for M in range(args.M_min, args.M_max + 1)),
     }
     if args.d is not None:
         try:
@@ -408,6 +394,14 @@ def cmd_bounds(args) -> dict:
             doc["lemma6_holds"] = None
             doc["lemma6_note"] = str(exc)
     return doc
+
+
+def _bounds_row(N: int, M: int, alpha: Fraction) -> dict:
+    """A sweep row: M, and Prop. 2's bound where 1 + N/alpha < M <= 2^N."""
+    try:
+        return {"M": M, "prop2_lower": prop2_lower_bound(N, M, alpha)}
+    except HypothesisError:
+        return {"M": M}
 
 
 COMMANDS = {
@@ -534,17 +528,8 @@ def main(argv=None) -> int:
 
 
 def _error_out(kind: str, exc: Exception) -> None:
-    sys.stderr.write(
-        dumps(
-            {
-                "schema": SCHEMA,
-                "kind": "error",
-                "category": kind,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        )
-    )
+    sys.stderr.write(dumps({"schema": SCHEMA, "kind": "error", "category": kind,
+                            "error": type(exc).__name__, "message": str(exc)}))
 
 
 if __name__ == "__main__":

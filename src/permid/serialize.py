@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd
 from operator import truediv
@@ -302,16 +302,17 @@ def dumps(doc: dict) -> str:
 
 
 def chunks(doc: dict) -> Iterator[str]:
-    """The text of dumps(doc) in pieces, one per top-level value and one per
-    row block (or row, see `_matrix`) of a top-level `Matrix`, so that a
-    writer never holds the whole of a large report.
+    """The text of dumps(doc) in pieces, so that a writer never holds the
+    whole of a large document. A top-level value that is a `Matrix` or an
+    iterator of rows is written a block at a time (see `_matrix` and
+    `_rows`); every other value is small and is one piece.
 
     The bytes are those of json.dumps(doc, indent=2, sort_keys=True), with a
-    Matrix in place of the list of its entries' texts and a numpy array in
-    place of its .tolist(). An indent makes json fall back to its pure-Python
-    encoder, so the frame is indented here and each array or object of
-    scalars is left to the C encoder, its item separator carrying the newline
-    and indent."""
+    Matrix in place of the list of its entries' texts and an iterator in
+    place of the list of its rows. An indent makes json fall back to its
+    pure-Python encoder, so the frame is indented here and each array or
+    object of scalars is left to the C encoder, its item separator carrying
+    the newline and indent."""
     if not (isinstance(doc, dict) and doc and set(map(type, doc)) == {str}):
         yield _indented(doc, "") + "\n"
         return
@@ -319,13 +320,15 @@ def chunks(doc: dict) -> Iterator[str]:
         yield f"{',' if k else '{'}\n  {json.dumps(key)}: "
         if isinstance(value, Matrix):
             yield from _matrix(value, "  ")
+        elif isinstance(value, Iterator):
+            yield from _rows(value, "  ")
         else:
             yield _indented(value, "  ")
     yield "\n}\n"
 
 
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-#: the most characters one piece of a rendered Matrix holds (unless one row
+#: the most characters one piece of a streamed value holds (unless one row
 #: alone is longer)
 BLOCK_CHARS = 1 << 19
 
@@ -333,10 +336,6 @@ BLOCK_CHARS = 1 << 19
 def _indented(value, pad: str) -> str:
     """json.dumps(value, indent=2, sort_keys=True) for a value that starts
     at indentation `pad`."""
-    if isinstance(value, Matrix):
-        return "".join(_matrix(value, pad))
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)) and value:
@@ -356,6 +355,25 @@ def _indented(value, pad: str) -> str:
     # scalars, empty containers, other keys: the stdlib, re-indented (an
     # encoded string never holds a raw newline)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _rows(rows: Iterator, pad: str) -> Iterator[str]:
+    """The text of the list of `rows` at indentation `pad`, each row made
+    and rendered as the text reaches it, in pieces of at most BLOCK_CHARS
+    characters unless one row alone is longer."""
+    inner = pad + "  "
+    texts = (_indented(row, inner) for row in rows)
+    if (first := next(texts, None)) is None:
+        yield "[]"
+        return
+    block, size = [], 0
+    for text in chain([f"[\n{inner}{first}"], (f",\n{inner}{t}" for t in texts), [f"\n{pad}]"]):
+        if block and size + len(text) > BLOCK_CHARS:
+            yield "".join(block)
+            block, size = [], 0
+        block.append(text)
+        size += len(text)
+    yield "".join(block)
 
 
 def _matrix(m: Matrix, pad: str) -> Iterator[str]:
@@ -388,7 +406,7 @@ def _matrix(m: Matrix, pad: str) -> Iterator[str]:
         yield f"{entry}{sep.join(map(m.text, a, b))}" + (end if i < rows else f"\n{inner}]\n{pad}]")
 
 
-def _value_table(m: Matrix) -> tuple[int, list[str]] | None:
+def _value_table(m: Matrix) -> tuple[int, list] | None:
     """(lo, texts) with texts[v - lo] the text of each value v in the range
     of an int64 `num` over one denominator, when that range has fewer
     numbers than the matrix has entries; else None."""
@@ -403,7 +421,9 @@ def _value_table(m: Matrix) -> tuple[int, list[str]] | None:
 def _lowest_terms(num: np.ndarray, den: np.ndarray) -> Iterator[tuple[list, list]]:
     """Each row of num / den[:, None] in lowest terms, as its numerators and
     denominators; a block of about BLOCK_CHARS / 8 entries at a time is
-    reduced by one np.gcd, which takes object rows as well."""
+    reduced by one np.gcd, in C over int64 (so denominators that fit are cast)."""
+    if max(den.tolist()) >> 63 == 0:
+        den = den.astype(np.int64)
     step = max(1, BLOCK_CHARS // (8 * num.shape[1]))
     for r in range(0, len(num), step):
         block, d = num[r : r + step], den[r : r + step, None]
@@ -422,22 +442,29 @@ def csv_rows(doc: dict):
     if kind == "bounds":
         rows = ([row["M"], row.get("prop2_lower", "")] for row in doc["sweep"])
         return chain([["M", "prop2_lower"]], rows)
-    if kind not in ("error-report", "mc-report", "collision-report"):
+    # each report's header, and the cells after (i, j) of an entry a/b in
+    # lowest terms as csv writes them (a float as its repr); a count c is read
+    # over D as a/b, so c = a * D / b
+    D = doc.get("D", 1)
+    header, cells = {
+        "error-report": (["i", "j", "accept", "accept_decimal"],
+                         lambda a, b: (f"{a}/{b}", repr(truediv(a, b)))),
+        "mc-report": (["i", "j", "accept_hat"], lambda a, b: (repr(truediv(a, b)),)),
+        "collision-report": (["j", "k", "collisions", "fraction", "fraction_decimal"],
+                             lambda a, b: (str(a * D // b), f"{a}/{b}", repr(truediv(a, b)))),
+    }.get(kind, (None, None))
+    if header is None:
         raise ValidationError("this subcommand has no CSV rendering")
     m = doc.get("counts" if kind == "collision-report" else "matrix")
     if m is None:
         raise ValidationError("report carries no matrix (M too large)")
-    # a count c (over 1) is read over D as a/b in lowest terms, so c = a * D / b
-    D = doc.get("D", 1)
-    cells = (
-        (i, j, a, b)
-        for i, row in enumerate(_lowest_terms(m.num, m.den * D), start=1)
-        for j, (a, b) in enumerate(zip(*row), start=1)
-    )
-    if kind == "error-report":
-        rows = ([i, j, f"{a}/{b}", truediv(a, b)] for i, j, a, b in cells)
-        return chain([["i", "j", "accept", "accept_decimal"]], rows)
-    if kind == "mc-report":
-        return chain([["i", "j", "accept_hat"]], ([i, j, truediv(a, b)] for i, j, a, b in cells))
-    rows = ([j, k, a * D // b, f"{a}/{b}", truediv(a, b)] for j, k, a, b in cells if j != k)
-    return chain([["j", "k", "collisions", "fraction", "fraction_decimal"]], rows)
+    # each distinct value's cells made once, as for JSON, where that is fewer
+    m = replace(m, den=m.den * D, text=cells)
+    if (table := _value_table(m)) is None:
+        grid = (map(cells, a, b) for a, b in _lowest_terms(m.num, m.den))
+    else:
+        grid = (map(table[1].__getitem__, (row - table[0]).tolist()) for row in m.num)
+    keep_diagonal = kind != "collision-report"
+    rows = ([i, j, *c] for i, row in enumerate(grid, start=1)
+            for j, c in enumerate(row, start=1) if keep_diagonal or i != j)
+    return chain([header], rows)

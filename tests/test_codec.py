@@ -6,14 +6,13 @@ multiply or divmod per entry. The fast codec must give the same values and
 refuse the same inputs with the same ValidationError. So must the code
 loader, against the one that parsed a Fraction per mass. `dumps`, and the
 join of `chunks`, must give the bytes of
-`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, with a numpy
-array standing for its `.tolist()`.
+`json.dumps(doc, indent=2, sort_keys=True)` plus a newline, with a
+top-level `Matrix` or iterator of rows standing for its list.
 """
 
 import csv
 import io
 import json
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -27,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import permid.cli
 import permid.idcode
 import permid.serialize
 from helpers import (
@@ -238,10 +238,8 @@ def int64_matrices(draw):
 @example(a=np.full((7, 3), -5))
 @example(a=np.array([[np.iinfo(np.int64).min, np.iinfo(np.int64).max]]))
 def test_dumps_renders_an_int64_matrix_as_its_list(a):
-    # streamed at the top level, joined whole one level down
-    doc = {"counts": a, "M": len(a), "nested": [{"counts": a}]}
-    as_lists = {"counts": a.tolist(), "M": len(a), "nested": [{"counts": a.tolist()}]}
-    assert dumps(doc) == reference_dumps(as_lists)
+    doc = {"counts": counts(a), "M": len(a)}
+    assert dumps(doc) == reference_dumps({"counts": a.tolist(), "M": len(a)})
 
 
 def counts(rows) -> Matrix:
@@ -265,48 +263,10 @@ def test_integer_table_only_when_smaller_than_the_matrix():
     assert _value_table(as_objects) is None
     assert dumps({"matrix": as_objects}) == dumps({"matrix": exact})
     assert _value_table(replace(exact, den=np.array([4, 2], dtype=object))) is None
-    # any other array renders through its list
-    for other in (np.zeros(4, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
-                  np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
-                  np.eye(2, dtype=bool), np.zeros(4), np.zeros((0, 3))):
-        assert dumps(other) == reference_dumps(other.tolist())
-
-
-#: float64 values whose text or comparison is odd: the two zeros, NaN, the
-#: infinities, subnormals, 1e16 (whose repr has an exponent) and 1/3
-ODD_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e16,
-              1 / 3, 0.1, 1.0, -2.5, 1e300]
-
-
-@st.composite
-def float64_matrices(draw):
-    """float64 matrices of 1x1 to 30x30 over a few values, odd ones
-    included, so that most repeat a value; or over distinct values."""
-    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
-    if draw(st.integers(0, 4)) == 0:
-        values = draw(st.lists(st.floats(allow_nan=False), min_size=rows * cols,
-                               max_size=rows * cols, unique=True))
-    else:
-        pool = draw(st.lists(st.sampled_from(ODD_FLOATS) | st.floats(), min_size=1, max_size=6))
-        values = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
-                               max_size=rows * cols))
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=float64_matrices())
-@example(a=np.eye(2))
-@example(a=np.arange(12.0).reshape(3, 4) / 7)  # every value distinct
-@example(a=np.array([[0.0, -0.0], [0.0, 0.0]]))
-@example(a=np.array([[math.nan, math.nan], [math.nan, 1.0]]))
-@example(a=np.array([[math.inf, math.inf], [-math.inf, 1.0]]))
-@example(a=np.full((2, 3), 5e-324))
-@example(a=np.array([[1e16, 1e16, 0.1], [0.1, 1e16, 0.1]]))
-def test_dumps_renders_a_float64_matrix_as_its_list(a):
-    # streamed at the top level, joined whole one level down
-    doc = {"matrix": a, "M": len(a), "nested": [{"matrix": a}]}
-    as_lists = {"matrix": a.tolist(), "M": len(a), "nested": [{"matrix": a.tolist()}]}
-    assert "".join(chunks(doc)) == reference_dumps(as_lists)
+    # a top-level Matrix renders as its list on either path
+    for m in (counts([[1, 3], [4, 1]]), counts([[0, 33_000_000], [33_000_000, 0]])):
+        assert dumps({"counts": m}) == reference_dumps({"counts": m.num.tolist()})
+    assert dumps({"matrix": exact}) == reference_dumps({"matrix": [["0/1", "1/2"], ["1/4", "1/2"]]})
 
 
 RULES = {"exact": _fraction_text, "mc": _estimate_text, "counts": _count_text}
@@ -377,13 +337,12 @@ def csv_text(rows) -> str:
 @example(drawn=("exact", Matrix(np.array([[2**62, 0], [1, 2**62]]),
                                 np.array([2**62, 2**62], dtype=object), _fraction_text)))
 def test_every_report_matrix_renders_as_its_list(drawn):
-    """Each rule's Matrix renders, at the top level and one level down, and
-    reads into CSV, as the document holding its list of texts did."""
+    """Each rule's Matrix renders at the top level, and reads into CSV, as
+    the document holding its list of texts did."""
     rule, m = drawn
     matrix = listed(rule, m)
-    doc = {"matrix": m, "M": len(m.num), "nested": [{"matrix": m}]}
-    as_lists = {"matrix": matrix, "M": len(m.num), "nested": [{"matrix": matrix}]}
-    assert "".join(chunks(doc)) == reference_dumps(as_lists)
+    doc = {"matrix": m, "M": len(m.num)}
+    assert "".join(chunks(doc)) == reference_dumps({"matrix": matrix, "M": len(m.num)})
     # the value table serves exactly the int64 matrices over one denominator
     # whose values span fewer numbers than the entry count
     values = m.num.ravel().tolist()
@@ -413,6 +372,58 @@ def test_exact_matrix_streams_in_row_blocks(monkeypatch, dens):
     assert stop - start > 3
     assert all(len(piece) <= 400 and len(piece) < len(whole) for piece in pieces[start:stop])
     assert whole == reference_dumps({"m": listed("exact", doc["matrix"])})[9:-3]
+
+
+def command_doc(argv: list[str]) -> dict:
+    """The document a CLI command hands the writer."""
+    args = permid.cli.build_parser().parse_args(argv)
+    return permid.cli.COMMANDS[args.command](args)
+
+
+def streamed(doc: dict, key: str) -> tuple[list[str], str]:
+    """The pieces `chunks` writes for doc[key], the last key of doc, and the
+    text of all of doc."""
+    pieces = list(chunks(doc))
+    start = pieces.index(f",\n  {json.dumps(key)}: ") + 1
+    return pieces[start:-1], "".join(pieces)
+
+
+@pytest.mark.parametrize("argv, key", [
+    # the sweep crosses Prop. 2's threshold 1 + N/alpha = 17
+    (["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "2", "--M-max", "64"], "sweep"),
+    (["types", "--n", "6", "--q", "3"], "types"),
+], ids=["bounds", "types"])
+def test_row_iterators_stream_in_blocks_as_their_lists(monkeypatch, argv, key):
+    """With a small BLOCK_CHARS the rows of a `bounds` sweep or a `types`
+    listing come out of `chunks` in several pieces, none over the bound, and
+    the document reads as the one holding the list of its rows."""
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 200)
+    listed_doc = command_doc(argv)
+    listed_doc[key] = list(listed_doc[key])
+    pieces, text = streamed(command_doc(argv), key)
+    assert text == reference_dumps(listed_doc)
+    assert len(pieces) > 3 and all(len(piece) <= 200 for piece in pieces)
+    if key == "sweep":
+        gated = ["prop2_lower" in row for row in listed_doc[key]]
+        assert gated == [M > 17 for M in range(2, 65)]
+
+
+def test_empty_sweep_renders_an_empty_list():
+    argv = ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "10", "--M-max", "9"]
+    pieces, text = streamed(command_doc(argv), "sweep")
+    assert pieces == ["[]"]
+    assert json.loads(text)["sweep"] == []
+
+
+def test_first_sweep_piece_precedes_the_last_row(monkeypatch):
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 200)
+    doc = command_doc(["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "2", "--M-max", "64"])
+    pieces = chunks(doc)
+    assert next(piece for piece in pieces if piece.startswith(',\n  "sweep": '))
+    first = next(pieces)
+    assert first.startswith('[\n    {\n      "M": 2\n    }')
+    # the rows past that piece are still to be made
+    assert next(doc["sweep"])["M"] < 64
 
 
 def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import permid.cli
 import permid.feedback
 import permid.idcode
+import permid.serialize
 from helpers import error_report_from_json, fractions, random_noiseless_code, random_perm_code
 from permid import (
     Dist,
@@ -37,7 +38,7 @@ from permid import (
 )
 from permid.cli import main
 from permid.combinatorics import index_to_tuple, tuple_to_index
-from permid.errors import BudgetError, ValidationError
+from permid.errors import BoundViolationError, BudgetError, ValidationError
 from permid.exact import frac_str, parse_frac
 from permid.idcode import Acceptance, ErrorReport
 from permid.serialize import (
@@ -731,6 +732,30 @@ def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
         assert json.loads(err)["category"] == "invalid-input"
 
 
+def test_cli_bounds_violation_in_a_late_row_cuts_the_document(capsys, monkeypatch, tmp_path):
+    # a bound that fails its own check at M = 60 is a bug, not a hypothesis:
+    # the rows before it are written, then the JSON error, exit 3
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 200)
+    real = permid.cli.prop2_lower_bound
+
+    def failing(N, M, alpha):
+        if M == 60:
+            raise BoundViolationError(f"doctored bound at M = {M}")
+        return real(N, M, alpha)
+
+    monkeypatch.setattr(permid.cli, "prop2_lower_bound", failing)
+    argv = ["bounds", "--N", "8", "--alpha", "1/2"]
+    for out_path in (None, tmp_path / "cut.json"):
+        status, out, err = run_cli(capsys, argv if out_path is None else ["-o", str(out_path), *argv])
+        text = out if out_path is None else out_path.read_text()
+        assert status == 3 and text.startswith("{") and '"M": 40' in text and '"M": 60' not in text
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        error = json.loads(err)
+        assert (error["category"], error["error"]) == ("bound-violation", "BoundViolationError")
+        assert error["message"] == "doctored bound at M = 60"
+
+
 def test_cli_bounds_refuses_a_sweep_past_the_enumeration_limit(capsys, monkeypatch):
     monkeypatch.setattr(permid.cli, "ENUMERATION_LIMIT", 10)
     argv = ["bounds", "--N", "4", "--alpha", "1/2", "--M-min", "5", "--M-max"]
@@ -1071,6 +1096,26 @@ def test_cli_reader_closing_stdout_early_gets_a_json_error(fmt, first, command):
     assert "Traceback" not in err
     doc = json.loads(err)
     assert (status, doc["category"], doc["error"]) == (2, "invalid-input", "BrokenPipeError")
+
+
+def test_cli_stdout_with_no_reader_keeps_its_final_flush_silent():
+    # every write to a pipe whose read end is closed fails. A buffered
+    # stdout (no PYTHONUNBUFFERED) still holds the document when _emit's
+    # flush fails, and the interpreter flushes it again at exit; only the
+    # redirect to devnull keeps that flush from failing loudly with status 120
+    src = str(Path(permid.cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "permid.cli", "types", "--n", "2", "--q", "2"],
+                              env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    doc = json.loads(done.stderr)
+    assert (done.returncode, doc["category"], doc["error"]) == (2, "invalid-input", "BrokenPipeError")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
