@@ -169,8 +169,10 @@ def cmd_types(args) -> dict:
         "bounds": {k: getattr(bounds, k) for k in ("lower_ok", "upper_ok", "coarse_ok")},
     }
     if bounds.N <= ENUMERATION_LIMIT:
+        # each type is sized once, so the memo would only fill, never hit
+        size = typeclass_size.__wrapped__
         doc["types"] = (
-            {"index": type_index(t), "counts": list(t.counts), "size": typeclass_size(t)}
+            {"index": type_index(t), "counts": list(t.counts), "size": size(t)}
             for t in iter_types(args.n, args.q)
         )
     return doc
@@ -389,7 +391,7 @@ def cmd_bounds(args) -> dict:
         profile = verify_profile(system)
         doc["profile"] = profile_to_json(profile)
         try:
-            doc["lemma6_holds"] = lemma6_check(system, alpha)
+            doc["lemma6_holds"] = lemma6_check(profile, alpha)
         except HypothesisError as exc:
             doc["lemma6_holds"] = None
             doc["lemma6_note"] = str(exc)

@@ -7,10 +7,10 @@ Johnson bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
-from operator import and_
+
+import numpy as np
 
 from .errors import (
     BoundViolationError,
@@ -20,19 +20,75 @@ from .errors import (
 from .exact import ceil_pow2_over
 from .rng import Stream
 
+# Intersections are counted as float64 products of 0/1 tiles. No float tile
+# holds more than TILE_ENTRIES entries; the greedy draws up to BATCH
+# candidates at a time, and the profile meets BATCH rows with the later sets
+# at a time. TILE_ENTRIES is at least BATCH^2, so a batch meets itself in
+# one tile.
+TILE_ENTRIES = 2**15
+BATCH = 64
+# float64 holds every integer below 2^53 exactly
+FLOAT_EXACT = 2**53
 
-def _mask(elements, rank: dict) -> int:
-    """Bitmask of a set: one bit per element, at the position `rank` holds
-    for it (the next free position on first sight, recorded in `rank`).
 
-    Masks built with one `rank` meet in as many bits as their sets meet in
-    elements, since relabelling is injective; first-sight positions keep a
-    mask as wide as the distinct elements seen, however large N is.
+def _tile(at: np.ndarray, width: int) -> np.ndarray:
+    """0/1 float64 tile with one row per row of `at` and a 1 at column
+    at[r, k] for each entry below `width`; an entry equal to `width` marks a
+    column the tile leaves out."""
+    tile = np.zeros((len(at), width), dtype=np.float64)
+    flat = np.arange(0, tile.size, width)[:, None] + at
+    tile.reshape(-1)[flat[at < width]] = 1
+    return tile
+
+
+def _meets(rows: np.ndarray, others: np.ndarray, columns: int) -> np.ndarray:
+    """counts[i, j] = |rows[i] meet others[j]|, as int64.
+
+    Each row lists the distinct column indices (below `columns`) of one set,
+    and all sets have the same weight. The tiles cover only the columns
+    that `rows` touch, as many at a time as keeps each within TILE_ENTRIES
+    entries; callers keep len(rows) * len(others), the product, within it
+    too. Every entry is 0 or 1 and every sum a count of at most `weight`
+    ones, exact in float64 below 2^53 whatever order BLAS adds in; the
+    counts are cast back to int before anything compares them.
     """
-    mask = 0
-    for e in elements:
-        mask |= 1 << rank.setdefault(e, len(rank))
-    return mask
+    weight = rows.shape[1]
+    if weight >= FLOAT_EXACT:
+        raise ValidationError(f"set size {weight} reaches 2^53; float64 counts would not be exact")
+    seen = np.zeros(columns, dtype=bool)
+    seen[rows] = True
+    touched = int(np.count_nonzero(seen))
+    # a touched column's position among the touched ones; the rest get `touched`
+    at = np.where(seen, np.cumsum(seen) - 1, touched)
+    mine, theirs = at[rows], at[others]
+    span = max(1, TILE_ENTRIES // max(len(rows), len(others)))
+    parts = []
+    for lo in range(0, touched, span):
+        cut = min(span, touched - lo)
+        a, b = mine, theirs
+        if cut < touched:
+            a, b = (np.where((x >= lo) & (x < lo + cut), x - lo, cut) for x in (mine, theirs))
+        # the long side first: BLAS runs this shape faster than its transpose
+        parts.append((_tile(b, cut) @ _tile(a, cut).T).T)
+    return sum(parts[1:], parts[0]).astype(np.int64)
+
+
+def _block(rows: np.ndarray, columns: int) -> int:
+    """How many sets `_meets` may meet `rows` with in one call: neither the
+    product nor a tile of them over every column `rows` can touch holds more
+    than TILE_ENTRIES entries."""
+    return max(1, TILE_ENTRIES // max(len(rows), min(columns, rows.size)))
+
+
+def _columns(sets, rank: dict) -> np.ndarray:
+    """One row per set of equal size: the column each element holds in
+    `rank` (the next free column on first sight, recorded in `rank`).
+
+    Rows ranked with one `rank` meet in as many columns as their sets meet
+    in elements, since relabelling is injective; first-sight columns keep
+    the tiles as wide as the distinct elements seen, however large N is.
+    """
+    return np.array([[rank.setdefault(e, len(rank)) for e in s] for s in sets], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -87,17 +143,28 @@ class IntersectionProfile:
 
 
 def verify_profile(system: SetSystem) -> IntersectionProfile:
-    """Exact Gamma and Delta by full pairwise scan of the sets' bitmasks.
+    """Exact Gamma and Delta from Gram tiles of the sets.
 
-    Delta of a single-set family is 0 (max over an empty pair set).
+    The sets are ranked into first-sight columns, so the tiles follow the
+    elements that occur, not N. Each block of BATCH rows is multiplied
+    against itself and every later set, with the diagonal and the pairs
+    below it masked, in exact 0/1 products (see `_meets`). Delta of
+    a single-set family is 0 (max over an empty pair set).
     """
     sizes = {len(s) for s in system.sets}
     if len(sizes) != 1:
         raise ValidationError(f"not constant-weight: sizes {sorted(sizes)}")
     gamma = sizes.pop()
     rank: dict[int, int] = {}
-    masks = [_mask(s, rank) for s in system.sets]
-    delta = max(map(int.bit_count, starmap(and_, combinations(masks, 2))), default=0)
+    rows = _columns(system.sets, rank)
+    delta = 0
+    for top in range(0, system.M - 1, BATCH):
+        block = rows[top : top + BATCH]
+        step = _block(block, len(rank))
+        for start in range(top, system.M, step):
+            counts = _meets(block, rows[start : start + step], len(rank))
+            # set top + i meets set start + j; keep only start + j > top + i
+            delta = max(delta, int(np.triu(counts, 1 + top - start).max()))
     return IntersectionProfile(N=system.N, M=system.M, gamma=gamma, delta=delta)
 
 
@@ -215,6 +282,51 @@ class GreedyResult:
     warning: str | None = None
 
 
+def _pool_bound(gamma: int) -> int:
+    """The largest population random.sample draws gamma from by its pool
+    branch: 21, plus 4^ceil(log4(3*gamma)) when gamma > 5. The least m with
+    4^m >= 3*gamma is that ceiling for every gamma below 3*10^14, far past
+    any set a draw can hold."""
+    return 21 + (4 ** (((3 * gamma - 1).bit_length() + 1) // 2) if gamma > 5 else 0)
+
+
+def _sampler(N: int, gamma: int, getrandbits):
+    """A function drawing random.sample(range(N), gamma) on `getrandbits`,
+    with the same values and the same generator state after each draw: the
+    sample's own branch choice, and randbelow(n)'s rejection loop
+    (k = n.bit_length() bits until the value is below n) run inline.
+
+    """
+    if N <= _pool_bound(gamma):
+        widths = [(n, n.bit_length()) for n in range(N, N - gamma, -1)]
+
+        def draw():
+            pool = list(range(N))
+            out = []
+            for n, bits in widths:
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                out.append(pool[j])
+                pool[j] = pool[n - 1]
+            return out
+
+        return draw
+    bits = N.bit_length()
+
+    def draw():
+        # a value at or above N, or one already drawn, is drawn again
+        chosen = set()
+        add = chosen.add
+        while len(chosen) < gamma:
+            j = getrandbits(bits)
+            if j < N:
+                add(j)
+        return chosen
+
+    return draw
+
+
 def grow_family(
     N: int,
     gamma: int,
@@ -225,7 +337,20 @@ def grow_family(
 ) -> tuple[list[frozenset[int]], int]:
     """Rejection-sample gamma-subsets of [1..N], keeping each candidate iff
     it is new and intersects every kept set in at most cap elements. Returns
-    (kept sets, attempts used)."""
+    (kept sets, attempts used).
+
+    Candidates are drawn a batch of min(BATCH, target - kept, attempts left)
+    at a time, so no draw goes past the attempt at which a one-at-a-time
+    loop would stop. A batch meets the kept sets in exact products (see
+    `_meets`), a block of kept sets at a time, and each block meets only the
+    candidates that cleared the blocks before it. The candidates left then
+    meet each other in one product, resolved in draw order: a candidate is
+    kept iff it clears every kept set and every earlier candidate of its
+    batch that was kept. So the kept sets, the attempts and the generator's
+    state after the call are those of the one-at-a-time loop. Kept sets are
+    held as rows of first-sight columns, so memory follows the elements
+    drawn, not N.
+    """
     if not 1 <= gamma <= N:
         raise ValidationError(f"set size {gamma} outside [1..{N}]")
     if cap < 0:
@@ -239,23 +364,36 @@ def grow_family(
             f"target {target} exceeds the {math.comb(N, gamma)} distinct "
             f"{gamma}-subsets of [1..{N}]"
         )
-    rand = stream.rand
-    ground = range(1, N + 1)
+    draw = _sampler(N, gamma, stream.rand.getrandbits)
     # Two gamma-sets are equal iff they meet in gamma elements, so this one
     # bound rejects duplicates as well, even when cap >= gamma.
     limit = min(cap, gamma - 1)
     rank: dict[int, int] = {}
     kept: list[frozenset[int]] = []
-    masks: list[int] = []
+    rows = np.empty((BATCH, gamma), dtype=np.intp)  # kept sets' columns, in order
     attempts = 0
     while len(kept) < target and attempts < max_attempts:
-        attempts += 1
-        draw = rand.sample(ground, gamma)
-        mask = _mask(draw, rank)
-        if any((mask & m).bit_count() > limit for m in masks):
-            continue
-        kept.append(frozenset(draw))
-        masks.append(mask)
+        size = min(BATCH, target - len(kept), max_attempts - attempts)
+        attempts += size
+        draws = [draw() for _ in range(size)]
+        batch = _columns(draws, rank)
+        alive = np.arange(size)  # the candidates that cleared every block so far
+        step = _block(batch, len(rank))
+        for start in range(0, len(kept), step):
+            counts = _meets(batch[alive], rows[start : min(start + step, len(kept))], len(rank))
+            alive = alive[counts.max(axis=1) <= limit]
+            if not len(alive):
+                break
+        else:  # some candidate cleared every kept set
+            clash = _meets(batch[alive], batch[alive], len(rank)) > limit
+            if len(rows) < len(kept) + len(alive):
+                rows = np.concatenate([rows, np.empty_like(rows)])
+            free = np.ones(len(alive), dtype=bool)
+            for i, drawn in enumerate(alive.tolist()):
+                if free[i]:
+                    rows[len(kept)] = batch[drawn]
+                    kept.append(frozenset([e + 1 for e in draws[drawn]]))
+                    free &= ~clash[i]
     return kept, attempts
 
 
@@ -330,17 +468,17 @@ def prop2_lower_bound(N: int, M: int, alpha: Fraction) -> float:
     return (1.0 - float(alpha)) * h2_inv(min(math.log2(M) / N, 1.0))
 
 
-def lemma6_check(system: SetSystem, alpha: Fraction) -> bool:
-    """Assert the quadratic intersection bound delta > (1-alpha)*epsilon^2.
+def lemma6_check(profile: IntersectionProfile, alpha: Fraction) -> bool:
+    """Assert the quadratic intersection bound delta > (1-alpha)*epsilon^2
+    on a constant-weight system's profile (from `verify_profile`).
 
-    Requires a constant-weight system with M > 1 + N/alpha. Under that
-    hypothesis the inequality is a theorem, so a False outcome raises
-    BoundViolationError instead of being returned.
+    Requires M > 1 + N/alpha. Under that hypothesis the inequality is a
+    theorem, so a False outcome raises BoundViolationError instead of being
+    returned.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0,1)")
-    profile = verify_profile(system)
     if profile.M <= 1 + Fraction(profile.N) / alpha:
         raise HypothesisError(
             f"need M > 1 + N/alpha = {1 + Fraction(profile.N) / alpha}, got M={profile.M}"

@@ -1,14 +1,18 @@
 """Where permid computes in floating point, listed and justified.
 
 Every probability and bound in permid is decided exactly, so a float may
-only show a value, estimate one, or make a guess that exact code corrects.
+only show a value, estimate one, make a guess that exact code corrects, or
+carry integer sums that float64 holds exactly.
 This test walks the source of `permid` with `ast` and lists each float site
 by module and enclosing function:
 
 - `float(...)` calls and float literals;
 - `math.log`, `math.log2` and `math.sqrt`;
 - `operator.truediv`;
-- any `mpmath` attribute.
+- any `mpmath` attribute;
+- numpy's `float64` and `float32`, and `float` or a float type's name
+  given as a dtype: a `dtype=` argument, the argument of `astype`, or any
+  argument of a numpy call.
 
 Imports are followed, so `from operator import truediv` counts when the bare
 name is used. Each site must appear in ALLOWED with its reason, and each
@@ -23,7 +27,16 @@ import permid
 
 SOURCE = Path(permid.__file__).resolve().parent
 
-FLOAT_FUNCTIONS = {"math.log", "math.log2", "math.sqrt", "operator.truediv"}
+FLOAT_FUNCTIONS = {
+    "math.log",
+    "math.log2",
+    "math.sqrt",
+    "operator.truediv",
+    "numpy.float64",
+    "numpy.float32",
+}
+# dtype names that numpy reads as a float type
+FLOAT_DTYPE_NAMES = {"float", "float64", "float32", "double", "single", "f8", "f4", "d", "f"}
 
 ALLOWED = {
     ("cli", "cmd_approx"): "display decimal beside the exact approximation distance",
@@ -36,6 +49,11 @@ ALLOWED = {
     ("setsystem", "h2"): "entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "h2_inv"): "inverse entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "prop2_lower_bound"): "the Prop-2 bound as a float (ROADMAP item 3)",
+    ("setsystem", "_tile"): (
+        "0/1 tiles whose BLAS products count set intersections: every sum is an "
+        "integer of at most gamma < 2^53 (guarded in `_meets`), so exact in any "
+        "order, and cast back to int before any comparison"
+    ),
 }
 
 
@@ -83,6 +101,13 @@ class _Sites(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         if isinstance(node.func, ast.Name) and node.func.id == "float":
             self._add("float()")
+        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            dtypes += node.args
+        if (self._origin(node.func) or "").startswith("numpy."):
+            dtypes += node.args
+        if any(_float_dtype(value) for value in dtypes):
+            self._add("float dtype")
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -100,6 +125,13 @@ class _Sites(ast.NodeVisitor):
         origin = self._origin(node)
         if origin in FLOAT_FUNCTIONS or (origin or "").startswith("mpmath."):
             self._add(origin)
+
+
+def _float_dtype(node) -> bool:
+    """Whether an expression is the builtin `float` or a float type's name."""
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    return isinstance(node, ast.Constant) and node.value in FLOAT_DTYPE_NAMES
 
 
 def float_sites() -> dict[tuple[str, str], list[str]]:
@@ -132,12 +164,17 @@ def test_the_walk_finds_each_kind_of_site():
     source = (
         "import math\n"
         "import mpmath as mp\n"
+        "import numpy as np\n"
         "from operator import truediv\n"
         "def f(x):\n"
         "    return float(x), 0.5, math.sqrt(x), math.log(x), math.log2(x)\n"
         "class C:\n"
         "    def g(self, x):\n"
         "        return truediv(x, 2), mp.mpf(x), math.floor(x), int(x)\n"
+        "def h(x: float, n) -> float:\n"
+        "    a = np.zeros(n, dtype=np.float64), np.ones(n, np.float32)\n"
+        "    b = np.zeros(n, dtype=float), x.astype(float), np.empty(n, 'f8')\n"
+        "    return np.zeros(n, dtype=np.int64), x.astype('int64'), np.full(n, 'x')\n"
     )
     tree = ast.parse(source)
     visitor = _Sites(_imported_names(tree))
@@ -150,4 +187,9 @@ def test_the_walk_finds_each_kind_of_site():
         ("f", "math.log2"),
         ("C.g", "operator.truediv"),
         ("C.g", "mpmath.mpf"),
+        ("h", "numpy.float64"),
+        ("h", "numpy.float32"),
+        ("h", "float dtype"),
+        ("h", "float dtype"),
+        ("h", "float dtype"),
     ]

@@ -706,6 +706,32 @@ def test_cli_bounds_sweep_and_system(capsys, tmp_path):
     assert "lemma6_note" in doc
 
 
+def test_cli_bounds_works_out_the_profile_once(capsys, monkeypatch, tmp_path):
+    # the printed profile and the Lemma 6 check share one verify_profile call
+    pairs = [frozenset(s) for s in [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]]
+    system_path = tmp_path / "system.json"
+    system_path.write_text(dumps(code_to_json(SetSystem(4, tuple(pairs)))))
+    calls = []
+    real = permid.cli.verify_profile
+    monkeypatch.setattr(permid.cli, "verify_profile", lambda system: calls.append(1) or real(system))
+    status, out, _ = run_cli(
+        capsys,
+        ["bounds", "--N", "4", "--alpha", "9/10", "--M-max", "16", "--system", str(system_path)],
+    )
+    assert status == 0 and json.loads(out)["lemma6_holds"] is True
+    assert len(calls) == 1
+
+
+def test_cli_types_leaves_the_size_memo_alone(capsys):
+    # each type is sized once, so `types` sizes them without the lru cache
+    permid.cli.typeclass_size.cache_clear()
+    status, out, _ = run_cli(capsys, ["types", "--n", "9", "--q", "3"])
+    assert status == 0
+    doc = json.loads(out)
+    assert sum(t["size"] for t in doc["types"]) == 3**9
+    assert permid.cli.typeclass_size.cache_info().currsize == 0
+
+
 def test_cli_bounds_sweep_leaves_out_rows_past_two_to_the_N(capsys):
     # log2(M)/N > 1 from M = 17 on, where the inverse entropy is undefined
     status, out, _ = run_cli(capsys, ["bounds", "--N", "4", "--alpha", "1/2"])

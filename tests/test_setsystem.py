@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import is_constant_weight, reference_grow_family, reference_profile
 from permid import Stream
+from permid import setsystem
 from permid.errors import HypothesisError, ValidationError
 from permid.setsystem import (
     IntersectionProfile,
@@ -263,19 +264,22 @@ def test_grow_family_respects_cap_and_is_seeded():
     gamma_frac=st.fractions(0, 1),
     cap_shift=st.integers(-3, 2),
     fill=st.sampled_from(["small", "near", "full"]),
-    budget=st.sampled_from([0, 1, 7, 400]),
+    budget=st.sampled_from([0, 1, 7, 63, 64, 65, 130, 400]),
 )
 def test_grow_family_matches_the_frozenset_oracle(seed, N, gamma_frac, cap_shift, fill, budget):
     # cap_shift >= 0 puts cap at or above gamma, where only the duplicate
     # test rejects; "near" and "full" ask for about all C(N, gamma) subsets.
+    # Budgets around one and two batches end the run inside a batch.
     gamma = max(1, math.floor(gamma_frac * N))
     cap = max(0, gamma + cap_shift if cap_shift >= 0 else gamma // 2 + cap_shift)
     total = math.comb(N, gamma)
     target = {"small": min(3, total), "near": max(1, total - 1), "full": total}[fill]
     target = min(target, 200)
-    got = grow_family(N, gamma, cap, target, Stream(seed, "grow"), budget)
-    want = reference_grow_family(N, gamma, cap, target, Stream(seed, "grow"), budget)
+    stream, oracle = Stream(seed, "grow"), Stream(seed, "grow")
+    got = grow_family(N, gamma, cap, target, stream, budget)
+    want = reference_grow_family(N, gamma, cap, target, oracle, budget)
     assert got == want
+    assert stream.rand.getstate() == oracle.rand.getstate()
     kept = got[0]
     for M in {1, 2, len(kept)}:
         if 1 <= M <= len(kept):
@@ -313,6 +317,101 @@ def test_verify_profile_and_complement_match_the_oracle(seed, N, M, data):
         assert q.gamma == N - gamma
         if M >= 2:
             assert q.delta == N - 2 * gamma + p.delta
+
+
+@pytest.mark.parametrize(
+    "N, gamma, cap, target, budget",
+    [
+        # the target bounds the last batches: 70 sets, the second batch at most 6
+        (200, 20, 5, 70, 100_000),
+        (48, 28, 21, 65, 100_000),
+        # the budget ends inside the second and the fourth batch
+        (200, 20, 5, 400, 100),
+        (40, 4, 1, 400, 230),
+        # the budget runs out with the family stalled far below its target
+        (12, 3, 0, 10, 500),
+    ],
+)
+def test_grow_family_stops_where_the_sequential_loop_stops(N, gamma, cap, target, budget):
+    stream, oracle = Stream(3, "stop"), Stream(3, "stop")
+    got = grow_family(N, gamma, cap, target, stream, budget)
+    want = reference_grow_family(N, gamma, cap, target, oracle, budget)
+    assert got == want
+    assert got[1] <= budget and (len(got[0]) == target or got[1] == budget)
+    assert stream.rand.getstate() == oracle.rand.getstate()
+
+
+@pytest.mark.parametrize(
+    "N, gamma",
+    [
+        # gamma <= 5: the pool branch up to N = 21, the set branch above
+        (1, 1), (5, 5), (21, 3), (22, 3), (22, 5), (500, 1),
+        # gamma = 6: 21 + 4^3 = 85 is the last pool size
+        (85, 6), (86, 6),
+        # gamma = 21: 3 * 21 = 63 sits just below 4^3, so the bound is 85 again
+        (85, 21), (86, 21), (120, 72), (48, 28), (200, 20), (10**6, 40),
+    ],
+)
+def test_sampler_draws_as_random_sample(N, gamma):
+    rand, oracle = random.Random(N * 1000 + gamma), random.Random(N * 1000 + gamma)
+    draw = setsystem._sampler(N, gamma, rand.getrandbits)
+    for _ in range(6):
+        got = draw()
+        assert sorted(got) == sorted(oracle.sample(range(N), gamma))
+        assert rand.getstate() == oracle.getstate()
+
+
+def test_sampler_branch_bound_matches_random_sample():
+    # random.sample's bound is 21 + 4 ** ceil(log(3 * k, 4)) for k > 5; the
+    # integer form must agree, also where 3k sits next to a power of 4
+    ks = [k for m in range(2, 22) for k in range(4**m // 3 - 3, 4**m // 3 + 4)]
+    for k in [*range(1, 200), *ks]:
+        want = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+        assert setsystem._pool_bound(k) == want
+
+
+@pytest.mark.parametrize("tile, batch", [(16, 4), (9, 3), (1, 1)])
+def test_small_tiles_give_the_oracle_families_and_profiles(monkeypatch, tile, batch):
+    # tiles this small split every product into many column and row blocks
+    monkeypatch.setattr(setsystem, "TILE_ENTRIES", tile)
+    monkeypatch.setattr(setsystem, "BATCH", batch)
+    sizes = []
+
+    def spy(at, width):
+        made = real_tile(at, width)
+        sizes.append(made.size)
+        return made
+
+    real_tile = setsystem._tile
+    monkeypatch.setattr(setsystem, "_tile", spy)
+    for N, gamma, cap, target, budget in [
+        (30, 5, 2, 25, 2_000),
+        (20, 12, 9, 15, 300),
+        (64, 3, 0, 21, 40),
+        (9, 9, 8, 1, 5),
+    ]:
+        stream, oracle = Stream(N, "tiles"), Stream(N, "tiles")
+        got = grow_family(N, gamma, cap, target, stream, budget)
+        assert got == reference_grow_family(N, gamma, cap, target, oracle, budget)
+        assert stream.rand.getstate() == oracle.rand.getstate()
+        system = SetSystem(N, tuple(got[0]))
+        p = verify_profile(system)
+        assert (p.gamma, p.delta) == reference_profile(system)
+    assert max(sizes) <= tile < sum(sizes)
+    single = verify_profile(SetSystem(7, pairs((1, 4, 6))))
+    assert (single.M, single.gamma, single.delta) == (1, 3, 0)
+    with pytest.raises(ValidationError):
+        verify_profile(SetSystem(7, pairs((1, 2), (3, 4), (5, 6, 7))))
+
+
+def test_float_counts_refuse_set_sizes_past_exact_float64(monkeypatch):
+    # the guard sits at 2^53; lowered, it must refuse the set size it reaches
+    monkeypatch.setattr(setsystem, "FLOAT_EXACT", 3)
+    assert verify_profile(SetSystem(6, pairs((1, 2), (2, 3)))).delta == 1
+    with pytest.raises(ValidationError, match="2\\^53"):
+        verify_profile(SetSystem(6, pairs((1, 2, 3), (2, 3, 4))))
+    with pytest.raises(ValidationError):
+        grow_family(10, 3, 1, 4, Stream(1, "exact"), 100)
 
 
 def test_profile_does_not_scale_with_the_ground_set():
@@ -460,14 +559,14 @@ def test_lemma6_hypothesis_arithmetic():
     )
     # M = 6 does not exceed 1 + 4/(1/2) = 9, so the check refuses to run.
     with pytest.raises(HypothesisError):
-        lemma6_check(all_pairs, Fraction(1, 2))
+        lemma6_check(verify_profile(all_pairs), Fraction(1, 2))
     # At alpha = 9/10 the threshold drops below 6 and the bound holds:
     # delta = 1/4 > (1/10)(1/4).
-    assert lemma6_check(all_pairs, Fraction(9, 10)) is True
+    assert lemma6_check(verify_profile(all_pairs), Fraction(9, 10)) is True
     with pytest.raises(HypothesisError):
-        lemma6_check(SetSystem(4, pairs((1, 2))), Fraction(9, 10))
+        lemma6_check(verify_profile(SetSystem(4, pairs((1, 2)))), Fraction(9, 10))
     with pytest.raises(ValidationError):
-        lemma6_check(all_pairs, Fraction(2))
+        lemma6_check(verify_profile(all_pairs), Fraction(2))
 
 
 def test_lemma6_random_replay_never_violates():
@@ -480,7 +579,7 @@ def test_lemma6_random_replay_never_violates():
         M = rand.randint(int(lo) + 1, len(every_pair))
         chosen = rand.sample(every_pair, M)
         s = SetSystem(N, tuple(frozenset(p) for p in chosen))
-        assert lemma6_check(s, alpha) is True
+        assert lemma6_check(verify_profile(s), alpha) is True
 
 
 def test_johnson_bound_values():

@@ -728,5 +728,5 @@ def test_pipeline_feeds_the_counting_bounds():
     assert (profile.N, profile.M, profile.gamma, profile.delta) == (4, 6, 2, 1)
     assert report.final.lambda2 == Fraction(1, 2) == profile.ratio
     alpha = Fraction(9, 10)
-    assert lemma6_check(report.system, alpha) is True
+    assert lemma6_check(profile, alpha) is True
     assert float(profile.ratio) >= prop2_lower_bound(profile.N, profile.M, alpha)
