@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -31,64 +32,88 @@ BATCH = 64
 FLOAT_EXACT = 2**53
 
 
-def _tile(at: np.ndarray, width: int) -> np.ndarray:
-    """0/1 float64 tile with one row per row of `at` and a 1 at column
-    at[r, k] for each entry below `width`; an entry equal to `width` marks a
-    column the tile leaves out."""
-    tile = np.zeros((len(at), width), dtype=np.float64)
-    flat = np.arange(0, tile.size, width)[:, None] + at
-    tile.reshape(-1)[flat[at < width]] = 1
-    return tile
+def _bits(at: np.ndarray, width: int) -> np.ndarray:
+    """Boolean matrix with one row per row of `at` and a True at each
+    column it lists, over `width` columns and one more: column `width`
+    collects the entries that stand for columns the block misses."""
+    bits = np.zeros((len(at), width + 1), dtype=bool)
+    bits[np.arange(len(at))[:, None], at] = True
+    return bits
 
 
-def _meets(rows: np.ndarray, others: np.ndarray, columns: int) -> np.ndarray:
-    """counts[i, j] = |rows[i] meet others[j]|, as int64.
+def _tile(bits: np.ndarray, lo: int, span: int) -> np.ndarray:
+    """The 0/1 float64 tile of columns lo..lo+span-1 of `bits`."""
+    return bits[:, lo : lo + span].astype(np.float64)
 
-    Each row lists the distinct column indices (below `columns`) of one set,
-    and all sets have the same weight. The tiles cover only the columns
-    that `rows` touch, as many at a time as keeps each within TILE_ENTRIES
-    entries; callers keep len(rows) * len(others), the product, within it
-    too. Every entry is 0 or 1 and every sum a count of at most `weight`
-    ones, exact in float64 below 2^53 whatever order BLAS adds in; the
-    counts are cast back to int before anything compares them.
-    """
-    weight = rows.shape[1]
-    if weight >= FLOAT_EXACT:
-        raise ValidationError(f"set size {weight} reaches 2^53; float64 counts would not be exact")
+
+def _local(rows: np.ndarray, columns: int) -> tuple[np.ndarray, int]:
+    """(at, width): the columns (below `columns`) that `rows` touch, numbered
+    0..width-1 in order, so that at[c] is column c's number, and `width` for
+    every column `rows` miss. Built once per block of rows; `at` then maps
+    each set the block meets onto the block's own columns."""
     seen = np.zeros(columns, dtype=bool)
     seen[rows] = True
-    touched = int(np.count_nonzero(seen))
-    # a touched column's position among the touched ones; the rest get `touched`
-    at = np.where(seen, np.cumsum(seen) - 1, touched)
-    mine, theirs = at[rows], at[others]
-    span = max(1, TILE_ENTRIES // max(len(rows), len(others)))
-    parts = []
-    for lo in range(0, touched, span):
-        cut = min(span, touched - lo)
-        a, b = mine, theirs
-        if cut < touched:
-            a, b = (np.where((x >= lo) & (x < lo + cut), x - lo, cut) for x in (mine, theirs))
-        # the long side first: BLAS runs this shape faster than its transpose
-        parts.append((_tile(b, cut) @ _tile(a, cut).T).T)
-    return sum(parts[1:], parts[0]).astype(np.int64)
+    width = int(np.count_nonzero(seen))
+    # intp, not the rows' int32: `_bits` indexes with it without a cast
+    return np.where(seen, np.cumsum(seen) - 1, width), width
 
 
-def _block(rows: np.ndarray, columns: int) -> int:
-    """How many sets `_meets` may meet `rows` with in one call: neither the
-    product nor a tile of them over every column `rows` can touch holds more
-    than TILE_ENTRIES entries."""
-    return max(1, TILE_ENTRIES // max(len(rows), min(columns, rows.size)))
+def _meets(mine: np.ndarray, theirs: np.ndarray, width: int) -> np.ndarray:
+    """counts[i, j] = |mine[i] meet theirs[j]|, as int64.
+
+    Both sides are rows of equal-size sets numbered by one `_local` map:
+    each row lists one set's distinct columns, every entry of `mine` is
+    below `width`, and an entry of `theirs` equal to `width` is a column
+    `mine` misses, which meets nothing. Each side is laid out once as a
+    boolean matrix (`_bits`), and the columns are cut into chunks of
+    `span`, as many as keeps every float tile within TILE_ENTRIES entries;
+    callers keep len(mine) * len(theirs), the product, within it too. So a
+    call costs its entries plus its tiles, whatever the set size. Every
+    tile entry is 0 or 1 and every sum a count of at most `weight` ones,
+    exact in float64 below 2^53 whatever order BLAS adds in; the counts are
+    cast back to int before they are summed or compared.
+    """
+    weight = mine.shape[1]
+    if weight >= FLOAT_EXACT:
+        raise ValidationError(f"set size {weight} reaches 2^53; float64 counts would not be exact")
+    span = max(1, TILE_ENTRIES // max(len(mine), len(theirs)))
+    a, b = _bits(mine, width), _bits(theirs, width)
+    # the long side first: BLAS runs this shape faster than its transpose
+    return sum(
+        (_tile(b, lo, span) @ _tile(a, lo, span).T).T.astype(np.int64)
+        for lo in range(0, width, span)
+    )
 
 
-def _columns(sets, rank: dict) -> np.ndarray:
-    """One row per set of equal size: the column each element holds in
-    `rank` (the next free column on first sight, recorded in `rank`).
+def _block(height: int, width: int) -> int:
+    """How many later sets one `_meets` call takes for a block of `height`
+    rows on `width` columns: TILE_ENTRIES // max(height, width), so that
+    each side's tile spans every column, when that is at least `height`;
+    else `height`, with the columns cut into chunks. Either way no tile and
+    no product holds more than TILE_ENTRIES entries, as long as height^2
+    does not."""
+    return max(height, TILE_ENTRIES // max(height, width))
+
+
+def _columns(sets, rank: dict, count: int, weight: int) -> np.ndarray:
+    """One row per set, for `count` sets of `weight` elements: the column
+    each element holds in `rank` (the next free column on first sight,
+    recorded in `rank`). Rows are filled BATCH sets at a time, so no more
+    than that many sets are held as Python lists at once.
 
     Rows ranked with one `rank` meet in as many columns as their sets meet
     in elements, since relabelling is injective; first-sight columns keep
     the tiles as wide as the distinct elements seen, however large N is.
     """
-    return np.array([[rank.setdefault(e, len(rank)) for e in s] for s in sets], dtype=np.intp)
+    # int32 holds every column: 2^31 distinct elements would not fit in
+    # memory as frozensets, and numpy refuses to store a larger one
+    rows = np.empty((count, weight), dtype=np.int32)
+    sets = iter(sets)
+    for top in range(0, count, BATCH):
+        rows[top : top + BATCH] = [
+            [rank.setdefault(e, len(rank)) for e in s] for s in islice(sets, BATCH)
+        ]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -146,23 +171,27 @@ def verify_profile(system: SetSystem) -> IntersectionProfile:
     """Exact Gamma and Delta from Gram tiles of the sets.
 
     The sets are ranked into first-sight columns, so the tiles follow the
-    elements that occur, not N. Each block of BATCH rows is multiplied
-    against itself and every later set, with the diagonal and the pairs
-    below it masked, in exact 0/1 products (see `_meets`). Delta of
-    a single-set family is 0 (max over an empty pair set).
+    elements that occur, not N. Each block of BATCH rows is numbered on its
+    own columns once (`_local`) and multiplied against itself and every
+    later set, with the diagonal and the pairs below it masked, in exact
+    0/1 products (see `_meets`), as many later sets per call as `_block`
+    allows, however wide the sets. Delta of a single-set family is 0 (max
+    over an empty pair set).
     """
     sizes = {len(s) for s in system.sets}
     if len(sizes) != 1:
         raise ValidationError(f"not constant-weight: sizes {sorted(sizes)}")
     gamma = sizes.pop()
     rank: dict[int, int] = {}
-    rows = _columns(system.sets, rank)
+    rows = _columns(system.sets, rank, system.M, gamma)
     delta = 0
     for top in range(0, system.M - 1, BATCH):
         block = rows[top : top + BATCH]
-        step = _block(block, len(rank))
+        at, width = _local(block, len(rank))
+        mine = at[block]
+        step = _block(len(block), width)
         for start in range(top, system.M, step):
-            counts = _meets(block, rows[start : start + step], len(rank))
+            counts = _meets(mine, at[rows[start : start + step]], width)
             # set top + i meets set start + j; keep only start + j > top + i
             delta = max(delta, int(np.triu(counts, 1 + top - start).max()))
     return IntersectionProfile(N=system.N, M=system.M, gamma=gamma, delta=delta)
@@ -347,9 +376,10 @@ def grow_family(
     meet each other in one product, resolved in draw order: a candidate is
     kept iff it clears every kept set and every earlier candidate of its
     batch that was kept. So the kept sets, the attempts and the generator's
-    state after the call are those of the one-at-a-time loop. Kept sets are
-    held as rows of first-sight columns, so memory follows the elements
-    drawn, not N.
+    state after the call are those of the one-at-a-time loop. Each draw is
+    ranked into first-sight columns as it comes, and kept sets are held as
+    rows of those columns, so memory follows the elements drawn, not N, and
+    a batch holds no more than one draw as a Python set.
     """
     if not 1 <= gamma <= N:
         raise ValidationError(f"set size {gamma} outside [1..{N}]")
@@ -369,30 +399,34 @@ def grow_family(
     # bound rejects duplicates as well, even when cap >= gamma.
     limit = min(cap, gamma - 1)
     rank: dict[int, int] = {}
+    labels: list[int] = []  # the element of [1..N] at each column
     kept: list[frozenset[int]] = []
-    rows = np.empty((BATCH, gamma), dtype=np.intp)  # kept sets' columns, in order
+    rows = np.empty((BATCH, gamma), dtype=np.int32)  # kept sets' columns, in order
     attempts = 0
     while len(kept) < target and attempts < max_attempts:
         size = min(BATCH, target - len(kept), max_attempts - attempts)
         attempts += size
-        draws = [draw() for _ in range(size)]
-        batch = _columns(draws, rank)
+        # each draw is ranked as it comes, so a batch is held as columns only
+        drawn = _columns((draw() for _ in range(size)), rank, size, gamma)
+        labels += [e + 1 for e in islice(rank, len(labels), None)]  # first seen here
+        at, width = _local(drawn, len(rank))
+        batch = at[drawn]  # the batch on its own columns
         alive = np.arange(size)  # the candidates that cleared every block so far
-        step = _block(batch, len(rank))
+        step = _block(size, width)
         for start in range(0, len(kept), step):
-            counts = _meets(batch[alive], rows[start : min(start + step, len(kept))], len(rank))
+            counts = _meets(batch[alive], at[rows[start : min(start + step, len(kept))]], width)
             alive = alive[counts.max(axis=1) <= limit]
             if not len(alive):
                 break
         else:  # some candidate cleared every kept set
-            clash = _meets(batch[alive], batch[alive], len(rank)) > limit
+            clash = _meets(batch[alive], batch[alive], width) > limit
             if len(rows) < len(kept) + len(alive):
                 rows = np.concatenate([rows, np.empty_like(rows)])
             free = np.ones(len(alive), dtype=bool)
-            for i, drawn in enumerate(alive.tolist()):
+            for i, j in enumerate(alive.tolist()):
                 if free[i]:
-                    rows[len(kept)] = batch[drawn]
-                    kept.append(frozenset([e + 1 for e in draws[drawn]]))
+                    rows[len(kept)] = drawn[j]
+                    kept.append(frozenset([labels[c] for c in drawn[j].tolist()]))
                     free &= ~clash[i]
     return kept, attempts
 

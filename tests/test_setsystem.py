@@ -377,8 +377,8 @@ def test_small_tiles_give_the_oracle_families_and_profiles(monkeypatch, tile, ba
     monkeypatch.setattr(setsystem, "BATCH", batch)
     sizes = []
 
-    def spy(at, width):
-        made = real_tile(at, width)
+    def spy(*args):
+        made = real_tile(*args)
         sizes.append(made.size)
         return made
 
@@ -415,11 +415,45 @@ def test_float_counts_refuse_set_sizes_past_exact_float64(monkeypatch):
 
 
 def test_profile_does_not_scale_with_the_ground_set():
-    # masks are as wide as the elements that occur, not as N
+    # tiles follow the elements that occur, not N
     big = 10**12
     system = SetSystem(big, pairs((1, big), (big - 1, big), (2, 3)))
     p = verify_profile(system)
     assert (p.gamma, p.delta) == (2, 1) == reference_profile(system)
+
+
+def test_wide_sets_meet_a_block_of_sets_per_call(monkeypatch):
+    # sets wider than a tile split into column chunks, yet each call still
+    # meets a whole block of sets: the family is dense (Gamma > N/2, the
+    # complement transform's input), and the greedy keeps every draw
+    calls, sizes = [], []
+
+    def meets(mine, theirs, width):
+        calls.append((len(mine), len(theirs), width))
+        return real_meets(mine, theirs, width)
+
+    def tile(*args):
+        made = real_tile(*args)
+        sizes.append(made.size)
+        return made
+
+    real_meets, real_tile = setsystem._meets, setsystem._tile
+    monkeypatch.setattr(setsystem, "_meets", meets)
+    monkeypatch.setattr(setsystem, "_tile", tile)
+    N, gamma, target = 1500, 900, 70
+    stream, oracle = Stream(5, "wide"), Stream(5, "wide")
+    got = grow_family(N, gamma, gamma, target, stream, target)
+    assert got == reference_grow_family(N, gamma, gamma, target, oracle, target)
+    assert got[1] == target and len(got[0]) == target
+    system = SetSystem(N, tuple(got[0]))
+    p = verify_profile(system)
+    assert (p.gamma, p.delta) == reference_profile(system)
+    assert max(width for _, _, width in calls) > setsystem.TILE_ENTRIES // setsystem.BATCH
+    # a call per later set would make well over `target` calls
+    assert len(calls) < 10
+    assert max(sizes) <= setsystem.TILE_ENTRIES
+    comp = complement_system(system)
+    assert (verify_profile(comp).delta, p.delta) == (N - 2 * gamma + p.delta, p.delta)
 
 
 def test_greedy_disjoint_pair_packing():
