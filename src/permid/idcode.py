@@ -626,7 +626,7 @@ def achievable_params(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValidationError("epsilon must be in (0,1)")
-    if not (isinstance(l, int) and l >= 1):
+    if not (type(l) is int and l >= 1):
         raise ValidationError("l must be a positive integer")
     N = count_types(n, q)
     ground = N**l
@@ -704,6 +704,8 @@ def build_multishot_achievable(
         )
     system = SetSystem(params.ground, tuple(kept))
     profile = verify_profile(system)
+    if profile.delta > params.cap:
+        raise BoundViolationError("greedy produced an intersection above its cap")
     # an orbit lies in many sets: it is decoded once, for its representative
     # (the lexicographically smallest vector, one shared tuple, which the code
     # validates once) and its size

@@ -21,29 +21,13 @@ from .errors import (
 from .exact import ceil_pow2_over
 from .rng import Stream
 
-# Intersections are counted as float64 products of 0/1 tiles. No float tile
-# holds more than TILE_ENTRIES entries; the greedy draws up to BATCH
+# Intersections are counted as popcounts of packed bit rows. No product in
+# `_meets` holds more than TILE_ENTRIES uint64 words, unless one side alone
+# is longer (then a call meets a single set); the greedy draws up to BATCH
 # candidates at a time, and the profile meets BATCH rows with the later sets
-# at a time. TILE_ENTRIES is at least BATCH^2, so a batch meets itself in
-# one tile.
+# at a time.
 TILE_ENTRIES = 2**15
 BATCH = 64
-# float64 holds every integer below 2^53 exactly
-FLOAT_EXACT = 2**53
-
-
-def _bits(at: np.ndarray, width: int) -> np.ndarray:
-    """Boolean matrix with one row per row of `at` and a True at each
-    column it lists, over `width` columns and one more: column `width`
-    collects the entries that stand for columns the block misses."""
-    bits = np.zeros((len(at), width + 1), dtype=bool)
-    bits[np.arange(len(at))[:, None], at] = True
-    return bits
-
-
-def _tile(bits: np.ndarray, lo: int, span: int) -> np.ndarray:
-    """The 0/1 float64 tile of columns lo..lo+span-1 of `bits`."""
-    return bits[:, lo : lo + span].astype(np.float64)
 
 
 def _local(rows: np.ndarray, columns: int) -> tuple[np.ndarray, int]:
@@ -54,45 +38,35 @@ def _local(rows: np.ndarray, columns: int) -> tuple[np.ndarray, int]:
     seen = np.zeros(columns, dtype=bool)
     seen[rows] = True
     width = int(np.count_nonzero(seen))
-    # intp, not the rows' int32: `_bits` indexes with it without a cast
-    return np.where(seen, np.cumsum(seen) - 1, width), width
+    # int32 like the rows: that halves `at[rows]`, a block's largest
+    # temporary (3 MB, not 6 MB, for 64 rows of 12,000 elements)
+    return np.where(seen, np.cumsum(seen, dtype=np.int32) - 1, np.int32(width)), width
 
 
-def _meets(mine: np.ndarray, theirs: np.ndarray, width: int) -> np.ndarray:
-    """counts[i, j] = |mine[i] meet theirs[j]|, as int64.
-
-    Both sides are rows of equal-size sets numbered by one `_local` map:
-    each row lists one set's distinct columns, every entry of `mine` is
-    below `width`, and an entry of `theirs` equal to `width` is a column
-    `mine` misses, which meets nothing. Each side is laid out once as a
-    boolean matrix (`_bits`), and the columns are cut into chunks of
-    `span`, as many as keeps every float tile within TILE_ENTRIES entries;
-    callers keep len(mine) * len(theirs), the product, within it too. So a
-    call costs its entries plus its tiles, whatever the set size. Every
-    tile entry is 0 or 1 and every sum a count of at most `weight` ones,
-    exact in float64 below 2^53 whatever order BLAS adds in; the counts are
-    cast back to int before they are summed or compared.
-    """
-    weight = mine.shape[1]
-    if weight >= FLOAT_EXACT:
-        raise ValidationError(f"set size {weight} reaches 2^53; float64 counts would not be exact")
-    span = max(1, TILE_ENTRIES // max(len(mine), len(theirs)))
-    a, b = _bits(mine, width), _bits(theirs, width)
-    # the long side first: BLAS runs this shape faster than its transpose
-    return sum(
-        (_tile(b, lo, span) @ _tile(a, lo, span).T).T.astype(np.int64)
-        for lo in range(0, width, span)
-    )
+def _packed(at: np.ndarray, width: int) -> np.ndarray:
+    """The rows of `at` as bit rows over columns 0..width, words first:
+    shape (words, rows), uint64, with bit c of a row set iff the row lists
+    column c. Bit `width` stands for every column a block misses; no row of
+    the block sets it, so those columns meet nothing. Any fixed bit order
+    gives the same counts, since both sides of a meet share it."""
+    bits = np.zeros((len(at), 64 * (width // 64 + 1)), dtype=bool)
+    bits[np.arange(len(at))[:, None], at] = True
+    return np.ascontiguousarray(np.packbits(bits, axis=1).view(np.uint64).T)
 
 
-def _block(height: int, width: int) -> int:
-    """How many later sets one `_meets` call takes for a block of `height`
-    rows on `width` columns: TILE_ENTRIES // max(height, width), so that
-    each side's tile spans every column, when that is at least `height`;
-    else `height`, with the columns cut into chunks. Either way no tile and
-    no product holds more than TILE_ENTRIES entries, as long as height^2
-    does not."""
-    return max(height, TILE_ENTRIES // max(height, width))
+def _meets(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """counts[i, j] = |mine[i] meet theirs[j]|, as int64, for two `_packed`
+    sides on one block's columns: the popcount of their common bits, summed
+    over the words. The product holds words * len(mine) * len(theirs)
+    uint64 words, which callers keep within TILE_ENTRIES through `_block`."""
+    return np.bitwise_count(mine[:, :, None] & theirs[:, None, :]).sum(axis=0, dtype=np.int64)
+
+
+def _block(height: int, words: int) -> int:
+    """How many sets one `_meets` call takes against `height` packed rows
+    of `words` words: as many as keeps the product within TILE_ENTRIES
+    words, and at least one."""
+    return max(1, TILE_ENTRIES // (height * words))
 
 
 def _columns(sets, rank: dict, count: int, weight: int) -> np.ndarray:
@@ -103,7 +77,7 @@ def _columns(sets, rank: dict, count: int, weight: int) -> np.ndarray:
 
     Rows ranked with one `rank` meet in as many columns as their sets meet
     in elements, since relabelling is injective; first-sight columns keep
-    the tiles as wide as the distinct elements seen, however large N is.
+    the bit rows as wide as the distinct elements seen, however large N is.
     """
     # int32 holds every column: 2^31 distinct elements would not fit in
     # memory as frozensets, and numpy refuses to store a larger one
@@ -168,15 +142,14 @@ class IntersectionProfile:
 
 
 def verify_profile(system: SetSystem) -> IntersectionProfile:
-    """Exact Gamma and Delta from Gram tiles of the sets.
+    """Exact Gamma and Delta from popcounts of the sets' bit rows.
 
-    The sets are ranked into first-sight columns, so the tiles follow the
+    The sets are ranked into first-sight columns, so the bit rows follow the
     elements that occur, not N. Each block of BATCH rows is numbered on its
-    own columns once (`_local`) and multiplied against itself and every
-    later set, with the diagonal and the pairs below it masked, in exact
-    0/1 products (see `_meets`), as many later sets per call as `_block`
-    allows, however wide the sets. Delta of a single-set family is 0 (max
-    over an empty pair set).
+    own columns once (`_local`), packed once (`_packed`) and met with itself
+    and every later set, with the diagonal and the pairs below it masked
+    (see `_meets`), as many later sets per call as `_block` allows. Delta of
+    a single-set family is 0 (max over an empty pair set).
     """
     sizes = {len(s) for s in system.sets}
     if len(sizes) != 1:
@@ -188,10 +161,10 @@ def verify_profile(system: SetSystem) -> IntersectionProfile:
     for top in range(0, system.M - 1, BATCH):
         block = rows[top : top + BATCH]
         at, width = _local(block, len(rank))
-        mine = at[block]
-        step = _block(len(block), width)
+        mine = _packed(at[block], width)
+        step = _block(len(block), len(mine))
         for start in range(top, system.M, step):
-            counts = _meets(mine, at[rows[start : start + step]], width)
+            counts = _meets(mine, _packed(at[rows[start : start + step]], width))
             # set top + i meets set start + j; keep only start + j > top + i
             delta = max(delta, int(np.triu(counts, 1 + top - start).max()))
     return IntersectionProfile(N=system.N, M=system.M, gamma=gamma, delta=delta)
@@ -370,10 +343,11 @@ def grow_family(
 
     Candidates are drawn a batch of min(BATCH, target - kept, attempts left)
     at a time, so no draw goes past the attempt at which a one-at-a-time
-    loop would stop. A batch meets the kept sets in exact products (see
-    `_meets`), a block of kept sets at a time, and each block meets only the
-    candidates that cleared the blocks before it. The candidates left then
-    meet each other in one product, resolved in draw order: a candidate is
+    loop would stop. A batch is packed once and meets the kept sets in exact
+    popcounts (see `_meets`), a block of kept sets at a time, and each block
+    meets only the candidates that cleared the blocks before it. The
+    candidates left then meet each other, in as many blocks as `_block`
+    allows, resolved in draw order: a candidate is
     kept iff it clears every kept set and every earlier candidate of its
     batch that was kept. So the kept sets, the attempts and the generator's
     state after the call are those of the one-at-a-time loop. Each draw is
@@ -410,16 +384,20 @@ def grow_family(
         drawn = _columns((draw() for _ in range(size)), rank, size, gamma)
         labels += [e + 1 for e in islice(rank, len(labels), None)]  # first seen here
         at, width = _local(drawn, len(rank))
-        batch = at[drawn]  # the batch on its own columns
+        batch = _packed(at[drawn], width)  # the batch on its own columns
         alive = np.arange(size)  # the candidates that cleared every block so far
-        step = _block(size, width)
+        step = _block(size, len(batch))
         for start in range(0, len(kept), step):
-            counts = _meets(batch[alive], at[rows[start : min(start + step, len(kept))]], width)
-            alive = alive[counts.max(axis=1) <= limit]
+            theirs = _packed(at[rows[start : min(start + step, len(kept))]], width)
+            alive = alive[_meets(batch[:, alive], theirs).max(axis=1) <= limit]
             if not len(alive):
                 break
         else:  # some candidate cleared every kept set
-            clash = _meets(batch[alive], batch[alive], width) > limit
+            mine = batch[:, alive]
+            step = _block(len(alive), len(mine))
+            clash = np.hstack(
+                [_meets(mine, mine[:, lo : lo + step]) for lo in range(0, len(alive), step)]
+            ) > limit
             if len(rows) < len(kept) + len(alive):
                 rows = np.concatenate([rows, np.empty_like(rows)])
             free = np.ones(len(alive), dtype=bool)

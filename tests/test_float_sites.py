@@ -1,8 +1,7 @@
 """Where permid computes in floating point, listed and justified.
 
 Every probability and bound in permid is decided exactly, so a float may
-only show a value, estimate one, make a guess that exact code corrects, or
-carry integer sums that float64 holds exactly.
+only show a value, estimate one, or make a guess that exact code corrects.
 This test walks the source of `permid` with `ast` and lists each float site
 by module and enclosing function:
 
@@ -49,11 +48,6 @@ ALLOWED = {
     ("setsystem", "h2"): "entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "h2_inv"): "inverse entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "prop2_lower_bound"): "the Prop-2 bound as a float (ROADMAP item 3)",
-    ("setsystem", "_tile"): (
-        "0/1 tiles whose BLAS products count set intersections: every sum is an "
-        "integer of at most gamma < 2^53 (guarded in `_meets`), so exact in any "
-        "order, and cast back to int before any comparison"
-    ),
 }
 
 

@@ -3,6 +3,7 @@ orbit-union constructions, and the pairwise converse floor."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from permid.combinatorics import (
     typeclass_size,
 )
 from permid.approx import ApproxMap, build_approx
-from permid.errors import HypothesisError, ValidationError
+from permid.errors import BoundViolationError, HypothesisError, ValidationError
 from permid.feedback import FeedbackCode, build_feedback_code
 import permid.idcode as idcode
 from permid.idcode import (
@@ -486,6 +487,33 @@ def test_build_oneshot_code():
     assert rep.lambda2 <= build.params.lambda2_budget
     assert rep.lambda2 == build.profile.ratio
     assert build.code.M == build.params.target == 2
+
+
+def test_build_refuses_a_profile_above_the_cap(monkeypatch):
+    eps = Fraction(1, 100)
+    cap = achievable_params(40, 2, eps).cap
+    real = idcode.verify_profile
+    monkeypatch.setattr(idcode, "verify_profile", lambda s: replace(real(s), delta=cap + 1))
+    with pytest.raises(BoundViolationError, match="above its cap"):
+        build_multishot_achievable(40, 2, 1, eps, Stream(7, "one"))
+
+
+def test_achievable_build_refuses_a_bool_l_before_any_draw(monkeypatch):
+    # True passes isinstance(l, int) as 1: the whole greedy would run before
+    # PermIdCode refused it
+    def grow(*args):
+        raise AssertionError("the greedy ran")
+
+    monkeypatch.setattr(idcode, "grow_family", grow)
+    stream = Stream(7, "one")
+    state = stream.rand.getstate()
+    for call in (
+        lambda: achievable_params(40, 2, Fraction(1, 100), l=True),
+        lambda: build_multishot_achievable(40, 2, True, Fraction(1, 100), stream),
+    ):
+        with pytest.raises(ValidationError, match="l must be a positive integer"):
+            call()
+    assert stream.rand.getstate() == state
 
 
 def test_build_oneshot_is_seeded():

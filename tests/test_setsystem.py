@@ -3,9 +3,11 @@ construction, and the three lower bounds."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from helpers import is_constant_weight, reference_grow_family, reference_profile
 from permid import Stream
 from permid import setsystem
-from permid.errors import HypothesisError, ValidationError
+from permid.errors import BoundViolationError, HypothesisError, ValidationError
 from permid.setsystem import (
     IntersectionProfile,
     SetSystem,
@@ -104,6 +106,29 @@ def test_complement_requires_large_gamma():
     # Gamma == N/2 exactly is also out of scope.
     with pytest.raises(HypothesisError):
         complement_system(SetSystem(4, pairs((1, 2, 3, 4)[:2],)))
+
+
+# Each identity is replayed on the profiles `verify_profile` returns. On
+# {1,2,3}, {1,2,4}, {3,4,5} over [1..5] they are (Gamma, Delta) = (3, 2)
+# before and (2, 1) after; a doctored pair breaks one identity at a time.
+# The ratio check needs Delta > Gamma before, which no family has.
+COMPLEMENT_DOCTORED = [
+    ((3, 2), (3, 1), "complement size identity failed"),
+    ((3, 2), (2, 2), "complement intersection identity failed"),
+    ((3, 4), (2, 3), "complement transform increased Delta/Gamma"),
+]
+
+
+@pytest.mark.parametrize(
+    "before, after, message", COMPLEMENT_DOCTORED, ids=[m for _, _, m in COMPLEMENT_DOCTORED]
+)
+def test_each_complement_check_fires_on_a_doctored_profile(monkeypatch, before, after, message):
+    system = SetSystem(5, pairs((1, 2, 3), (1, 2, 4), (3, 4, 5)))
+    assert [verify_profile(s).delta for s in (system, complement_system(system))] == [2, 1]
+    profiles = iter([IntersectionProfile(5, 3, *before), IntersectionProfile(5, 3, *after)])
+    monkeypatch.setattr(setsystem, "verify_profile", lambda _: next(profiles))
+    with pytest.raises(BoundViolationError, match=message):
+        complement_system(system)
 
 
 def test_complement_is_a_set_level_involution():
@@ -370,25 +395,34 @@ def test_sampler_branch_bound_matches_random_sample():
         assert setsystem._pool_bound(k) == want
 
 
+def _spy_on_meets(monkeypatch):
+    """Record (rows, words, sets met) for each `_meets` call, checking that
+    both sides are packed on the same words."""
+    calls = []
+
+    def meets(mine, theirs):
+        assert mine.dtype == theirs.dtype == np.uint64 and len(mine) == len(theirs)
+        calls.append((mine.shape[1], len(mine), theirs.shape[1]))
+        return real(mine, theirs)
+
+    real = setsystem._meets
+    monkeypatch.setattr(setsystem, "_meets", meets)
+    return calls
+
+
 @pytest.mark.parametrize("tile, batch", [(16, 4), (9, 3), (1, 1)])
 def test_small_tiles_give_the_oracle_families_and_profiles(monkeypatch, tile, batch):
-    # tiles this small split every product into many column and row blocks
+    # products this small split every meet into many blocks of sets
     monkeypatch.setattr(setsystem, "TILE_ENTRIES", tile)
     monkeypatch.setattr(setsystem, "BATCH", batch)
-    sizes = []
-
-    def spy(*args):
-        made = real_tile(*args)
-        sizes.append(made.size)
-        return made
-
-    real_tile = setsystem._tile
-    monkeypatch.setattr(setsystem, "_tile", spy)
+    calls = _spy_on_meets(monkeypatch)
     for N, gamma, cap, target, budget in [
         (30, 5, 2, 25, 2_000),
         (20, 12, 9, 15, 300),
         (64, 3, 0, 21, 40),
         (9, 9, 8, 1, 5),
+        # sets of 70 elements: two words a row, the padding bit in the second
+        (80, 70, 69, 6, 6),
     ]:
         stream, oracle = Stream(N, "tiles"), Stream(N, "tiles")
         got = grow_family(N, gamma, cap, target, stream, budget)
@@ -397,25 +431,18 @@ def test_small_tiles_give_the_oracle_families_and_profiles(monkeypatch, tile, ba
         system = SetSystem(N, tuple(got[0]))
         p = verify_profile(system)
         assert (p.gamma, p.delta) == reference_profile(system)
-    assert max(sizes) <= tile < sum(sizes)
+    # the product holds words * rows * sets uint64 words
+    assert all(w * h * t <= max(tile, h * w) for h, w, t in calls)
+    assert max(w for _, w, _ in calls) == 2
+    assert tile < sum(w * h * t for h, w, t in calls)
     single = verify_profile(SetSystem(7, pairs((1, 4, 6))))
     assert (single.M, single.gamma, single.delta) == (1, 3, 0)
     with pytest.raises(ValidationError):
         verify_profile(SetSystem(7, pairs((1, 2), (3, 4), (5, 6, 7))))
 
 
-def test_float_counts_refuse_set_sizes_past_exact_float64(monkeypatch):
-    # the guard sits at 2^53; lowered, it must refuse the set size it reaches
-    monkeypatch.setattr(setsystem, "FLOAT_EXACT", 3)
-    assert verify_profile(SetSystem(6, pairs((1, 2), (2, 3)))).delta == 1
-    with pytest.raises(ValidationError, match="2\\^53"):
-        verify_profile(SetSystem(6, pairs((1, 2, 3), (2, 3, 4))))
-    with pytest.raises(ValidationError):
-        grow_family(10, 3, 1, 4, Stream(1, "exact"), 100)
-
-
 def test_profile_does_not_scale_with_the_ground_set():
-    # tiles follow the elements that occur, not N
+    # bit rows follow the elements that occur, not N
     big = 10**12
     system = SetSystem(big, pairs((1, big), (big - 1, big), (2, 3)))
     p = verify_profile(system)
@@ -423,35 +450,29 @@ def test_profile_does_not_scale_with_the_ground_set():
 
 
 def test_wide_sets_meet_a_block_of_sets_per_call(monkeypatch):
-    # sets wider than a tile split into column chunks, yet each call still
-    # meets a whole block of sets: the family is dense (Gamma > N/2, the
-    # complement transform's input), and the greedy keeps every draw
-    calls, sizes = [], []
-
-    def meets(mine, theirs, width):
-        calls.append((len(mine), len(theirs), width))
-        return real_meets(mine, theirs, width)
-
-    def tile(*args):
-        made = real_tile(*args)
-        sizes.append(made.size)
-        return made
-
-    real_meets, real_tile = setsystem._meets, setsystem._tile
-    monkeypatch.setattr(setsystem, "_meets", meets)
-    monkeypatch.setattr(setsystem, "_tile", tile)
+    # a block of 64 rows of 24 words meets _block(64, 24) = 21 sets a call,
+    # and 6 rows meet 227: the family is dense (Gamma > N/2, the complement
+    # transform's input), and the greedy keeps every draw
+    calls = _spy_on_meets(monkeypatch)
     N, gamma, target = 1500, 900, 70
     stream, oracle = Stream(5, "wide"), Stream(5, "wide")
     got = grow_family(N, gamma, gamma, target, stream, target)
     assert got == reference_grow_family(N, gamma, gamma, target, oracle, target)
     assert got[1] == target and len(got[0]) == target
+    assert (setsystem._block(64, 24), setsystem._block(6, 24)) == (21, 227)
+    assert calls == [
+        # the first batch meets itself in four blocks of at most 21 sets
+        *[(64, 24, 21)] * 3, (64, 24, 1),
+        # the second batch meets the 64 kept sets in one call, then itself
+        (6, 24, 64), (6, 24, 6),
+    ]
+    calls.clear()
     system = SetSystem(N, tuple(got[0]))
     p = verify_profile(system)
     assert (p.gamma, p.delta) == reference_profile(system)
-    assert max(width for _, _, width in calls) > setsystem.TILE_ENTRIES // setsystem.BATCH
-    # a call per later set would make well over `target` calls
-    assert len(calls) < 10
-    assert max(sizes) <= setsystem.TILE_ENTRIES
+    # the first 64 rows meet the 70 sets from their own block on, 21 a call
+    assert calls == [*[(64, 24, 21)] * 3, (64, 24, 7), (6, 24, 6)]
+    assert all(w * h * t <= setsystem.TILE_ENTRIES for h, w, t in calls)
     comp = complement_system(system)
     assert (verify_profile(comp).delta, p.delta) == (N - 2 * gamma + p.delta, p.delta)
 
@@ -534,6 +555,16 @@ def test_greedy_postcondition_replay():
         assert r.cap == math.floor(lam * eps * N)
 
 
+def test_greedy_refuses_a_profile_above_its_cap(monkeypatch):
+    # the disjoint pair packing has cap 0; a profile one above it must raise
+    args = (20, Fraction(1, 10), Fraction(2, 5))
+    assert greedy_gilbert(*args, Stream(7, "g20"), m_target=10).cap == 0
+    real = setsystem.verify_profile
+    monkeypatch.setattr(setsystem, "verify_profile", lambda system: replace(real(system), delta=1))
+    with pytest.raises(BoundViolationError, match="above its cap"):
+        greedy_gilbert(*args, Stream(7, "g20"), m_target=10)
+
+
 # ------------------------------------------------------------- lower bounds
 
 
@@ -601,6 +632,16 @@ def test_lemma6_hypothesis_arithmetic():
         lemma6_check(verify_profile(SetSystem(4, pairs((1, 2)))), Fraction(9, 10))
     with pytest.raises(ValidationError):
         lemma6_check(verify_profile(all_pairs), Fraction(2))
+
+
+def test_lemma6_raises_on_a_doctored_profile():
+    # N = 8, Gamma = 4, alpha = 1/2: M = 18 > 1 + N/alpha = 17, and the bound
+    # is Delta/N > (1/2) * (1/2)^2 = 1/8, so Delta = 1 sits on it and fails
+    alpha = Fraction(1, 2)
+    assert lemma6_check(IntersectionProfile(8, 18, 4, 2), alpha) is True
+    for delta in (0, 1):
+        with pytest.raises(BoundViolationError, match="quadratic intersection bound violated"):
+            lemma6_check(IntersectionProfile(8, 18, 4, delta), alpha)
 
 
 def test_lemma6_random_replay_never_violates():

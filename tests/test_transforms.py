@@ -8,6 +8,7 @@ internal check cannot hide itself.
 import functools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,7 @@ from helpers import (
     with_prime_masses,
 )
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
-from permid.combinatorics import type_index, type_of
+from permid.combinatorics import type_index, type_of, type_representative, type_unrank
 from permid.errors import BoundViolationError, HypothesisError, ValidationError
 from permid.idcode import (
     Acceptance,
@@ -678,25 +679,53 @@ def test_pipeline_profile_matches_lambda2():
             assert report.final.lambda1 == 0
 
 
+# Two different decoders whose intersection with the support is the same
+# single point: the restricted codes coincide, so lambda2 ends at 1.
+DUPLICATE_SUPPORTS = PermIdCode(
+    3,
+    2,
+    [
+        Dist.uniform([(1, 1, 1), (1, 1, 2), (1, 2, 2)]),
+        Dist.uniform([(1, 1, 1), (1, 1, 2)]),
+    ],
+    [
+        counts_from_vector_set([(1, 1, 1), (2, 2, 2)], 3, 2),
+        counts_from_vector_set([(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)], 3, 2),
+    ],
+)
+
+
 def test_pipeline_duplicate_supports_path():
-    # Two different decoders whose intersection with the support is the same
-    # single point: the restricted codes coincide, so lambda2 ends at 1.
-    code = PermIdCode(
-        3,
-        2,
-        [
-            Dist.uniform([(1, 1, 1), (1, 1, 2), (1, 2, 2)]),
-            Dist.uniform([(1, 1, 1), (1, 1, 2)]),
-        ],
-        [
-            counts_from_vector_set([(1, 1, 1), (2, 2, 2)], 3, 2),
-            counts_from_vector_set([(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)], 3, 2),
-        ],
-    )
-    report = soft_converse_pipeline(code, Fraction(1, 2))
+    report = soft_converse_pipeline(DUPLICATE_SUPPORTS, Fraction(1, 2))
     assert report.duplicate_supports
     assert report.system is None and report.profile is None
     assert report.final.lambda2 == 1
+
+
+def test_pipeline_checks_fire_on_a_doctored_profile_or_kernel(monkeypatch):
+    # the profile ratio must equal the final lambda2: one more in Delta breaks it
+    n, q = 3, 2
+    subsets = [frozenset(s) for s in [(1, 2), (1, 3), (2, 3)]]
+    reps = [[type_representative(type_unrank(t, n, q)) for t in sorted(U)] for U in subsets]
+    decoders = [full_orbit_counts(sorted(U), n, q) for U in subsets]
+    code = PermIdCode(n, q, [Dist.uniform(r) for r in reps], decoders)
+    assert soft_converse_pipeline(code, Fraction(1, 2)).profile.ratio == Fraction(1, 2)
+    real = permid.transforms.verify_profile
+    with monkeypatch.context() as m:
+        m.setattr(
+            permid.transforms, "verify_profile", lambda s: replace(real(s), delta=real(s).delta + 1)
+        )
+        with pytest.raises(BoundViolationError, match="ratio 1 differs from final lambda2 1/2"):
+            soft_converse_pipeline(code, Fraction(1, 2))
+    # equal final supports force lambda2 = 1; a final kernel below 1 must raise
+    select = permid.transforms.equal_size_supports
+
+    def doctored(*args):
+        return replace(select(*args), matrix=_kernel([[1, Fraction(1, 2)], [Fraction(1, 2), 1]]))
+
+    monkeypatch.setattr(permid.transforms, "equal_size_supports", doctored)
+    with pytest.raises(BoundViolationError, match="duplicate supports must force"):
+        soft_converse_pipeline(DUPLICATE_SUPPORTS, Fraction(1, 2))
 
 
 def test_pipeline_on_achievable_code():
@@ -715,7 +744,6 @@ def test_pipeline_feeds_the_counting_bounds():
     subsets = [frozenset(s) for s in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
     encoders = []
     decoders = []
-    from permid.combinatorics import type_representative, type_unrank
 
     for U in subsets:
         reps = [type_representative(type_unrank(t, n, q)) for t in sorted(U)]
