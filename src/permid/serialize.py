@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from operator import truediv
 
@@ -302,78 +302,77 @@ def dumps(doc: dict) -> str:
 
 
 def chunks(doc: dict) -> Iterator[str]:
-    """The text of dumps(doc) in pieces, so that a writer never holds the
-    whole of a large document. A top-level value that is a `Matrix` or an
-    iterator of rows is written a block at a time (see `_matrix` and
-    `_rows`); every other value is small and is one piece.
-
-    The bytes are those of json.dumps(doc, indent=2, sort_keys=True), with a
-    Matrix in place of the list of its entries' texts and an iterator in
-    place of the list of its rows. An indent makes json fall back to its
-    pure-Python encoder, so the frame is indented here and each array or
-    object of scalars is left to the C encoder, its item separator carrying
-    the newline and indent."""
-    if not (isinstance(doc, dict) and doc and set(map(type, doc)) == {str}):
-        yield _indented(doc, "") + "\n"
-        return
-    for k, (key, value) in enumerate(sorted(doc.items())):
-        yield f"{',' if k else '{'}\n  {json.dumps(key)}: "
-        if isinstance(value, Matrix):
-            yield from _matrix(value, "  ")
-        elif isinstance(value, Iterator):
-            yield from _rows(value, "  ")
-        else:
-            yield _indented(value, "  ")
-    yield "\n}\n"
+    """The text of dumps(doc) in pieces of at most BLOCK_CHARS characters,
+    unless one row alone is longer, wherever the large values sit: the bytes
+    of json.dumps(doc, indent=2, sort_keys=True), with a `Matrix` or an
+    iterator of rows, at any depth, in place of its list. An iterator's rows
+    are made as the writer reaches them."""
+    block, size = [], 0
+    for piece in chain(_pieces(doc, ""), ["\n"]):
+        size += len(piece)
+        if size > BLOCK_CHARS and block:
+            yield "".join(block)
+            block, size = [], len(piece)
+        block.append(piece)
+    yield "".join(block)
 
 
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-#: the most characters one piece of a streamed value holds (unless one row
-#: alone is longer)
+#: the most characters in one piece of `chunks`, unless one row is longer
 BLOCK_CHARS = 1 << 19
 
 
-def _indented(value, pad: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for a value that starts
-    at indentation `pad`."""
-    inner = pad + "  "
-    sep = ",\n" + inner
+def _pieces(value, pad: str) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for a value
+    that starts at indentation `pad`, in pieces, by one rule at every depth:
+    a `_leaf` is one piece, a `Matrix` is `_matrix`'s row blocks, and a
+    list, tuple or iterator goes an item at a time, a dict key by key. A
+    leaf item is rendered here, with no generator of its own."""
+    if (text := _leaf(value, pad)) is not None:
+        yield text
+        return
+    if isinstance(value, Matrix):
+        yield from _matrix(value, pad)
+        return
+    sep = ",\n" + (inner := pad + "  ")
+    if isinstance(value, dict):
+        lead, close, items = "{", "}", ((f"{json.dumps(k)}: ", v) for k, v in sorted(value.items()))
+    else:
+        lead, close, items = "[", "]", zip(repeat(""), value)
+    lead += "\n" + inner
+    for key, item in items:
+        if (text := _leaf(item, inner)) is None:
+            yield lead + key
+            yield from _pieces(item, inner)
+        else:
+            yield lead + key + text
+        lead = sep
+    # only an iterator can be empty here
+    yield "[]" if lead[0] == "[" else f"\n{pad}{close}"
+
+
+def _leaf(value, pad: str) -> str | None:
+    """json.dumps(value, indent=2, sort_keys=True) for a value that starts at
+    indentation `pad`, made in one call; None for a value `_pieces` writes in
+    parts: a Matrix, an iterator, or a nonempty list, tuple or string-keyed
+    dict that holds a container. A scalar, or a nonempty list or string-keyed
+    dict of scalars, goes to json's C encoder (an indent would pick the
+    pure-Python one), the item separator carrying the newline and indent."""
+    sep = ",\n" + (inner := pad + "  ")
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) <= _SCALAR_TYPES:
-            body = json.dumps(value, separators=(sep, ": "))[1:-1]
-        else:
-            body = sep.join([_indented(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+            return f"[\n{inner}{json.dumps(value, separators=(sep, ': '))[1:-1]}\n{pad}]"
+    elif type(value) in _SCALAR_TYPES:
+        return json.dumps(value)
+    elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
         if set(map(type, value.values())) <= _SCALAR_TYPES:
             body = json.dumps(value, sort_keys=True, separators=(sep, ": "))[1:-1]
-        else:
-            body = sep.join(
-                [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(value.items())]
-            )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    # scalars, empty containers, other keys: the stdlib, re-indented (an
-    # encoded string never holds a raw newline)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _rows(rows: Iterator, pad: str) -> Iterator[str]:
-    """The text of the list of `rows` at indentation `pad`, each row made
-    and rendered as the text reaches it, in pieces of at most BLOCK_CHARS
-    characters unless one row alone is longer."""
-    inner = pad + "  "
-    texts = (_indented(row, inner) for row in rows)
-    if (first := next(texts, None)) is None:
-        yield "[]"
-        return
-    block, size = [], 0
-    for text in chain([f"[\n{inner}{first}"], (f",\n{inner}{t}" for t in texts), [f"\n{pad}]"]):
-        if block and size + len(text) > BLOCK_CHARS:
-            yield "".join(block)
-            block, size = [], 0
-        block.append(text)
-        size += len(text)
-    yield "".join(block)
+            return f"{{\n{inner}{body}\n{pad}}}"
+    elif not isinstance(value, (Matrix, Iterator)):
+        # empty containers, other keys: the stdlib, re-indented (an encoded
+        # string never holds a raw newline)
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return None
 
 
 def _matrix(m: Matrix, pad: str) -> Iterator[str]:

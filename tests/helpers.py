@@ -19,9 +19,11 @@ acceptance kernel. `error_report_from_json`, `flat_index`, `all_ok` and
 `is_constant_weight` are small inverses and predicates that only the tests
 call, so they live here rather than in the library.
 `PermutationChannel` simulates the channel itself, vector by vector, as the
-physical oracle of the acceptance suite. `mpf` and `mpmath_cap` are the
-multiprecision oracles of the exact log2 brackets and the construction's
-intersection cap; mpmath is a test dependency only.
+physical oracle of the acceptance suite, and `ScriptedStream` feeds a
+sampler scripted draws so that a test can enumerate one trial's outcomes.
+`mpf` and `mpmath_cap` are the multiprecision oracles of the exact log2
+brackets and the construction's intersection cap; mpmath is a test
+dependency only.
 """
 
 import math
@@ -622,6 +624,37 @@ def reference_perm_mc(code, trials, stream):
                 if u < code.decoder_counts[j].get(t, 0):
                     hits[i - 1][j] += 1
     return reference_mc_report(hits, trials)
+
+
+class ScriptedStream:
+    """A stand-in for `Stream` whose every child draws `values`, in order,
+    from `rand.getrandbits(k)`, so that a test can enumerate a sampler's
+    draws. Each value must fit in the k bits asked for; one below n passes a
+    rejection loop for n at once. `children` keeps each child, and a child's
+    `read` counts the values it gave."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.children = []
+
+    def child(self, label):
+        script = _Script(self.values)
+        self.children.append(script)
+        return script
+
+
+class _Script:
+    def __init__(self, values):
+        self.rand = self
+        self.read = 0
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        value = next(self._values)
+        if not 0 <= value < 1 << k:
+            raise ValueError(f"scripted value {value} does not fit in {k} bits")
+        self.read += 1
+        return value
 
 
 def reference_feedback_mc(code, trials, stream):

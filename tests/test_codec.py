@@ -7,7 +7,7 @@ refuse the same inputs with the same ValidationError. So must the code
 loader, against the one that parsed a Fraction per mass. `dumps`, and the
 join of `chunks`, must give the bytes of
 `json.dumps(doc, indent=2, sort_keys=True)` plus a newline, with a
-top-level `Matrix` or iterator of rows standing for its list.
+`Matrix` or iterator of rows standing for its list at any depth.
 """
 
 import csv
@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import truediv
 from pathlib import Path
 from unittest import mock
@@ -365,12 +366,9 @@ def test_exact_matrix_streams_in_row_blocks(monkeypatch, dens):
     kernel = permid.idcode.Acceptance(num, np.array(dens, dtype=object))
     doc = report_to_json(kernel.report)
     assert (_value_table(doc["matrix"]) is None) == (len(set(dens)) > 1)
-    pieces = list(chunks(doc))
-    start = pieces.index(',\n  "matrix": ') + 1
-    stop = next(k for k in range(start, len(pieces)) if pieces[k].startswith(",\n  "))
-    whole = "".join(pieces[start:stop])
-    assert stop - start > 3
-    assert all(len(piece) <= 400 and len(piece) < len(whole) for piece in pieces[start:stop])
+    pieces, whole, _ = streamed(doc, "matrix")
+    assert len(pieces) > 3
+    assert all(len(piece) <= 400 and len(piece) < len(whole) for piece in pieces)
     assert whole == reference_dumps({"m": listed("exact", doc["matrix"])})[9:-3]
 
 
@@ -380,12 +378,20 @@ def command_doc(argv: list[str]) -> dict:
     return permid.cli.COMMANDS[args.command](args)
 
 
-def streamed(doc: dict, key: str) -> tuple[list[str], str]:
-    """The pieces `chunks` writes for doc[key], the last key of doc, and the
-    text of all of doc."""
+def streamed(doc: dict, key: str) -> tuple[list[str], str, str]:
+    """The pieces `chunks` writes that hold some of the text of doc[key], a
+    top-level value found by its offset in the text; that value's text; and
+    the text of all of doc."""
     pieces = list(chunks(doc))
-    start = pieces.index(f",\n  {json.dumps(key)}: ") + 1
-    return pieces[start:-1], "".join(pieces)
+    text = "".join(pieces)
+    head = f"\n  {json.dumps(key)}: "
+    start = text.index(head) + len(head)
+    # a raw newline is structure, so the value ends where the next top-level
+    # key or the closing brace begins
+    stop = min(k for k in (text.find(',\n  "', start), text.find("\n}\n", start)) if k >= 0)
+    ends = accumulate(map(len, pieces))
+    spanning = [piece for piece, end in zip(pieces, ends) if end > start and end - len(piece) < stop]
+    return spanning, text[start:stop], text
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -400,7 +406,7 @@ def test_row_iterators_stream_in_blocks_as_their_lists(monkeypatch, argv, key):
     monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 200)
     listed_doc = command_doc(argv)
     listed_doc[key] = list(listed_doc[key])
-    pieces, text = streamed(command_doc(argv), key)
+    pieces, _, text = streamed(command_doc(argv), key)
     assert text == reference_dumps(listed_doc)
     assert len(pieces) > 3 and all(len(piece) <= 200 for piece in pieces)
     if key == "sweep":
@@ -410,8 +416,8 @@ def test_row_iterators_stream_in_blocks_as_their_lists(monkeypatch, argv, key):
 
 def test_empty_sweep_renders_an_empty_list():
     argv = ["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "10", "--M-max", "9"]
-    pieces, text = streamed(command_doc(argv), "sweep")
-    assert pieces == ["[]"]
+    _, value, text = streamed(command_doc(argv), "sweep")
+    assert value == "[]"
     assert json.loads(text)["sweep"] == []
 
 
@@ -419,11 +425,81 @@ def test_first_sweep_piece_precedes_the_last_row(monkeypatch):
     monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 200)
     doc = command_doc(["bounds", "--N", "8", "--alpha", "1/2", "--M-min", "2", "--M-max", "64"])
     pieces = chunks(doc)
-    assert next(piece for piece in pieces if piece.startswith(',\n  "sweep": '))
-    first = next(pieces)
-    assert first.startswith('[\n    {\n      "M": 2\n    }')
-    # the rows past that piece are still to be made
+    text = ""
+    while '"sweep": [\n    {\n      "M": 2\n    }' not in text:
+        text += next(pieces)
+    # the rows past those pieces are still to be made
     assert next(doc["sweep"])["M"] < 64
+
+
+NESTED_ARGV = {
+    "setsystem-run": ["setsystem", "--N", "60", "--epsilon", "1/10", "--lambda", "2/5",
+                      "--m-target", "30", "--seed", "1"],
+    # l = 2 gives 64 orbit products, so each decoder row passes 400 characters
+    "build": ["build", "--n", "7", "--q", "2", "--l", "2", "--epsilon", "1/16", "--seed", "3"],
+    "pipeline": ["transform", "--code", str(GOLDEN / "orbit_code.json"), "--gamma", "1/3"],
+}
+
+
+def one_row(piece: str) -> bool:
+    """Whether a piece of `chunks` is one row, a list or dict of scalars,
+    after its separator and key."""
+    row = piece.partition("\n")[2].lstrip()
+    if row.startswith('"'):
+        row = row.partition('": ')[2]
+    try:
+        value = json.loads(row)
+    except json.JSONDecodeError:
+        return False
+    items = value.values() if isinstance(value, dict) else value
+    return isinstance(value, (list, dict)) and all(not isinstance(v, (list, dict)) for v in items)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED_ARGV))
+def test_nested_values_stream_in_bounded_pieces(monkeypatch, kind):
+    """With a small BLOCK_CHARS a document whose large value sits below the
+    top level (a set system's sets, a built code, a pipeline's family) comes
+    out of `chunks` in pieces of at most BLOCK_CHARS characters, unless one
+    row alone is longer, and they join to the stdlib's rendering."""
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 400)
+    doc = command_doc(NESTED_ARGV[kind])
+    assert doc["kind"] == kind
+    pieces = list(chunks(doc))
+    assert "".join(pieces) == reference_dumps(doc)
+    assert len(pieces) > 5
+    assert all(len(piece) <= 400 or one_row(piece) for piece in pieces)
+    assert any(len(piece) > 400 for piece in pieces) == (kind == "build")
+
+
+def test_nested_iterator_is_consumed_as_the_writer_reaches_it(monkeypatch):
+    """Rows of an iterator two levels down are made as `chunks` writes them:
+    at each piece, the rows made but not yet written, but for the one being
+    made, fit in one block."""
+    monkeypatch.setattr(permid.serialize, "BLOCK_CHARS", 400)
+    doc = command_doc(NESTED_ARGV["setsystem-run"])
+    sets, made = doc["system"]["sets"], []
+
+    def rows():
+        for row in sets:
+            made.append(row)
+            yield row
+
+    doc["system"]["sets"] = rows()
+    text = ""
+    for piece in chunks(doc):
+        text += piece
+        # a row of the sets closes at indentation 6, as nothing else here does
+        ahead = made[text.count("\n      ]"):]
+        assert sum(len(json.dumps(row, indent=2)) for row in ahead[:-1]) <= 400
+        if len(text) < 400:
+            assert len(made) < len(sets)
+    assert made == sets
+    doc["system"]["sets"] = sets
+    assert text == reference_dumps(doc)
+    # a Matrix below the top level renders as its list too
+    m = counts([[1, 3], [4, 1]])
+    assert dumps({"a": {"m": m}, "b": [m, [m]]}) == reference_dumps(
+        {"a": {"m": m.num.tolist()}, "b": [m.num.tolist(), [m.num.tolist()]]})
 
 
 def test_dumps_matches_the_stdlib_on_odd_keys_and_containers():

@@ -12,13 +12,20 @@ the references call randrange itself. Besides equal reports, each sub-stream
 must end in the same generator state, so the samplers make as many
 getrandbits calls as randrange would, for n = 1, powers of two and their
 neighbours, and n past 2^64 and 2^200.
+
+Each sampler's one-trial law is also stated exactly: every draw of one
+trial is scripted through `helpers.ScriptedStream`, and the hit rows,
+weighed by each outcome's probability, sum to the acceptance kernel (perm)
+or to the collision counts over D (feedback).
 """
 
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -29,7 +36,9 @@ from hypothesis import strategies as st
 import permid.feedback as feedback
 import permid.idcode as idcode
 from helpers import (
+    ScriptedStream,
     accept_hat,
+    fractions,
     random_perm_code,
     reference_feedback_mc,
     reference_mc_report,
@@ -37,11 +46,19 @@ from helpers import (
     reference_orbit_size,
     reference_accept_hat,
     reference_perm_mc,
+    with_prime_masses,
 )
 from permid import Dist, PermIdCode, Stream
-from permid.combinatorics import type_index, type_of
-from permid.feedback import build_feedback_code, eval_feedback_mc
-from permid.idcode import Acceptance, MCReport, eval_perm_mc, full_orbit_counts
+from permid.combinatorics import type_index, type_of, type_unrank, typeclass_size
+from permid.feedback import build_feedback_code, eval_feedback_exact, eval_feedback_mc
+from permid.idcode import (
+    Acceptance,
+    MCReport,
+    _exact_sampler,
+    acceptance,
+    eval_perm_mc,
+    full_orbit_counts,
+)
 from permid.serialize import dumps, report_to_json
 
 
@@ -201,6 +218,82 @@ def test_feedback_sampler_draws_as_randrange_does(n, q, l, M):
     for seed in (0, 1, 2):
         got = report_and_states(eval_feedback_mc, code, 200, seed)
         assert got == report_and_states(reference_feedback_mc, code, 200, seed)
+
+
+def law_by_enumeration(hits_of, code, outcomes):
+    """For each sent message i (0-based), the sum over every outcome of one
+    trial, given by outcomes(i) as (weight, its draws), of the weight times
+    that trial's hit row, as Fractions. The outcomes of one weight go to
+    hits_of(code, rows, trials, stream) in one call, as that many trials of a
+    scripted stream, which must be read to its end."""
+    law = []
+    for i in range(code.M):
+        groups = defaultdict(list)
+        for weight, draws in outcomes(i):
+            groups[weight].append(draws)
+        row = [Fraction(0)] * code.M
+        for weight, batch in groups.items():
+            stream = ScriptedStream(chain.from_iterable(batch))
+            hits = hits_of(code, range(i, i + 1), len(batch), stream)
+            assert [child.read for child in stream.children] == [len(stream.values)]
+            row = [r + weight * h for r, h in zip(row, hits[0].tolist())]
+        law.append(row)
+    return law
+
+
+def perm_outcomes(code, i):
+    """Each (v, u) of a perm trial of message i+1, v below the encoder's
+    denominator and u below the size of the output orbit v lands on, with
+    its probability. Past 64, v takes the two ends of the run that lands on
+    one input, which share the run's mass."""
+    keys, cuts, denom = _exact_sampler(code.encoders[i])
+    for x, lo, hi in zip(keys, [0, *cuts], cuts):
+        size = reference_orbit_size(code, reference_orbit(code, x))
+        vs = range(lo, hi) if denom <= 64 else sorted({lo, hi - 1})
+        for v in vs:
+            for u in range(size):
+                yield Fraction(hi - lo, len(vs) * denom * size), (v, u)
+
+
+def test_perm_one_trial_law_is_the_kernel():
+    """Summed over every draw of one trial, the perm sampler's hit rows are
+    the exact acceptance kernel, on int64 kernels and on object kernels whose
+    masses sit over a prime near 2^89."""
+    rand, dtypes = random.Random(18), set()
+    for big in (False,) * 150 + (True,) * 50:
+        n, q = rand.choice([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])
+        code = random_perm_code(rand, n, q, rand.randint(2, 4), l=rand.choice([1, 2]))
+        code = with_prime_masses(rand, code) if big else code
+        kernel = acceptance(code)
+        dtypes.add(kernel.num.dtype)
+        law = law_by_enumeration(idcode._perm_mc_hits, code, partial(perm_outcomes, code))
+        assert law == fractions(kernel)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def feedback_outcomes(code, i):
+    """Each draw of a feedback trial of message i+1: the l-1 pilot ranks of
+    each column, first most significant, then the discarded position below
+    the size of the orbit sent there, with its probability."""
+    for flat in range(code.D):
+        ranks, rest = [], flat
+        for _ in range(code.l - 1):
+            rest, rank = divmod(rest, code.orbit)
+            ranks.insert(0, rank)
+        size = typeclass_size(type_unrank(int(code.maps[i, flat]), code.n, code.q))
+        for u in range(size):
+            yield Fraction(1, code.D * size), (*ranks, u)
+
+
+@pytest.mark.parametrize("n, q, l, M", [(1, 3, 2, 2), (3, 2, 3, 3), (6, 2, 2, 4), (2, 3, 2, 3)])
+def test_feedback_one_trial_law_is_the_collision_count(n, q, l, M):
+    """Summed over every draw of one trial, the feedback sampler's hit rows
+    are the exact collision counts over D, and 1 on the diagonal."""
+    code = build_feedback_code(n, q, l, M, Stream(n * 10 + l))
+    counts = eval_feedback_exact(code).counts.tolist()
+    law = law_by_enumeration(feedback._feedback_mc_hits, code, partial(feedback_outcomes, code))
+    assert law == [[Fraction(1) if j == k else Fraction(c, code.D) for k, c in enumerate(row)]
+                   for j, row in enumerate(counts)]
 
 
 def test_mc_streams_blocks_above_the_cap(monkeypatch):
