@@ -55,6 +55,11 @@ from .setsystem import IntersectionProfile, SetSystem, grow_family, verify_profi
 MATRIX_CAP = 4096
 BLOCK_ENTRIES = 2**20
 FEASIBLE_N_MAX = 4096  # min_feasible_n tries n = 1..FEASIBLE_N_MAX
+# float64 holds every integer up to 2^53 exactly; `acceptance` keeps each
+# limb product's column sums within it, and makes its float64 products
+# about PRODUCT_ENTRIES entries at a time
+EXACT_BITS = 53
+PRODUCT_ENTRIES = 2**16
 
 
 def _check_noiseless_decoder(decoder, N: int):
@@ -277,27 +282,25 @@ def _report(blocks, M: int) -> ErrorReport:
 
 def _encoder_rows(code, rows: range | None = None):
     """The union of the output laws' supports (the encoders' own for
-    noiseless codes) as sorted columns, and each law as an integer row over
-    them with its own least denominator: message i puts mass table[i, g] /
-    dens[i] on cols[g]."""
+    noiseless codes) as sorted columns, each law as an integer row over
+    them, and the rows' denominators: message i puts mass v / dens[i] on
+    cols[g] for each (g, v) of row i, over its own least denominator."""
     if not isinstance(code, (PermIdCode, NoiselessIdCode)):
         raise ValidationError(f"unsupported code type {type(code).__name__}")
     laws = code.output_laws if isinstance(code, PermIdCode) else code.encoders
     laws = laws if rows is None else [laws[i] for i in rows]
     cols = sorted({k for law in laws for k in law.num})
     where = {k: g for g, k in enumerate(cols)}
-    table = np.zeros((len(laws), len(cols)), dtype=object)
-    for i, law in enumerate(laws):
-        for k, v in law.num.items():
-            table[i, where[k]] = v
-    return cols, table, np.array([law.den for law in laws], dtype=object)
+    entries = [[(where[k], v) for k, v in law.num.items()] for law in laws]
+    return cols, entries, [law.den for law in laws]
 
 
 def _decoder_columns(code, cols):
     """The decoders as integer columns over `cols` with one common
-    denominator: decoder j accepts cols[g] with probability table[g, j] / den.
-    Each entry is a reduced pair a/b (count/orbit size over their gcd, 1/1,
-    or a stochastic probability), and den is the lcm of the b's in `cols`."""
+    denominator: decoder j accepts cols[g] with probability v / den for each
+    (g, v) of column j. Each entry is a reduced pair a/b (count/orbit size
+    over their gcd, 1/1, or a stochastic probability), and den is the lcm
+    of the b's in `cols`."""
     if isinstance(code, PermIdCode):
         raw = [[(t, c, code.sizes[t]) for t, c in d.items()] for d in code.decoder_counts]
     else:
@@ -309,20 +312,35 @@ def _decoder_columns(code, cols):
         for column in raw
     ]
     den = math.lcm(*(b for column in pairs for _, _, b in column))
-    # filled by decoder, then transposed: the int64 matmul is faster on it
-    table = np.zeros((len(pairs), len(cols)), dtype=object)
-    for j, column in enumerate(pairs):
-        for g, a, b in column:
-            table[j, g] = a * (den // b)
-    return table.T, den
+    return [[(g, a * (den // b)) for g, a, b in column] for column in pairs], den
+
+
+def _table(rows, width: int, dtype) -> np.ndarray:
+    """The dense table of integer rows given as (column, value) pairs."""
+    table = np.zeros((len(rows), width), dtype=dtype)
+    for line, row in zip(table, rows):
+        for g, v in row:
+            line[g] = v
+    return table
+
+
+def _limbs(rows, width: int, count: int):
+    """The `count` base-2^width digits (limbs) of the nonnegative values of
+    (column, value) rows, lowest first: the rows themselves when count is 1."""
+    mask = (1 << width) - 1
+    for a in range(count):
+        yield rows if count == 1 else [[(g, (v >> (width * a)) & mask) for g, v in row]
+                                       for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
 class Acceptance:
     """Exact acceptance matrix in integer form: P(decoder j+1 accepts |
     message i+1) = num[i, j] / den[i], one Python-integer denominator per
-    row; `num` is int64 when no sum can overflow, else object. `report`
-    decides the error figures on these integers."""
+    row. From `acceptance`, `num` is int64 when the kernel's bound
+    max(enc) * max(dec) * len(cols) is below 2^63, so no entry can
+    overflow, else object. `report` decides the error figures on these
+    integers."""
 
     num: np.ndarray
     den: np.ndarray
@@ -345,16 +363,49 @@ class Acceptance:
 
 
 def acceptance(code, rows: range | None = None) -> Acceptance:
-    """The exact acceptance kernel of a noiseless or permutation code: one
-    integer matmul of encoder rows by decoder columns over the union of the
-    encoder supports. `rows` restricts it to those (0-based) messages."""
+    """The exact acceptance kernel of a noiseless or permutation code:
+    encoder rows times decoder columns over the union of the encoder
+    supports, on float64 BLAS. `rows` restricts it to those (0-based)
+    messages.
+
+    Every operand is a nonnegative integer. The encoder entries are split
+    into limbs of s bits and the decoder entries into limbs of t bits, with
+    s + t + bit_length(len(cols)) <= EXACT_BITS, so every limb product and
+    every partial sum of a column is an integer below 2^53: exact in
+    float64, whatever order or FMA the BLAS uses. When the bound
+    max(enc) * max(dec) * len(cols) is below 2^EXACT_BITS, each side is one
+    limb and one matmul does it. The limb products P_ab, cast to int64, add
+    up to sum P_ab * 2^(s*a + t*b): in int64 when the bound is below 2^63,
+    and on Python integers (`num` of dtype object) otherwise."""
     cols, enc, row_den = _encoder_rows(code, rows)
     dec, den = _decoder_columns(code, cols)
-    # no sum can overflow; the 1s keep a zero factor from hiding a large one
-    small = max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63
-    if small:
-        enc, dec = enc.astype(np.int64), dec.astype(np.int64)
-    return Acceptance(enc @ dec, row_den * den)
+    # No entry passes its denominator, so this bound settles most kernels
+    # without a pass over the entries. A side with no entry counts as 1.
+    bound = max(row_den) * den * len(cols)
+    if bound >= 2**EXACT_BITS:
+        top_enc, top_dec = (max((v for row in x for _, v in row), default=1) for x in (enc, dec))
+        bound = top_enc * top_dec * len(cols)
+    s, t, count_enc, count_dec = EXACT_BITS, EXACT_BITS, 1, 1  # one limb a side
+    if bound >= 2**EXACT_BITS:
+        e, d = top_enc.bit_length(), top_dec.bit_length()
+        budget = EXACT_BITS - len(cols).bit_length()
+        # the widths that need the fewest limb products
+        s = min(range(1, budget), key=lambda w: -(-e // w) * -(-d // (budget - w)))
+        t = budget - s
+        count_enc, count_dec = -(-e // s), -(-d // t)
+    # every encoder limb is kept; the decoder's are made one at a time
+    enc_limbs = [_table(limb, len(cols), np.float64) for limb in _limbs(enc, s, count_enc)]
+    small = bound < 2**63
+    num = np.zeros((len(row_den), code.M), dtype=np.int64 if small else object)
+    # a row block at a time, so no float64 product is as large as `num`
+    step = max(1, PRODUCT_ENTRIES // code.M)
+    for b, limb in enumerate(_limbs(dec, t, count_dec)):
+        dec_limb = _table(limb, len(cols), np.float64).T
+        for a, enc_limb in enumerate(enc_limbs):
+            for lo in range(0, len(row_den), step):
+                part = (enc_limb[lo : lo + step] @ dec_limb).astype(np.int64)
+                num[lo : lo + step] += (part if small else part.astype(object)) << (s * a + t * b)
+    return Acceptance(num, np.array(row_den, dtype=object) * den)
 
 
 def acceptance_matrix(code) -> list[list[Fraction]]:
@@ -737,8 +788,9 @@ def strong_converse_floor(code) -> Fraction:
         raise HypothesisError("the pairwise converse needs at least two messages")
     cols, rows, dens = _encoder_rows(code)
     # Row sums are the D's, so this bound also keeps every D_i * D_j in int64.
-    if 2 * rows.max() * dens.max() * len(cols) < 2**63:
-        rows, dens = rows.astype(np.int64), dens.astype(np.int64)
+    top = max(v for row in rows for _, v in row)
+    dtype = np.int64 if 2 * top * max(dens) * len(cols) < 2**63 else object
+    rows, dens = _table(rows, len(cols), dtype), np.array(dens, dtype=dtype)
     best_num, best_den = 2, 1
     for i in range(code.M - 1):
         dist = np.abs(rows[i] * dens[i + 1 :, None] - rows[i + 1 :] * dens[i]).sum(axis=1)

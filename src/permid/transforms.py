@@ -56,14 +56,23 @@ class StepResult:
         return self.matrix.report
 
 
-def _compare(before: Acceptance, code: NoiselessIdCode):
+def _compare(before: Acceptance, code: NoiselessIdCode, scale: int | None = None):
     """The acceptance kernel of a step's new code, plus the numerators of
-    its input (`old`) and of that kernel (`new`) over one Python-integer
-    denominator per row, the column `den`, so no check's product can wrap."""
+    its input (`old`) and of that kernel (`new`) over one common denominator
+    per row, the column `den`. Both kernels' reports are read first: their
+    range checks put every numerator in [0, den]. A check whose products
+    are at most den^2 * `scale` gets int64 arrays when max(den)^2 * scale is
+    below 2^63, and Python integers otherwise or when `scale` is None, so
+    no product can wrap."""
     after = acceptance(code)
-    den = np.lcm(before.den, after.den)[:, None]
-    old, new = (k.num * (den // k.den[:, None]) for k in (before, after))
-    return after, old, new, den
+    for kernel in (before, after):
+        kernel.report  # noqa: B018 (for its range check)
+    den = np.lcm(before.den, after.den)
+    dtype = np.int64 if scale is not None and int(den.max()) ** 2 * scale < 2**63 else object
+    den = den.astype(dtype)
+    old, new = (k.num.astype(dtype, copy=False) * (den // k.den.astype(dtype))[:, None]
+                for k in (before, after))
+    return after, old, new, den[:, None]
 
 
 def _require_none(failed: np.ndarray, message) -> None:
@@ -121,15 +130,19 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
     """
     before = acceptance(code) if before is None else before
     lam2 = before.report.lambda2
+    p, q = lam2.numerator, lam2.denominator
     decoders = []
     for dec in code.decoders:
         if isinstance(dec, dict):
-            decoders.append(frozenset(k for k, p in dec.items() if p * p > lam2))
+            # P^2 > lambda2 on integers: numerator(P)^2 * q > p * denominator(P)^2
+            decoders.append(frozenset(
+                k for k, prob in dec.items()
+                if prob.numerator**2 * q > p * prob.denominator**2))
         else:  # every outcome has P = 1, and 1 * 1 > lambda2 holds for all or none
             decoders.append(dec if lam2 < 1 else frozenset())
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
-    after, old, new, den = _compare(before, new_code)
-    p, q = lam2.numerator, lam2.denominator
+    # every product below is at most den^2 * max(p, q)
+    after, old, new, den = _compare(before, new_code, max(p, q))
     own = np.eye(code.M, dtype=bool)
     # miss growth (old - new acceptance) = gap / den
     gap = old - new
@@ -164,7 +177,9 @@ def _growth_violations(x, y, a_terms, b_terms, N: int) -> np.ndarray:
     """Mask of the entries where x * A + y * B > 0, for nonnegative integer
     arrays x, y whose entries at (i, j) share one positive denominator, and
     A, B sums of c * N**e given as (c, e) terms. One bracket each of A and B
-    settles almost every entry; power_sign decides the rest exactly."""
+    settles almost every entry; power_sign decides the rest exactly. x and
+    y hold Python integers: the brackets' numerators run to 64 bits, so
+    their products with the entries would wrap int64."""
 
     def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
         return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
@@ -290,7 +305,7 @@ def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = No
         encoders.append(Dist.from_counts(kept, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
-    after, old, new, den = _compare(before, new_code)
+    after, old, new, den = _compare(before, new_code, 1)
     if after.report.lambda1 != 0:
         raise BoundViolationError("support restriction left a positive miss")
     # 1 - old miss of sender i is its old own acceptance old[i, i] / den[i, 0]

@@ -399,8 +399,11 @@ def reference_decoder_columns(code, cols):
 
 
 def reference_kernel(code):
-    """The acceptance kernel from the Fraction-path rows and columns, with
-    the library's backend rule: int64 when no sum can overflow."""
+    """The acceptance kernel from the Fraction-path rows and columns, by the
+    int64 or object matmul the library ran before its float64 limb kernel:
+    int64 when no sum can overflow, else Python integers. That is also the
+    dtype rule `Acceptance.num` keeps, so this is the kernel's oracle in
+    dtype and values."""
     cols, enc, row_den = reference_encoder_rows(code)
     dec, den = reference_decoder_columns(code, cols)
     if max(enc.max(), 1) * max(dec.max(), 1) * len(cols) < 2**63:

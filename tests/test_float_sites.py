@@ -44,6 +44,9 @@ ALLOWED = {
     ("serialize", "csv_rows"): "the CSV's decimal columns and Monte Carlo estimates",
     ("serialize", "_estimate_text"): "a Monte Carlo estimate hits / trials, written as JSON",
     ("idcode", "MCReport.from_hits"): "Monte Carlo estimates and their standard error",
+    ("idcode", "acceptance"): "BLAS matmul of integer limb tables: with s + t + "
+    "bit_length(len(cols)) <= 53, every limb product and partial column sum is "
+    "a nonnegative integer below 2^53, exact in float64 in any order or FMA",
     ("feedback", "eval_feedback_mc"): "Monte Carlo estimate, required to be exactly 0",
     ("setsystem", "h2"): "entropy behind the Prop-2 bound (ROADMAP item 3)",
     ("setsystem", "h2_inv"): "inverse entropy behind the Prop-2 bound (ROADMAP item 3)",

@@ -2,10 +2,12 @@
 
 `helpers.reference_acceptance_matrix` is the direct sum over encoder
 supports that the kernel replaced; every kernel output (matrix, report,
-converse floor) must equal the reference entry by entry, on both matmul
-backends. `helpers.reference_kernel` builds the kernel's rows and columns
-from Fractions, as the library once did; the integer path must give the
-same dtype, numerators and denominators, and must build no Fraction.
+converse floor) must equal the reference entry by entry, whether `num` is
+int64 or object. `helpers.reference_kernel` builds the kernel's rows and
+columns from Fractions and multiplies them by the int64 or object matmul,
+as the library once did; the float64 limb kernel must give the same dtype,
+numerators and denominators, with one limb a side or several, and must
+build no Fraction.
 """
 
 import json
@@ -71,7 +73,7 @@ def check_against_oracle(code):
     assert kernel.num.tolist() == expected.num.tolist()
     assert kernel.den.tolist() == expected.den.tolist()
     dec, den = idcode._decoder_columns(code, idcode._encoder_rows(code)[0])
-    assert den == math.lcm(*(Fraction(a, den).denominator for a in dec.flat))
+    assert den == math.lcm(*(Fraction(a, den).denominator for column in dec for _, a in column))
     return kernel
 
 
@@ -113,6 +115,124 @@ def test_perm_kernel_grid(M, l, big):
         code = make_code(seed, "perm", M, l, big=big)
         dtypes.add(check_against_reference(code, big).num.dtype)
     assert dtypes == {np.dtype(np.int64)} if not big else np.dtype(object) in dtypes
+
+
+def limb_counts(monkeypatch, run) -> list[int]:
+    """The limb count of each operand split while `run()` runs: encoder
+    first, then decoder, per kernel call."""
+    counts = []
+    real = idcode._limbs
+
+    def counting(values, width, count):
+        counts.append(count)
+        return real(values, width, count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(idcode, "_limbs", counting)
+        run()
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["noiseless", "perm"]),
+    M=st.integers(1, 5),
+    l=st.integers(1, 2),
+    decoders=st.sampled_from(["det", "stoch", "mixed"]),
+    big=st.booleans(),
+)
+def test_multi_limb_kernel_equals_reference(seed, kind, M, l, decoders, big):
+    """With the float64 budget lowered to 12 bits, most operands split into
+    several limbs; the recombined kernel must still be the int64/object
+    oracle's, in dtype and values."""
+    code = make_code(seed, kind, M, l, decoders, big)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idcode, "EXACT_BITS", 12)
+        check_against_reference(code, big)
+
+
+def test_lowered_budget_splits_the_drawn_codes(monkeypatch):
+    """Under the 12-bit budget above, the drawn codes with masses over a
+    prime near 2^89 take several limbs (the others fit in one)."""
+    monkeypatch.setattr(idcode, "EXACT_BITS", 12)
+    for kind in ("noiseless", "perm"):
+        for seed in range(10):
+            code = make_code(seed, kind, 4, decoders="mixed", big=True)
+            if any(len(enc.mass) > 1 for enc in code.encoders):
+                assert max(limb_counts(monkeypatch, lambda: acceptance(code))) > 1
+
+
+def boundary_code(columns, top_enc, top_dec):
+    """A one-message noiseless code whose kernel bound max(enc) * max(dec) *
+    len(cols) is columns * top_enc * top_dec: the encoder puts top_enc on
+    outcome 1 and 1 on the others, over their sum, and the decoder accepts
+    outcome 1 with probability top_dec / (top_dec + 1)."""
+    weights = {k: top_enc if k == 1 else 1 for k in range(1, columns + 1)}
+    encoder = Dist.from_counts(weights, size=columns)
+    return NoiselessIdCode(columns, [encoder], [{1: Fraction(top_dec, top_dec + 1)}])
+
+
+# (bound, its factors len(cols), max(enc), max(dec), whether it splits, num's dtype)
+BOUNDARY = [
+    (2**53 - 1, (6361, 69431, 20394401), False, np.int64),
+    (2**53 + 1, (3, 107, 28059810762433), True, np.int64),
+    (2**63 - 1, (7, 7 * 73 * 127, 337 * 92737 * 649657), True, np.int64),
+    (2**63 + 1, (3, 9 * 19 * 43, 5419 * 77158673929), True, object),
+]
+
+
+@pytest.mark.parametrize("bound, factors, splits, dtype", BOUNDARY,
+                         ids=["2^53-1", "2^53+1", "2^63-1", "2^63+1"])
+def test_kernel_bound_boundaries(monkeypatch, bound, factors, splits, dtype):
+    """A bound of 2^53 - 1 takes one limb a side and one matmul, 2^53 + 1
+    splits; at 2^63 - 1 the kernel is int64 and at 2^63 + 1 object, as the
+    oracle's backend rule has it."""
+    assert math.prod(factors) == bound
+    code = boundary_code(*factors)
+    counts = limb_counts(monkeypatch, lambda: check_against_oracle(code))
+    assert (max(counts) > 1) == splits
+    kernel = acceptance(code)
+    assert kernel.num.dtype == dtype
+    assert kernel.num.tolist() == [[factors[1] * factors[2]]]
+
+
+def test_limb_sums_fill_the_budget_exactly():
+    """Encoder weights just below 2^100 against decoder numerators just
+    below 2^89, over 2^k - 1 columns: their limbs are nearly all ones, so
+    each limb product's column sums come just below 2^53, and a limb one
+    bit too wide would round."""
+    rand = random.Random(53)
+    P = 2**89 - 1  # prime
+    for columns in (3, 7, 15, 31):
+        encoders = [Dist.from_counts({k: 2**100 - rand.randrange(1, 2**20, 2)
+                                      for k in range(1, columns + 1)}, size=columns)
+                    for _ in range(3)]
+        decoders = [{k: Fraction(P - rand.randrange(1, 2**20), P) for k in range(1, columns + 1)}
+                    for _ in range(3)]
+        check_against_oracle(NoiselessIdCode(columns, encoders, decoders))
+
+
+def prime_decoder_code(rand, M, N=64):
+    """A noiseless code on N outcomes whose stochastic decoders each accept
+    in multiples of their own prime: 24 primes from 101 to 227 put the
+    common decoder denominator near 2^175."""
+    primes = [p for p in range(101, 229) if all(p % d for d in range(2, 16))]
+    assert len(primes) == 24
+    encoders = [random_dist(rand, N) for _ in range(M)]
+    decoders = [random_decoder(rand, N, True, den=primes[j % len(primes)]) for j in range(M)]
+    return NoiselessIdCode(N, encoders, decoders)
+
+
+def test_unrelated_decoder_denominators_stay_exact():
+    """Decoders over 24 distinct primes push the common denominator past
+    2^120 and the kernel onto Python integers; the limb products must still
+    sum to the oracle's kernel."""
+    code = prime_decoder_code(random.Random(12), 48)
+    den = idcode._decoder_columns(code, idcode._encoder_rows(code)[0])[1]
+    assert den.bit_length() > 120
+    assert check_against_oracle(code).num.dtype == object
+    assert eval_noiseless(code) == reference_report(reference_acceptance_matrix(code))
 
 
 GOLDEN = Path(__file__).parent / "golden"

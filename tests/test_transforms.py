@@ -255,6 +255,12 @@ def test_threshold_inequalities_random_sweep():
             old = acceptance_matrix(code)
             lam2 = reference_report(old).lambda2
             step = stoch_to_det_decoders(code)
+            # the integer threshold keeps the outcomes the Fraction rule keeps
+            assert step.code.decoders == tuple(
+                frozenset(k for k, p in dec.items() if p * p > lam2) if isinstance(dec, dict)
+                else dec if lam2 < 1 else frozenset()
+                for dec in code.decoders
+            )
             new = acceptance_matrix(step.code)
             _assert_threshold_bounds(old, new, lam2)
         done += 1
@@ -554,6 +560,71 @@ def test_each_entrywise_check_fires_on_a_doctored_kernel(step, rows, message):
     with pytest.raises(BoundViolationError) as caught:
         step(code, before=_kernel(rows))
     assert str(caught.value) == message
+
+
+def _verdicts(monkeypatch, step, code, kernels, on_objects):
+    """The message each kernel's checks raise (None when they pass), and the
+    dtypes the checks ran on, with `_compare` kept to Python integers when
+    `on_objects` is set."""
+    real = permid.transforms._compare
+    dtypes = []
+
+    def compare(before, new_code, scale=None):
+        out = real(before, new_code, None if on_objects else scale)
+        dtypes.append(out[1].dtype)
+        return out
+
+    verdicts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(permid.transforms, "_compare", compare)
+        for kernel in kernels:
+            try:
+                step(code, before=kernel)
+                verdicts.append(None)
+            except (BoundViolationError, HypothesisError) as caught:
+                verdicts.append(f"{type(caught).__name__}: {caught}")
+    return verdicts, set(dtypes)
+
+
+def _doctored(rand, M, den_bits):
+    """A random kernel in range: row i over a random denominator of up to
+    den_bits bits, its entries anywhere in [0, den]."""
+    den = [rand.randint(1, 2**den_bits) for _ in range(M)]
+    num = [[rand.randint(0, d) for _ in range(M)] for d in den]
+    return Acceptance(np.array(num, dtype=object), np.array(den, dtype=object))
+
+
+@pytest.mark.parametrize("step", [stoch_to_det_decoders, decoder_equals_support])
+def test_int64_checks_give_the_verdicts_of_their_object_twins(monkeypatch, step):
+    """Steps 2 and 4 check on int64 when their products cannot wrap. On
+    doctored kernels, small and near the int64 limit, each verdict must be
+    the one the same checks give on Python integers."""
+    rand = random.Random(30)
+    int64_runs = 0
+    for trial in range(60):
+        M = rand.randint(1, 4)
+        kind = "det" if step is decoder_equals_support else "stoch"
+        code = random_noiseless_code(rand, rand.randint(2, 5), M, kind)
+        while kind == "det" and any(not enc.num.keys() & dec
+                                    for enc, dec in zip(code.encoders, code.decoders)):
+            code = random_noiseless_code(rand, rand.randint(2, 5), M, kind)
+        kernels = [_doctored(rand, M, bits) for bits in (3, 12, 20, 31, 33)]
+        kernels += [_kernel(rows) for s, rows, _ in DOCTORED if s is step and len(rows) == M]
+        fast, dtypes = _verdicts(monkeypatch, step, code, kernels, on_objects=False)
+        slow, slow_dtypes = _verdicts(monkeypatch, step, code, kernels, on_objects=True)
+        assert fast == slow
+        assert slow_dtypes == {np.dtype(object)}
+        int64_runs += np.dtype(np.int64) in dtypes
+    assert int64_runs >= 30
+
+
+def test_uniform_encoder_checks_stay_on_python_integers(monkeypatch):
+    # the brackets' 64-bit numerators would wrap int64 in `scaled`
+    code = NoiselessIdCode(2, [Dist.uniform([1, 2], size=2)] * 2,
+                           [frozenset({1}), frozenset({1, 2})])
+    step = functools.partial(to_uniform_encoders, gamma=THIRD)
+    _, dtypes = _verdicts(monkeypatch, step, code, [acceptance(code)], on_objects=False)
+    assert dtypes == {np.dtype(object)}
 
 
 # ------------------------------------------------------------- size selection
