@@ -346,12 +346,15 @@ class Acceptance:
     den: np.ndarray
 
     def __eq__(self, other) -> bool:
-        """Equal entries as rationals, cross-multiplied on Python integers."""
+        """Equal entries as rationals: numerators compared directly over equal
+        row denominators, else cross-multiplied on Python integers."""
         if not isinstance(other, Acceptance):
             return NotImplemented
-        return self.num.shape == other.num.shape and bool(
-            (self.num * other.den[:, None] == other.num * self.den[:, None]).all()
-        )
+        if self.num.shape != other.num.shape:
+            return False
+        if np.array_equal(self.den, other.den):
+            return bool((self.num == other.num).all())
+        return bool((self.num * other.den[:, None] == other.num * self.den[:, None]).all())
 
     def take(self, idx: Sequence[int]) -> "Acceptance":
         """The sub-matrix of the messages at 0-based positions idx."""

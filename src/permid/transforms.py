@@ -30,7 +30,7 @@ import numpy as np
 
 from .dist import Dist
 from .errors import BoundViolationError, HypothesisError, PermidError, ValidationError
-from .exact import bracket, compare_power, power_sign
+from .exact import bracket, floor_log2, power_sign
 from .idcode import Acceptance, ErrorReport, NoiselessIdCode, PermIdCode, acceptance
 from .setsystem import IntersectionProfile, SetSystem, verify_profile
 
@@ -56,19 +56,19 @@ class StepResult:
         return self.matrix.report
 
 
-def _compare(before: Acceptance, code: NoiselessIdCode, scale: int | None = None):
+def _compare(before: Acceptance, code: NoiselessIdCode, widest):
     """The acceptance kernel of a step's new code, plus the numerators of
     its input (`old`) and of that kernel (`new`) over one common denominator
     per row, the column `den`. Both kernels' reports are read first: their
-    range checks put every numerator in [0, den]. A check whose products
-    are at most den^2 * `scale` gets int64 arrays when max(den)^2 * scale is
-    below 2^63, and Python integers otherwise or when `scale` is None, so
-    no product can wrap."""
+    range checks put every numerator in [0, den]. `widest(d)` bounds every
+    product the step's checks form from entries over denominators up to d:
+    the arrays are int64 when `widest(max(den))` is below 2^63, and Python
+    integers otherwise or when `widest` is None, so no product can wrap."""
     after = acceptance(code)
     for kernel in (before, after):
         kernel.report  # noqa: B018 (for its range check)
     den = np.lcm(before.den, after.den)
-    dtype = np.int64 if scale is not None and int(den.max()) ** 2 * scale < 2**63 else object
+    dtype = np.int64 if widest is not None and widest(int(den.max())) < 2**63 else object
     den = den.astype(dtype)
     old, new = (k.num.astype(dtype, copy=False) * (den // k.den.astype(dtype))[:, None]
                 for k in (before, after))
@@ -142,7 +142,7 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
             decoders.append(dec if lam2 < 1 else frozenset())
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
     # every product below is at most den^2 * max(p, q)
-    after, old, new, den = _compare(before, new_code, max(p, q))
+    after, old, new, den = _compare(before, new_code, lambda d: d * d * max(p, q))
     own = np.eye(code.M, dtype=bool)
     # miss growth (old - new acceptance) = gap / den
     gap = old - new
@@ -162,33 +162,97 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
     ))
 
 
-def _bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
-    """Index of the dyadic-in-N^gamma bin holding mass p, or None when the
-    mass falls below every bin: bin b holds N^(-gamma*b) < p <= N^(-gamma*(b-1))."""
-    for b in range(1, kappa + 1):
-        if compare_power(p, N, -gamma * b) > 0:
-            # p clears this bin's floor; the first cleared floor is the bin,
-            # because the ceilings nest.
-            return b
-    return None
+# The fewest fraction bits of the internal factor F for which step 3 checks
+# its bound on int64: F is rounded outward to a multiple of 2^-k, and the
+# entries closer to the bound than that are left to Python integers. Below
+# this k, step 3 checks every entry on Python integers instead.
+MIN_FACTOR_BITS = 32
+
+
+def _mass_bins(masses, N: int, gamma: Fraction, kappa: int) -> dict:
+    """Bin index of each mass v/d in `masses` (pairs (v, d)), or None when it
+    falls below every bin: bin b holds N^(-gamma*b) < v/d <= N^(-gamma*(b-1)).
+    For gamma = g1/g2, v/d clears bin b's floor iff v^g2 * N^(g1*b) > d^g2,
+    and the first floor cleared is the bin, because the ceilings nest."""
+    g1, g2 = gamma.numerator, gamma.denominator
+    floors = []  # N^(g1*b) for b = 1, 2, ..., made as far as some mass needs
+    tops = {d: d**g2 for _, d in masses}
+    bins = {}
+    for v, d in masses:
+        low, bins[v, d] = v**g2, None
+        for b in range(1, kappa + 1):
+            if b > len(floors):
+                floors.append(N ** (g1 * b))
+            if low * floors[b - 1] > tops[d]:
+                bins[v, d] = b
+                break
+    return bins
 
 
 def _growth_violations(x, y, a_terms, b_terms, N: int) -> np.ndarray:
     """Mask of the entries where x * A + y * B > 0, for nonnegative integer
-    arrays x, y whose entries at (i, j) share one positive denominator, and
-    A, B sums of c * N**e given as (c, e) terms. One bracket each of A and B
-    settles almost every entry; power_sign decides the rest exactly. x and
-    y hold Python integers: the brackets' numerators run to 64 bits, so
-    their products with the entries would wrap int64."""
+    arrays x, y (of any shape) whose entries at one position share one
+    positive denominator, and A, B sums of c * N**e given as (c, e) terms.
+    One bracket each of A and B settles almost every entry; power_sign
+    decides the rest exactly. x and y hold Python integers: the brackets'
+    numerators run to 64 bits, so their products with the entries would
+    wrap int64. Step 3 hands it only the entries its int64 filter leaves
+    open, or every entry when that filter cannot run."""
 
     def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
         return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
 
     (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
     bad = scaled(a_lo, b_lo) > 0
-    for i, j in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
-        terms = [(x[i, j] * c, e) for c, e in a_terms] + [(y[i, j] * c, e) for c, e in b_terms]
-        bad[i, j] = power_sign(terms, N) > 0
+    for at in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
+        terms = [(x[at] * c, e) for c, e in a_terms] + [(y[at] * c, e) for c, e in b_terms]
+        bad[at] = power_sign(terms, N) > 0
+    return bad
+
+
+def _factor_terms(gamma: Fraction, kappa: int) -> dict:
+    """Step 3's two growth bounds, each new <= F * old written as
+    new * A + old * B <= 0 with F = -B/A, A and B as (c, e) terms of c * N**e.
+    The kappa bracket makes A > 0 > B in both."""
+    return {
+        "published factor": ([(gamma, 0), (-gamma, -gamma)], [(-1 - 2 * gamma, gamma)]),
+        "internal factor": ([(1, 0), (-1, 1 - gamma * kappa)], [(-kappa, gamma)]),
+    }
+
+
+def _factor_bracket(a_terms, b_terms, N: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= F <= hi for F = -B/A, from one 64-bit bracket each of
+    A and B. The filter needs A > 0 > B; for step 3's bounds A stays above
+    2^-64 at any gamma whose powers `bracket` can take."""
+    (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
+    if a_lo <= 0 or b_hi >= 0:
+        raise PermidError("factor bracket does not show A > 0 > B")
+    return -b_hi / a_hi, -b_lo / a_lo
+
+
+def _factor_violations(new, old, den, a_terms, b_terms, N: int, factor) -> np.ndarray:
+    """Mask of the entries where new > F * old, for the bound new * A + old * B
+    <= 0 with `factor` its bracket lo <= F <= hi.
+
+    On int64 arrays F is rounded outward to lo_k / 2^k <= F <= hi_k / 2^k with
+    the largest k for which max(den) * max(hi_k, 2^k) is below 2^63, so no
+    product wraps. An entry passes when new * 2^k <= old * lo_k and fails
+    when new * 2^k > old * hi_k; `_growth_violations` decides the entries
+    left open between the two, which on Python-integer arrays are all of
+    them."""
+    bad = np.zeros(new.shape, dtype=bool)
+    left = np.ones(new.shape, dtype=bool)
+    if new.dtype == np.int64:
+        lo, hi = factor
+        k = floor_log2(Fraction((2**63 - 1) // int(den.max())) / max(hi, 1))
+        lo_k, hi_k = math.floor(lo * 2**k), math.ceil(hi * 2**k)
+        shifted = new << k
+        bad = shifted > old * hi_k
+        left = ~bad & (shifted > old * lo_k)
+    at = np.nonzero(left)
+    if at[0].size:
+        bad[at] = _growth_violations(new[at].astype(object), old[at].astype(object),
+                                     a_terms, b_terms, N)
     return bad
 
 
@@ -214,11 +278,16 @@ def to_uniform_encoders(
     largest-mass bin U_i (ties to the smallest bin index). Each entry of the
     acceptance matrix, and each miss, grows by at most the factor
     (1+2*gamma)*N^gamma / (gamma*(1-N^(-gamma))); the construction actually
-    achieves the sharper kappa*N^gamma / (1-N^(1-gamma*kappa)). Both bounds
-    are verified per entry by exact sign evaluation: one certified bracket
-    of each power of N settles almost every entry, and `power_sign` decides
-    the rest. The published bound is also flagged as vacuous when
-    old-lambda2 times the factor reaches 1.
+    achieves the sharper kappa*N^gamma / (1-N^(1-gamma*kappa)). Masses are
+    binned on integers. `power_sign` shows once that the sharper factor is
+    at most the published one, so the published bound holds wherever the
+    sharper one does; the sharper one is verified per entry, on int64 with
+    the factor rounded outward where no product can wrap, and by a
+    certified bracket of each power of N, then `power_sign`, at the entries
+    rounding leaves open (at all of them on the Python-integer path). The
+    published bound is checked on the failing entries only, to name the
+    first failure. It is also flagged as vacuous when old-lambda2 times the
+    factor reaches 1.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
@@ -236,7 +305,7 @@ def to_uniform_encoders(
     encoders = []
     chosen = []
     masses = {(v, enc.den) for enc in code.encoders for v in enc.num.values()}
-    bin_of = {(v, d): _bin_of(Fraction(v, d), N, gamma, kappa) for v, d in masses}  # once each
+    bin_of = _mass_bins(masses, N, gamma, kappa)  # once each
     for enc in code.encoders:
         bins: dict[int, list] = {}
         for k, v in enc.num.items():
@@ -253,23 +322,36 @@ def to_uniform_encoders(
         chosen.append(b_star)
         encoders.append(Dist.uniform(bins[b_star], size=code.N))
     new_code = NoiselessIdCode(code.N, encoders, code.decoders)
-    after, old, new, den = _compare(before, new_code)
+    bounds = _factor_terms(gamma, kappa)
+    (a_pub, b_pub), (a_int, b_int) = bounds["published factor"], bounds["internal factor"]
+    # F_int <= F_pub, i.e. B_pub * A_int - B_int * A_pub <= 0 as A > 0 > B in
+    # both: then an entry within the internal factor is within the published
+    # one, since old >= 0, and only the internal bound is checked per entry
+    if power_sign([(c * d, e + f) for c, e in b_pub for d, f in a_int]
+                  + [(-c * d, e + f) for c, e in b_int for d, f in a_pub], N) > 0:
+        raise BoundViolationError(
+            f"internal factor exceeds the published factor: gamma={gamma}, N={N}")
+    factor = _factor_bracket(a_int, b_int, N)
+    # int64 when the filter keeps MIN_FACTOR_BITS fraction bits of F_int or
+    # more: its products are at most den * max(hi_k, 2^k), hi_k ~ F_int * 2^k
+    after, old, new, den = _compare(
+        before, new_code, lambda d: d * math.ceil(max(factor[1], 1) * 2**MIN_FACTOR_BITS))
     own = np.eye(code.M, dtype=bool)
     # misses on the diagonal, cross acceptances elsewhere
     old = np.where(own, den - old, old)
     new = np.where(own, den - new, new)
-    # each bound reads new * A + old * B <= 0, A and B as (c, e) terms of c * N**e
-    bounds = {
-        "published factor": ([(gamma, 0), (-gamma, -gamma)], [(-1 - 2 * gamma, gamma)]),
-        "internal factor": ([(1, 0), (-1, 1 - gamma * kappa)], [(-kappa, gamma)]),
-    }
-    for label, (a_terms, b_terms) in bounds.items():
-        _require_none(
-            _growth_violations(new, old, a_terms, b_terms, N),
-            lambda i, j: f"{label} bound fails at entry ({i + 1},{j + 1}): "
-            f"new={Fraction(new[i, j], den[i, 0])}, "
-            f"old={Fraction(old[i, j], den[i, 0])}, gamma={gamma}",
-        )
+    failed = np.nonzero(_factor_violations(new, old, den, a_int, b_int, N, factor))
+    if failed[0].size:
+        # the published bound fails only where the internal one does; its
+        # first failure, else the internal bound's, is the one reported
+        published = _growth_violations(new[failed].astype(object), old[failed].astype(object),
+                                       a_pub, b_pub, N)
+        label = "published factor" if published.any() else "internal factor"
+        i, j = (int(at[np.argmax(published)]) for at in failed)
+        raise BoundViolationError(
+            f"{label} bound fails at entry ({i + 1},{j + 1}): "
+            f"new={Fraction(int(new[i, j]), int(den[i, 0]))}, "
+            f"old={Fraction(int(old[i, j]), int(den[i, 0]))}, gamma={gamma}")
     lam2 = before.report.lambda2
     vacuous = power_sign([(lam2 * (1 + 2 * gamma), gamma), (-gamma, 0), (gamma, -gamma)], N) >= 0
     return UniformizeResult("uniform-encoders", new_code, before, after, (
@@ -305,7 +387,7 @@ def decoder_equals_support(code: NoiselessIdCode, before: Acceptance | None = No
         encoders.append(Dist.from_counts(kept, size=code.N))
         decoders.append(frozenset(kept))
     new_code = NoiselessIdCode(code.N, encoders, decoders)
-    after, old, new, den = _compare(before, new_code, 1)
+    after, old, new, den = _compare(before, new_code, lambda d: d * d)
     if after.report.lambda1 != 0:
         raise BoundViolationError("support restriction left a positive miss")
     # 1 - old miss of sender i is its old own acceptance old[i, i] / den[i, 0]

@@ -21,6 +21,9 @@ call, so they live here rather than in the library.
 `PermutationChannel` simulates the channel itself, vector by vector, as the
 physical oracle of the acceptance suite, and `ScriptedStream` feeds a
 sampler scripted draws so that a test can enumerate one trial's outcomes.
+`reference_bin_of` and `reference_growth_violations` are step 3's mass
+binning on `Fraction` powers and its per-entry factor checks on
+`power_sign`, the oracles of its integer binning and int64 entry filter.
 `mpf` and `mpmath_cap` are the multiprecision oracles of the exact log2
 brackets and the construction's intersection cap; mpmath is a test
 dependency only.
@@ -53,7 +56,7 @@ from permid.combinatorics import (
     vector_unrank,
 )
 from permid.errors import BoundViolationError, ValidationError
-from permid.exact import parse_frac
+from permid.exact import compare_power, parse_frac, power_sign
 from permid.feedback import CollisionReport
 from permid.idcode import Acceptance, ErrorReport, MCReport, _exact_sampler
 from permid.serialize import SCHEMA, _holds_bool
@@ -787,3 +790,28 @@ def mpmath_cap(a: Fraction, N: int, l: int, digits: int = 100) -> int | None:
         floor = int(mpmath.floor(val))
         pad = mpmath.mpf(10) ** (-(digits // 2))
         return floor if pad < val - floor < 1 - pad else None
+
+
+def reference_bin_of(p: Fraction, N: int, gamma: Fraction, kappa: int) -> int | None:
+    """Index of the dyadic-in-N^gamma bin holding mass p, or None when the
+    mass falls below every bin: bin b holds N^(-gamma*b) < p <= N^(-gamma*(b-1))."""
+    for b in range(1, kappa + 1):
+        if compare_power(p, N, -gamma * b) > 0:
+            # p clears this bin's floor; the first cleared floor is the bin,
+            # because the ceilings nest.
+            return b
+    return None
+
+
+def reference_growth_violations(new, old, N: int, gamma: Fraction, kappa: int | None = None):
+    """Step 3's growth check, one exact power_sign per entry: for each pair of
+    nonnegative integers (new, old) over one denominator, whether new exceeds
+    old times the published factor (1+2g) N^g / (g (1 - N^-g)), or with
+    `kappa` the internal factor kappa N^g / (1 - N^(1 - g kappa))."""
+    g = gamma
+    if kappa is None:
+        a_terms, b_terms = [(g, 0), (-g, -g)], [(-1 - 2 * g, g)]
+    else:
+        a_terms, b_terms = [(1, 0), (-1, 1 - g * kappa)], [(-kappa, g)]
+    return [power_sign([(n * c, e) for c, e in a_terms] + [(o * c, e) for c, e in b_terms], N) > 0
+            for n, o in zip(new, old)]

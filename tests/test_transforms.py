@@ -15,6 +15,8 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import permid.transforms
 from helpers import (
@@ -23,6 +25,8 @@ from helpers import (
     random_noiseless_code,
     random_perm_code,
     reference_acceptance_matrix,
+    reference_bin_of,
+    reference_growth_violations,
     reference_report,
     with_prime_masses,
 )
@@ -107,6 +111,16 @@ def test_lift_keeps_construction_miss_free():
     step = perm_to_noiseless(build.code)
     assert step.after.lambda1 == 0
     assert step.code.is_deterministic()
+
+
+def test_kernels_over_equal_denominators_compare_numerators():
+    kernel = Acceptance(np.array([[1, 2], [3, 4]], dtype=np.int64), np.array([4, 4], dtype=object))
+    assert kernel == Acceptance(kernel.num.astype(object), kernel.den.copy())
+    changed = kernel.num.copy()
+    changed[1, 0] += 1
+    assert kernel != Acceptance(changed, kernel.den)
+    assert kernel == Acceptance(kernel.num * 3, kernel.den * 3)
+    assert kernel != Acceptance(kernel.num[:1, :1], kernel.den[:1])
 
 
 @pytest.mark.parametrize("bump, fires", [(0, False), (1, True)], ids=["rescaled", "changed"])
@@ -594,9 +608,13 @@ def _doctored(rand, M, den_bits):
     return Acceptance(np.array(num, dtype=object), np.array(den, dtype=object))
 
 
-@pytest.mark.parametrize("step", [stoch_to_det_decoders, decoder_equals_support])
+UNIFORM = functools.partial(to_uniform_encoders, gamma=THIRD)
+
+
+@pytest.mark.parametrize("step", [stoch_to_det_decoders, UNIFORM, decoder_equals_support],
+                         ids=lambda step: getattr(step, "func", step).__name__)
 def test_int64_checks_give_the_verdicts_of_their_object_twins(monkeypatch, step):
-    """Steps 2 and 4 check on int64 when their products cannot wrap. On
+    """Steps 2, 3 and 4 check on int64 when their products cannot wrap. On
     doctored kernels, small and near the int64 limit, each verdict must be
     the one the same checks give on Python integers."""
     rand = random.Random(30)
@@ -609,7 +627,8 @@ def test_int64_checks_give_the_verdicts_of_their_object_twins(monkeypatch, step)
                                     for enc, dec in zip(code.encoders, code.decoders)):
             code = random_noiseless_code(rand, rand.randint(2, 5), M, kind)
         kernels = [_doctored(rand, M, bits) for bits in (3, 12, 20, 31, 33)]
-        kernels += [_kernel(rows) for s, rows, _ in DOCTORED if s is step and len(rows) == M]
+        kernels += [_kernel(rows) for s, rows, _ in DOCTORED
+                    if getattr(s, "func", s) is getattr(step, "func", step) and len(rows) == M]
         fast, dtypes = _verdicts(monkeypatch, step, code, kernels, on_objects=False)
         slow, slow_dtypes = _verdicts(monkeypatch, step, code, kernels, on_objects=True)
         assert fast == slow
@@ -618,13 +637,144 @@ def test_int64_checks_give_the_verdicts_of_their_object_twins(monkeypatch, step)
     assert int64_runs >= 30
 
 
-def test_uniform_encoder_checks_stay_on_python_integers(monkeypatch):
-    # the brackets' 64-bit numerators would wrap int64 in `scaled`
-    code = NoiselessIdCode(2, [Dist.uniform([1, 2], size=2)] * 2,
-                           [frozenset({1}), frozenset({1, 2})])
-    step = functools.partial(to_uniform_encoders, gamma=THIRD)
-    _, dtypes = _verdicts(monkeypatch, step, code, [acceptance(code)], on_objects=False)
-    assert dtypes == {np.dtype(object)}
+# true kernel [[1/2, 1], [1/2, 1]], which every step passes
+TWO = NoiselessIdCode(2, [Dist.uniform([1, 2], size=2)] * 2, [frozenset({1}), frozenset({1, 2})])
+
+
+def _over(rows, den) -> Acceptance:
+    """The kernel of `rows` with every row over the denominator `den`."""
+    num = [[Fraction(p) * den for p in row] for row in rows]
+    assert all(x.denominator == 1 for row in num for x in row)
+    return Acceptance(np.array([[int(x) for x in row] for row in num], dtype=object),
+                      np.array([den] * len(rows), dtype=object))
+
+
+def test_uniform_encoder_checks_keep_python_integers_below_the_minimum_k(monkeypatch):
+    # Over 2^40, den * ceil(F * 2^32) passes 2^63 at F = 24.4 (N = 2,
+    # gamma = 1/3): the int64 filter would get fewer than 32 fraction bits
+    # of F, so step 3 checks on Python integers; at 16 bits it fits.
+    wide = _over([[Fraction(1, 2), 1], [Fraction(1, 2), 1]], 2**40)
+    kernels = [acceptance(TWO), wide]
+    for minimum, want in ((32, [np.int64, object]), (16, [np.int64, np.int64])):
+        monkeypatch.setattr(permid.transforms, "MIN_FACTOR_BITS", minimum)
+        for kernel, dtype in zip(kernels, want):
+            verdicts, dtypes = _verdicts(monkeypatch, UNIFORM, TWO, [kernel], on_objects=False)
+            assert (verdicts, dtypes) == ([None], {np.dtype(dtype)})
+
+
+def _open_entries(monkeypatch):
+    """Record the entry count of each `_growth_violations` call."""
+    real = permid.transforms._growth_violations
+    sizes = []
+
+    def counted(x, *args):
+        sizes.append(x.size)
+        return real(x, *args)
+
+    monkeypatch.setattr(permid.transforms, "_growth_violations", counted)
+    return sizes
+
+
+def test_entries_the_filter_leaves_open_get_the_oracle_verdict(monkeypatch):
+    # Over 2^56 the filter keeps k = 2 fraction bits of F_int = 24.43
+    # (N = 2, gamma = 1/3, kappa = 4): ratios new/old in (24.25, 24.5] stay
+    # open. Entry (1,2) has ratio 24.47 and fails; (2,1) has 24.39 and passes.
+    cross = [2**56 * 100 // 2447, 2**55 * 100 // 2439]
+    before = _over([[0, Fraction(cross[0], 2**56)], [Fraction(cross[1], 2**56), 0]], 2**56)
+    with pytest.raises(BoundViolationError) as on_objects:
+        UNIFORM(TWO, before=before)
+    assert str(on_objects.value) == ("internal factor bound fails at entry (1,2): "
+                                     f"new=1, old={Fraction(cross[0], 2**56)}, gamma=1/3")
+    monkeypatch.setattr(permid.transforms, "MIN_FACTOR_BITS", 0)
+    sizes = _open_entries(monkeypatch)
+    with pytest.raises(BoundViolationError) as on_int64:
+        UNIFORM(TWO, before=before)
+    assert str(on_int64.value) == str(on_objects.value)
+    assert sizes == [2, 1]  # both open entries, then the published check on the failure
+
+
+@pytest.mark.parametrize("bits", [4, 30, 50, 56])
+def test_int64_entry_filter_gives_the_oracle_mask(monkeypatch, bits):
+    """Entries on, near and far from new = F_int * old, over one
+    denominator of `bits` bits: the filter keeps 59 - bits fraction bits of
+    F_int, and whatever it leaves open, the mask is the oracle's."""
+    N, gamma, kappa = 5, Fraction(2, 7), 5
+    a_terms, b_terms = permid.transforms._factor_terms(gamma, kappa)["internal factor"]
+    factor = permid.transforms._factor_bracket(a_terms, b_terms, N)
+    rand = random.Random(bits)
+    den = 2**bits - 1
+    olds = [rand.randint(0, den // 40) for _ in range(200)]
+    f = factor[0]
+    news = [min(den, max(0, math.floor(o * f) + rand.randint(-2, 2))) for o in olds]
+    news += [0, den, 1]
+    olds += [0, 0, 0]
+    sizes = _open_entries(monkeypatch)
+    mask = permid.transforms._factor_violations(
+        np.array([news], dtype=np.int64), np.array([olds], dtype=np.int64),
+        np.array([[den]], dtype=np.int64), a_terms, b_terms, N, factor)
+    assert mask[0].tolist() == reference_growth_violations(news, olds, N, gamma, kappa)
+    assert mask[0].any() and not mask[0].all()
+    assert bool(sizes) == (bits > 40)
+
+
+def test_internal_factor_above_the_published_one_fires(monkeypatch):
+    real = permid.transforms._factor_terms
+
+    def doubled(gamma, kappa):  # F_int = 48.9 against F_pub = 30.5
+        bounds = real(gamma, kappa)
+        a_terms, b_terms = bounds["internal factor"]
+        return {**bounds, "internal factor": (a_terms, [(2 * c, e) for c, e in b_terms])}
+
+    UNIFORM(TWO)
+    monkeypatch.setattr(permid.transforms, "_factor_terms", doubled)
+    with pytest.raises(BoundViolationError) as caught:
+        UNIFORM(TWO)
+    assert str(caught.value) == "internal factor exceeds the published factor: gamma=1/3, N=2"
+
+
+@st.composite
+def masses(draw):
+    """(v, d, N, gamma): any mass, a mass on a floor N^(-gamma b) where that
+    is rational, or one below every floor."""
+    gamma = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                                  Fraction(1, 4), Fraction(3, 7), Fraction(1, 40)]))
+    kappa = math.ceil(1 / gamma) + 1
+    kind = draw(st.sampled_from(["any", "floor", "below"]))
+    if kind == "floor":  # N = m^g2 puts floor b at m^(-g1 b)
+        m = draw(st.integers(2, 5))
+        N = m**gamma.denominator
+        b = draw(st.integers(1, kappa))
+        d = m ** (gamma.numerator * b)
+        v = 1 + draw(st.sampled_from([-1, 0, 1])) * draw(st.sampled_from([0, 1]))
+        return v, d + draw(st.sampled_from([0, -1, 1])) * (v == 1 and d > 2), N, gamma
+    N = draw(st.integers(2, 300))
+    if kind == "below":  # 1/(2 N^ceil(gamma kappa)) < N^(-gamma kappa)
+        return 1, 2 * N ** math.ceil(gamma * kappa), N, gamma
+    d = draw(st.integers(1, 10**6))
+    return draw(st.integers(1, d)), d, N, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(masses())
+@example((1, 2, 8, Fraction(1, 3)))  # 8^(-1/3) = 1/2 does not clear its own floor
+@example((1, 9, 27, Fraction(1, 3)))
+@example((1, 4, 4, Fraction(1, 2)))
+@example((1, 10**9, 2, Fraction(1, 2)))  # below every floor
+def test_integer_binning_is_the_fraction_binning(drawn):
+    v, d, N, gamma = drawn
+    kappa = math.ceil(1 / gamma) + 1
+    got = permid.transforms._mass_bins({(v, d)}, N, gamma, kappa)
+    assert got == {(v, d): reference_bin_of(Fraction(v, d), N, gamma, kappa)}
+
+
+@pytest.mark.parametrize("v, d, N, gamma, b", [
+    (1, 2, 8, THIRD, 2), (2**40 + 1, 2**41, 8, THIRD, 1), (1, 9, 27, THIRD, 3),
+    (1, 4, 4, Fraction(1, 2), 3), (1, 3, 4, Fraction(1, 2), 2), (1, 8, 4, Fraction(1, 2), None),
+])
+def test_a_mass_on_a_floor_sits_in_the_bin_below(v, d, N, gamma, b):
+    kappa = math.ceil(1 / gamma) + 1
+    assert permid.transforms._mass_bins({(v, d)}, N, gamma, kappa) == {(v, d): b}
+    assert reference_bin_of(Fraction(v, d), N, gamma, kappa) == b
 
 
 # ------------------------------------------------------------- size selection
