@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -25,22 +27,19 @@ class Dist:
     __slots__ = ("num", "den", "size")
 
     def __init__(self, mass: Mapping[Hashable, Fraction | int], size: int | None = None):
-        # keys and masses go to lists: the one dict built hashes each key once
-        keys, masses = [], []
-        for key, value in mass.items():
-            value = value if isinstance(value, Fraction) else Fraction(value)
-            # a Fraction's denominator is positive: its numerator carries the sign
-            if value.numerator < 0:
-                raise ValidationError(f"negative mass {value} at {key!r}")
-            if value.numerator:
-                keys.append(key)
-                masses.append(value)
-        # numerators over the masses' least common denominator
-        den = math.lcm(*(p.denominator for p in masses))
-        nums = [p.numerator * (den // p.denominator) for p in masses]
-        if sum(nums) != den:
-            raise ValidationError(f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}")
-        self._fill(dict(zip(keys, nums)), den, size)
+        ratios = [(v if isinstance(v, Fraction) else Fraction(v)).as_integer_ratio()
+                  for v in mass.values()]
+        self._fill(*_over_lcm(list(mass), ratios), size)
+
+    @classmethod
+    def from_ratios(cls, keys: list, ratios: list, size: int | None = None) -> "Dist":
+        """The distribution with mass a/b at keys[k] for the k-th pair (a, b)
+        of `ratios`, each in lowest terms with b > 0 (as `as_integer_ratio`
+        gives them), checked as the constructor checks its masses. The keys
+        must be distinct; each is hashed once."""
+        self = object.__new__(cls)
+        self._fill(*_over_lcm(keys, ratios), size)
+        return self
 
     @classmethod
     def from_counts(cls, weights: Mapping[Hashable, int], size: int | None = None) -> "Dist":
@@ -116,6 +115,21 @@ class Dist:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dist is immutable")
+
+
+def _over_lcm(keys: list, ratios: list) -> tuple[dict, int]:
+    """The masses a/b of `ratios` as numerators over their least common
+    denominator, keyed by `keys` with the zero masses left out, and that
+    denominator; a negative mass, or masses that do not sum to 1, are refused."""
+    nums, dens = zip(*ratios) if ratios else ((), ())
+    if min(nums, default=0) < 0:
+        k = next(k for k, a in enumerate(nums) if a < 0)
+        raise ValidationError(f"negative mass {Fraction(*ratios[k])} at {keys[k]!r}")
+    den = math.lcm(*dens)
+    nums = list(map(mul, nums, map(den.__floordiv__, dens)))
+    if sum(nums) != den:
+        raise ValidationError(f"masses must sum to 1 exactly, got {Fraction(sum(nums), den)}")
+    return dict(compress(zip(keys, nums), nums)), den
 
 
 def tv_distance(p: Dist, r: Dist) -> Fraction:

@@ -30,7 +30,6 @@ from .combinatorics import (
     TypeVector,
     count_types,
     index_to_tuple,
-    tuple_to_index,
     type_index,
     type_of,
     type_representative,
@@ -127,10 +126,12 @@ class PermIdCode:
 
     The channel shows the decoder only the output's orbit, so every error
     figure depends on an encoder only through its law on orbit indices. The
-    constructor counts the block types of each distinct vector object once,
-    and `sizes[t]` is |orbit product t| for every t an encoder or decoder
-    touches: an encoder's orbit is sized from the types it counted, and only
-    an orbit that a decoder alone touches is unranked. `output_laws[i-1]` is
+    constructor validates each distinct vector object once and counts the
+    symbols of its blocks; each distinct block type is then ranked and sized
+    once, however many vectors share it, and a vector's orbit index and size
+    are composed from its blocks' ranks and sizes. `sizes[t]` is
+    |orbit product t| for every t an encoder or decoder touches; only an
+    orbit that a decoder alone touches is unranked. `output_laws[i-1]` is
     message i's encoder pushed onto [1..N^l]. Evaluators read these and do
     no further type computations.
     """
@@ -148,8 +149,8 @@ class PermIdCode:
         self.n = n
         self.q = q
         self.l = l
-        self.N = count_types(n, q)
-        self.ground = self.N**l
+        N = self.N = count_types(n, q)
+        self.ground = N**l
         encoders = tuple(encoders)
         if not encoders:
             raise ValidationError("need at least one message")
@@ -160,14 +161,22 @@ class PermIdCode:
         # id(x) -> orbit index; the encoders hold every x, so no id is reused
         orbit_of: dict[int, int] = {}
         sizes: dict[int, int] = {}
+        # block counts -> (type index - 1, typeclass size), each type ranked once
+        ranked: dict[tuple[int, ...], tuple[int, int]] = {}
         for enc in encoders:
             if not isinstance(enc, Dist):
                 raise ValidationError("encoders must be Dist instances")
             for x in enc.num:
                 if id(x) not in orbit_of:
-                    types = _input_types(x, n, q, l)
-                    t = orbit_of[id(x)] = tuple_to_index(tuple(map(type_index, types)), self.N)
-                    sizes[t] = math.prod(map(typeclass_size, types))
+                    t, size = 0, 1
+                    for counts in _input_types(x, n, q, l):
+                        if (known := ranked.get(counts)) is None:
+                            block = TypeVector(counts)
+                            known = ranked[counts] = (type_index(block) - 1, typeclass_size(block))
+                        # Horner's rule on the mixed-radix digits of the l blocks
+                        t, size = t * N + known[0], size * known[1]
+                    orbit_of[id(x)] = t + 1
+                    sizes[t + 1] = size
         cleaned = []
         for counts in decoder_counts:
             dec: dict[int, int] = {}
@@ -178,7 +187,7 @@ class PermIdCode:
                 if not (type(c) is int and c >= 0):
                     raise ValidationError(f"orbit count {c!r} must be a nonnegative integer")
                 if t not in sizes:
-                    sizes[t] = math.prod(map(typeclass_size, _orbit_types(t, n, q, self.N, l)))
+                    sizes[t] = math.prod(map(typeclass_size, _orbit_types(t, n, q, N, l)))
                 if c > sizes[t]:
                     raise ValidationError(
                         f"count {c} exceeds orbit product size {sizes[t]} at index {t}"
@@ -203,12 +212,21 @@ class PermIdCode:
         return tuple(e.pushforward(lambda x: orbit_of[id(x)], self.ground) for e in self.encoders)
 
 
-def _input_types(x, n: int, q: int, l: int) -> tuple[TypeVector, ...]:
-    """The block types of a flat input tuple of l blocks of length n, validated."""
+def _input_types(x, n: int, q: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The symbol counts of each of the l blocks of a flat input tuple of
+    length n*l, validated as `type_of` validates a block."""
     # plain ints: True would pass isinstance as 1, but sorts apart from it
     if not (isinstance(x, tuple) and len(x) == n * l and set(map(type, x)) == {int}):
         raise ValidationError(f"input must be a tuple of n*l = {n * l} plain integers, got {x!r}")
-    return tuple(type_of(x[b * n : (b + 1) * n], q) for b in range(l))
+    types = []
+    for b in range(l):
+        block = x[b * n : (b + 1) * n]
+        # count() sees only symbols 1..q, so the counts fall short of n otherwise
+        counts = tuple(map(block.count, range(1, q + 1)))
+        if sum(counts) != n:
+            type_of(block, q)  # raises its ValidationError for the first bad symbol
+        types.append(counts)
+    return tuple(types)
 
 
 def _orbit_types(t: int, n: int, q: int, N: int, l: int) -> tuple[TypeVector, ...]:
@@ -261,13 +279,19 @@ def _report(blocks, M: int) -> ErrorReport:
             raise BoundViolationError(f"acceptance probability {p} outside [0,1]")
         rows = np.arange(len(dens))
         own = (rows, rows + len(missed))
-        cross = num.copy()
-        cross[own] = -1  # so at M = 1 the lone entry never beats lambda2 = 0
-        top = cross.argmax(axis=1).tolist()
-        for i, j, n, d in zip(own[1].tolist(), top, cross[rows, top].tolist(), dens):
+        # the diagonal is masked in place for the argmax and then put back,
+        # so no copy of the block is made
+        diagonal = num[own]
+        num[own] = -1  # so at M = 1 the lone entry never beats lambda2 = 0
+        try:
+            top = num.argmax(axis=1).tolist()
+            highest = num[rows, top].tolist()
+        finally:
+            num[own] = diagonal
+        for i, j, n, d in zip(own[1].tolist(), top, highest, dens):
             if n * lambda2.denominator > lambda2.numerator * d:
                 lambda2, argmax_cross = Fraction(n, d), (i + 1, j + 1)
-        missed += [Fraction(d - n, d) for n, d in zip(num[own].tolist(), dens)]
+        missed += [Fraction(d - n, d) for n, d in zip(diagonal.tolist(), dens)]
     lambda1 = max(missed)
     return ErrorReport(
         M=M,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd
-from operator import truediv
+from operator import ne, truediv
 
 import numpy as np
 
@@ -145,27 +145,42 @@ def _code_from_json(doc: dict):
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unknown schema {doc.get('schema')!r}")
     kind = doc.get("kind")
-    fracs = {}
+    parsed = {}
 
     def frac(text):
-        # each distinct mass string is parsed once per document; other JSON
-        # values (1 and 1.0 hash alike) are parsed where they stand
+        # each distinct string is parsed once per document, to its Fraction
+        # and that Fraction's numerator and denominator; other JSON values
+        # (1 and 1.0 hash alike) are parsed where they stand
         if type(text) is not str:
-            return parse_frac(text)
-        value = fracs.get(text)
-        if value is None:
-            value = fracs[text] = parse_frac(text)
-        return value
+            value = parse_frac(text)
+            return value, value.as_integer_ratio()
+        pair = parsed.get(text)
+        if pair is None:
+            value = parse_frac(text)
+            pair = parsed[text] = value, value.as_integer_ratio()
+        return pair
+
+    def masses(pairs, outcome) -> dict:
+        # one pass: each outcome checked before its mass is read, as a dict
+        # display would; a repeated outcome keeps its last mass
+        out = {}
+        for k, p in pairs:
+            k = outcome(k)
+            out[k] = frac(p)[1]
+        return out
 
     if kind == "noiseless":
         N = doc["N"]
-        encoders = [Dist({k: frac(p) for k, p in pairs}, size=N) for pairs in doc["encoders"]]
+        encoders = []
+        for pairs in doc["encoders"]:
+            mass = masses(pairs, lambda k: k)
+            encoders.append(Dist.from_ratios(list(mass), list(mass.values()), size=N))
         decs = doc["decoders"]
         if "deterministic" in decs:
             decoders = [frozenset(d) for d in decs["deterministic"]]
         elif "stochastic" in decs:
             decoders = [
-                {k: p for k, p in enumerate(map(frac, row), start=1) if p}
+                {k: p for k, (p, _) in enumerate(map(frac, row), start=1) if p}
                 for row in decs["stochastic"]
             ]
         else:
@@ -175,17 +190,20 @@ def _code_from_json(doc: dict):
         n, q, l = doc["n"], doc["q"], doc["l"]
         vectors: dict[int, tuple] = {}
 
-        def vector(i):
-            # equal indices share one tuple, which PermIdCode validates once
-            if type(i) is not int:
-                return index_to_tuple(i, q, n * l)
-            if i not in vectors:
+        def index(i):
+            # equal indices share one tuple, which PermIdCode validates once;
+            # an index that is not an int is refused by index_to_tuple
+            if type(i) is not int or i not in vectors:
                 vectors[i] = index_to_tuple(i, q, n * l)
-            return vectors[i]
+            return i
 
-        encoders = [Dist({vector(i): frac(p) for i, p in pairs}) for pairs in doc["encoders"]]
+        encoders = []
+        for pairs in doc["encoders"]:
+            # keyed by index, so each long vector is hashed once, by the Dist
+            mass = masses(pairs, index)
+            encoders.append(Dist.from_ratios([vectors[i] for i in mass], list(mass.values())))
         counts = [
-            {t: c for t, c in enumerate(row, start=1) if c != 0}
+            dict(compress(enumerate(row, start=1), map(ne, row, repeat(0))))
             for row in doc["decoders"]["typecounts"]
         ]
         return PermIdCode(n, q, encoders, counts, l=l)
@@ -326,13 +344,17 @@ def _pieces(value, pad: str) -> Iterator[str]:
     """The text of json.dumps(value, indent=2, sort_keys=True) for a value
     that starts at indentation `pad`, in pieces, by one rule at every depth:
     a `_leaf` is one piece, a `Matrix` is `_matrix`'s row blocks, and a
-    list, tuple or iterator goes an item at a time, a dict key by key. A
-    leaf item is rendered here, with no generator of its own."""
+    list or tuple of nonempty scalar lists is `_rows`' row blocks, and any
+    other list, tuple or iterator goes an item at a time, a dict key by key.
+    A leaf item is rendered here, with no generator of its own."""
     if (text := _leaf(value, pad)) is not None:
         yield text
         return
     if isinstance(value, Matrix):
         yield from _matrix(value, pad)
+        return
+    if _scalar_rows(value):
+        yield from _rows(value, pad)
         return
     sep = ",\n" + (inner := pad + "  ")
     if isinstance(value, dict):
@@ -373,6 +395,39 @@ def _leaf(value, pad: str) -> str | None:
         # string never holds a raw newline)
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     return None
+
+
+def _scalar_rows(value) -> bool:
+    """Whether a value is a nonempty list or tuple of nonempty lists or
+    tuples of scalars, which `_rows` renders."""
+    return (isinstance(value, (list, tuple)) and bool(value)
+            and set(map(type, value)) <= {list, tuple} and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _SCALAR_TYPES)
+
+
+def _rows(rows, pad: str) -> Iterator[str]:
+    """The text of a list of scalar rows (see `_scalar_rows`) at indentation
+    `pad`, in pieces of whole rows of at most BLOCK_CHARS characters unless
+    one row alone is longer.
+    A piece is a block of rows made by one json.dumps call on json's C
+    encoder, whose item separator carries the newline and indent. Between
+    two rows that separator stands as `]sep[`, which no scalar's text holds
+    (an encoded scalar never holds a raw newline), and one replace turns it
+    into the close of the one row and the open of the next."""
+    inner, entry = pad + "  ", pad + "    "
+    sep = ",\n" + entry
+    between, apart = f"]{sep}[", f"\n{inner}],\n{inner}[\n{entry}"
+    lead, r = f"[\n{inner}", 0
+    step = max(1, BLOCK_CHARS // (16 * max(map(len, rows))))
+    while r < len(rows):
+        text = json.dumps(rows[r : r + step], separators=(sep, ": "))
+        piece = f"{lead}[\n{entry}{text[2:-2].replace(between, apart)}\n{inner}]"
+        if len(piece) > BLOCK_CHARS and step > 1:
+            step //= 2
+            continue
+        yield piece
+        lead, r = f",\n{inner}", r + step
+    yield f"\n{pad}]"
 
 
 def _matrix(m: Matrix, pad: str) -> Iterator[str]:

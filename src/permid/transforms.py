@@ -77,7 +77,7 @@ def _compare(before: Acceptance, code: NoiselessIdCode, widest):
 
 def _require_none(failed: np.ndarray, message) -> None:
     """Raise BoundViolationError(message(i, j)) at the first (row-major,
-    0-based) entry where the check `failed`."""
+    0-based) entry where the check `failed`; message(i) on a 1-D check."""
     if failed.any():
         raise BoundViolationError(message(*np.argwhere(failed)[0]))
 
@@ -143,12 +143,12 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
     new_code = NoiselessIdCode(code.N, code.encoders, decoders)
     # every product below is at most den^2 * max(p, q)
     after, old, new, den = _compare(before, new_code, lambda d: d * d * max(p, q))
+    # miss growth (old - new acceptance) = gap / den, on the diagonal alone
+    gap, d = np.diagonal(old) - np.diagonal(new), den[:, 0]
+    _require_none((gap > 0) & (gap * gap * q > p * d * d),
+                  lambda i: f"miss of message {i + 1} grew past sqrt(lambda2)")
     own = np.eye(code.M, dtype=bool)
-    # miss growth (old - new acceptance) = gap / den
-    gap = old - new
     for failed, message in (
-        (own & (gap > 0) & (gap * gap * q > p * den * den),
-         lambda i, j: f"miss of message {i + 1} grew past sqrt(lambda2)"),
         (~own & (new * new * p > old * old * q),
          lambda i, j: f"cross {i + 1}->{j + 1} exceeds lambda/alpha"),
         (~own & (new * new > old * den),

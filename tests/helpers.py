@@ -12,7 +12,9 @@ as oracles for differential tests;
 `counts_from_vector_set` compresses an explicit decoder region to per-orbit
 counts; `reference_orbit` and `reference_orbit_size` rank and size a perm
 code's orbits from the reference codec alone, so no perm oracle shares the
-code's own orbit bookkeeping; `accept_prob` and `accept_prob_for_orbit` give
+code's own orbit bookkeeping; `reference_orbit_view` is the constructor's
+orbit bookkeeping done per vector rather than per block type;
+`accept_prob` and `accept_prob_for_orbit` give
 the per-outcome decoder factors that `reference_acceptance_matrix` sums, and
 `fractions` and `kernel_of` convert between a Fraction matrix and an integer
 acceptance kernel. `error_report_from_json`, `flat_index`, `all_ok` and
@@ -297,6 +299,31 @@ def reference_orbit_size(code, t):
     blocks = reference_index_to_tuple(t, code.N, code.l)
     return math.prod(reference_typeclass_size(reference_type_unrank(j, code.n, code.q))
                      for j in blocks)
+
+
+def reference_orbit_view(code):
+    """A perm code's orbit sizes and output laws worked out per vector, as
+    the constructor once did: each block of each encoder vector typed by
+    `type_of` and ranked by `type_index`, the ranks combined by
+    `tuple_to_index`, and each orbit product sized as the product of its
+    blocks' `typeclass_size`; an orbit that only a decoder's (nonzero)
+    counts touch is unranked and sized the same way. `code.sizes` and
+    `code.output_laws` must equal the pair it returns."""
+    n, q, l = code.n, code.q, code.l
+    sizes, laws = {}, []
+    for enc in code.encoders:
+        law = {}
+        for x, v in enc.num.items():
+            types = [type_of(x[b * n : (b + 1) * n], q) for b in range(l)]
+            t = tuple_to_index([type_index(y) for y in types], code.N)
+            sizes[t] = math.prod(map(typeclass_size, types))
+            law[t] = law.get(t, 0) + v
+        laws.append(Dist.from_counts(law, size=code.ground))
+    for counts in code.decoder_counts:
+        for t in counts.keys() - sizes.keys():
+            blocks = index_to_tuple(t, code.N, l)
+            sizes[t] = math.prod(typeclass_size(type_unrank(j, n, q)) for j in blocks)
+    return sizes, tuple(laws)
 
 
 def reference_max_typeclass(n, q):

@@ -33,6 +33,7 @@ import permid.serialize
 from helpers import (
     random_perm_code,
     reference_code_from_json,
+    reference_orbit_view,
     reference_index_to_tuple,
     reference_tuple_to_index,
     reference_type_index,
@@ -597,14 +598,15 @@ def code_documents(draw):
 
 def loaded(load, doc):
     """What `load` makes of `doc`: each encoder's masses in order with its
-    denominator and ground set, and the decoders; or the refusal."""
+    denominator and ground set, the decoders, and a perm code's orbit
+    sizes; or the refusal."""
     try:
         code = load(doc)
     except ValidationError as exc:
         return "refused", str(exc)
     encoders = [(list(e.num.items()), e.den, e.size) for e in code.encoders]
     if isinstance(code, PermIdCode):
-        return encoders, code.decoder_counts, (code.n, code.q, code.l)
+        return encoders, code.decoder_counts, (code.n, code.q, code.l), code.sizes
     return encoders, code.decoders, code.N
 
 
@@ -614,27 +616,57 @@ def test_code_loader_matches_the_fraction_loader(doc):
     assert loaded(code_from_json, doc) == loaded(reference_code_from_json, doc)
 
 
-def test_code_loader_parses_each_mass_and_vector_once():
-    doc = json.loads((GOLDEN / "orbit_code.json").read_text())["code"]
-    calls = {"parse_frac": [], "_input_types": []}
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(first, *rest):
-            calls[name].append(first)
-            return real(first, *rest)
-
-        return mock.patch.object(module, name, wrapper)
-
-    with counted(permid.serialize, "parse_frac"), counted(permid.idcode, "_input_types"):
+@settings(max_examples=200, deadline=None)
+@given(doc=code_documents())
+def test_loaded_orbit_view_is_the_per_vector_one(doc):
+    try:
         code = code_from_json(doc)
-    texts = [p for pairs in doc["encoders"] for _, p in pairs]
-    indices = {i for pairs in doc["encoders"] for i, _ in pairs}
-    assert len(texts) > len(set(texts)) and len(calls["parse_frac"]) == len(set(texts))
-    assert sorted(calls["parse_frac"]) == sorted(set(texts))
-    assert len(calls["_input_types"]) == len(indices) < len(texts)
-    assert {tuple_to_index(x, code.q) for x in calls["_input_types"]} == indices
+    except ValidationError:
+        return
+    if isinstance(code, PermIdCode):
+        assert (code.sizes, code.output_laws) == reference_orbit_view(code)
+
+
+@pytest.mark.parametrize("name", ["orbit", "perm_l2", "q11"])
+def test_golden_orbit_view_is_the_per_vector_one(name):
+    doc = json.loads((GOLDEN / f"{name}_code.json").read_text())
+    code = code_from_json(doc.get("code", doc))
+    assert (code.sizes, code.output_laws) == reference_orbit_view(code)
+
+
+def test_code_loader_parses_each_mass_and_vector_once():
+    """Each distinct mass string is parsed once, each distinct vector
+    validated once, and each distinct block type ranked once: the orbit
+    code has as many block types as vectors, the two-use code fewer."""
+    for golden in ("orbit", "perm_l2"):
+        doc = json.loads((GOLDEN / f"{golden}_code.json").read_text())
+        doc = doc.get("code", doc)
+        calls = {"parse_frac": [], "_input_types": [], "type_index": []}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(first, *rest):
+                calls[name].append(first)
+                return real(first, *rest)
+
+            return mock.patch.object(module, name, wrapper)
+
+        with counted(permid.serialize, "parse_frac"), counted(permid.idcode, "_input_types"), \
+                counted(permid.idcode, "type_index"):
+            code = code_from_json(doc)
+        texts = [p for pairs in doc["encoders"] for _, p in pairs]
+        indices = {i for pairs in doc["encoders"] for i, _ in pairs}
+        assert len(texts) > len(set(texts)) and len(calls["parse_frac"]) == len(set(texts))
+        assert sorted(calls["parse_frac"]) == sorted(set(texts))
+        assert len(calls["_input_types"]) == len(indices) < len(texts)
+        assert {tuple_to_index(x, code.q) for x in calls["_input_types"]} == indices
+        n, l = code.n, code.l
+        blocks = [x[b * n : (b + 1) * n] for x in calls["_input_types"] for b in range(l)]
+        types = {type_of(block, code.q) for block in blocks}
+        assert len(calls["type_index"]) == len(types) <= len(blocks)
+        assert set(calls["type_index"]) == types
+        assert (len(types) < len(blocks)) == (l == 2)
 
 
 # -------------------------------------------------------- rows of scalar lists
@@ -657,6 +689,21 @@ def test_rows_of_scalars_render_as_the_stdlib_does(rows):
     # at the top level, one level down, and as the encoders of a code
     doc = {"rows": rows, "code": {"encoders": rows, "M": 1}, "nested": [rows, [rows]]}
     assert "".join(chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(row_scalars, min_size=1, max_size=6), min_size=1, max_size=30),
+       block=st.integers(20, 400))
+def test_rows_of_scalars_stream_in_bounded_blocks(rows, block):
+    """With a small BLOCK_CHARS a list of scalar rows, whose strings may
+    spell the text between two rows, comes out of `chunks` in pieces of at
+    most BLOCK_CHARS characters unless one row alone is longer, and they join
+    to the stdlib's rendering."""
+    doc = {"rows": rows}
+    with mock.patch.object(permid.serialize, "BLOCK_CHARS", block):
+        pieces = list(chunks(doc))
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert all(len(piece) <= block or one_row(piece) for piece in pieces)
 
 
 def test_an_empty_row_keeps_its_rendering():

@@ -428,6 +428,32 @@ def test_integer_report_equals_the_fraction_scan(seed, kind, M, copies, big, blo
         assert evaluate(code) == replace(expected, accept=None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), M=st.integers(1, 6), step=st.integers(1, 6),
+       dtype=st.sampled_from([np.int64, object]))
+def test_report_masks_the_diagonal_and_puts_it_back(data, M, step, dtype):
+    """Row blocks (views of one kernel, entries drawn from a few values so
+    that ties are common) give the lambda2 and argmax of the rule on a
+    masked copy, the first largest cross entry of each row and the first
+    row to reach the maximum, and the kernel holds its own entries after."""
+    den = data.draw(st.lists(st.integers(1, 3), min_size=M, max_size=M))
+    num = np.array([data.draw(st.lists(st.integers(0, d), min_size=M, max_size=M))
+                    for d in den], dtype=dtype)
+    before = num.copy()
+    blocks = [Acceptance(num[r : r + step], np.array(den[r : r + step], dtype=object))
+              for r in range(0, M, step)]
+    report = idcode._report(blocks, M)
+    assert num.dtype == before.dtype and num.tolist() == before.tolist()
+    cross = before.copy()
+    cross[range(M), range(M)] = -1
+    lambda2, argmax_cross = Fraction(0), None
+    for i, j in enumerate(cross.argmax(axis=1).tolist()):
+        if Fraction(int(cross[i, j]), den[i]) > lambda2:
+            lambda2, argmax_cross = Fraction(int(cross[i, j]), den[i]), (i + 1, j + 1)
+    assert (report.lambda2, report.argmax_cross) == (lambda2, argmax_cross)
+    assert report.missed == tuple(Fraction(d - int(before[i, i]), d) for i, d in enumerate(den))
+
+
 def test_blocks_over_different_outcomes_get_different_denominators(monkeypatch):
     # message 1 only emits outcome 1, where the decoders accept in thirds;
     # message 2 only emits outcome 2, where they accept in fifths
