@@ -29,10 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from .dist import Dist
-from .errors import BoundViolationError, HypothesisError, PermidError, ValidationError
+from .errors import BoundViolationError, BudgetError, HypothesisError, PermidError, ValidationError
 from .exact import bracket, floor_log2, power_sign
 from .idcode import Acceptance, ErrorReport, NoiselessIdCode, PermIdCode, acceptance
 from .setsystem import IntersectionProfile, SetSystem, verify_profile
+
+# The largest denominator of gamma that step 3 accepts: binning at
+# gamma = g1/g2 raises each mass to the power g2.
+GAMMA_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ def _compare(before: Acceptance, code: NoiselessIdCode, widest):
     range checks put every numerator in [0, den]. `widest(d)` bounds every
     product the step's checks form from entries over denominators up to d:
     the arrays are int64 when `widest(max(den))` is below 2^63, and Python
-    integers otherwise or when `widest` is None, so no product can wrap."""
+    integers otherwise or when `widest` is None, so no product can wrap.
+    Step 3 passes `lambda d: d` and sizes its own products in `_above`."""
     after = acceptance(code)
     for kernel in (before, after):
         kernel.report  # noqa: B018 (for its range check)
@@ -162,13 +167,6 @@ def stoch_to_det_decoders(code: NoiselessIdCode, before: Acceptance | None = Non
     ))
 
 
-# The fewest fraction bits of the internal factor F for which step 3 checks
-# its bound on int64: F is rounded outward to a multiple of 2^-k, and the
-# entries closer to the bound than that are left to Python integers. Below
-# this k, step 3 checks every entry on Python integers instead.
-MIN_FACTOR_BITS = 32
-
-
 def _mass_bins(masses, N: int, gamma: Fraction, kappa: int) -> dict:
     """Bin index of each mass v/d in `masses` (pairs (v, d)), or None when it
     falls below every bin: bin b holds N^(-gamma*b) < v/d <= N^(-gamma*(b-1)).
@@ -189,27 +187,6 @@ def _mass_bins(masses, N: int, gamma: Fraction, kappa: int) -> dict:
     return bins
 
 
-def _growth_violations(x, y, a_terms, b_terms, N: int) -> np.ndarray:
-    """Mask of the entries where x * A + y * B > 0, for nonnegative integer
-    arrays x, y (of any shape) whose entries at one position share one
-    positive denominator, and A, B sums of c * N**e given as (c, e) terms.
-    One bracket each of A and B settles almost every entry; power_sign
-    decides the rest exactly. x and y hold Python integers: the brackets'
-    numerators run to 64 bits, so their products with the entries would
-    wrap int64. Step 3 hands it only the entries its int64 filter leaves
-    open, or every entry when that filter cannot run."""
-
-    def scaled(a, b):  # x * a + y * b, times the positive a.den * b.den
-        return x * (a.numerator * b.denominator) + y * (b.numerator * a.denominator)
-
-    (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
-    bad = scaled(a_lo, b_lo) > 0
-    for at in zip(*np.nonzero(~bad & (scaled(a_hi, b_hi) > 0))):
-        terms = [(x[at] * c, e) for c, e in a_terms] + [(y[at] * c, e) for c, e in b_terms]
-        bad[at] = power_sign(terms, N) > 0
-    return bad
-
-
 def _factor_terms(gamma: Fraction, kappa: int) -> dict:
     """Step 3's two growth bounds, each new <= F * old written as
     new * A + old * B <= 0 with F = -B/A, A and B as (c, e) terms of c * N**e.
@@ -220,39 +197,37 @@ def _factor_terms(gamma: Fraction, kappa: int) -> dict:
     }
 
 
-def _factor_bracket(a_terms, b_terms, N: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= F <= hi for F = -B/A, from one 64-bit bracket each of
-    A and B. The filter needs A > 0 > B; for step 3's bounds A stays above
-    2^-64 at any gamma whose powers `bracket` can take."""
+def _above(new, old, den, a_terms, b_terms, N: int) -> np.ndarray:
+    """Mask of the entries where new > F * old, for the bound new * A + old * B
+    <= 0 with F = -B/A, A and B as (c, e) terms of c * N**e, and new, old
+    nonnegative arrays (of any shape) of entries at most max(den).
+
+    F is bracketed once, from a 64-bit bracket each of A and B (which must
+    show A > 0 > B), and rounded outward to lo_k / 2^k <= F <= hi_k / 2^k.
+    An entry passes when new * 2^k <= old * lo_k and fails when new * 2^k >
+    old * hi_k. On int64, k is the largest value for which max(den) *
+    max(hi_k, 2^k) is below 2^63, so no product wraps; the entries left
+    open go round once more on Python integers, with k = 64, as do all of
+    them when no k >= 0 fits. `power_sign` decides what is still open."""
     (a_lo, a_hi), (b_lo, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
     if a_lo <= 0 or b_hi >= 0:
         raise PermidError("factor bracket does not show A > 0 > B")
-    return -b_hi / a_hi, -b_lo / a_lo
-
-
-def _factor_violations(new, old, den, a_terms, b_terms, N: int, factor) -> np.ndarray:
-    """Mask of the entries where new > F * old, for the bound new * A + old * B
-    <= 0 with `factor` its bracket lo <= F <= hi.
-
-    On int64 arrays F is rounded outward to lo_k / 2^k <= F <= hi_k / 2^k with
-    the largest k for which max(den) * max(hi_k, 2^k) is below 2^63, so no
-    product wraps. An entry passes when new * 2^k <= old * lo_k and fails
-    when new * 2^k > old * hi_k; `_growth_violations` decides the entries
-    left open between the two, which on Python-integer arrays are all of
-    them."""
-    bad = np.zeros(new.shape, dtype=bool)
-    left = np.ones(new.shape, dtype=bool)
-    if new.dtype == np.int64:
-        lo, hi = factor
-        k = floor_log2(Fraction((2**63 - 1) // int(den.max())) / max(hi, 1))
-        lo_k, hi_k = math.floor(lo * 2**k), math.ceil(hi * 2**k)
-        shifted = new << k
-        bad = shifted > old * hi_k
-        left = ~bad & (shifted > old * lo_k)
-    at = np.nonzero(left)
-    if at[0].size:
-        bad[at] = _growth_violations(new[at].astype(object), old[at].astype(object),
-                                     a_terms, b_terms, N)
+    lo, hi = -b_hi / a_hi, -b_lo / a_lo
+    wide = new.dtype == object
+    k = 64 if wide else floor_log2(Fraction((2**63 - 1) // int(den.max())) / max(hi, 1))
+    if k < 0:
+        return _above(new.astype(object), old.astype(object), den, a_terms, b_terms, N)
+    shifted = new << k
+    bad = shifted > old * math.ceil(hi * 2**k)
+    at = np.nonzero(~bad & (shifted > old * math.floor(lo * 2**k)))
+    if not at[0].size:
+        return bad
+    if wide:
+        bad[at] = [power_sign([(x * c, e) for c, e in a_terms]
+                              + [(y * c, e) for c, e in b_terms], N) > 0
+                   for x, y in zip(new[at], old[at])]
+    else:
+        bad[at] = _above(new[at].astype(object), old[at].astype(object), den, a_terms, b_terms, N)
     return bad
 
 
@@ -282,16 +257,19 @@ def to_uniform_encoders(
     binned on integers. `power_sign` shows once that the sharper factor is
     at most the published one, so the published bound holds wherever the
     sharper one does; the sharper one is verified per entry, on int64 with
-    the factor rounded outward where no product can wrap, and by a
-    certified bracket of each power of N, then `power_sign`, at the entries
-    rounding leaves open (at all of them on the Python-integer path). The
+    the factor rounded outward where no product can wrap, then on Python
+    integers, then by `power_sign` at the entries rounding leaves open. The
     published bound is checked on the failing entries only, to name the
     first failure. It is also flagged as vacuous when old-lambda2 times the
-    factor reaches 1.
+    factor reaches 1. A gamma whose denominator is above GAMMA_BUDGET is
+    refused with BudgetError: binning raises masses to that power and the
+    bounds take roots of that order.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValidationError("gamma must be in (0,1)")
+    if gamma.denominator > GAMMA_BUDGET:
+        raise BudgetError(f"gamma = {gamma} has a denominator above the budget of {GAMMA_BUDGET}")
     N = code.N
     if N < 2:
         raise HypothesisError("binning needs a ground set with N >= 2")
@@ -331,21 +309,16 @@ def to_uniform_encoders(
                   + [(-c * d, e + f) for c, e in b_int for d, f in a_pub], N) > 0:
         raise BoundViolationError(
             f"internal factor exceeds the published factor: gamma={gamma}, N={N}")
-    factor = _factor_bracket(a_int, b_int, N)
-    # int64 when the filter keeps MIN_FACTOR_BITS fraction bits of F_int or
-    # more: its products are at most den * max(hi_k, 2^k), hi_k ~ F_int * 2^k
-    after, old, new, den = _compare(
-        before, new_code, lambda d: d * math.ceil(max(factor[1], 1) * 2**MIN_FACTOR_BITS))
+    after, old, new, den = _compare(before, new_code, lambda d: d)
     own = np.eye(code.M, dtype=bool)
     # misses on the diagonal, cross acceptances elsewhere
     old = np.where(own, den - old, old)
     new = np.where(own, den - new, new)
-    failed = np.nonzero(_factor_violations(new, old, den, a_int, b_int, N, factor))
+    failed = np.nonzero(_above(new, old, den, a_int, b_int, N))
     if failed[0].size:
         # the published bound fails only where the internal one does; its
         # first failure, else the internal bound's, is the one reported
-        published = _growth_violations(new[failed].astype(object), old[failed].astype(object),
-                                       a_pub, b_pub, N)
+        published = _above(new[failed], old[failed], den, a_pub, b_pub, N)
         label = "published factor" if published.any() else "internal factor"
         i, j = (int(at[np.argmax(published)]) for at in failed)
         raise BoundViolationError(

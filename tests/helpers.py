@@ -25,7 +25,8 @@ physical oracle of the acceptance suite, and `ScriptedStream` feeds a
 sampler scripted draws so that a test can enumerate one trial's outcomes.
 `reference_bin_of` and `reference_growth_violations` are step 3's mass
 binning on `Fraction` powers and its per-entry factor checks on
-`power_sign`, the oracles of its integer binning and int64 entry filter.
+`power_sign`, the oracles of its integer binning and of `_above`, the one
+rounding rule that decides both of its growth bounds.
 `mpf` and `mpmath_cap` are the multiprecision oracles of the exact log2
 brackets and the construction's intersection cap; mpmath is a test
 dependency only.

@@ -51,7 +51,7 @@ from permid.errors import BoundViolationError
 from permid.exact import bracket, power_sign
 from permid.idcode import Acceptance, acceptance, acceptance_matrix
 from permid.serialize import code_from_json, dumps, report_to_json
-from permid.transforms import _growth_violations, soft_converse_pipeline
+from permid.transforms import _above, soft_converse_pipeline
 
 
 def make_code(seed, kind, M, l=1, decoders="stoch", big=False):
@@ -521,6 +521,6 @@ def test_bracketed_growth_check_agrees_with_power_sign(N, gamma):
     den = math.lcm(*(x.denominator for x in news + olds))
     new, old = (np.array([[x.numerator * (den // x.denominator) for x in xs]], dtype=object)
                 for xs in (news, olds))
-    mask = _growth_violations(new, old, a_terms, b_terms, N)
+    mask = _above(new, old, np.array([[den]], dtype=object), a_terms, b_terms, N)
     assert mask[0].tolist() == [power_sign(terms(n, o), N) > 0 for n, o in zip(news, olds)]
     assert mask[0].any() and not mask[0].all()

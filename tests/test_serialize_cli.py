@@ -855,6 +855,39 @@ def test_cli_error_exit_codes(capsys):
     assert status == 2
 
 
+def _small_built_code(tmp_path):
+    """The path of the M=9 orbit-union code of n=7, q=2, l=2, seed 3."""
+    path = tmp_path / "code.json"
+    build = build_multishot_achievable(7, 2, 2, Fraction(1, 16), Stream(3))
+    path.write_text(dumps(code_to_json(build.code)))
+    return path
+
+
+@pytest.mark.parametrize("choice, gamma", [
+    (["--gamma", "1/1000000"], "1/1000000"),
+    (["--gamma", "1/4097"], "1/4097"),
+    (["--mu", "1/1000000"], "1/8000000"),  # mu / (4 l (q - 1)) at q = 2, l = 2
+])
+def test_cli_transform_refuses_a_gamma_past_the_budget_quickly(capsys, tmp_path, choice, gamma):
+    # binning at gamma = g1/g2 raises masses to the power g2: past the
+    # budget on g2 the transform is refused before any of that
+    path = _small_built_code(tmp_path)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["transform", "--code", str(path), *choice])
+    assert time.perf_counter() - start < 2
+    assert status == 4 and out == ""
+    doc = json.loads(err)
+    assert (doc["category"], doc["error"]) == ("budget", "BudgetError")
+    assert doc["message"] == f"gamma = {gamma} has a denominator above the budget of 4096"
+
+
+def test_cli_transform_takes_a_gamma_at_the_budget(capsys, tmp_path):
+    path = _small_built_code(tmp_path)
+    status, out, _ = run_cli(capsys, ["transform", "--code", str(path), "--gamma", "1/4096"])
+    assert status == 0
+    assert json.loads(out)["steps"][2]["kappa"] == 4097
+
+
 def test_cli_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
     monkeypatch.setenv("PERMID_SEED", "abc")
     status, out, err = run_cli(capsys, ["build", "--n", "7", "--q", "2", "--epsilon", "1/16"])

@@ -33,6 +33,7 @@ from helpers import (
 from permid import Dist, NoiselessIdCode, PermIdCode, Stream
 from permid.combinatorics import type_index, type_of, type_representative, type_unrank
 from permid.errors import BoundViolationError, HypothesisError, ValidationError
+from permid.exact import bracket
 from permid.idcode import (
     Acceptance,
     acceptance,
@@ -649,30 +650,39 @@ def _over(rows, den) -> Acceptance:
                       np.array([den] * len(rows), dtype=object))
 
 
+def _above_calls(monkeypatch):
+    """Record the dtype and entry count of each `_above` call, the rounds
+    it makes on Python integers included."""
+    real = permid.transforms._above
+    calls = []
+
+    def spied(new, *args):
+        calls.append((new.dtype, new.size))
+        return real(new, *args)
+
+    monkeypatch.setattr(permid.transforms, "_above", spied)
+    return calls
+
+
 def test_uniform_encoder_checks_keep_python_integers_below_the_minimum_k(monkeypatch):
-    # Over 2^40, den * ceil(F * 2^32) passes 2^63 at F = 24.4 (N = 2,
-    # gamma = 1/3): the int64 filter would get fewer than 32 fraction bits
-    # of F, so step 3 checks on Python integers; at 16 bits it fits.
-    wide = _over([[Fraction(1, 2), 1], [Fraction(1, 2), 1]], 2**40)
-    kernels = [acceptance(TWO), wide]
-    for minimum, want in ((32, [np.int64, object]), (16, [np.int64, np.int64])):
-        monkeypatch.setattr(permid.transforms, "MIN_FACTOR_BITS", minimum)
-        for kernel, dtype in zip(kernels, want):
-            verdicts, dtypes = _verdicts(monkeypatch, UNIFORM, TWO, [kernel], on_objects=False)
-            assert (verdicts, dtypes) == ([None], {np.dtype(dtype)})
-
-
-def _open_entries(monkeypatch):
-    """Record the entry count of each `_growth_violations` call."""
-    real = permid.transforms._growth_violations
-    sizes = []
-
-    def counted(x, *args):
-        sizes.append(x.size)
-        return real(x, *args)
-
-    monkeypatch.setattr(permid.transforms, "_growth_violations", counted)
-    return sizes
+    # N = 2, gamma = 1/3: F_int = 24.43. Over 2^40 the int64 filter keeps
+    # k = 18 fraction bits of F_int; over 2^60, den * F_int passes 2^63, no
+    # k >= 0 fits, and every entry goes to Python integers.
+    rows = [[Fraction(1, 2), 1], [Fraction(1, 2), 1]]
+    for den, rounds in ((None, [np.int64]), (2**40, [np.int64]), (2**60, [np.int64, object])):
+        kernel = acceptance(TWO) if den is None else _over(rows, den)
+        slow, _ = _verdicts(monkeypatch, UNIFORM, TWO, [kernel], on_objects=True)
+        with monkeypatch.context() as patch:
+            calls = _above_calls(patch)
+            fast, dtypes = _verdicts(patch, UNIFORM, TWO, [kernel], on_objects=False)
+        assert fast == slow == [None] and dtypes == {np.dtype(np.int64)}
+        assert calls == [(np.dtype(dtype), 4) for dtype in rounds]
+    # a failing entry over 2^60 gets the verdict of the object twin too
+    doctored = _over([[0, Fraction(1, 2**59)], [0, 0]], 2**60)
+    slow, _ = _verdicts(monkeypatch, UNIFORM, TWO, [doctored], on_objects=True)
+    fast, dtypes = _verdicts(monkeypatch, UNIFORM, TWO, [doctored], on_objects=False)
+    assert fast == slow and dtypes == {np.dtype(np.int64)}
+    assert fast[0].startswith("BoundViolationError: published factor bound fails at entry (1,2)")
 
 
 def test_entries_the_filter_leaves_open_get_the_oracle_verdict(monkeypatch):
@@ -681,40 +691,41 @@ def test_entries_the_filter_leaves_open_get_the_oracle_verdict(monkeypatch):
     # open. Entry (1,2) has ratio 24.47 and fails; (2,1) has 24.39 and passes.
     cross = [2**56 * 100 // 2447, 2**55 * 100 // 2439]
     before = _over([[0, Fraction(cross[0], 2**56)], [Fraction(cross[1], 2**56), 0]], 2**56)
-    with pytest.raises(BoundViolationError) as on_objects:
+    calls = _above_calls(monkeypatch)
+    with pytest.raises(BoundViolationError) as caught:
         UNIFORM(TWO, before=before)
-    assert str(on_objects.value) == ("internal factor bound fails at entry (1,2): "
-                                     f"new=1, old={Fraction(cross[0], 2**56)}, gamma=1/3")
-    monkeypatch.setattr(permid.transforms, "MIN_FACTOR_BITS", 0)
-    sizes = _open_entries(monkeypatch)
-    with pytest.raises(BoundViolationError) as on_int64:
-        UNIFORM(TWO, before=before)
-    assert str(on_int64.value) == str(on_objects.value)
-    assert sizes == [2, 1]  # both open entries, then the published check on the failure
+    assert str(caught.value) == ("internal factor bound fails at entry (1,2): "
+                                 f"new=1, old={Fraction(cross[0], 2**56)}, gamma=1/3")
+    # every entry on int64, both open ones on Python integers, then the
+    # published check on the one failure
+    assert calls == [(np.dtype(np.int64), 4), (np.dtype(object), 2), (np.dtype(np.int64), 1)]
 
 
-@pytest.mark.parametrize("bits", [4, 30, 50, 56])
+@pytest.mark.parametrize("bits", [4, 30, 50, 56, 62])
 def test_int64_entry_filter_gives_the_oracle_mask(monkeypatch, bits):
     """Entries on, near and far from new = F_int * old, over one
     denominator of `bits` bits: the filter keeps 59 - bits fraction bits of
-    F_int, and whatever it leaves open, the mask is the oracle's."""
+    F_int, or none at 62 bits, where every entry goes to Python integers;
+    whatever it leaves open, the mask is the oracle's."""
     N, gamma, kappa = 5, Fraction(2, 7), 5
     a_terms, b_terms = permid.transforms._factor_terms(gamma, kappa)["internal factor"]
-    factor = permid.transforms._factor_bracket(a_terms, b_terms, N)
+    (_, a_hi), (_, b_hi) = bracket(a_terms, N, 64), bracket(b_terms, N, 64)
+    f = -b_hi / a_hi  # the low end of F_int's bracket
     rand = random.Random(bits)
     den = 2**bits - 1
     olds = [rand.randint(0, den // 40) for _ in range(200)]
-    f = factor[0]
     news = [min(den, max(0, math.floor(o * f) + rand.randint(-2, 2))) for o in olds]
     news += [0, den, 1]
     olds += [0, 0, 0]
-    sizes = _open_entries(monkeypatch)
-    mask = permid.transforms._factor_violations(
+    calls = _above_calls(monkeypatch)
+    mask = permid.transforms._above(
         np.array([news], dtype=np.int64), np.array([olds], dtype=np.int64),
-        np.array([[den]], dtype=np.int64), a_terms, b_terms, N, factor)
+        np.array([[den]], dtype=np.int64), a_terms, b_terms, N)
     assert mask[0].tolist() == reference_growth_violations(news, olds, N, gamma, kappa)
     assert mask[0].any() and not mask[0].all()
-    assert bool(sizes) == (bits > 40)
+    on_objects = [size for dtype, size in calls if dtype == object]
+    assert bool(on_objects) == (bits > 40)
+    assert (on_objects == [len(news)]) == (bits == 62)
 
 
 def test_internal_factor_above_the_published_one_fires(monkeypatch):
@@ -947,6 +958,41 @@ def test_pipeline_checks_fire_on_a_doctored_profile_or_kernel(monkeypatch):
     monkeypatch.setattr(permid.transforms, "equal_size_supports", doctored)
     with pytest.raises(BoundViolationError, match="duplicate supports must force"):
         soft_converse_pipeline(DUPLICATE_SUPPORTS, Fraction(1, 2))
+
+
+def test_support_restriction_fires_on_a_doctored_miss(monkeypatch):
+    # restricted to its supports, TWO accepts its own messages surely; one
+    # diagonal numerator lowered leaves message 1 a positive miss
+    real = permid.transforms.acceptance
+    decoder_equals_support(TWO, acceptance(TWO))
+
+    def doctored(code):
+        kernel = real(code)
+        num = kernel.num.copy()
+        num[0, 0] -= 1
+        return Acceptance(num, kernel.den)
+
+    monkeypatch.setattr(permid.transforms, "acceptance", doctored)
+    with pytest.raises(BoundViolationError, match="^support restriction left a positive miss$"):
+        decoder_equals_support(TWO, acceptance(TWO))
+
+
+def test_equal_size_selection_checks_fire_when_doctored(monkeypatch):
+    # supports of sizes [1, 1, 1, 2, 2] over N = 2: the largest group has 3
+    # messages, and a smallest one (2 messages) falls below M/N = 5/2
+    supports = [[1], [2], [1], [1, 2], [1, 2]]
+    code = NoiselessIdCode(2, [Dist.uniform(s, size=2) for s in supports],
+                           [frozenset(s) for s in supports])
+    assert equal_size_supports(code).kept == (1, 2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(permid.transforms, "max", min, raising=False)
+        with pytest.raises(BoundViolationError, match="^pigeonhole failed: kept group below M/N$"):
+            equal_size_supports(code)
+    # a sub-family read off a kernel with a larger miss than the input's
+    assert equal_size_supports(TWO).kept == (1, 2)
+    monkeypatch.setattr(Acceptance, "take", lambda self, idx: _kernel([[0, 1], [Fraction(1, 2), 1]]))
+    with pytest.raises(BoundViolationError, match="^sub-family increased an error figure$"):
+        equal_size_supports(TWO)
 
 
 def test_pipeline_on_achievable_code():
