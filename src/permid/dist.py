@@ -69,12 +69,17 @@ class Dist:
 
     @classmethod
     def uniform(cls, keys: Iterable[Hashable], size: int | None = None) -> "Dist":
+        """Mass 1/len(keys) at each key, in the order given; each key is
+        hashed once."""
         keys = list(keys)
-        if len(set(keys)) != len(keys):
+        num = dict.fromkeys(keys, 1)
+        if len(num) != len(keys):
             raise ValidationError("uniform support must not repeat outcomes")
-        if not keys:
+        if not num:
             raise ValidationError("uniform support must be nonempty")
-        return cls.from_counts(dict.fromkeys(keys, 1), size=size)
+        self = object.__new__(cls)
+        self._fill(num, len(num), size)
+        return self
 
     @classmethod
     def point(cls, key: Hashable, size: int | None = None) -> "Dist":

@@ -324,17 +324,17 @@ def _decoder_columns(code, cols):
     denominator: decoder j accepts cols[g] with probability v / den for each
     (g, v) of column j. Each entry is a reduced pair a/b (count/orbit size
     over their gcd, 1/1, or a stochastic probability), and den is the lcm
-    of the b's in `cols`."""
-    if isinstance(code, PermIdCode):
-        raw = [[(t, c, code.sizes[t]) for t, c in d.items()] for d in code.decoder_counts]
-    else:
-        raw = [[(k, 1, 1) for k in d] if isinstance(d, frozenset)
-               else [(k, *p.as_integer_ratio()) for k, p in d.items()] for d in code.decoders]
+    of the b's in `cols`. Only the counts need a gcd: `as_integer_ratio`
+    gives lowest terms."""
     where = {k: g for g, k in enumerate(cols)}
-    pairs = [
-        [(where[k], a // (r := math.gcd(a, b)), b // r) for k, a, b in column if k in where]
-        for column in raw
-    ]
+    if isinstance(code, PermIdCode):
+        sizes = code.sizes
+        pairs = [[(where[t], c // (r := math.gcd(c, sizes[t])), sizes[t] // r)
+                  for t, c in d.items() if t in where] for d in code.decoder_counts]
+    else:
+        pairs = [[(where[k], 1, 1) for k in d if k in where] if isinstance(d, frozenset)
+                 else [(where[k], *p.as_integer_ratio()) for k, p in d.items() if k in where]
+                 for d in code.decoders]
     den = math.lcm(*(b for column in pairs for _, _, b in column))
     return [[(g, a * (den // b)) for g, a, b in column] for column in pairs], den
 

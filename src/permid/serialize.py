@@ -113,7 +113,9 @@ def _masses(enc: Dist, key) -> list:
     """An encoder's [key(outcome), "p/q"] pairs in order, each mass in
     lowest terms."""
     den = enc.den
-    return sorted([key(k), f"{v // (g := gcd(v, den))}/{den // g}"] for k, v in enc.num.items())
+    # each distinct mass is written once (a uniform encoder has one)
+    text = {v: f"{v // (g := gcd(v, den))}/{den // g}" for v in set(enc.num.values())}
+    return sorted([key(k), text[v]] for k, v in enc.num.items())
 
 
 def code_from_json(doc: dict):
@@ -353,8 +355,8 @@ def _pieces(value, pad: str) -> Iterator[str]:
     if isinstance(value, Matrix):
         yield from _matrix(value, pad)
         return
-    if _scalar_rows(value):
-        yield from _rows(value, pad)
+    if (types := _row_types(value)) is not None:
+        yield from _rows(value, pad, types == {int})
         return
     sep = ",\n" + (inner := pad + "  ")
     if isinstance(value, dict):
@@ -397,31 +399,39 @@ def _leaf(value, pad: str) -> str | None:
     return None
 
 
-def _scalar_rows(value) -> bool:
-    """Whether a value is a nonempty list or tuple of nonempty lists or
-    tuples of scalars, which `_rows` renders."""
-    return (isinstance(value, (list, tuple)) and bool(value)
-            and set(map(type, value)) <= {list, tuple} and all(value)
-            and set(map(type, chain.from_iterable(value))) <= _SCALAR_TYPES)
+def _row_types(value) -> set | None:
+    """The types of the entries of a nonempty list or tuple of nonempty
+    lists or tuples of scalars, which `_rows` renders; None for any other
+    value."""
+    if not (isinstance(value, (list, tuple)) and value
+            and set(map(type, value)) <= {list, tuple} and all(value)):
+        return None
+    types = set(map(type, chain.from_iterable(value)))
+    return types if types <= _SCALAR_TYPES else None
 
 
-def _rows(rows, pad: str) -> Iterator[str]:
-    """The text of a list of scalar rows (see `_scalar_rows`) at indentation
+def _rows(rows, pad: str, ints: bool) -> Iterator[str]:
+    """The text of a list of scalar rows (see `_row_types`) at indentation
     `pad`, in pieces of whole rows of at most BLOCK_CHARS characters unless
     one row alone is longer.
-    A piece is a block of rows made by one json.dumps call on json's C
-    encoder, whose item separator carries the newline and indent. Between
-    two rows that separator stands as `]sep[`, which no scalar's text holds
-    (an encoded scalar never holds a raw newline), and one replace turns it
-    into the close of the one row and the open of the next."""
+    When `ints` says every entry has the exact type int, a piece is a block
+    of rows joined from `_table_rows`' value texts where it has them.
+    Otherwise a piece is a block of rows made by one json.dumps call on
+    json's C encoder, whose item separator carries the newline and indent.
+    Between two rows that separator stands as `]sep[`, which no scalar's
+    text holds (an encoded scalar never holds a raw newline), and one
+    replace turns it into the close of the one row and the open of the
+    next."""
     inner, entry = pad + "  ", pad + "    "
     sep = ",\n" + entry
     between, apart = f"]{sep}[", f"\n{inner}],\n{inner}[\n{entry}"
     lead, r = f"[\n{inner}", 0
     step = max(1, BLOCK_CHARS // (16 * max(map(len, rows))))
     while r < len(rows):
-        text = json.dumps(rows[r : r + step], separators=(sep, ": "))
-        piece = f"{lead}[\n{entry}{text[2:-2].replace(between, apart)}\n{inner}]"
+        block = rows[r : r + step]
+        if not ints or (text := _table_rows(block, sep, apart)) is None:
+            text = json.dumps(block, separators=(sep, ": "))[2:-2].replace(between, apart)
+        piece = f"{lead}[\n{entry}{text}\n{inner}]"
         if len(piece) > BLOCK_CHARS and step > 1:
             step //= 2
             continue
@@ -458,6 +468,18 @@ def _matrix(m: Matrix, pad: str) -> Iterator[str]:
     sep, end = f",\n{entry}", f"\n{inner}],\n{inner}[\n"
     for i, (a, b) in enumerate(_lowest_terms(m.num, m.den), start=1):
         yield f"{entry}{sep.join(map(m.text, a, b))}" + (end if i < rows else f"\n{inner}]\n{pad}]")
+
+
+def _table_rows(block, sep: str, apart: str) -> str | None:
+    """A block of int rows joined by `sep` within a row and `apart` between
+    rows, from one text per distinct value, when the block has at least
+    eight entries per distinct value; else None. The caller checks the
+    entries' types: a set of values cannot tell 1 from True or 1.0."""
+    values = set(chain.from_iterable(block))
+    if 8 * len(values) > sum(map(len, block)):
+        return None
+    text = dict(zip(values, map(str, values))).__getitem__
+    return apart.join([sep.join(map(text, row)) for row in block])
 
 
 def _value_table(m: Matrix) -> tuple[int, list] | None:

@@ -1,10 +1,12 @@
 """Atom-grid approximation of distributions and the collision converse."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import permid.approx
 from helpers import random_dist, random_noiseless_code
 from permid import Dist, NoiselessIdCode
 from permid.approx import (
@@ -14,7 +16,7 @@ from permid.approx import (
     count_resolution_types,
     pigeonhole_collision_check,
 )
-from permid.errors import HypothesisError, ValidationError
+from permid.errors import BoundViolationError, HypothesisError, ValidationError
 
 
 def test_approx_map_validations():
@@ -215,3 +217,40 @@ def test_pigeonhole_floor_without_forcing():
         report = pigeonhole_collision_check(code, rand.randint(1, 6))
         if report.floor is not None:
             assert report.lambda_sum >= report.floor
+
+
+# Each theorem check below holds on every input, so a doctored helper makes
+# it fire with its own message.
+
+
+def test_allocation_bound_fires_on_a_doctored_distance(monkeypatch):
+    target = Dist({1: Fraction(3, 4), 2: Fraction(1, 4)}, size=2)
+    monkeypatch.setattr(permid.approx, "approx_distance", lambda amap, t: Fraction(5, 4))
+    with pytest.raises(BoundViolationError, match=r"^allocation error 5/4 exceeds N/K = 1$"):
+        build_approx(target, 2)
+
+
+def test_guaranteed_collision_fires_when_the_count_is_doctored(monkeypatch):
+    # two distinct point masses have distinct maps; with one atom vector
+    # claimed, two messages would have to share it
+    code = NoiselessIdCode(2, [Dist.point(1, size=2), Dist.point(2, size=2)],
+                           [frozenset({1}), frozenset({2})])
+    monkeypatch.setattr(permid.approx, "count_resolution_types", lambda N, K: 1)
+    with pytest.raises(BoundViolationError,
+                       match=r"^more messages than atom vectors, yet all maps are distinct$"):
+        pigeonhole_collision_check(code, 4)
+
+
+def test_collision_floor_fires_on_a_doctored_evaluation(monkeypatch):
+    # point(1) and (3/4, 1/4) share the map (1, 0) at K = 1, at distances
+    # 0 and 1/2, so lambda1 + lambda2 >= 1/2; the real sum is 3/2
+    skewed = Dist({1: Fraction(3, 4), 2: Fraction(1, 4)}, size=2)
+    code = NoiselessIdCode(2, [Dist.point(1, size=2), skewed], [frozenset({1}), frozenset({2})])
+    assert pigeonhole_collision_check(code, 1).lambda_sum == Fraction(3, 2)
+    real = permid.approx.eval_noiseless
+    monkeypatch.setattr(permid.approx, "eval_noiseless", lambda c: dataclasses.replace(
+        real(c), lambda1=Fraction(0), lambda2=Fraction(1, 4)))
+    with pytest.raises(BoundViolationError,
+                       match=r"^lambda1\+lambda2 = 1/4 below the collision floor 1/2 "
+                             r"for messages \(1, 2\)$"):
+        pigeonhole_collision_check(code, 1)

@@ -15,6 +15,7 @@ import io
 import json
 import random
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from itertools import accumulate
 from operator import truediv
@@ -55,6 +56,7 @@ from permid.exact import frac_str
 from permid.idcode import _exact_sampler, _repr_order_key
 from permid.serialize import (
     SCHEMA,
+    BLOCK_CHARS,
     Matrix,
     _count_text,
     _estimate_text,
@@ -711,3 +713,97 @@ def test_an_empty_row_keeps_its_rendering():
         doc = {"rows": rows}
         assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert '"rows": [\n    [\n      1\n    ],\n    []\n  ]' in dumps({"rows": [[1], []]})
+
+
+# ------------------------------------------------ int rows from a value table
+
+int_rows = st.lists(
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, -7, 2**64, 10**40]), min_size=1, max_size=24),
+    min_size=1,
+    max_size=30,
+)
+
+
+class One(IntEnum):
+    ONE = 1
+
+
+class Loud(int):
+    """An int whose own text differs from the one json writes for it."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+def spied_table_rows():
+    """A stand-in for `_table_rows` that records each block and its text."""
+    calls = []
+    real = permid.serialize._table_rows
+
+    def spy(block, *rest):
+        calls.append((block, text := real(block, *rest)))
+        return text
+
+    return calls, mock.patch.object(permid.serialize, "_table_rows", spy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=int_rows, block=st.sampled_from([None, 60, 200, 1000]))
+def test_int_rows_render_as_the_stdlib_does(rows, block):
+    """Rows of ints with heavy repeats, some past int64, render as the stdlib
+    does whether or not a block takes the value table, and with a small
+    BLOCK_CHARS in pieces of at most BLOCK_CHARS characters unless one row
+    alone is longer."""
+    doc = {"rows": rows, "code": {"typecounts": rows}}
+    calls, spy = spied_table_rows()
+    with spy, mock.patch.object(permid.serialize, "BLOCK_CHARS", block or BLOCK_CHARS):
+        pieces = list(chunks(doc))
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert all(len(piece) <= (block or BLOCK_CHARS) or one_row(piece) for piece in pieces)
+    # every block is offered to the table, which takes those with at least
+    # eight entries per distinct value
+    assert {id(row) for b, _ in calls for row in b} == set(map(id, rows))
+    for b, text in calls:
+        values = [v for row in b for v in row]
+        assert (text is not None) == (8 * len(set(values)) <= len(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=int_rows, odd=st.sampled_from([True, False, 1.0, 0.0, One.ONE, Loud(1), Loud(0)]),
+       block=st.sampled_from([None, 60, 200]), data=st.data())
+def test_rows_holding_a_bool_float_or_int_subclass_skip_the_table(rows, odd, block, data):
+    """1 == True == 1.0 == One.ONE, so a set of values would fold them into
+    one table entry; a row holding any entry whose type is not exactly int
+    never takes the value table."""
+    row = data.draw(st.sampled_from(rows))
+    row.insert(data.draw(st.integers(0, len(row))), odd)
+    doc = {"rows": rows}
+    calls, spy = spied_table_rows()
+    with spy, mock.patch.object(permid.serialize, "BLOCK_CHARS", block or BLOCK_CHARS):
+        pieces = list(chunks(doc))
+    assert "".join(pieces) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert calls == []
+    assert all(len(piece) <= (block or BLOCK_CHARS) or one_row(piece) for piece in pieces)
+
+
+def test_collapse_cases_keep_their_texts():
+    for row in ([1, True, 1, 1, 1], [1.0, 1, 1, 1, 1], [One.ONE] + [1] * 9, [Loud(1)] + [1] * 9,
+                [0, False, 0, 0, 0, 0, 0, 0, 0]):
+        doc = {"rows": [row] * 4}
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "true" in dumps({"rows": [[1, True, 1, 1, 1]] * 4})
+
+
+def test_built_typecount_rows_take_the_value_table():
+    """A built code's `typecounts` rows, mostly zeros, are written from the
+    value table in every block, so that path cannot go unused unnoticed."""
+    doc = command_doc(["build", "--n", "80", "--q", "2", "--epsilon", "1/25", "--seed", "1"])
+    rows = doc["code"]["decoders"]["typecounts"]
+    calls, spy = spied_table_rows()
+    with spy:
+        text = dumps(doc)
+    assert text == reference_dumps(doc)
+    tabled = {id(row) for block, text in calls if text is not None for row in block}
+    assert tabled >= set(map(id, rows)) and len(rows) > 1

@@ -107,3 +107,60 @@ def test_integer_constructor_refuses_negative_weights_and_a_zero_total():
             Dist.from_counts(weights)
     with pytest.raises(ValidationError, match=r"outcome 3 outside \[1\.\.2\]"):
         Dist.from_counts({3: 1}, size=2)
+
+
+class CountedKey:
+    """An outcome that counts the calls of its __hash__."""
+
+    calls = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        CountedKey.calls += 1
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return isinstance(other, CountedKey) and self.name == other.name
+
+    def __repr__(self):
+        return f"CountedKey({self.name!r})"
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 40])
+def test_uniform_hashes_each_outcome_once(count):
+    keys = [CountedKey(k) for k in range(count)]
+    CountedKey.calls = 0
+    d = Dist.uniform(iter(keys))
+    assert CountedKey.calls == count
+    expected = Dist.from_counts(dict.fromkeys(keys, 1))
+    assert list(d.num.items()) == list(expected.num.items()) == [(k, 1) for k in keys]
+    assert (d.den, d.size) == (expected.den, expected.size) == (count, None)
+    assert d == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.integers(1, 9), min_size=1, unique=True), sized=st.booleans())
+def test_uniform_is_the_counts_constructor_in_key_order(keys, sized):
+    size = 9 if sized else None
+    d, expected = Dist.uniform(keys, size=size), Dist.from_counts(dict.fromkeys(keys, 1), size=size)
+    assert list(d.num.items()) == list(expected.num.items())
+    assert (d.den, d.size) == (expected.den, expected.size) == (len(keys), size)
+
+
+def test_uniform_refusals_keep_their_messages():
+    with pytest.raises(ValidationError, match=r"^uniform support must not repeat outcomes$"):
+        Dist.uniform([1, 2, 1])
+    # 1 and True are one outcome, as a dict keys them
+    with pytest.raises(ValidationError, match=r"^uniform support must not repeat outcomes$"):
+        Dist.uniform([1, True])
+    for keys in ([], iter(())):
+        with pytest.raises(ValidationError, match=r"^uniform support must be nonempty$"):
+            Dist.uniform(keys)
+    with pytest.raises(ValidationError, match=r"^outcome 3 outside \[1\.\.2\]$"):
+        Dist.uniform([1, 3], size=2)
+    with pytest.raises(ValidationError, match=r"^outcome True outside \[1\.\.2\]$"):
+        Dist.uniform([True], size=2)
+    with pytest.raises(ValidationError, match=r"^size must be a positive integer$"):
+        Dist.uniform([1], size=0)

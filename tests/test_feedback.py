@@ -26,6 +26,7 @@ from permid import (
 )
 from permid.combinatorics import TypeVector, count_types, type_of
 from permid.errors import (
+    BoundViolationError,
     BudgetError,
     HypothesisError,
     ValidationError,
@@ -53,6 +54,17 @@ def test_max_typeclass_two_sided_bound_integer_replay():
         _, size = max_typeclass(n, q)
         assert size <= q**n
         assert q**n <= size * (2 * n) ** (q - 1)
+
+
+@pytest.mark.parametrize("n, q, size",
+                         [(12, 2, 2**12 + 1), (12, 2, 170), (5, 3, 3**5 + 1), (5, 3, 2)])
+def test_max_typeclass_bound_fires_on_a_doctored_size(monkeypatch, n, q, size):
+    # above q^n, or below q^n / (2n)^(q-1) (4096/24 and 243/100)
+    monkeypatch.setattr(permid.feedback, "typeclass_size", lambda t: size)
+    with pytest.raises(BoundViolationError,
+                       match=rf"^largest orbit size {size} violates its two-sided bound "
+                             rf"at n={n}, q={q}$"):
+        max_typeclass(n, q)
 
 
 def test_max_typeclass_matches_the_scan():
@@ -285,6 +297,24 @@ def test_mc_matches_exact_within_four_sigma():
                 assert p_hat == 0.0
             else:
                 assert abs(p_hat - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
+
+def test_mc_check_fires_when_a_sender_misses_its_own_orbit(monkeypatch):
+    """Each sender lands in its own orbit, so its decoder accepts every
+    trial; doctored counts with one own miss must be refused."""
+    code = build_feedback_code(6, 2, 2, 3, Stream(5))
+    real = permid.feedback._feedback_mc_hits
+
+    def doctored(code, rows, trials, stream):
+        hits = real(code, rows, trials, stream)
+        if 0 in rows:
+            hits[0, 0] -= 1
+        return hits
+
+    monkeypatch.setattr(permid.feedback, "_feedback_mc_hits", doctored)
+    with pytest.raises(BoundViolationError,
+                       match=r"^a sender's own decoder rejected in simulation$"):
+        eval_feedback_mc(code, 50, Stream(1))
 
 
 def test_mc_is_seed_deterministic():
