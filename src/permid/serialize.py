@@ -473,10 +473,13 @@ def _matrix(m: Matrix, pad: str) -> Iterator[str]:
 def _table_rows(block, sep: str, apart: str) -> str | None:
     """A block of int rows joined by `sep` within a row and `apart` between
     rows, from one text per distinct value, when the block has at least
-    eight entries per distinct value; else None. The caller checks the
-    entries' types: a set of values cannot tell 1 from True or 1.0."""
+    four entries per distinct value; else None. Below that the texts cost
+    more than json.dumps saves (the index-set rows of a transform report
+    hold under two entries per value), so those blocks go to json.dumps.
+    The caller checks the entries' types: a set of values cannot tell 1
+    from True or 1.0."""
     values = set(chain.from_iterable(block))
-    if 8 * len(values) > sum(map(len, block)):
+    if 4 * len(values) > sum(map(len, block)):
         return None
     text = dict(zip(values, map(str, values))).__getitem__
     return apart.join([sep.join(map(text, row)) for row in block])

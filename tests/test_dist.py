@@ -128,25 +128,21 @@ class CountedKey:
         return f"CountedKey({self.name!r})"
 
 
-@pytest.mark.parametrize("count", [1, 2, 7, 40])
-def test_uniform_hashes_each_outcome_once(count):
-    keys = [CountedKey(k) for k in range(count)]
+@pytest.mark.parametrize(
+    "keys, size",
+    [([CountedKey(k) for k in range(count)], None) for count in (1, 2, 7, 40)]
+    + [([5, 1, 9, 3], 9)],
+)
+def test_uniform_hashes_each_outcome_once(keys, size):
+    """Each key is hashed once (the int keys under `size=` cannot count
+    their hashes), and the law is the counts constructor's in key order."""
     CountedKey.calls = 0
-    d = Dist.uniform(iter(keys))
-    assert CountedKey.calls == count
-    expected = Dist.from_counts(dict.fromkeys(keys, 1))
+    d = Dist.uniform(iter(keys), size=size)
+    assert CountedKey.calls == sum(isinstance(k, CountedKey) for k in keys)
+    expected = Dist.from_counts(dict.fromkeys(keys, 1), size=size)
     assert list(d.num.items()) == list(expected.num.items()) == [(k, 1) for k in keys]
-    assert (d.den, d.size) == (expected.den, expected.size) == (count, None)
-    assert d == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.lists(st.integers(1, 9), min_size=1, unique=True), sized=st.booleans())
-def test_uniform_is_the_counts_constructor_in_key_order(keys, sized):
-    size = 9 if sized else None
-    d, expected = Dist.uniform(keys, size=size), Dist.from_counts(dict.fromkeys(keys, 1), size=size)
-    assert list(d.num.items()) == list(expected.num.items())
     assert (d.den, d.size) == (expected.den, expected.size) == (len(keys), size)
+    assert d == expected
 
 
 def test_uniform_refusals_keep_their_messages():
